@@ -330,6 +330,7 @@ def _shared_state_loop(
         if key in seen_keys:
             continue
         seen_keys.add(key)
+        scope = probes.RangeScope()  # one key's child ranges, read once
         for state in iter_null_states(n, include_total=False, include_all_null=False):
             state_set = set(state)
             positions = tuple(i for i in range(n) if i not in state_set)
@@ -345,6 +346,7 @@ def _shared_state_loop(
                 [fk.fk_columns[i] for i in positions],
                 list(totals),
                 null_columns=[fk.fk_columns[i] for i in state],
+                scope=scope,
             ):
                 continue
             if probes.exists_eq(
@@ -356,3 +358,4 @@ def _shared_state_loop(
             _apply_action_scoped(
                 db, fk, fk.child_state_predicate(key, state), fk.on_delete
             )
+            scope.clear()  # the action wrote the child table

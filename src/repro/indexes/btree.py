@@ -15,9 +15,14 @@ from.  Design notes:
   nbtree behaviour and avoids a large class of rebalancing bugs while
   keeping height logarithmic for the random workloads of the paper.
 * **Cost counting.**  Every node visited during a descent or a leaf-chain
-  walk counts one ``index_node_reads``; every entry touched by a scan
+  walk counts one ``index_node_reads``; every entry a scan moves past
   counts one ``index_entries_scanned``.  These counters are the logical
   stand-in for the I/O the paper measures.
+* **One range primitive.**  :meth:`BPlusTree.runs` hands out a prefix
+  range one leaf slice at a time together with the node reads each slice
+  cost, charging nothing itself; the entry-at-a-time scans here and the
+  probe kernel of :mod:`repro.query.probes` are both consumers of it and
+  charge exactly what they consume.
 """
 
 from __future__ import annotations
@@ -29,13 +34,17 @@ from typing import Any
 from ..errors import IndexError_
 from ..testing.faults import fire
 from .cost import CostTracker
-from .keys import EncodedKey
+from .keys import AFTER_ALL, EncodedKey
 
 #: One index entry: the encoded key plus the row id it points at.
 Entry = tuple[EncodedKey, int]
 
 #: Default number of entries per leaf / children per internal node.
 DEFAULT_ORDER = 64
+
+
+#: ``prefix + _PREFIX_END`` bounds the keys starting with ``prefix``.
+_PREFIX_END = (AFTER_ALL,)
 
 
 class _Leaf:
@@ -65,6 +74,10 @@ class _Internal:
 
 class BPlusTree:
     """Order-``order`` B+ tree over ``(EncodedKey, rid)`` entries."""
+
+    #: Entries are charged per leaf on the way out, counting the ones a
+    #: consumer moved past: the entry it stops on is not among them.
+    HIT_SCANNED = 0
 
     def __init__(self, order: int = DEFAULT_ORDER, tracker: CostTracker | None = None):
         if order < 4:
@@ -441,74 +454,89 @@ class BPlusTree:
     # ------------------------------------------------------------------
     # Scans
 
-    def scan_from(self, low: Entry | None = None) -> Iterator[Entry]:
-        """Yield entries >= *low* (or all entries) in ascending order.
+    def runs(self, prefix: EncodedKey) -> Iterator[tuple[list[Entry], int]]:
+        """The leaf-run primitive: every entry whose key starts with
+        *prefix*, one slice per leaf, in order.
 
-        Charges node reads for the descent and one per leaf visited, plus
-        one ``index_entries_scanned`` per yielded entry.
+        Descends once, bounds the run inside each leaf with a bisect and
+        yields ``(slice, node_reads)`` — the node reads it took to reach
+        that slice: the descent for the first, one leaf step for each
+        later one.  A slice may be empty: the descent leaf can already
+        be exhausted (the run starts in the next leaf), and a run that
+        ends exactly on a leaf boundary costs one more step to find
+        that out.  Nothing is charged here; the consumer charges the
+        reads of every slice it asked for and the entries it consumed,
+        so one that stops early pays for no step it did not take.
         """
+        return self._leaf_runs((prefix, -1), (prefix + _PREFIX_END, -1))
+
+    def _leaf_runs(
+        self, low: Entry | None, high: Entry | None
+    ) -> Iterator[tuple[list[Entry], int]]:
+        """:meth:`runs` over the entries in ``[low, high)``; ``None``
+        leaves that side open (an open low starts at the first leaf,
+        which costs one read instead of a descent)."""
+        node: Any
         if low is None:
-            leaf: _Leaf | None = self._first_leaf
+            node = self._first_leaf
+            reads = 1
             pos = 0
-            self._count("index_node_reads")
         else:
-            leaf, __ = self._descend(low)
-            pos = bisect_left(leaf.entries, low)
-        # Entries scanned are counted per leaf visited (batched): a real
-        # engine reads whole pages, and per-entry counter updates would
-        # dominate the very scans we are modelling.
-        while leaf is not None:
-            entries = leaf.entries
-            start = pos
-            try:
-                while pos < len(entries):
-                    yield entries[pos]
-                    pos += 1
-            finally:
-                self._count("index_entries_scanned", pos - start)
-            leaf = leaf.next
+            node = self._root
+            reads = 1
+            while not node.is_leaf:
+                node = node.children[bisect_right(node.separators, low)]
+                reads += 1
+            pos = bisect_left(node.entries, low)
+        while True:
+            entries = node.entries
+            end = len(entries) if high is None else bisect_left(entries, high, pos)
+            yield entries[pos:end], reads
+            if end < len(entries):
+                return
+            node = node.next
+            if node is None:
+                return
             pos = 0
-            if leaf is not None:
-                self._count("index_node_reads")
+            reads = 1
+
+    def _scan(self, low: Entry | None, high: Entry | None) -> Iterator[Entry]:
+        """Entry-at-a-time view of :meth:`_leaf_runs`, charged as it is
+        consumed: node reads per slice asked for, entries scanned per
+        leaf (batched — a real engine reads whole pages) counting the
+        entries the consumer moved *past*, so a LIMIT-1 consumer that
+        stops on its first candidate is charged none."""
+        for entries, reads in self._leaf_runs(low, high):
+            self._count("index_node_reads", reads)
+            passed = 0
+            try:
+                for entry in entries:
+                    yield entry
+                    passed += 1
+            finally:
+                self._count("index_entries_scanned", passed)
+
+    def scan_from(self, low: Entry | None = None) -> Iterator[Entry]:
+        """Yield entries >= *low* (or all entries) in ascending order."""
+        return self._scan(low, None)
 
     def scan_prefix(self, prefix: EncodedKey) -> Iterator[Entry]:
         """Yield entries whose key starts with *prefix*, in order."""
-        low: Entry = (prefix, -1)
-        for key, rid in self.scan_from(low):
-            if key[: len(prefix)] != prefix:
-                return
-            yield (key, rid)
+        return self._scan((prefix, -1), (prefix + _PREFIX_END, -1))
 
     def first_with_prefix(self, prefix: EncodedKey) -> Entry | None:
         """Return the first entry matching *prefix*, or None.
 
         This is the ``LIMIT 1`` existence probe the paper's triggers rely
-        on ("referential integrity requires only one matching tuple").
-        Implemented without the scan generator machinery, charging
-        exactly what a LIMIT-1 ``scan_prefix`` charges: the descent's
-        node reads plus one per leaf-chain step, and no entries scanned
-        (the batched per-leaf charge counts entries consumed *past*, and
-        a LIMIT-1 consumer stops at the first candidate it sees).
+        on ("referential integrity requires only one matching tuple"):
+        the descent's node reads plus one per leaf step, and no entries
+        scanned.
         """
-        low: Entry = (prefix, -1)
-        node: Any = self._root
-        reads = 1
-        while not node.is_leaf:
-            node = node.children[bisect_right(node.separators, low)]
-            reads += 1
-        self._count("index_node_reads", reads)
-        pos = bisect_left(node.entries, low)
-        plen = len(prefix)
-        while True:
-            entries = node.entries
-            if pos < len(entries):
-                entry = entries[pos]
-                return entry if entry[0][:plen] == prefix else None
-            node = node.next
-            if node is None:
-                return None
-            self._count("index_node_reads")
-            pos = 0
+        for entries, reads in self.runs(prefix):
+            self._count("index_node_reads", reads)
+            if entries:
+                return entries[0]
+        return None
 
     def scan_all(self) -> Iterator[Entry]:
         """Yield every entry in key order."""

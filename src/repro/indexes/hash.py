@@ -20,6 +20,10 @@ from .keys import EncodedKey
 class HashIndex:
     """Mapping from encoded key to the set of rids carrying that key."""
 
+    #: A lookup charges each entry as it reads it, so a consumer that
+    #: stops on its hit has paid for that entry too.
+    HIT_SCANNED = 1
+
     def __init__(self, tracker: CostTracker | None = None) -> None:
         self._buckets: dict[EncodedKey, set[int]] = {}
         self._size = 0
@@ -63,6 +67,14 @@ class HashIndex:
             for key, rid in reversed(entries[:done]):
                 self.delete(key, rid)
             raise
+
+    def runs(
+        self, key: EncodedKey
+    ) -> Iterator[tuple[list[tuple[EncodedKey, int]], int]]:
+        """The bucket of *key* as one ``(entries, node_reads)`` run,
+        uncharged — the shape of :meth:`BPlusTree.runs`, so one probe
+        kernel serves both structures."""
+        yield [(key, rid) for rid in self._buckets.get(key, ())], 1
 
     def lookup(self, key: EncodedKey) -> Iterator[tuple[EncodedKey, int]]:
         """Yield all entries with exactly *key* (full-key equality only)."""

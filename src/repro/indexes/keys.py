@@ -31,6 +31,12 @@ NULL_COMPONENT: tuple[int, int] = (0, 0)
 #: Type alias for one encoded component.
 EncodedComponent = tuple[int, Any]
 
+#: Sorts after every encoded component (their tags are 0 and 1), so
+#: ``prefix + (AFTER_ALL,)`` is an exclusive upper bound of the keys
+#: starting with ``prefix`` — and, unlike :func:`prefix_successor`, of
+#: the empty prefix too.
+AFTER_ALL: EncodedComponent = (2, None)
+
 #: Type alias for a full encoded key.
 EncodedKey = tuple[EncodedComponent, ...]
 

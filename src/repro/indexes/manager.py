@@ -44,6 +44,15 @@ class TableIndex:
             self._structure: BPlusTree | HashIndex = BPlusTree(order, tracker)
         else:
             self._structure = HashIndex(tracker)
+        #: The entries under an already-encoded prefix, a leaf run (or
+        #: the one hash bucket) at a time, as uncharged ``(entries,
+        #: node_reads)`` pairs — see :meth:`BPlusTree.runs`.  The caller
+        #: charges what it consumes: the reads of each run it asked
+        #: for, and ``hit + hit_scanned`` entries when it stops on entry
+        #: number *hit* (a hash lookup charges the entry it stops on, a
+        #: B+ tree only those before it).
+        self.runs = self._structure.runs
+        self.hit_scanned = self._structure.HIT_SCANNED
 
     # ------------------------------------------------------------------
 

@@ -159,14 +159,18 @@ def handle_parent_removed(
     # 2. Each partial state: u = 1 .. n-1 null markers.  The per-state
     #    column lists are value-independent, so they are compiled once
     #    per foreign key and only the values bind per deletion.
+    #    The child probes of one key revisit the same few index ranges
+    #    with different residuals, so they share one read of each —
+    #    until an action rewrites children.
     child = db.table(fk.child_table)
     parent = db.table(fk.parent_table)
+    scope = probes.RangeScope()
     for state, child_cols, child_nulls, parent_cols, total_positions in _state_shapes(fk):
         fire("enforce.state_probe")
         db.tracker.count("state_checks")
         values = [parent_key[i] for i in total_positions]
         if not probes.exists_eq(
-            child, child_cols, values, null_columns=child_nulls
+            child, child_cols, values, null_columns=child_nulls, scope=scope
         ):
             continue
         if probes.exists_eq(parent, parent_cols, values):
@@ -177,6 +181,7 @@ def handle_parent_removed(
         affected += _apply_action_scoped(
             db, fk, fk.child_state_predicate(parent_key, state), action
         )
+        scope.clear()
     return affected
 
 

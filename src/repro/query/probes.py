@@ -22,16 +22,29 @@ planning, no dict/zip construction.  The cost accounting is identical to
 the per-call-planned path — ``planner_candidates`` per execution, real
 index dives, the same scan counters — so the experiment's logical costs
 are unchanged; only interpreter overhead is removed.
+
+Execution is range-at-a-time (DESIGN.md §5k).  One kernel,
+:meth:`PreparedProbe._search`, serves full scans, index ranges and MVCC
+read views: it takes rows a batch at a time — the heap, or one leaf run
+of :meth:`~repro.indexes.btree.BPlusTree.runs` — finds the first match
+at C level (:func:`_first_hit`) and *computes* every scan counter from
+where the hit fell instead of counting row by row.  Probes that share a
+:class:`RangeScope` (the ``2^n - 2`` state probes of one parent delete)
+read each index range once and answer from it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from bisect import bisect_right
+from collections.abc import Callable, Collection, Iterable, Sequence
+from itertools import compress, count, islice, repeat
+from operator import eq, itemgetter
 from typing import Any
 
 from ..indexes.definition import IndexKind
-from ..indexes.keys import encode_component, encode_key
+from ..indexes.keys import EncodedKey, encode_component, encode_key
 from ..nulls import NULL
+from ..storage.heap import Row
 from ..storage.table import Table
 from .planner import _plan_uncached
 from .predicate import ConjunctionProfile
@@ -41,14 +54,53 @@ from .predicate import ConjunctionProfile
 #: the paper's workloads — it only bounds pathological callers.
 _PROBE_CACHE_LIMIT = 256
 
+_SECOND = itemgetter(1)  # the rid of an index entry, the row of a heap item
+
+
+class RangeScope(dict):
+    """The index ranges one statement's probes share.
+
+    Maps ``(index, encoded prefix)`` to the range as it stood when first
+    probed — ``(rows, leaf-step offsets, descent reads)``, everything a
+    later probe of the same range needs to answer and to charge itself
+    exactly as if it had walked the index again.  The ``2^n - 2`` state
+    probes of one parent delete (§6.1) revisit the same few ranges with
+    different residuals; under a scope each range is read once.
+
+    A snapshot is only as good as the table is still: the owner must
+    :meth:`clear` the scope the moment anything writes the probed table,
+    and drops it with the loop it was opened for.
+    """
+
+    __slots__ = ()
+
+
+def _first_hit(
+    project: Callable[[Row], Any] | None, expected: Any, rows: Iterable[Row]
+) -> int:
+    """Index of the first of *rows* whose projection equals *expected*,
+    or -1.  Runs at C level (project, compare, take the first true) and
+    consumes *rows* no further than the hit."""
+    if project is None:  # nothing to test: the first row is the hit
+        for __ in rows:
+            return 0
+        return -1
+    return next(
+        compress(count(), map(eq, map(project, rows), repeat(expected))), -1
+    )
+
 
 class PreparedProbe:
     """One compiled probe shape over one table.
 
-    Holds everything value-independent: schema positions of the equality
-    and IS NULL columns, the access path chosen by the planner, the slot
-    indices that bind prefix values, the residual filter, and the list of
-    B-tree indexes the optimizer dives into per execution.  Re-plans
+    Holds everything value-independent: the access path chosen by the
+    planner, the slot indices that bind prefix values, the list of
+    B-tree indexes the optimizer dives into per execution, and the
+    *compiled tests* — an ``operator.itemgetter`` over the schema
+    positions a row must be checked on, whose output is compared against
+    one expected tuple (bound values, then ``NULL`` per IS NULL column;
+    ``NULL`` is a singleton without ``__eq__``, so it equals only
+    itself and a NULL column never equals a bound value).  Re-plans
     itself lazily whenever ``table.indexes.version`` has moved since the
     last execution.
     """
@@ -57,14 +109,13 @@ class PreparedProbe:
         "table",
         "columns",
         "null_columns",
-        "_eq_positions",
-        "_null_positions",
+        "_null_tail",
+        "_full_project",
         "_version",
-        "_full_scan",
-        "_scan",
-        "_first",
+        "_index",
         "_prefix_slots",
-        "_residual",
+        "_residual_slots",
+        "_residual_project",
         "_dives",
     )
 
@@ -77,18 +128,27 @@ class PreparedProbe:
         self.table = table
         self.columns = columns
         self.null_columns = null_columns
-        schema = table.schema
-        self._eq_positions = tuple(
-            (schema.position(c), slot) for slot, c in enumerate(columns)
-        )
-        self._null_positions = tuple(schema.position(c) for c in null_columns)
+        self._null_tail = (NULL,) * len(null_columns)
+        self._full_project = self._projector(columns)
         self._version = -1  # forces planning on first execution
-        self._full_scan = True
-        self._scan = None
-        self._first = None
+        self._index: Any = None  # None: full scan
         self._prefix_slots: tuple[int, ...] = ()
-        self._residual: tuple[tuple[int, int], ...] = ()
+        self._residual_slots: tuple[int, ...] = ()
+        self._residual_project: Callable[[Row], Any] | None = None
         self._dives: tuple[tuple[Any, int], ...] = ()
+
+    def _projector(self, eq_columns: Sequence[str]) -> Callable[[Row], Any] | None:
+        """The row projection that tests *eq_columns* and the probe's
+        IS NULL columns (None when there is nothing to test)."""
+        positions = self.table.schema.positions((*eq_columns, *self.null_columns))
+        return itemgetter(*positions) if positions else None
+
+    def _expected(self, bound: Iterable[Any]) -> Any:
+        """What a projection built by :meth:`_projector` must equal,
+        given the values *bound* to its equality columns."""
+        expected = (*bound, *self._null_tail)
+        # a one-position itemgetter returns the bare value
+        return expected[0] if len(expected) == 1 else expected
 
     # ------------------------------------------------------------------
 
@@ -112,29 +172,14 @@ class PreparedProbe:
         self._dives = tuple(dives)
 
         path = _plan_uncached(table, profile, True)
-        if path.index is None:
-            self._full_scan = True
-            self._scan = None
-            self._first = None
+        self._index = index = path.index
+        if index is None:
             return
-        index = path.index
-        prefix_columns = index.columns[: len(path.prefix_values)]
-        self._full_scan = False
-        self._prefix_slots = tuple(slot_of[c] for c in prefix_columns)
-        bound = set(prefix_columns)
-        schema = table.schema
-        self._residual = tuple(
-            (schema.position(c), slot)
-            for slot, c in enumerate(columns)
-            if c not in bound
-        )
-        structure = index._structure
-        if index.kind is IndexKind.BTREE:
-            self._scan = structure.scan_prefix
-            self._first = structure.first_with_prefix
-        else:
-            self._scan = structure.lookup
-            self._first = structure.first_with_key
+        bound = index.columns[: len(path.prefix_values)]
+        self._prefix_slots = tuple(slot_of[c] for c in bound)
+        residual = [c for c in columns if c not in bound]
+        self._residual_slots = tuple(slot_of[c] for c in residual)
+        self._residual_project = self._projector(residual)
 
     def _bind(self, values: Sequence[Any]) -> None:
         """Per-execution planner work: epoch check, candidate charge, dives."""
@@ -149,175 +194,182 @@ class PreparedProbe:
 
     # ------------------------------------------------------------------
 
-    def exists(self, values: Sequence[Any], view: Any = None) -> bool:
+    def exists(
+        self,
+        values: Sequence[Any],
+        view: Any = None,
+        scope: RangeScope | None = None,
+    ) -> bool:
         """LIMIT-1 probe: any row with ``columns = values`` (total
         values) and ``null_columns IS NULL``?
 
         With a *view* (an MVCC :class:`~repro.storage.versions.ReadView`)
         the probe answers as of the view's read LSN instead of the
         committed tip; the lock-free snapshot read path and the
-        commit-time witness re-check both go through this.
+        commit-time witness re-check both go through this.  With a
+        *scope* the index range is read once for every probe that
+        shares the scope (see :class:`RangeScope`).
         """
-        if view is not None:
-            return self._find_view(values, view) is not None
-        self._bind(values)
-        table = self.table
-        tracker = table.tracker
-        null_positions = self._null_positions
+        return self._search(values, view, scope) is not None
 
-        if self._full_scan:
-            tracker.count("full_scans")
-            eq_positions = self._eq_positions
-            examined = 0
-            try:
-                for __, row in table.heap.scan_unordered():
-                    examined += 1
-                    if _matches(row, eq_positions, null_positions, values):
-                        return True
-                return False
-            finally:
-                tracker.count("rows_examined", examined)
-
-        prefix = tuple(
-            [encode_component(values[slot]) for slot in self._prefix_slots]
-        )
-        residual = self._residual
-        if not residual and not null_positions:
-            if self._first(prefix) is None:
-                return False
-            tracker.count("rows_fetched", 1)
-            tracker.count("rows_examined", 1)
-            return True
-
-        get_row = table.heap.get
-        fetched = 0
-        try:
-            for __, rid in self._scan(prefix):
-                fetched += 1
-                if _matches(get_row(rid), residual, null_positions, values):
-                    return True
-            return False
-        finally:
-            tracker.count("rows_fetched", fetched)
-            tracker.count("rows_examined", fetched)
-
-    def find(self, values: Sequence[Any], view: Any = None) -> Sequence[Any] | None:
+    def find(self, values: Sequence[Any], view: Any = None) -> Row | None:
         """LIMIT-1 *witness* probe: the first matching row, or None."""
-        if view is not None:
-            return self._find_view(values, view)
-        self._bind(values)
-        table = self.table
-        tracker = table.tracker
-        null_positions = self._null_positions
-        get_row = table.heap.get
+        return self._search(values, view, None)
 
-        if self._full_scan:
-            tracker.count("full_scans")
-            eq_positions = self._eq_positions
-            examined = 0
-            try:
-                for __, row in table.heap.scan_unordered():
-                    examined += 1
-                    if _matches(row, eq_positions, null_positions, values):
-                        return row
-                return None
-            finally:
-                tracker.count("rows_examined", examined)
+    def _search(
+        self, values: Sequence[Any], view: Any, scope: RangeScope | None
+    ) -> Row | None:
+        """The one probe kernel: full scan or index range, tip or view.
 
-        prefix = tuple(
-            [encode_component(values[slot]) for slot in self._prefix_slots]
-        )
-        residual = self._residual
-        fetched = 0
-        try:
-            for __, rid in self._scan(prefix):
-                fetched += 1
-                row = get_row(rid)
-                if _matches(row, residual, null_positions, values):
-                    return row
-            return None
-        finally:
-            tracker.count("rows_fetched", fetched)
-            tracker.count("rows_examined", fetched)
+        Rows are tested a batch at a time by :func:`_first_hit` — the
+        whole heap, a leaf run, or a scope's whole range — and every
+        charge follows from where the hit fell: node reads for the
+        descent and for each leaf step up to the hit's leaf, index
+        entries for those consumed before the hit (with the hit, under
+        a hash index), heap fetches and examined rows up to and
+        including it; a miss pays for the whole range.  That is what a
+        row-at-a-time LIMIT-1 scan would have counted.
 
-
-    def _find_view(self, values: Sequence[Any], view: Any) -> Sequence[Any] | None:
-        """The probe against an MVCC read view.
-
-        Same access path and cost accounting as the tip-state probe, with
-        two differences: rids the view marks divergent are skipped (their
-        heap state must not be trusted) and then re-resolved through
-        :meth:`ReadView.row` under the *full* equality check — and the
-        no-residual ``_first`` shortcut is never taken, since an index
-        hit alone cannot prove the row is visible at the read LSN.
+        Against a *view*, rids it marks divergent are skipped (their
+        heap state must not be trusted: consumed from the index, never
+        fetched) and afterwards re-resolved through
+        :meth:`ReadView.row` under the full test, since an index hit
+        alone cannot prove a row visible at the read LSN.
         """
         self._bind(values)
         table = self.table
-        tracker = table.tracker
-        null_positions = self._null_positions
-        eq_positions = self._eq_positions
-        name = table.name
-        divergent = view.divergent_rids(name)
-
-        if self._full_scan:
-            tracker.count("full_scans")
-            examined = 0
-            try:
-                for rid, row in table.heap.scan_unordered():
-                    if rid in divergent:
-                        continue
-                    examined += 1
-                    if _matches(row, eq_positions, null_positions, values):
-                        return row
-            finally:
-                tracker.count("rows_examined", examined)
+        divergent = view.divergent_rids(table.name) if view is not None else ()
+        if self._index is None:
+            hit = self._search_heap(values, divergent)
         else:
-            prefix = tuple(
-                [encode_component(values[slot]) for slot in self._prefix_slots]
+            hit = self._search_range(values, divergent, scope)
+        if hit is None and divergent:
+            versions = [view.row(table.name, rid) for rid in sorted(divergent)]
+            rows = [row for row in versions if row is not None]
+            at = _first_hit(
+                self._full_project, self._expected(values), rows
             )
-            residual = self._residual
-            get_row = table.heap.get
-            fetched = 0
-            try:
-                for __, rid in self._scan(prefix):
-                    if rid in divergent:
-                        continue
-                    fetched += 1
-                    row = get_row(rid)
-                    if _matches(row, residual, null_positions, values):
-                        return row
-            finally:
-                tracker.count("rows_fetched", fetched)
-                tracker.count("rows_examined", fetched)
+            if at >= 0:
+                hit = rows[at]
+            table.tracker.count("rows_examined", at + 1 if at >= 0 else len(rows))
+        return hit
 
-        examined = 0
-        try:
-            for rid in sorted(divergent):
-                old_row = view.row(name, rid)
-                if old_row is None:
-                    continue
-                examined += 1
-                if _matches(old_row, eq_positions, null_positions, values):
-                    return old_row
-            return None
-        finally:
-            tracker.count("rows_examined", examined)
+    def _search_heap(
+        self, values: Sequence[Any], divergent: Collection[int]
+    ) -> Row | None:
+        """:meth:`_search` by full scan, in insertion order."""
+        tracker = self.table.tracker
+        heap = self.table.heap
+        tracker.count("full_scans")
+        if divergent:
+            kept = [
+                item for item in heap.scan_unordered() if item[0] not in divergent
+            ]
+            scan: Callable[[], Iterable[tuple[int, Row]]] = kept.__iter__
+            examined = len(kept)
+        else:
+            scan = heap.scan_unordered
+            examined = len(heap)
+        hit = None
+        at = _first_hit(
+            self._full_project,
+            self._expected(values),
+            map(_SECOND, scan()),
+        )
+        if at >= 0:
+            examined = at + 1
+            hit = next(islice(scan(), at, None))[1]
+        tracker.count("rows_examined", examined)
+        return hit
 
+    def _search_range(
+        self,
+        values: Sequence[Any],
+        divergent: Collection[int],
+        scope: RangeScope | None,
+    ) -> Row | None:
+        """:meth:`_search` over the planned index range: the scope's
+        snapshot of it when there is one, else leaf run by leaf run,
+        stopping at the run that holds the hit."""
+        index = self._index
+        heap = self.table.heap
+        prefix = tuple(
+            [encode_component(values[slot]) for slot in self._prefix_slots]
+        )
+        project = self._residual_project
+        expected = (
+            self._expected([values[slot] for slot in self._residual_slots])
+            if project is not None
+            else None
+        )
+        hit_scanned = index.hit_scanned
+        hit = None
+        reads = scanned = fetched = 0
+        if scope is not None and not divergent:
+            snapshot = scope.get((index, prefix))
+            if snapshot is None:
+                snapshot = scope[index, prefix] = self._read_range(prefix)
+            rows, steps, reads = snapshot
+            at = _first_hit(project, expected, rows)
+            if at < 0:
+                reads += len(steps)
+                scanned = fetched = len(rows)
+            else:
+                hit = rows[at]
+                reads += bisect_right(steps, at)
+                scanned = at + hit_scanned
+                fetched = at + 1
+        elif project is None and not divergent:
+            # nothing to test: the first entry of the range is the hit
+            for entries, run_reads in index.runs(prefix):
+                reads += run_reads
+                if entries:
+                    hit = heap.get(entries[0][1])
+                    scanned = hit_scanned
+                    fetched = 1
+                    break
+        else:
+            for entries, run_reads in index.runs(prefix):
+                reads += run_reads
+                rids = list(map(_SECOND, entries))
+                kept = (
+                    [rid for rid in rids if rid not in divergent]
+                    if divergent
+                    else rids
+                )
+                rows = heap.fetch(kept)
+                at = _first_hit(project, expected, rows)
+                if at >= 0:
+                    hit = rows[at]
+                    scanned += rids.index(kept[at]) + hit_scanned
+                    fetched += at + 1
+                    break
+                scanned += len(rids)
+                fetched += len(rows)
+        tracker = self.table.tracker
+        tracker.count("index_node_reads", reads)
+        tracker.count("index_entries_scanned", scanned)
+        tracker.count("rows_fetched", fetched)
+        tracker.count("rows_examined", fetched)
+        return hit
 
-def _matches(
-    row: Sequence[Any],
-    eq_position_slots: tuple[tuple[int, int], ...],
-    null_positions: tuple[int, ...],
-    values: Sequence[Any],
-) -> bool:
-    for position, slot in eq_position_slots:
-        actual = row[position]
-        if actual is NULL or actual != values[slot]:
-            return False
-    for position in null_positions:
-        if row[position] is not NULL:
-            return False
-    return True
+    def _read_range(
+        self, prefix: EncodedKey
+    ) -> tuple[list[Row], list[int], int]:
+        """The whole range under *prefix* for a :class:`RangeScope`:
+        its rows in index order, the offset into them at which each leaf
+        step was taken, and the node reads of the descent."""
+        fetch = self.table.heap.fetch
+        rows: list[Row] = []
+        steps: list[int] = []
+        descent = 0
+        for entries, reads in self._index.runs(prefix):
+            if descent:
+                steps += [len(rows)] * reads
+            else:
+                descent = reads
+            rows += fetch(map(_SECOND, entries))
+        return rows, steps, descent
 
 
 def prepared(
@@ -343,15 +395,17 @@ def exists_eq(
     values: Sequence[Any],
     null_columns: Sequence[str] = (),
     view: Any = None,
+    scope: RangeScope | None = None,
 ) -> bool:
     """LIMIT-1 probe: any row with ``columns = values`` (total values)
     and ``null_columns IS NULL``?
 
     Equivalent to ``executor.exists(db, table, equalities(...))`` but
     through the prepared-probe cache: no predicate objects, no per-call
-    planning.  With *view*, answers as of that MVCC read view.
+    planning.  With *view*, answers as of that MVCC read view; with
+    *scope*, shares index ranges with the scope's other probes.
     """
-    return prepared(table, columns, null_columns).exists(values, view)
+    return prepared(table, columns, null_columns).exists(values, view, scope)
 
 
 def find_eq(
@@ -360,7 +414,7 @@ def find_eq(
     values: Sequence[Any],
     null_columns: Sequence[str] = (),
     view: Any = None,
-) -> Sequence[Any] | None:
+) -> Row | None:
     """LIMIT-1 *witness* probe: the first row with ``columns = values``
     (and ``null_columns IS NULL``), or None.
 

@@ -91,7 +91,8 @@ DEFAULT_ADMISSION_TIMEOUT = 2.0
 #: reader instead of pinning a worker thread forever.
 DEFAULT_SEND_TIMEOUT = 10.0
 
-#: Ledgered commits between durable checkpoints (log compaction).
+#: Ledgered commits between durable checkpoints (log compaction) — or,
+#: on a server without a durable log, between MVCC version collections.
 DEFAULT_CHECKPOINT_EVERY = 256
 
 _RETRYABLE = (DeadlockError, LockTimeoutError, SerializationError, TransientFault)
@@ -205,7 +206,7 @@ class ReproServer:
         self.data_dir = data_dir
         self.recovery_report: "RecoveryReport | None" = None
         if checkpoint_every is None:
-            checkpoint_every = DEFAULT_CHECKPOINT_EVERY if data_dir else 0
+            checkpoint_every = DEFAULT_CHECKPOINT_EVERY
         self.checkpoint_every = checkpoint_every
         self._commits_since_checkpoint = 0
         # 2PC participant (lazy import: sharding imports this module).
@@ -301,6 +302,8 @@ class ReproServer:
         # Draining workers roll back their own sessions; close_all picks
         # up whatever was left (e.g. sessions created outside a handler).
         self.stats.bump("rolled_back_on_shutdown", self.sessions.close_all())
+        if self.data_dir is not None and self.db.wal is not None:
+            self.db.wal.close()  # the log this server opened on data_dir
         self._started = False
         return self.stats.rolled_back_on_shutdown - before
 
@@ -499,27 +502,33 @@ class ReproServer:
         return any(isinstance(s, sql_ast.Commit) for s in parse(sql))
 
     def _maybe_checkpoint(self) -> None:
-        """Compact the durable log once enough commits accumulated.
+        """Compact the durable log once enough commits accumulated — or,
+        without a durable log, just collect the MVCC versions no snapshot
+        can reach any more (a checkpoint does that on its way; a server
+        that never checkpoints would otherwise keep every version).
 
         Runs opportunistically on a handler thread after its own
         statement finished.  The statement latch excludes concurrent
         statements; any *idle* open transaction defers the checkpoint to
         a later commit (a checkpoint must snapshot a committed state).
         """
-        wal = self.db.wal
         if (
-            wal is None
-            or not wal.is_durable
-            or self.checkpoint_every <= 0
+            self.checkpoint_every <= 0
             or self._commits_since_checkpoint < self.checkpoint_every
         ):
             return
+        wal = self.db.wal
         with self.sessions.latch:
-            if any(s.in_transaction for s in self.sessions.open_sessions):
-                return
-            wal.checkpoint(self.db, extras={"ledger": self.ledger.snapshot()})
+            if wal is not None and wal.is_durable:
+                if any(s.in_transaction for s in self.sessions.open_sessions):
+                    return
+                wal.checkpoint(
+                    self.db, extras={"ledger": self.ledger.snapshot()}
+                )
+                self.stats.bump("checkpoints")
+            elif self.db.versions is not None:
+                self.db.versions.prune()
             self._commits_since_checkpoint = 0
-            self.stats.bump("checkpoints")
 
     @staticmethod
     def _fill(

@@ -165,6 +165,12 @@ class DecisionLog:
                 return self._by_base.get((base[0], base[1]))
         return None
 
+    def close(self) -> None:
+        """Release the store's open segment (the log stays usable)."""
+        with self._mu:
+            if self._store is not None:
+                self._store.close()
+
     def __len__(self) -> int:
         with self._mu:
             return len(self._by_gtid)
@@ -309,6 +315,7 @@ class ShardCoordinator:
             clients, self._clients = self._clients, []
         for client in clients:
             client.close()
+        self.decisions.close()
         self._started = False
 
     def __enter__(self) -> "ShardCoordinator":

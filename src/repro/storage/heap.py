@@ -8,7 +8,7 @@ space dense under the paper's sustained insert/delete workloads.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from typing import Any
 
 from ..errors import StorageError
@@ -51,6 +51,14 @@ class HeapFile:
             return self._rows[rid]
         except KeyError:
             raise StorageError(f"no row with rid {rid}") from None
+
+    def fetch(self, rids: Iterable[int]) -> list[Row]:
+        """The rows at *rids*, in order, without a Python call per row
+        (the range kernel fetches a whole leaf run at once)."""
+        try:
+            return list(map(self._rows.__getitem__, rids))
+        except KeyError as missing:
+            raise StorageError(f"no row with rid {missing.args[0]}") from None
 
     def update(self, rid: int, row: Row) -> Row:
         """Replace the row at *rid*, returning the old row."""

@@ -13,7 +13,9 @@ acknowledged commit:
   records and issues exactly one ``flush + fsync``.  The logical WAL
   calls it once per :meth:`~repro.storage.wal.WriteAheadLog.flush`, so
   group commit amortises physical syncs exactly as it already amortises
-  logical flushes.
+  logical flushes.  The current segment stays open between appends; it
+  is closed on rollover, before a checkpoint deletes it, before a torn
+  tail is cut off, and by :meth:`SegmentStore.close`.
 * **Torn-tail detection** — :meth:`SegmentStore.load` scans segments in
   order and stops at the first frame whose header is short, whose length
   is implausible, whose payload is short, or whose CRC mismatches.
@@ -36,6 +38,7 @@ import struct
 import zlib
 from collections.abc import Sequence
 from pathlib import Path
+from typing import BinaryIO
 
 from ..errors import WalError
 
@@ -83,6 +86,9 @@ class SegmentStore:
         self._next_segment = self._highest_segment_number() + 1
         self._current: Path | None = None
         self._current_size = 0
+        #: ``_current`` opened for appending, from its first append until
+        #: the store moves off it (or is closed).
+        self._writer: BinaryIO | None = None
         #: Physical sync count; group commit is measured by this staying
         #: far below the number of logical commits.
         self.sync_count = 0
@@ -109,6 +115,7 @@ class SegmentStore:
         return highest
 
     def _open_segment(self) -> Path:
+        self.close()
         path = self.directory / (
             f"{_SEGMENT_PREFIX}{self._next_segment:08d}{_SEGMENT_SUFFIX}"
         )
@@ -159,12 +166,26 @@ class SegmentStore:
                 _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
             )
         blob = b"".join(frames)
-        with open(self._current, "ab") as fh:
-            fh.write(blob)
-            fh.flush()
-            os.fsync(fh.fileno())
+        if self._writer is None:
+            self._writer = open(self._current, "ab")
+        try:
+            self._writer.write(blob)
+            self._writer.flush()
+            os.fsync(self._writer.fileno())
+        except BaseException:
+            # as a ``with`` block would: nothing of a failed append may
+            # stay queued in the writer for the next one to push out
+            self.close()
+            raise
         self._current_size += len(blob)
         self.sync_count += 1
+
+    def close(self) -> None:
+        """Release the open segment.  The store stays usable: the next
+        append reopens the tail it left."""
+        writer, self._writer = self._writer, None
+        if writer is not None:
+            writer.close()
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -177,6 +198,7 @@ class SegmentStore:
         deleted, so a crash at any point leaves either the old state or
         the new checkpoint plus ignorable stale segments.
         """
+        self.close()
         old_segments = self.segment_paths()
         tmp = self.checkpoint_path.with_suffix(".tmp")
         with open(tmp, "wb") as fh:
@@ -242,6 +264,7 @@ class SegmentStore:
     def _truncate_after(self, path: Path, offset: int) -> None:
         """Cut the torn bytes off *path* and delete any later segments
         (records after a tear are unreachable by WAL discipline)."""
+        self.close()
         with open(path, "ab") as fh:
             fh.truncate(offset)
             fh.flush()

@@ -21,7 +21,12 @@ can run against a stable point in time without taking a single lock:
   current committed LSN; a :class:`ReadView` then answers "what did this
   row look like at my read LSN?" for heap scans, index probes and
   :func:`repro.query.probes.find_eq` alike.
-* **GC.**  :meth:`VersionStore.prune` (called from WAL checkpoints)
+* **Commit log.**  Per table, the (LSN, rid) of every version pushed,
+  in commit order.  The rids a view must distrust because they changed
+  after its read LSN are the tail of that log past a bisect — a read
+  never walks the chains.
+* **GC.**  :meth:`VersionStore.prune` (called from WAL checkpoints, and
+  on the same commit cadence by a server without a durable log)
   drops versions below the oldest active snapshot LSN and hands fully
   dead rids back to the heap freelist (rid reuse is deferred while MVCC
   is on — see :attr:`repro.storage.heap.HeapFile.recycle_rids`).
@@ -32,6 +37,7 @@ Snapshot-read code paths in this module must not acquire logical locks
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import TYPE_CHECKING, Any
 
 from ..errors import SessionError
@@ -140,9 +146,10 @@ class ReadView:
         for (name, rid), owner in store._pending.items():
             if name == table_name and owner != own:
                 out.add(rid)
-        for rid, chain in store._chains.get(table_name, _EMPTY).items():
-            if chain and chain[0].lsn > self.read_lsn:
-                out.add(rid)
+        commits = store._commits.get(table_name)
+        if commits is not None:
+            lsns, rids = commits
+            out.update(rids[bisect_right(lsns, self.read_lsn):])
         return out
 
 
@@ -161,6 +168,9 @@ class VersionStore:
         self._db = db
         #: table name -> rid -> newest-first committed versions.
         self._chains: dict[str, dict[int, list[RowVersion]]] = {}
+        #: table name -> (LSNs, rids) of every version pushed since the
+        #: last prune, in commit order (LSNs never decrease).
+        self._commits: dict[str, tuple[list[int], list[int]]] = {}
         #: (table, rid) -> txn id of the uncommitted last writer.
         self._pending: dict[tuple[str, int], int] = {}
         #: txn id -> (table, rid) -> row image from before the first
@@ -262,6 +272,9 @@ class VersionStore:
             chains[rid] = [RowVersion(lsn, row)]
         else:
             chain.insert(0, RowVersion(lsn, row))
+        lsns, rids = self._commits.setdefault(table_name, ([], []))
+        lsns.append(lsn)
+        rids.append(rid)
 
     def _tip(self, table_name: str, rid: int) -> Row | None:
         table = self._db.tables.get(table_name)
@@ -343,6 +356,14 @@ class VersionStore:
                 del chains[rid]
             if not chains:
                 del self._chains[table_name]
+        # No view, open or yet to open, reads below the horizon: what
+        # committed at or before it is never in the tail a view asks for.
+        for table_name in list(self._commits):
+            lsns, rids = self._commits[table_name]
+            settled = bisect_right(lsns, horizon)
+            del lsns[:settled], rids[:settled]
+            if not lsns:
+                del self._commits[table_name]
         return dropped
 
     def reset(self) -> None:
@@ -353,6 +374,7 @@ class VersionStore:
         its tip.  Open snapshots from before the crash are invalidated.
         """
         self._chains.clear()
+        self._commits.clear()
         self._pending.clear()
         self._dirty.clear()
         self._snapshots.clear()

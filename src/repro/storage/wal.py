@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import threading
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -142,6 +143,18 @@ class WriteAheadLog:
         if capacity < 1:
             raise WalError("log buffer capacity must be >= 1")
         self._capacity = capacity
+        #: Guards the buffer, the durable list and both counters.  Most
+        #: appenders run under the statement latch, but the two-phase
+        #: participant logs prepare/decide records after its statement
+        #: released it, so the log must be consistent on its own.  Never
+        #: held across pickling or a segment append.
+        self._mu = threading.Lock()
+        #: One flusher at a time: flushes reach the store in LSN order,
+        #: and a flush that returns means every record appended before
+        #: the call is durable — also when an earlier flush, still
+        #: syncing, had already taken that record out of the buffer.
+        #: Taken before ``_mu``, never the other way round.
+        self._flush_mu = threading.Lock()
         self._buffer: list[WalRecord] = []
         self._durable: list[WalRecord] = []
         self._next_lsn = 0
@@ -199,6 +212,12 @@ class WriteAheadLog:
     def store(self) -> SegmentStore | None:
         return self._store
 
+    def close(self) -> None:
+        """Release the segment store's open file (a durable log only).
+        Nothing is flushed, and the log stays usable afterwards."""
+        if self._store is not None:
+            self._store.close()
+
     @property
     def checkpoint_extras(self) -> dict[str, Any]:
         """The opaque extras captured with the last checkpoint."""
@@ -231,11 +250,9 @@ class WriteAheadLog:
 
     def records_for(self, txn_id: int) -> list[WalRecord]:
         """Every record (durable or buffered) of one transaction."""
-        return [
-            r
-            for r in (*self._durable, *self._buffer)
-            if r.txn_id == txn_id
-        ]
+        with self._mu:
+            records = (*self._durable, *self._buffer)
+        return [r for r in records if r.txn_id == txn_id]
 
     # ------------------------------------------------------------------
     # Appending
@@ -245,17 +262,20 @@ class WriteAheadLog:
     ) -> WalRecord | None:
         if self._suspended:
             return None
-        record = WalRecord(self._next_lsn, txn_id, kind, table, payload)
-        self._next_lsn += 1
-        self._buffer.append(record)
-        if len(self._buffer) >= self._capacity:
+        with self._mu:
+            record = WalRecord(self._next_lsn, txn_id, kind, table, payload)
+            self._next_lsn += 1
+            self._buffer.append(record)
+            overflow = len(self._buffer) >= self._capacity
+        if overflow:
             self.flush()
         return record
 
     def begin(self) -> int:
         """Allocate a transaction id (no record — commit markers decide)."""
-        txn_id = self._next_txn
-        self._next_txn += 1
+        with self._mu:
+            txn_id = self._next_txn
+            self._next_txn += 1
         return txn_id
 
     def log_mutation(self, txn_id: int, entry: tuple) -> None:
@@ -324,25 +344,34 @@ class WriteAheadLog:
         Records that already reached the durable log (buffer overflow)
         stay there; recovery skips them for lack of a commit marker.
         """
-        self._buffer = [r for r in self._buffer if r.txn_id != txn_id]
+        with self._mu:
+            self._buffer = [r for r in self._buffer if r.txn_id != txn_id]
 
     def flush(self) -> None:
         """Move the volatile buffer to the durable log (one 'fsync').
 
         With a segment store attached the flushed records also reach
         disk here, CRC-framed, with exactly one physical fsync — so the
-        group-commit path batches physical syncs for free.
+        group-commit path batches physical syncs for free.  The buffer
+        changes hands in one step under the log mutex (an append lands
+        in the old list or the new one, never in between); pickling and
+        the sync happen outside it, so appenders never wait for the
+        disk, only the next flusher does.
         """
-        if self._suspended or not self._buffer:
+        if self._suspended:
             return
-        flushed = list(self._buffer)
-        self._durable.extend(flushed)
-        self._buffer.clear()
-        self.flush_count += 1
-        if self._store is not None:
-            self._store.append(
-                [pickle.dumps(r, pickle.HIGHEST_PROTOCOL) for r in flushed]
-            )
+        with self._flush_mu:
+            with self._mu:
+                flushed = self._buffer
+                if not flushed:
+                    return
+                self._buffer = []
+                self._durable.extend(flushed)
+                self.flush_count += 1
+            if self._store is not None:
+                self._store.append(
+                    [pickle.dumps(r, pickle.HIGHEST_PROTOCOL) for r in flushed]
+                )
 
     @contextmanager
     def group_commit(self) -> Iterator[None]:
@@ -388,10 +417,11 @@ class WriteAheadLog:
                 heap_image=table.heap.snapshot(),
                 index_defs=[index.definition for index in table.indexes],
             )
-        self._checkpoint = _Checkpoint(
-            lsn=self._next_lsn, tables=tables, extras=dict(extras or {})
-        )
-        self._durable.clear()
+        with self._mu:
+            self._checkpoint = _Checkpoint(
+                lsn=self._next_lsn, tables=tables, extras=dict(extras or {})
+            )
+            self._durable.clear()
         # Version GC piggybacks on checkpoints: everything below the
         # oldest active snapshot's read LSN is unreachable by any reader.
         if db.versions is not None:
@@ -407,8 +437,9 @@ class WriteAheadLog:
     def discard_volatile(self) -> int:
         """Drop the un-flushed buffer (what a crash destroys); returns
         how many records were lost."""
-        lost = len(self._buffer)
-        self._buffer.clear()
+        with self._mu:
+            lost = len(self._buffer)
+            self._buffer = []
         return lost
 
     @contextmanager

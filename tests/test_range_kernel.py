@@ -1,0 +1,478 @@
+"""Counter parity of the range-at-a-time probe kernel.
+
+``PreparedProbe`` answers a probe a leaf run (or a scope's whole range)
+at a time and *computes* its charges from where the hit fell.  The
+entry-at-a-time generators and per-row loops it replaced are kept here,
+verbatim in behaviour, as the reference: for every tree shape, prefix,
+residual and hit position the result and all four scan counters —
+``index_node_reads``, ``index_entries_scanned``, ``rows_fetched``,
+``rows_examined`` — must be what the reference counts.
+
+``derandomize=True`` fixes the example generation so tier-1 stays
+reproducible.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.bench.harness import prepare_cell
+from repro.core.strategies import IndexStructure
+from repro.indexes.btree import BPlusTree
+from repro.indexes.cost import CostTracker
+from repro.indexes.definition import IndexDefinition, IndexKind
+from repro.indexes.keys import encode_component, encode_key
+from repro.nulls import NULL
+from repro.query import dml, enforcement, probes
+from repro.query.predicate import equalities
+from repro.storage.schema import Column
+from repro.storage.table import Table
+from repro.workloads import synthetic
+
+SCAN_COUNTERS = (
+    "index_node_reads",
+    "index_entries_scanned",
+    "rows_fetched",
+    "rows_examined",
+    "full_scans",
+)
+
+
+# ----------------------------------------------------------------------
+# The reference: the per-entry generators and per-row loops as they were.
+
+
+def ref_scan_from(tree: BPlusTree, tracker: CostTracker, low):
+    node = tree._root
+    reads = 1
+    while not node.is_leaf:
+        node = node.children[bisect_right(node.separators, low)]
+        reads += 1
+    tracker.count("index_node_reads", reads)
+    leaf = node
+    pos = bisect_left(leaf.entries, low)
+    while leaf is not None:
+        entries = leaf.entries
+        start = pos
+        try:
+            while pos < len(entries):
+                yield entries[pos]
+                pos += 1
+        finally:
+            tracker.count("index_entries_scanned", pos - start)
+        leaf = leaf.next
+        pos = 0
+        if leaf is not None:
+            tracker.count("index_node_reads")
+
+
+def ref_scan_prefix(tree: BPlusTree, tracker: CostTracker, prefix):
+    for key, rid in ref_scan_from(tree, tracker, (prefix, -1)):
+        if key[: len(prefix)] != prefix:
+            return
+        yield (key, rid)
+
+
+def ref_lookup(index, tracker: CostTracker, key):
+    tracker.count("index_node_reads")
+    for rid in index._structure._buckets.get(key, ()):
+        tracker.count("index_entries_scanned")
+        yield (key, rid)
+
+
+def ref_matches(row, eq_position_slots, null_positions, values) -> bool:
+    for position, slot in eq_position_slots:
+        actual = row[position]
+        if actual is NULL or actual != values[slot]:
+            return False
+    for position in null_positions:
+        if row[position] is not NULL:
+            return False
+    return True
+
+
+def ref_find(probe: probes.PreparedProbe, values, view=None):
+    """The old ``find`` / ``_find_view``: one row at a time."""
+    probe._bind(values)
+    table = probe.table
+    tracker = table.tracker
+    position = table.schema.position
+    eq_positions = [(position(c), s) for s, c in enumerate(probe.columns)]
+    null_positions = [position(c) for c in probe.null_columns]
+    divergent = view.divergent_rids(table.name) if view is not None else ()
+
+    index = probe._index
+    if index is None:
+        tracker.count("full_scans")
+        examined = 0
+        try:
+            for rid, row in table.heap.scan_unordered():
+                if rid in divergent:
+                    continue
+                examined += 1
+                if ref_matches(row, eq_positions, null_positions, values):
+                    return row
+        finally:
+            tracker.count("rows_examined", examined)
+    else:
+        prefix = tuple(encode_component(values[s]) for s in probe._prefix_slots)
+        residual = [
+            (position(probe.columns[s]), s) for s in probe._residual_slots
+        ]
+        if index.kind is IndexKind.BTREE:
+            scan = ref_scan_prefix(index._structure, tracker, prefix)
+        else:
+            scan = ref_lookup(index, tracker, prefix)
+        fetched = 0
+        try:
+            for __, rid in scan:
+                if rid in divergent:
+                    continue
+                fetched += 1
+                row = table.heap.get(rid)
+                if ref_matches(row, residual, null_positions, values):
+                    return row
+        finally:
+            scan.close()
+            tracker.count("rows_fetched", fetched)
+            tracker.count("rows_examined", fetched)
+
+    examined = 0
+    try:
+        for rid in sorted(divergent):
+            old_row = view.row(table.name, rid)
+            if old_row is None:
+                continue
+            examined += 1
+            if ref_matches(old_row, eq_positions, null_positions, values):
+                return old_row
+        return None
+    finally:
+        tracker.count("rows_examined", examined)
+
+
+def measured(table: Table, run):
+    before = table.tracker.snapshot()
+    result = run()
+    cost = table.tracker.snapshot().diff(before)
+    return result, {name: cost[name] for name in SCAN_COUNTERS}
+
+
+def assert_parity(table: Table, columns, values, null_columns=(), view=None, scope=None):
+    probe = probes.prepared(table, columns, null_columns)
+    expected = measured(table, lambda: ref_find(probe, values, view))
+    assert measured(table, lambda: probe.find(values, view)) == expected
+    found, cost = expected
+    assert measured(table, lambda: probe.exists(values, view)) == (
+        found is not None, cost
+    )
+    if scope is not None:
+        assert measured(table, lambda: probe.exists(values, None, scope)) == (
+            found is not None, cost
+        )
+    return expected
+
+
+def via_index(table: Table, columns, null_columns=()) -> bool:
+    """Did the planner give this shape an index (tiny tables scan)?"""
+    return probes.prepared(table, columns, null_columns)._index is not None
+
+
+# ----------------------------------------------------------------------
+# Tables over deep, thinned-out trees.
+
+
+def make_table(rows, deleted=(), index_defs=(IndexDefinition("by_a", ("a",)),)):
+    """``t(a, b, c)`` with order-4 trees; ``c`` is unique per row, so a
+    probe on ``(a, c)`` hits at one chosen position of the ``a`` range."""
+    table = Table("t", [Column("a"), Column("b"), Column("c")], index_order=4)
+    for definition in index_defs:
+        table.create_index(definition)
+    rids = [table.insert_row((a, b, c)) for c, (a, b) in enumerate(rows)]
+    for position in sorted(set(deleted)):
+        table.delete_rid(rids[position])
+    for index in table.indexes:
+        if index.kind is IndexKind.BTREE:
+            index._structure.check_invariants()
+    return table
+
+
+def range_rows(table: Table, a):
+    """The live rows with ``a = a`` in index order."""
+    index = table.indexes.get("by_a")
+    return [table.heap.get(rid) for rid in index.scan_equal((a,))]
+
+
+values_ab = st.tuples(
+    st.integers(0, 3), st.one_of(st.integers(0, 2), st.just(NULL))
+)
+
+
+@given(
+    rows=st.lists(values_ab, max_size=90),
+    data=st.data(),
+)
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_every_hit_position_charges_what_the_row_loop_counted(rows, data):
+    deleted = data.draw(
+        st.lists(st.integers(0, max(len(rows) - 1, 0)), max_size=len(rows))
+        if rows else st.just([])
+    )
+    table = make_table(rows, deleted)
+    tree = table.indexes.get("by_a")._structure
+    assert table.indexes.get("by_a").hit_scanned == 0
+    for a in range(5):  # 4 is never present: the empty range
+        scope = probes.RangeScope()
+        in_range = range_rows(table, a)
+        # LIMIT 1 with nothing to test: the first entry is the hit
+        found, cost = assert_parity(table, ("a",), (a,), scope=scope)
+        assert (found is None) == (not in_range)
+        if in_range and via_index(table, ("a",)):
+            assert cost["index_entries_scanned"] == 0
+            assert cost["rows_fetched"] == 1
+        # a hit at every position of the range, then no hit at all
+        for position, row in enumerate(in_range):
+            found, cost = assert_parity(
+                table, ("a", "c"), (a, row[2]), scope=scope
+            )
+            assert found == row
+            if via_index(table, ("a", "c")):
+                assert cost["index_entries_scanned"] == position
+                assert cost["rows_fetched"] == position + 1
+                assert cost["rows_examined"] == position + 1
+        found, cost = assert_parity(table, ("a", "c"), (a, -1), scope=scope)
+        assert found is None
+        if via_index(table, ("a", "c")):
+            assert cost["index_entries_scanned"] == len(in_range)
+        # the state-probe shape: residual equality plus IS NULL
+        for b in (0, NULL):
+            if b is NULL:
+                assert_parity(table, ("a",), (a,), ("b",), scope=scope)
+            else:
+                assert_parity(table, ("a", "b"), (a, b), scope=scope)
+        assert len(scope) <= 1  # one range, read once, served them all
+    # the entry-at-a-time scan re-expressed over the same primitive
+    for a in range(5):
+        prefix = encode_key((a,))
+        stops = len(range_rows(table, a)) + 1
+        for stop in range(stops + 1):
+            reference, actual = CostTracker(), CostTracker()
+            tree._tracker = actual
+            try:
+                ours = tree.scan_prefix(prefix)
+                theirs = ref_scan_prefix(tree, reference, prefix)
+                for __ in range(stop):
+                    assert next(ours, None) == next(theirs, None)
+                ours.close()
+                theirs.close()
+            finally:
+                tree._tracker = table.tracker
+            assert actual.counters == reference.counters
+
+
+@given(
+    rows=st.lists(values_ab, max_size=40),
+    data=st.data(),
+)
+@settings(max_examples=40, derandomize=True, deadline=None)
+def test_full_scans_and_compound_prefixes_keep_their_charges(rows, data):
+    compound = (IndexDefinition("by_ab", ("a", "b")),)
+    for index_defs in ((), compound):
+        table = make_table(rows, index_defs=index_defs)
+        for a in range(5):
+            assert_parity(table, ("a",), (a,))
+            assert_parity(table, ("a", "b"), (a, 1))
+            assert_parity(table, ("a",), (a,), ("b",))
+            for row in table.rows():
+                if row[0] == a:
+                    assert_parity(table, ("a", "c"), (a, row[2]))
+                    assert_parity(table, ("c",), (row[2],))
+
+
+def test_hash_lookups_are_charged_the_entry_they_stop_on():
+    rows = [(i % 3, i % 2) for i in range(30)]
+    table = make_table(
+        rows, index_defs=(IndexDefinition("h_a", ("a",), IndexKind.HASH),)
+    )
+    assert table.indexes.get("h_a").hit_scanned == 1
+    scope = probes.RangeScope()
+    for row in table.rows():
+        found, cost = assert_parity(
+            table, ("a", "c"), (row[0], row[2]), scope=scope
+        )
+        assert found == row
+        assert cost["index_entries_scanned"] == cost["rows_fetched"]
+    assert_parity(table, ("a",), (1,), scope=scope)
+    assert_parity(table, ("a", "c"), (1, -1), scope=scope)
+    assert_parity(table, ("a",), (7,), scope=scope)
+
+
+# ----------------------------------------------------------------------
+# The edge cases, pinned by name.
+
+
+def leaf_table():
+    """24 rows, ``a = c // 8``: three ranges of eight over order-4
+    leaves, inserted in key order so every range starts on a leaf's
+    first entry and ends on a leaf's last."""
+    return make_table([(c // 8, NULL) for c in range(24)])
+
+
+def runs_of(table: Table, a):
+    return list(table.indexes.get("by_a").runs(encode_key((a,))))
+
+
+def dive_reads(table: Table, columns, values) -> int:
+    """What the optimizer's dives charge before the scan starts."""
+    probe = probes.prepared(table, columns)
+    return measured(table, lambda: probe._bind(values))[1]["index_node_reads"]
+
+
+def test_descent_leaf_already_exhausted():
+    table = leaf_table()
+    # the separator is the range's first entry, so (prefix, -1) routes to
+    # the leaf on its left, whose entries all sort before the range
+    first, second = runs_of(table, 1)[:2]
+    assert first[0] == [] and second[0] and second[1] == 1
+    found, cost = assert_parity(table, ("a",), (1,))
+    assert found == (1, NULL, 8)
+    # the descent, and the step to where the run starts
+    assert cost["index_node_reads"] - dive_reads(table, ("a",), (1,)) == first[1] + 1
+    assert cost["index_entries_scanned"] == 0
+    assert_parity(table, ("a", "c"), (1, 12), scope=probes.RangeScope())
+
+
+def test_run_ending_exactly_on_a_leaf_boundary():
+    table = leaf_table()
+    runs = runs_of(table, 1)
+    assert runs[-1] == ([], 1)  # one more step, zero entries
+    assert sum(len(entries) for entries, __ in runs) == 8
+    found, cost = assert_parity(
+        table, ("a", "c"), (1, -1), scope=probes.RangeScope()
+    )
+    assert found is None
+    assert cost["index_node_reads"] - dive_reads(table, ("a", "c"), (1, -1)) == sum(
+        reads for __, reads in runs
+    )
+    assert cost["index_entries_scanned"] == 8
+    # a hit on the run's last entry stops before that step
+    found, hit_cost = assert_parity(table, ("a", "c"), (1, 15))
+    assert found == (1, NULL, 15)
+    assert hit_cost["index_node_reads"] == cost["index_node_reads"] - 1
+    # the last range of the tree has no leaf to step to
+    assert runs_of(table, 2)[-1][0] != []
+    assert_parity(table, ("a", "c"), (2, -1))
+
+
+def test_limit_one_hit_at_index_zero_scans_no_entry():
+    table = leaf_table()
+    for columns, values in ((("a",), (0,)), (("a", "c"), (0, 0))):
+        found, cost = assert_parity(
+            table, columns, values, scope=probes.RangeScope()
+        )
+        assert found == (0, NULL, 0)
+        assert cost["index_entries_scanned"] == 0
+        assert cost["rows_fetched"] == cost["rows_examined"] == 1
+
+
+def test_limit_one_outside_a_scope_reads_no_further_than_its_hit(monkeypatch):
+    table = leaf_table()
+    fetched: list[int] = []
+    fetch = table.heap.fetch
+
+    def counting_fetch(rids):
+        rids = list(rids)
+        fetched.extend(rids)
+        return fetch(rids)
+
+    monkeypatch.setattr(table.heap, "fetch", counting_fetch)
+    assert probes.find_eq(table, ("a", "c"), (1, 9)) == (1, NULL, 9)
+    assert 0 < len(fetched) <= 4  # one order-4 leaf run, not the range of 8
+
+
+def test_scope_reuse_after_an_early_hit():
+    table = leaf_table()
+    scope = probes.RangeScope()
+    early = assert_parity(table, ("a", "c"), (1, 8), scope=scope)
+    assert early[1]["rows_fetched"] == 1
+    ((rows, steps, descent),) = scope.values()
+    assert len(rows) == 8  # the whole range was read, once
+    # later probes answer from it, each charged as a fresh walk
+    for c in (15, 11, -1, 8):
+        assert_parity(table, ("a", "c"), (1, c), scope=scope)
+    assert_parity(table, ("a",), (1,), ("b",), scope=scope)
+    assert list(scope.values()) == [(rows, steps, descent)]
+
+
+def state_loop_cell():
+    config = synthetic.SyntheticConfig(
+        n_columns=3, parent_rows=60, null_fraction=0.6, seed=5
+    )
+    cell = prepare_cell(config, IndexStructure.BOUNDED)
+    return cell, synthetic.delete_stream(cell.dataset, 40)
+
+
+def run_deletes(cell, keys):
+    db, fk = cell.db, cell.fk
+    before = db.tracker.snapshot()
+    for key in keys:
+        dml.delete_where(db, fk.parent_table, equalities(fk.key_columns, key))
+    cost = db.tracker.snapshot().diff(before).as_dict()
+    return cost, sorted(db.table(fk.child_table).rows(), key=repr)
+
+
+def test_scope_invalidation_when_set_null_rewrites_children_mid_loop(monkeypatch):
+    scoped_cell, keys = state_loop_cell()
+    scoped = run_deletes(scoped_cell, keys)
+    # the state loops did apply actions between their probes
+    assert scoped[0]["index_maintenance_ops"] > len(keys) * 4
+
+    unscoped_cell, __ = state_loop_cell()
+    exists_eq = probes.exists_eq
+    monkeypatch.setattr(
+        enforcement.probes, "exists_eq",
+        lambda *args, scope=None, **kwargs: exists_eq(*args, **kwargs),
+    )
+    assert run_deletes(unscoped_cell, keys) == scoped
+    monkeypatch.undo()
+
+    # ...and it is the invalidation that keeps them equal: a scope that
+    # outlives the action answers from rows that are no longer there
+    stale_cell, __ = state_loop_cell()
+    monkeypatch.setattr(probes.RangeScope, "clear", lambda self: None)
+    assert run_deletes(stale_cell, keys)[0] != scoped[0]
+
+
+# ----------------------------------------------------------------------
+# Views: divergent rids are consumed from the index but never fetched.
+
+
+def test_view_probes_skip_and_then_resolve_divergent_rids():
+    from repro import Column as C, Database, DataType
+
+    db = Database("kernel-view")
+    db.create_table("t", [
+        C("a", DataType.INTEGER), C("b", DataType.INTEGER),
+        C("c", DataType.INTEGER),
+    ])
+    table = db.table("t")
+    table.create_index(IndexDefinition("by_a", ("a",)))
+    db.enable_mvcc()
+    for c in range(24):
+        db.insert("t", (c // 8, NULL, c))
+    snap = db.versions.open_snapshot()
+    dml.update_where(db, "t", {"b": 5}, equalities(("c",), (10,)))
+    dml.delete_where(db, "t", equalities(("c",), (12,)))
+    db.insert("t", (1, NULL, 99))
+    view = snap.view()
+    assert len(view.divergent_rids("t")) == 3
+    for c in (8, 10, 11, 12, 13, 15, 99, -1):
+        assert_parity(table, ("a", "c"), (1, c), view=view)
+    assert_parity(table, ("a",), (1,), view=view)
+    assert_parity(table, ("a",), (1,), ("b",), view=view)
+    assert_parity(table, ("c",), (12,), view=view)  # full scan
+    assert probes.find_eq(table, ("a", "c"), (1, 12), view=view) == (1, NULL, 12)
+    assert probes.find_eq(table, ("a", "c"), (1, 99), view=view) is None

@@ -299,3 +299,50 @@ def test_serialization_failure_is_retryable_over_the_wire(monkeypatch):
             assert c2.select("booking", snapshot=True) == [
                 [1001, "BRT", "OR", "d1"]
             ]
+
+
+def test_memory_server_collects_versions_without_a_wal():
+    """No data_dir means no checkpoint ever runs; versions must still be
+    collected on the commit cadence, and a snapshot select must not pay
+    for the ones still around."""
+    inserts, cadence = 5_000, 250
+    with _fk_server(checkpoint_every=cadence) as server:
+        versions = server.db.versions
+        booking = server.db.table("booking")
+
+        def select_cost(client: ReproClient) -> dict[str, int]:
+            before = server.db.tracker.snapshot()
+            rows = client.select(
+                "booking", equals={"tour_id": "GCG"}, snapshot=True
+            )
+            assert rows == [[-1, "GCG", "OR", "d"]]
+            cost = server.db.tracker.snapshot().diff(before)
+            # (node reads follow the tree's height, which does grow)
+            return {
+                name: cost[name]
+                for name in
+                ("index_entries_scanned", "rows_fetched", "rows_examined")
+            }
+
+        with ReproClient(*server.address) as client:
+            client.insert("booking", [-1, "GCG", "OR", "d"])
+            high_water = 0
+            for start in range(0, inserts, 500):
+                pipeline = client.pipeline()
+                for visitor in range(start, start + 500):
+                    pipeline.send(
+                        "insert", table="booking",
+                        values=[visitor, "BRT", "OR", "d"],
+                    )
+                assert all(reply["ok"] for reply in pipeline.drain())
+                high_water = max(high_water, versions.version_count())
+                if start == 0:
+                    early = select_cost(client)
+            assert len(booking) == inserts + 1
+            # at most one cadence of versions waits for the next collection
+            assert high_water <= cadence
+            assert versions.version_count() <= cadence
+            assert sum(len(lsns) for lsns, __ in versions._commits.values()) <= cadence
+            assert server.stats.snapshot()["checkpoints"] == 0
+            # ten times the rows later: the same one-entry probe, nothing else
+            assert select_cost(client) == early

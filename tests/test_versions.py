@@ -260,3 +260,57 @@ def test_mvcc_off_keeps_rid_reuse_and_no_store():
     db.delete_where("t", Eq("id", 1))
     db.insert("t", (2, "b"))
     assert _rid(db) == rid, "without MVCC the freelist reuses rids eagerly"
+
+
+# ----------------------------------------------------------------------
+# The commit log: divergence without walking the chains.
+
+
+class _NoWalk(dict):
+    """A chain map that may be probed by rid but not iterated."""
+
+    def _refuse(self, *args):
+        raise AssertionError("a read walked every version chain of the table")
+
+    __iter__ = keys = values = items = _refuse
+
+
+def test_divergence_is_the_commit_log_tail_not_a_chain_walk():
+    db = make_db()
+    versions = db.versions
+    pin = versions.open_snapshot()  # holds the horizon: nothing can be pruned
+    for i in range(200):
+        db.insert("t", (i, "old"))
+    snap = versions.open_snapshot()
+    db.insert("t", (1000, "new"))
+    db.update_where("t", {"v": "newer"}, Eq("id", 7))
+    changed = {
+        rid for rid, row in db.table("t").heap.scan() if row[0] in (7, 1000)
+    }
+    versions._chains["t"] = _NoWalk(versions._chains["t"])
+
+    assert snap.view().divergent_rids("t") == changed
+    assert versions.committed_view().divergent_rids("t") == set()
+    assert len(pin.view().divergent_rids("t")) == 201
+    # ...and the reads built on it agree with the chains they no longer walk
+    from repro.query import executor
+
+    view = snap.view()
+    assert executor.select(db, "t", Eq("id", 7), view=view) == [(7, "old")]
+    assert executor.select(db, "t", Eq("id", 1000), view=view) == []
+
+
+def test_prune_trims_the_commit_log_to_what_a_view_can_still_ask_for():
+    db = make_db()
+    versions = db.versions
+    for i in range(50):
+        db.insert("t", (i, "a"))
+    snap = versions.open_snapshot()
+    db.update_where("t", {"v": "b"}, Eq("id", 3))
+    versions.prune()
+    lsns, rids = versions._commits["t"]
+    assert len(lsns) == len(rids) == 1  # only the commit newer than the snapshot
+    assert snap.view().divergent_rids("t") == set(rids)
+    snap.close()
+    versions.prune()
+    assert versions._commits == {}

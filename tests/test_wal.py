@@ -213,3 +213,54 @@ class TestRecovery:
         simulate_crash(db)
         assert rows(db) == expected
         assert db.verify_integrity().ok
+
+
+class TestUnlatchedAppenders:
+    """The two-phase participant logs prepare/decide records after its
+    statement released the latch, so it appends and flushes beside
+    latched writers; the log itself must hand its buffer over atomically
+    and give every record its own LSN."""
+
+    def test_concurrent_flushes_lose_no_record_and_share_no_lsn(self):
+        import sys
+        import threading
+
+        from repro.concurrency.locks import StatementLatch
+
+        wal = WriteAheadLog(capacity=4)
+        latch = StatementLatch()
+        writers, participants, per_thread = 3, 3, 1500
+
+        def latched_writer(base: int) -> None:
+            for i in range(per_thread):
+                with latch:
+                    wal.log_autocommit(("insert", "t", base + i, (base + i, 0)))
+
+        def participant() -> None:
+            for i in range(per_thread):
+                wal.log_two_phase("prepare", (f"g{i}", 0, [], None))
+
+        threads = [
+            threading.Thread(target=latched_writer, args=(w * per_thread,))
+            for w in range(writers)
+        ]
+        threads += [
+            threading.Thread(target=participant) for __ in range(participants)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        wal.flush()
+
+        # every call above appends its record and a commit marker
+        appended = 2 * (writers + participants) * per_thread
+        lsns = [record.lsn for record in wal.durable_records]
+        assert wal.lsn == appended
+        assert sorted(lsns) == list(range(appended))
