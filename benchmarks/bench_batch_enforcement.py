@@ -4,16 +4,17 @@ The paper's future work: "there are several techniques such as batching
 and shared execution across updates that apply within transactions, and
 could therefore optimize the enforcement of partial referential
 integrity".  This benchmark compares the per-row trigger path against
-:func:`repro.core.batch.batch_insert_children` (one probe per distinct
-foreign-key projection) and :func:`batch_delete_parents` (one shared
-state loop across the deleted batch).
+:func:`repro.core.batch.batch_insert_rows` (one sorted, deduplicated
+probe walk per shape, index-major maintenance) and
+:func:`batch_delete_parents` (one shared state loop across the deleted
+batch).
 """
 
 import pytest
 
 from repro.bench import harness
 from repro.core import IndexStructure
-from repro.core.batch import batch_delete_parents, batch_insert_children
+from repro.core.batch import batch_delete_parents, batch_insert_rows
 from repro.query import dml
 from repro.query.predicate import equalities
 from repro.workloads.synthetic import clustered_insert_stream, delete_stream
@@ -48,7 +49,7 @@ def test_insert_batch_shared(benchmark):
     def make():
         cell = fresh_cell()
         rows = clustered_insert_stream(cell.dataset, INSERT_BATCH)
-        return lambda: batch_insert_children(cell.db, cell.fk, rows)
+        return lambda: batch_insert_rows(cell.db, "C", rows)
 
     benchmark.pedantic(lambda run: run(), setup=lambda: ((make(),), {}),
                        rounds=2)

@@ -36,9 +36,8 @@ The rules:
     logging (``query.dml``, ``query.transaction``), from the storage and
     index layers themselves, or from the bulk loaders in ``workloads``
     (which run before a WAL is attached, by design).
-``RPR006`` latch discipline — ``LockManager.set_solo`` may be called
-    only from ``concurrency`` modules (the session manager holds the
-    statement latch across it; arbitrary callers cannot).
+``RPR006`` retired with the lock-manager mode switch it guarded; the
+    code is not reused.
 ``RPR007`` guarded wire I/O — every raw socket ``send``/``sendall``/
     ``recv``/``accept`` in ``repro.server`` must sit in a function that
     also crosses a fault point (``fire(...)``) or sets an explicit
@@ -334,31 +333,6 @@ def _check_wal_before_mutation(
 
 
 # ----------------------------------------------------------------------
-# RPR006 — set_solo latch discipline
-
-_SET_SOLO_ALLOWED = ("repro.concurrency",)
-
-
-def _check_set_solo(
-    module: ModuleName, tree: ast.Module
-) -> Iterator[tuple[int, str]]:
-    if _in(module, _SET_SOLO_ALLOWED):
-        return
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "set_solo"
-        ):
-            yield (
-                node.lineno,
-                "LockManager.set_solo() flips the fast path and must run "
-                "under the statement latch; only repro.concurrency (the "
-                "session manager) may call it",
-            )
-
-
-# ----------------------------------------------------------------------
 # RPR007 — guarded wire I/O in the serving layer
 
 _SOCKET_CALLS = {"recv", "send", "sendall", "accept"}
@@ -587,8 +561,6 @@ RULES: tuple[Rule, ...] = (
          _check_error_hygiene),
     Rule("RPR005", "physical mutators only via the WAL-logging layer",
          _check_wal_before_mutation),
-    Rule("RPR006", "set_solo only from the latched session manager",
-         _check_set_solo),
     Rule("RPR007", "server socket I/O guarded by fault point or timeout",
          _check_socket_guards),
     Rule("RPR008", "snapshot-read paths never take S/IS locks",

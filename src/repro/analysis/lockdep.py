@@ -46,16 +46,12 @@ ubiquitous benign cycles through IX table locks (IX is self-compatible,
 so ``parent-delete: table P → table C`` versus ``child-insert: table C →
 key P`` cannot deadlock at the table nodes).
 
-Besides ordering, the observer asserts four pieces of discipline the
+Besides ordering, the observer asserts three pieces of discipline the
 code comments otherwise only promise:
 
 * **strict 2PL** — no acquisition after the transaction's release
   (``release_all`` is the only release, so any later acquire under the
   same transaction id is a phase violation);
-* **latch discipline** — solo-mode flips and the grant materialisation
-  inside :meth:`LockManager.set_solo` happen under the
-  :class:`~repro.concurrency.locks.StatementLatch` whenever the manager
-  has one (the session manager's ``_refresh_solo`` contract);
 * **witness pinning** — :func:`repro.concurrency.hooks.verify_parent_exists`
   reports the witness key it adopted, and the observer checks the
   S-lock on exactly that resource is held by the transaction at the end
@@ -157,7 +153,7 @@ class Violation:
     """One sanitizer finding.
 
     ``kind`` is stable for tests: ``cycle``, ``upgrade``, ``two-phase``,
-    ``latch``, ``witness``, or ``snapshot``.
+    ``witness``, or ``snapshot``.
     """
 
     kind: str
@@ -358,9 +354,10 @@ class LockOrderGraph:
 class LockdepObserver:
     """Shadow state for one :class:`LockManager`, fed by its hooks.
 
-    Thread-safe: the manager calls in from arbitrary session threads
-    (including the solo fast path, which bypasses the manager's own
-    mutex), so every mutation happens under the observer's private lock.
+    Thread-safe: the manager calls in from arbitrary session threads,
+    and not every event arrives under the manager's own mutex (release
+    and witness pinning do not), so every mutation happens under the
+    observer's private lock.
     """
 
     def __init__(self, manager: "LockManager | None" = None) -> None:
@@ -381,7 +378,7 @@ class LockdepObserver:
     # -- events from the lock manager -----------------------------------
 
     def on_acquired(self, txn_id: int, resource: Hashable, mode: "LockMode") -> None:
-        """A grant (fast path or slow path) materialised for *txn_id*."""
+        """A grant (immediate or after a wait) materialised for *txn_id*."""
         _, combine = _mode_tables()
         with self._mu:
             self.acquisitions += 1
@@ -430,17 +427,6 @@ class LockdepObserver:
             self._class_order.pop(txn_id, None)
             self._class_mode.pop(txn_id, None)
             self._released.add(txn_id)
-
-    def on_solo_flip(self, solo: bool, latch_held: bool | None) -> None:
-        """``set_solo`` ran; *latch_held* is None for latch-less managers."""
-        with self._mu:
-            if latch_held is False:
-                self._violate(
-                    "latch",
-                    f"solo-mode flip to {solo} (and its grant "
-                    "materialisation) ran without the statement latch; "
-                    "a statement could be mid-flight on another thread",
-                )
 
     def on_witness_pinned(self, txn_id: int, resource: Hashable) -> None:
         """The FK probe window closed claiming *resource* as its witness."""

@@ -227,7 +227,6 @@ def run_read_mix_cell(
         n_columns=n_columns, parent_rows=parent_rows
     )
     cell = harness.prepare_cell(config, structure)
-    cell.db.enable_mvcc()
     manager = cell.db.enable_sessions(lock_timeout=5.0)
 
     parent = cell.fk.parent_table

@@ -124,10 +124,12 @@ def run_bulk_load_cell(
 
     ``vectorized=False`` is the pre-batching protocol — one stop-and-wait
     ``insert`` request per row, each paying a full round-trip and a
-    per-row enforcement pass.  ``vectorized=True`` ships the identical
-    rows as ONE ``batch`` op: a single request, a single exactly-once
-    stamp, and the vectorized enforcement path underneath (one index
-    walk per run of adjacent keys, bulk witness probing).  The measured
+    per-row enforcement pass, inside one client transaction so that both
+    twins commit (and re-validate their witnesses) exactly once.
+    ``vectorized=True`` ships the identical rows as ONE ``batch`` op: a
+    single request, a single exactly-once stamp, and the vectorized
+    enforcement path underneath (one index walk per run of adjacent
+    keys, bulk witness probing).  The measured
     wall clock is the client's, so the ratio is the end-to-end ingest
     throughput win; the logical counters come from the engine's tracker
     and must match the looped twin bit-for-bit — the batch path shares
@@ -150,8 +152,10 @@ def run_bulk_load_cell(
             if vectorized:
                 client.batch_insert(child, payload)
             else:
+                client.begin()
                 for encoded in payload:
                     client.insert(child, encoded)
+                client.commit()
             duration = time.perf_counter() - start
     measurement = Measurement(label, [duration])
     measurement.cost = db.tracker.snapshot().diff(before)

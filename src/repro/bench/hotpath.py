@@ -4,7 +4,7 @@ The engine's enforcement hot paths (child-insert subsumption probes,
 parent-delete state loops, bulk index builds) are where the paper's
 experiments spend their time, and where this codebase applies its
 wall-clock optimisations: shared per-row key encoding, prepared trigger
-probes, B+ tree insert fast paths, the solo-session lock fast path.
+probes, B+ tree insert fast paths.
 Each of those must be *invisible* in the logical cost counters — the
 auditable half of the reproduction — while shrinking wall time.
 

@@ -27,14 +27,11 @@ What gets locked where (the concurrency protocol, see DESIGN.md §5d):
 The witness lock is acquired *after* the probe (we cannot know which
 parent subsumes the value before looking), so the witness may be gone by
 the time the lock is granted — the statement latch is dropped during
-lock waits.  Without MVCC, :func:`verify_parent_exists` re-probes under
-the lock and retries with a fresh witness until the check stabilises.
-With the MVCC version store attached, the probe-again loop is replaced
-by *commit-time witness re-validation*: the adopted witness is recorded
-on the transaction and :func:`revalidate_witnesses` re-checks every one
-against the latest committed state at commit, aborting with a retryable
-:class:`~repro.errors.SerializationError` if a parent vanished in the
-probe→grant window.
+lock waits.  That probe→grant window is closed by *commit-time witness
+re-validation*: the adopted witness is recorded on the transaction and
+:func:`revalidate_witnesses` re-checks every one against the latest
+committed state at commit, aborting with a retryable
+:class:`~repro.errors.SerializationError` if a parent vanished in it.
 
 Snapshot reads take **no** logical locks at all — they never reach this
 module.  The lock protocol above is the write path only.
@@ -52,12 +49,6 @@ from .locks import LockManager, LockMode, key_resource, table_resource
 if TYPE_CHECKING:  # pragma: no cover
     from ..constraints.foreign_key import ForeignKey
     from ..storage.database import Database
-
-#: How many fresh witnesses to chase before declaring the reference
-#: unsatisfied.  Each retry means a parent was deleted between our probe
-#: and our lock grant; a handful of repetitions only occurs under
-#: adversarial churn on exactly the probed key.
-_WITNESS_RETRIES = 8
 
 
 def _locker(db: "Database") -> tuple[LockManager, int] | None:
@@ -160,12 +151,12 @@ def verify_parent_exists(
 ) -> bool:
     """The concurrency-safe subsumption probe of the child-side check.
 
-    Single-session: one existence probe, exactly the old behaviour.
-    Multi-session: find a witness parent, take a shared lock on its full
-    referenced-key value, then re-verify the witness under the lock —
-    looping with fresh witnesses while concurrent deletes race us.  On
-    success the S lock pins the adopted parent until our transaction
-    commits; a parent-delete of that key blocks on its X lock until then.
+    Outside a managed session: one existence probe.  On a session: find
+    a witness parent, take a shared lock on its full referenced-key
+    value — strict 2PL pins it until our transaction ends, a
+    parent-delete of that key blocks on its X lock until then — and
+    record it for :func:`revalidate_witnesses`, which catches a delete
+    that committed between the probe and the grant.
     """
     from ..query import probes
 
@@ -174,58 +165,18 @@ def verify_parent_exists(
     if locked is None:
         return probes.exists_eq(parent, columns, values)
     locks, txn_id = locked
-    if locks.solo_mode:
-        # One session: the witness cannot vanish between the probe and
-        # the (instant) solo-mode lock grant, so the re-verify loop is
-        # pure overhead.  Lock the witness key anyway — strict 2PL still
-        # pins it for the transaction, and the grant is materialised if
-        # a second session appears before commit.
-        witness = probes.find_eq(parent, columns, values)
-        if witness is None:
-            return False
-        resource = key_resource(
-            fk.parent_table, fk.key_columns, fk.parent_values(witness)
-        )
-        locks.acquire(txn_id, resource, LockMode.S)
-        if locks.sanitizer is not None:
-            locks.sanitizer.on_witness_pinned(txn_id, resource)
-        return True
-    if db.versions is not None:
-        # MVCC: probe once, pin the witness S-lock, and record the
-        # adopted key on the transaction.  The probe→grant window (a
-        # committed delete sneaking in before our S is granted) is closed
-        # at commit time by revalidate_witnesses, not by re-probing here.
-        witness = probes.find_eq(parent, columns, values)
-        if witness is None:
-            return False
-        full_key = tuple(fk.parent_values(witness))
-        resource = key_resource(fk.parent_table, fk.key_columns, full_key)
-        locks.acquire(txn_id, resource, LockMode.S)
-        if locks.sanitizer is not None:
-            locks.sanitizer.on_witness_pinned(txn_id, resource)
-        txn = db.active_transaction
-        if txn is not None:
-            txn.record_witness(
-                (fk.parent_table, tuple(fk.key_columns), full_key)
-            )
-        return True
-    key_columns = list(fk.key_columns)
-    for __ in range(_WITNESS_RETRIES):
-        witness = probes.find_eq(parent, columns, values)
-        if witness is None:
-            return False
-        full_key = fk.parent_values(witness)
-        resource = key_resource(fk.parent_table, fk.key_columns, full_key)
-        locks.acquire(txn_id, resource, LockMode.S)
-        # The latch may have been dropped while waiting: re-verify that
-        # some parent with the locked key still exists.
-        if probes.exists_eq(parent, key_columns, list(full_key)):
-            if locks.sanitizer is not None:
-                # The probe window closes here: the sanitizer checks the
-                # witness S-lock is pinned for the rest of the txn.
-                locks.sanitizer.on_witness_pinned(txn_id, resource)
-            return True
-    return False
+    witness = probes.find_eq(parent, columns, values)
+    if witness is None:
+        return False
+    full_key = tuple(fk.parent_values(witness))
+    resource = key_resource(fk.parent_table, fk.key_columns, full_key)
+    locks.acquire(txn_id, resource, LockMode.S)
+    if locks.sanitizer is not None:
+        locks.sanitizer.on_witness_pinned(txn_id, resource)
+    txn = db.active_transaction
+    if txn is not None:
+        txn.record_witness((fk.parent_table, tuple(fk.key_columns), full_key))
+    return True
 
 
 def verify_parent_exists_many(
@@ -234,46 +185,25 @@ def verify_parent_exists_many(
     columns: Sequence[str],
     values_list: Sequence[Sequence[Any]],
 ) -> list[bool]:
-    """Vectorized :func:`verify_parent_exists` for one probe shape.
-
-    Single-session statements go straight to
-    :func:`repro.query.probes.exists_eq_many` (sorted, deduplicated
-    descents).  Managed sessions verify each **distinct** value tuple
-    once — in encoded-key order, so a batch pins its witness S-locks in
-    a deterministic global order — and replay the probe's tracker delta
-    for the duplicates: the parent table is not mutated by the child
-    batch itself, so every duplicate would have charged exactly what its
-    first probe charged, and the witness S-lock / recorded-witness side
-    effects are idempotent (re-grants and set inserts).
+    """Vectorized :func:`verify_parent_exists` for one probe shape:
+    each **distinct** value tuple is verified once, in encoded-key order
+    — so a batch pins its witness S-locks in a deterministic global
+    order — and the duplicates' charges are replayed
+    (:func:`repro.query.probes.check_distinct`).  The witness S-lock and
+    recorded-witness side effects are idempotent (re-grants and set
+    inserts), so skipping them for duplicates loses nothing.
     """
     from ..query import probes
 
-    parent = db.table(fk.parent_table)
-    if _locker(db) is None:
-        return probes.exists_eq_many(parent, list(columns), values_list)
-    tracker = parent.tracker
-    groups: dict[tuple[Any, ...], list[int]] = {}
-    for position, values in enumerate(values_list):
-        groups.setdefault(tuple(values), []).append(position)
-    results = [False] * len(values_list)
-    witness_probe = probes.prepared(parent, tuple(columns))
-    for key in probes.probe_order(witness_probe, list(groups), tuple(values_list[0])):
-        positions = groups[key]
-        before = tracker.snapshot() if len(positions) > 1 else None
-        hit = verify_parent_exists(db, fk, columns, list(key))
-        if before is not None:
-            delta = tracker.snapshot().diff(before)
-            extra = len(positions) - 1
-            for name, amount in delta.counters.items():
-                if amount:
-                    tracker.count(name, amount * extra)
-        for position in positions:
-            results[position] = hit
-    return results
+    return probes.check_distinct(
+        probes.prepared(db.table(fk.parent_table), columns),
+        values_list,
+        lambda key: verify_parent_exists(db, fk, columns, key),
+    )
 
 
 def revalidate_witnesses(db: "Database", txn: Any) -> None:
-    """Commit-time witness re-check (MVCC only).
+    """Commit-time witness re-check.
 
     Every FK witness the transaction adopted must still exist in the
     latest *committed* state.  The probe runs through the transaction's
@@ -282,16 +212,10 @@ def revalidate_witnesses(db: "Database", txn: Any) -> None:
     committed delete that won the probe→grant race is detected.  Raises
     :class:`~repro.errors.SerializationError`; the caller rolls back.
     """
-    versions = db.versions
-    if versions is None:
-        return
-    witnesses = getattr(txn, "_witnesses", None)
-    if not witnesses:
-        return
     from ..query import probes
 
-    view = versions.committed_view(txn.txn_id)
-    for parent_table, key_columns, key_values in witnesses:
+    view = txn.session.manager.versions.committed_view(txn.txn_id)
+    for parent_table, key_columns, key_values in txn._witnesses:
         parent = db.tables.get(parent_table)
         if parent is None or not probes.exists_eq(
             parent, list(key_columns), list(key_values), view=view

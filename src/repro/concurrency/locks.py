@@ -330,11 +330,9 @@ class LockManager:
         self._mu = threading.Lock()
         self._cond = threading.Condition(self._mu)
         self._table: dict[Resource, _LockRecord] = {}
-        #: Per-transaction view of every held resource and the combined
-        #: mode held on it — mirrored from ``_table`` on the full path,
-        #: authoritative on the solo fast path (where no ``_LockRecord``
-        #: exists until :meth:`set_solo` materialises the grants).
-        self._held: dict[int, dict[Resource, LockMode]] = {}
+        #: Per-transaction view of every held resource, mirrored from
+        #: ``_table`` (what :meth:`release_all` walks).
+        self._held: dict[int, set[Resource]] = {}
         self.stats = LockStats()
         #: The lockdep observer, or None (the default).  Every hot-path
         #: crossing tests exactly ``self._sanitizer is not None`` — the
@@ -349,17 +347,6 @@ class LockManager:
             from ..analysis import lockdep
 
             self._sanitizer = lockdep.attach(self)
-        #: Solo mode: with at most one session registered, no conflict is
-        #: possible, so ``acquire`` records the resource and its combined
-        #: mode in ``_held`` (for strict-2PL release, introspection, and
-        #: exact materialisation on ``set_solo(False)``) without building
-        #: ``_LockRecord`` state or taking the mutex.  The session manager
-        #: flips this through :meth:`set_solo` under the statement latch,
-        #: so no statement is mid-flight during a transition.  A
-        #: standalone manager (no session manager) stays in full mode.
-        self._solo = False
-        #: Bumped on every solo transition; tests use it to observe flips.
-        self.solo_epoch = 0
 
     # ------------------------------------------------------------------
     # Acquisition
@@ -379,20 +366,6 @@ class LockManager:
         held until :meth:`release_all`.
         """
         fire("lock.acquire")
-        if self._solo:
-            # One session: every request is trivially grantable.  Record
-            # the resource *and the combined mode* so release_all/held_by
-            # behave identically and set_solo(False) can materialise the
-            # grant exactly if a second session appears mid-transaction.
-            # (Materialising as X instead would block compatible lockers
-            # — e.g. two IX inserters — for the survivor's whole life.)
-            modes = self._held.setdefault(txn_id, {})
-            prior = modes.get(resource)
-            modes[resource] = mode if prior is None else _COMBINE[(prior, mode)]
-            self.stats.acquired += 1
-            if self._sanitizer is not None:
-                self._sanitizer.on_acquired(txn_id, resource, mode)
-            return
         with self._cond:
             if self._try_grant(txn_id, resource, mode):
                 self.stats.acquired += 1
@@ -486,7 +459,7 @@ class LockManager:
                 return False
         combined = mode if held is None else _COMBINE[(held, mode)]
         record.granted[txn_id] = combined
-        self._held.setdefault(txn_id, {})[resource] = combined
+        self._held.setdefault(txn_id, set()).add(resource)
         return True
 
     # ------------------------------------------------------------------
@@ -563,41 +536,6 @@ class LockManager:
             self._cond.notify_all()
         if self._sanitizer is not None:
             self._sanitizer.on_release_all(txn_id)
-
-    # ------------------------------------------------------------------
-    # Solo mode (single-session fast path)
-
-    @property
-    def solo_mode(self) -> bool:
-        return self._solo
-
-    def set_solo(self, solo: bool) -> None:
-        """Enter or leave the single-session fast path.
-
-        Caller must guarantee no statement is running (the session
-        manager holds the statement latch across this call).  Leaving
-        solo mode materialises every fast-path grant as a ``_LockRecord``
-        entry in the exact combined mode the transaction asked for.
-        Exactness matters for liveness, not just correctness: restart
-        reinstatement re-acquires several in-doubt transactions' locks
-        back-to-back, and over-approximating the first one's table IX as
-        X would block the second's compatible IX until timeout.
-        """
-        if self._sanitizer is not None:
-            self._sanitizer.on_solo_flip(
-                solo, self._latch.held() if self._latch is not None else None
-            )
-        with self._cond:
-            if solo == self._solo:
-                return
-            if not solo:
-                for txn_id, modes in self._held.items():
-                    for resource, held_mode in modes.items():
-                        record = self._table.setdefault(resource, _LockRecord())
-                        record.granted[txn_id] = held_mode
-            self._solo = solo
-            self.solo_epoch += 1
-            self._cond.notify_all()
 
     # ------------------------------------------------------------------
     # Introspection (tests, the server's stats op, the benchmark)

@@ -35,7 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..query.predicate import Predicate
     from ..query.transaction import Transaction
     from ..storage.database import Database
-    from ..storage.versions import Snapshot
+    from ..storage.versions import Snapshot, VersionStore
 
 T = TypeVar("T")
 
@@ -171,15 +171,9 @@ class Session:
         is a *snapshot read*: it observes exactly the rows committed at
         or before the read LSN, holds the statement latch only in shared
         mode, and acquires **zero** logical locks — concurrent writers
-        are never waited on.  Requires :meth:`Database.enable_mvcc`.
+        are never waited on.
         """
         self._check_open()
-        versions = self.db.versions
-        if versions is None:
-            raise SessionError(
-                f"session {self.session_id}: snapshot reads need MVCC "
-                "(call db.enable_mvcc() first)"
-            )
         if self._snapshot is not None and not self._snapshot.closed:
             raise SessionError(
                 f"session {self.session_id}: a snapshot is already open"
@@ -187,7 +181,7 @@ class Session:
         # Registration mutates the version store's snapshot table, so it
         # runs exclusive; the reads themselves only take shared.
         with self.db_latch():
-            self._snapshot = versions.open_snapshot()
+            self._snapshot = self.manager.versions.open_snapshot()
         return self._snapshot
 
     def end_snapshot(self) -> None:
@@ -306,7 +300,12 @@ class Session:
 
 
 class SessionManager:
-    """Hands out sessions and owns the shared lock manager and latch."""
+    """Hands out sessions and owns the shared lock manager and latch.
+
+    Sessions always run over the MVCC version store: snapshot reads and
+    the commit-time witness re-check are part of the one protocol, so
+    attaching a manager attaches the store.
+    """
 
     def __init__(
         self,
@@ -316,10 +315,10 @@ class SessionManager:
         self.db = db
         self.latch = StatementLatch()
         self.locks = LockManager(latch=self.latch, timeout=lock_timeout)
+        self.versions: "VersionStore" = db.enable_mvcc()
         self._mu = threading.Lock()
         self._sessions: dict[int, Session] = {}
         self._counter = 0
-        self._refresh_solo()
 
     def session(self) -> Session:
         """Create a new isolated session."""
@@ -327,28 +326,11 @@ class SessionManager:
             self._counter += 1
             session = Session(self, self._counter)
             self._sessions[session.session_id] = session
-        self._refresh_solo()
         return session
 
     def _forget(self, session: Session) -> None:
         with self._mu:
             self._sessions.pop(session.session_id, None)
-        self._refresh_solo()
-
-    def _refresh_solo(self) -> None:
-        """Keep the lock manager's solo fast path in sync with the
-        session count.
-
-        The statement latch is taken first: no statement is mid-flight
-        while the mode flips, so ``set_solo(False)`` sees a stable
-        ``_held`` map to materialise.  The count is re-read inside the
-        latch so concurrent create/close calls converge on the final
-        census regardless of arrival order.
-        """
-        with self.latch:
-            with self._mu:
-                solo = len(self._sessions) <= 1
-            self.locks.set_solo(solo)
 
     @property
     def open_sessions(self) -> list[Session]:
@@ -369,8 +351,6 @@ class SessionManager:
         """Lock-manager counters plus session counts, for the server."""
         snapshot = self.locks.stats.snapshot()
         snapshot["open_sessions"] = len(self.open_sessions)
-        versions = self.db.versions
-        if versions is not None:
-            snapshot["active_snapshots"] = versions.active_snapshots
-            snapshot["row_versions"] = versions.version_count()
+        snapshot["active_snapshots"] = self.versions.active_snapshots
+        snapshot["row_versions"] = self.versions.version_count()
         return snapshot

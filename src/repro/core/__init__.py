@@ -1,6 +1,6 @@
 """The paper's core contribution: index structures, enforcement, services."""
 
-from .batch import batch_delete_parents, batch_insert_children
+from .batch import batch_delete_parents, batch_insert_rows
 from .engine_level import (
     EngineLevelEnforcement,
     StatePartitionedChildIndex,
@@ -43,7 +43,7 @@ from .strategies import (
 
 __all__ = [
     "batch_delete_parents",
-    "batch_insert_children",
+    "batch_insert_rows",
     "EngineLevelEnforcement",
     "StatePartitionedChildIndex",
     "SubsetCountingParentIndex",

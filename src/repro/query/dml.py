@@ -126,7 +126,7 @@ def delete_rid(
     fire("dml.delete.post")
 
     for fk in native_fks:
-        enforcement.handle_parent_removed(db, fk, row)
+        enforcement.handle_parent_removed(db, fk, [fk.parent_values(row)])
     db.triggers.fire(db, table_name, TriggerEvent.AFTER_DELETE, row, None, rid)
     return row
 
@@ -200,6 +200,8 @@ def update_rid(
     fire("dml.update.post")
 
     for fk in native_parent_fks:
-        enforcement.handle_parent_removed(db, fk, old_row, fk.on_update)
+        enforcement.handle_parent_removed(
+            db, fk, [fk.parent_values(old_row)], fk.on_update
+        )
     db.triggers.fire(db, table_name, TriggerEvent.AFTER_UPDATE, old_row, new_row, rid)
     return old_row, new_row

@@ -19,7 +19,7 @@ from ..constraints.actions import ReferentialAction
 from ..constraints.foreign_key import ForeignKey, MatchSemantics
 from ..core.states import iter_null_states
 from ..errors import IntegrityError, ReferentialIntegrityViolation, RestrictViolation
-from ..nulls import NULL, is_total
+from ..nulls import NULL
 from ..testing.faults import fire
 from . import executor, probes
 from .predicate import Predicate
@@ -56,14 +56,19 @@ def _subsumption_shape(
     return shape
 
 
-def check_child_write(db: "Database", fk: ForeignKey, row: Sequence[Any]) -> None:
-    """Veto a child write that would violate *fk* (paper §6.1, trigger on CS).
+def subsumption_probe(
+    db: "Database", fk: ForeignKey, row: Sequence[Any]
+) -> tuple[tuple[str, ...], list[Any]] | None:
+    """The parent probe a child write of *row* has to pass: (parent
+    columns, values) of the foreign-key value's total components, or
+    None when the value is satisfied without a lookup.
 
-    Implements the BEFORE INSERT trigger's case analysis: one existence
-    probe on the parent table, restricted to the total components of the
-    new foreign-key value.  Raises
-    :class:`~repro.errors.ReferentialIntegrityViolation` when no parent
-    matches.
+    This is the BEFORE INSERT trigger's case analysis (paper §6.1,
+    trigger on CS) for all three MATCH semantics, shared by the per-row
+    check below and the vectorized one in :mod:`repro.core.batch`.
+    Raises :class:`~repro.errors.ReferentialIntegrityViolation` on a
+    MATCH FULL shape violation; charges the ``state_checks`` counter for
+    a probe it hands back.
     """
     child_fk = fk.child_values(row)
     if fk.row_violates_shape(child_fk):
@@ -71,21 +76,32 @@ def check_child_write(db: "Database", fk: ForeignKey, row: Sequence[Any]) -> Non
             f"{fk.name}: MATCH FULL forbids partially-null value {child_fk!r}"
         )
     if fk.row_satisfiable_without_lookup(child_fk):
-        return
-    if fk.match is MatchSemantics.SIMPLE and not is_total(child_fk):
-        return
+        return None
     db.tracker.count("state_checks")
     columns, slots = _subsumption_shape(fk, child_fk)
-    values = [child_fk[i] for i in slots]
-    # Single-session this is one exists probe; on a managed session the
-    # probe also takes a shared lock on the witness parent's key, so the
-    # adopted reference cannot be deleted before this transaction ends
-    # (the partial-RI phantom-parent race).
-    if not hooks.verify_parent_exists(db, fk, columns, values):
-        raise ReferentialIntegrityViolation(
-            f"{fk.name}: no reference is found for {child_fk!r}, "
-            "enter a valid value"
-        )
+    return columns, [child_fk[i] for i in slots]
+
+
+def no_reference(fk: ForeignKey, row: Sequence[Any]) -> ReferentialIntegrityViolation:
+    """The veto for a child *row* whose probe found no parent."""
+    return ReferentialIntegrityViolation(
+        f"{fk.name}: no reference is found for {fk.child_values(row)!r}, "
+        "enter a valid value"
+    )
+
+
+def check_child_write(db: "Database", fk: ForeignKey, row: Sequence[Any]) -> None:
+    """Veto a child write that would violate *fk* (paper §6.1, trigger on CS).
+
+    One existence probe on the parent table, restricted to the total
+    components of the new foreign-key value.  Outside a managed session
+    that is all; on one the probe also takes a shared lock on the
+    witness parent's key, so the adopted reference cannot be deleted
+    before this transaction ends (the partial-RI phantom-parent race).
+    """
+    probe = subsumption_probe(db, fk, row)
+    if probe is not None and not hooks.verify_parent_exists(db, fk, *probe):
+        raise no_reference(fk, row)
 
 
 # ----------------------------------------------------------------------
@@ -128,60 +144,71 @@ def restrict_parent_remove(db: "Database", fk: ForeignKey, parent_row: Sequence[
 def handle_parent_removed(
     db: "Database",
     fk: ForeignKey,
-    parent_row: Sequence[Any],
+    parent_keys: Sequence[Sequence[Any]],
     action: ReferentialAction | None = None,
 ) -> int:
-    """Apply the referential action after a parent row was removed.
+    """Apply the referential action after parent rows were removed.
 
-    This is the paper's AFTER DELETE trigger on PS (§6.1): first the
-    total children of the deleted parent receive the action, then each
-    of the ``2^n - 2`` partial states is probed — children exist in the
-    state AND no alternative parent subsumes them — and orphaned states
+    This is the paper's AFTER DELETE trigger on PS (§6.1), for each of
+    the removed referenced-key values *parent_keys*: first the total
+    children of the removed key receive the action, then each of the
+    ``2^n - 2`` partial states is probed — children exist in the state
+    AND no alternative parent subsumes them — and orphaned states
     receive the action.  Returns the number of affected child rows.
+
+    The DML path passes the one key of the row it just removed.  The
+    batch path (:func:`repro.core.batch.batch_delete_parents`) removes
+    all its parents first and passes every key: two removed parents that
+    agree on a state's total columns ask the same question, so each
+    distinct (state, total values) combination is probed and actioned
+    once for the whole call.
     """
     if action is None:
         action = fk.on_delete
     if action.rejects:
         # Already vetoed in restrict_parent_remove before the removal.
         return 0
-    parent_key = fk.parent_values(parent_row)
-    affected = 0
-
-    # 1. Children whose foreign key totally equals the deleted key: the
-    #    referenced key is unique, so there is never an alternative.
-    affected += _apply_action_scoped(
-        db, fk, fk.exact_child_predicate(parent_key), action
-    )
-
-    if fk.match is not MatchSemantics.PARTIAL:
-        return affected
-
-    # 2. Each partial state: u = 1 .. n-1 null markers.  The per-state
-    #    column lists are value-independent, so they are compiled once
-    #    per foreign key and only the values bind per deletion.
-    #    The child probes of one key revisit the same few index ranges
-    #    with different residuals, so they share one read of each —
-    #    until an action rewrites children.
     child = db.table(fk.child_table)
     parent = db.table(fk.parent_table)
-    scope = probes.RangeScope()
-    for state, child_cols, child_nulls, parent_cols, total_positions in _state_shapes(fk):
-        fire("enforce.state_probe")
-        db.tracker.count("state_checks")
-        values = [parent_key[i] for i in total_positions]
-        if not probes.exists_eq(
-            child, child_cols, values, null_columns=child_nulls, scope=scope
-        ):
-            continue
-        if probes.exists_eq(parent, parent_cols, values):
-            # An alternative parent subsumes this state's children: the
-            # parent row itself is already gone (AFTER DELETE), so any
-            # hit is a genuine alternative.
-            continue
+    affected = 0
+    probed: set[tuple[tuple[int, ...], tuple[Any, ...]]] = set()
+    for parent_key in dict.fromkeys(map(tuple, parent_keys)):
+        # 1. Children whose foreign key totally equals the removed key:
+        #    the referenced key is unique, so there is never an
+        #    alternative.
         affected += _apply_action_scoped(
-            db, fk, fk.child_state_predicate(parent_key, state), action
+            db, fk, fk.exact_child_predicate(parent_key), action
         )
-        scope.clear()
+        if fk.match is not MatchSemantics.PARTIAL:
+            continue
+
+        # 2. Each partial state: u = 1 .. n-1 null markers.  The
+        #    per-state column lists are value-independent, so they are
+        #    compiled once per foreign key and only the values bind per
+        #    removal.  The child probes of one key revisit the same few
+        #    index ranges with different residuals, so they share one
+        #    read of each — until an action rewrites children.
+        scope = probes.RangeScope()
+        for state, child_cols, child_nulls, parent_cols, total_positions in _state_shapes(fk):
+            values = tuple([parent_key[i] for i in total_positions])
+            if (state, values) in probed:
+                continue
+            probed.add((state, values))
+            fire("enforce.state_probe")
+            db.tracker.count("state_checks")
+            if not probes.exists_eq(
+                child, child_cols, values, null_columns=child_nulls, scope=scope
+            ):
+                continue
+            if probes.exists_eq(parent, parent_cols, values):
+                # An alternative parent subsumes this state's children:
+                # the removed rows are already gone (AFTER DELETE), so
+                # any hit is a genuine alternative.
+                continue
+            affected += _apply_action_scoped(
+                db, fk, fk.child_state_predicate(parent_key, state), action
+            )
+            scope.clear()
     return affected
 
 

@@ -426,26 +426,56 @@ def find_eq(
     return prepared(table, columns, null_columns).find(values, view)
 
 
-def probe_order(
+def check_distinct(
     probe: PreparedProbe,
-    keys: Sequence[tuple[Any, ...]],
-    first_key: tuple[Any, ...],
-) -> list[tuple[Any, ...]]:
-    """Deterministic probe order for a deduplicated key batch.
+    values_list: Sequence[Sequence[Any]],
+    check: Callable[[tuple[Any, ...]], bool],
+) -> list[bool]:
+    """One answer per entry of *values_list*, running *check* — one
+    execution of *probe*, plus whatever the caller ties to it — once per
+    **distinct** key.
 
-    Sorted by encoded key — except when *probe* has a replan pending
-    (new shape or moved catalog epoch): its next execution fixes the
-    access path using that execution's values, so the batch must plan
-    with the same key a per-probe loop would have used — the first one
-    in arrival order.  Without this, sorting could plan the shape with a
-    different key, pick a different index, and break the bit-for-bit
-    charge parity between the batched and per-probe paths.
+    Keys are deduplicated and checked in encoded-key order, so a batch
+    of K rows referencing m distinct parents costs m sorted descents
+    instead of K arbitrary ones (and a locking *check* takes its locks
+    in one global order).  The *logical* cost counters stay
+    bit-identical to K independent checks: the probed table is not
+    mutated between the checks of one batch, so every duplicate of a key
+    would have charged exactly what its first check charged — the
+    duplicates' charges are replayed from a tracker snapshot delta
+    instead of from re-descending.
+
+    One exception to the order: when *probe* has a replan pending (new
+    shape or moved catalog epoch), its next execution fixes the access
+    path from that execution's values, so the batch plans with the key a
+    per-row loop would have used — the first in arrival order.  Sorting
+    first could pick a different index and break the charge parity.
     """
-    ordered = sorted(keys, key=encode_key)
+    if not values_list:
+        return []
+    tracker = probe.table.tracker
+    groups: dict[tuple[Any, ...], list[int]] = {}
+    for position, values in enumerate(values_list):
+        groups.setdefault(tuple(values), []).append(position)
+    ordered = sorted(groups, key=encode_key)
+    first_key = tuple(values_list[0])
     if probe._version != probe.table.indexes.version and ordered[0] != first_key:
         ordered.remove(first_key)
         ordered.insert(0, first_key)
-    return ordered
+    results = [False] * len(values_list)
+    for key in ordered:
+        positions = groups[key]
+        before = tracker.snapshot() if len(positions) > 1 else None
+        hit = check(key)
+        if before is not None:
+            delta = tracker.snapshot().diff(before)
+            extra = len(positions) - 1
+            for name, amount in delta.counters.items():
+                if amount:
+                    tracker.count(name, amount * extra)
+        for position in positions:
+            results[position] = hit
+    return results
 
 
 def exists_eq_many(
@@ -456,35 +486,7 @@ def exists_eq_many(
     view: Any = None,
 ) -> list[bool]:
     """Vectorized :func:`exists_eq`: one answer per entry of
-    *values_list*, walking the index once per **distinct** key.
-
-    Keys are deduplicated and probed in encoded-key order, so a batch of
-    K rows referencing m distinct parents costs m sorted descents instead
-    of K arbitrary ones.  The *logical* cost counters stay bit-identical
-    to K independent :func:`exists_eq` calls: the table is not mutated
-    between the probes of one batch, so every duplicate of a key would
-    have charged exactly what its first probe charged — the duplicates'
-    charges are replayed from a tracker snapshot delta instead of from
-    re-descending.
-    """
-    if not values_list:
-        return []
+    *values_list*, walking the index once per distinct key
+    (:func:`check_distinct`)."""
     probe = prepared(table, columns, null_columns)
-    tracker = table.tracker
-    groups: dict[tuple[Any, ...], list[int]] = {}
-    for position, values in enumerate(values_list):
-        groups.setdefault(tuple(values), []).append(position)
-    results = [False] * len(values_list)
-    for key in probe_order(probe, groups, tuple(values_list[0])):
-        positions = groups[key]
-        before = tracker.snapshot() if len(positions) > 1 else None
-        hit = probe.exists(key, view)
-        if before is not None:
-            delta = tracker.snapshot().diff(before)
-            extra = len(positions) - 1
-            for name, amount in delta.counters.items():
-                if amount:
-                    tracker.count(name, amount * extra)
-        for position in positions:
-            results[position] = hit
-    return results
+    return check_distinct(probe, values_list, lambda key: probe.exists(key, view))

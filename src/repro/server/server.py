@@ -178,11 +178,6 @@ class ReproServer:
         if self.db.session_manager is None:
             self.db.enable_sessions(lock_timeout=lock_timeout)
         self.sessions = self.db.session_manager
-        # MVCC is always on under the server: selects may opt into
-        # lock-free snapshot reads, and FK witnesses are re-validated at
-        # commit (a vanished parent aborts with a retryable
-        # SerializationError instead of re-probing under the lock).
-        self.db.enable_mvcc()
         self.host = host
         self._requested_port = port
         self.stats = ServerStats()
@@ -526,8 +521,8 @@ class ReproServer:
                     self.db, extras={"ledger": self.ledger.snapshot()}
                 )
                 self.stats.bump("checkpoints")
-            elif self.db.versions is not None:
-                self.db.versions.prune()
+            else:
+                self.sessions.versions.prune()
             self._commits_since_checkpoint = 0
 
     @staticmethod

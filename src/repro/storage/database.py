@@ -58,9 +58,9 @@ class Database:
         self._session_manager: "SessionManager | None" = None
         self._txn_counter = 0
         self._wal: "WriteAheadLog | None" = None
-        #: MVCC version store (attached by :meth:`enable_mvcc`); when
-        #: present, the DML funnel records row versions and sessions may
-        #: open lock-free snapshot reads.
+        #: MVCC version store (attached by :meth:`enable_sessions`, or by
+        #: :meth:`enable_mvcc` on its own); when present, the DML funnel
+        #: records row versions.
         self._versions: "VersionStore | None" = None
         #: Set by a simulated crash: the 'process' is dead, transaction
         #: cleanup becomes a no-op, and only recovery may touch state.
@@ -285,6 +285,11 @@ class Database:
         Idempotent when called without arguments; the manager hands out
         isolated :class:`~repro.concurrency.session.Session` objects
         whose statements acquire locks through the shared lock manager.
+        It also attaches the MVCC version store (:meth:`enable_mvcc`):
+        sessions read snapshots and re-validate their foreign-key
+        witnesses at commit through it.  Whoever runs the sessions
+        prunes the store — a WAL checkpoint does, the server does on its
+        commit cadence, an embedder calls ``db.versions.prune()``.
         """
         from ..concurrency.session import SessionManager
 
@@ -308,10 +313,10 @@ class Database:
     def enable_mvcc(self) -> "VersionStore":
         """Attach the MVCC version store; idempotent.
 
-        From here on the DML funnel records per-row version chains, rid
-        reuse is deferred to version GC, and sessions may open snapshot
-        reads (:meth:`repro.concurrency.session.Session.begin_snapshot`)
-        that take zero locks.  Writers keep strict 2PL unchanged.
+        From here on the DML funnel records per-row version chains and
+        rid reuse is deferred to version GC.  The session manager that
+        :meth:`enable_sessions` attaches calls this; on its own it
+        serves the bare engine (the version-store unit tests).
         """
         if self._versions is None:
             from .versions import VersionStore

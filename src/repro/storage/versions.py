@@ -179,6 +179,10 @@ class VersionStore:
         #: snapshot id -> pinned read LSN.
         self._snapshots: dict[int, int] = {}
         self._next_snap_id = 0
+        #: Versions held across all chains.  Kept as a running count so
+        #: the server's ``stats`` op reads one int instead of walking
+        #: dicts a writer on another connection is growing.
+        self._version_count = 0
         wal = db.wal
         self._lsn = wal.lsn if wal is not None else 0
 
@@ -264,6 +268,7 @@ class VersionStore:
         chains = self._chains.setdefault(table_name, {})
         if rid not in chains:
             chains[rid] = [RowVersion(0, base)]
+            self._version_count += 1
 
     def _push(self, table_name: str, rid: int, lsn: int, row: Row | None) -> None:
         chains = self._chains.setdefault(table_name, {})
@@ -272,6 +277,7 @@ class VersionStore:
             chains[rid] = [RowVersion(lsn, row)]
         else:
             chain.insert(0, RowVersion(lsn, row))
+        self._version_count += 1
         lsns, rids = self._commits.setdefault(table_name, ([], []))
         lsns.append(lsn)
         rids.append(rid)
@@ -364,6 +370,7 @@ class VersionStore:
             del lsns[:settled], rids[:settled]
             if not lsns:
                 del self._commits[table_name]
+        self._version_count -= dropped
         return dropped
 
     def reset(self) -> None:
@@ -378,6 +385,7 @@ class VersionStore:
         self._pending.clear()
         self._dirty.clear()
         self._snapshots.clear()
+        self._version_count = 0
         wal = self._db.wal
         if wal is not None:
             self._lsn = max(self._lsn, wal.lsn)
@@ -396,11 +404,7 @@ class VersionStore:
         return (table_name, rid) in self._pending
 
     def version_count(self) -> int:
-        return sum(
-            len(chain)
-            for chains in self._chains.values()
-            for chain in chains.values()
-        )
+        return self._version_count
 
     def check_well_formed(self, table_name: str) -> list[str]:
         """Chain well-formedness problems for one table (for verify).

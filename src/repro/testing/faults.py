@@ -72,10 +72,6 @@ KNOWN_POINTS: tuple[str, ...] = (
     # query/enforcement.py — inside the state loop
     "enforce.state_probe",
     "enforce.apply_action",
-    # core/batch.py — the §9 shared-execution paths
-    "batch.probe",
-    "batch.insert_row",
-    "batch.state_loop",
     # concurrency/locks.py — every lock request / each blocking wait
     # (a TransientInjector here simulates lock-contention storms)
     "lock.acquire",

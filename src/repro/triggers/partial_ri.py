@@ -80,7 +80,7 @@ def install(db: "Database", fk: ForeignKey) -> list[Trigger]:
             if fk.parent_values(new) == fk.parent_values(old):
                 return
         fire("trigger.parent_delete")
-        enforcement.handle_parent_removed(db_, fk, old, action)
+        enforcement.handle_parent_removed(db_, fk, [fk.parent_values(old)], action)
 
     names = trigger_names(fk)
     triggers = [
@@ -111,9 +111,9 @@ class _suspended_triggers:
     """Temporarily disable a named subset of the FK's triggers.
 
     Used by the intelligent deletion service (which replaces the parent-
-    side enforcement with its interactive flow) and by the §9 batching
-    optimisations (which verify a whole batch up front and must not pay
-    the per-row probes again)."""
+    side enforcement with its interactive flow) and by the §9 batched
+    parent delete (which removes every parent first and runs the state
+    loop once for the batch)."""
 
     def __init__(self, db: "Database", names: list[str]) -> None:
         self._db = db
@@ -138,13 +138,6 @@ def _suspended_parent_triggers(db: "Database", fk: ForeignKey) -> _suspended_tri
     """Disable the AFTER DELETE / AFTER UPDATE parent-side enforcement."""
     return _suspended_triggers(
         db, [f"{fk.name}_parent_del", f"{fk.name}_parent_upd"]
-    )
-
-
-def _suspended_child_checks(db: "Database", fk: ForeignKey) -> _suspended_triggers:
-    """Disable the BEFORE INSERT / BEFORE UPDATE child-side checks."""
-    return _suspended_triggers(
-        db, [f"{fk.name}_child_ins", f"{fk.name}_child_upd"]
     )
 
 

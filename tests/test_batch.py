@@ -8,15 +8,13 @@ from repro import (
     EnforcedForeignKey,
     ForeignKey,
     IndexStructure,
+    LockTimeoutError,
     MatchSemantics,
+    ReferentialAction,
     ReferentialIntegrityViolation,
     check_database,
 )
-from repro.core.batch import (
-    batch_delete_parents,
-    batch_insert_children,
-    batch_insert_rows,
-)
+from repro.core.batch import batch_delete_parents, batch_insert_rows
 from repro.nulls import NULL
 from repro.query import dml
 from repro.query.predicate import equalities
@@ -39,7 +37,7 @@ class TestBatchInsert:
         ds = loaded()
         rows = insert_stream(ds, 50)
         before = ds.child_table.row_count
-        rids = batch_insert_children(ds.db, ds.fk, rows)
+        rids = batch_insert_rows(ds.db, "C", rows)
         assert len(rids) == 50
         assert ds.child_table.row_count == before + 50
         assert check_database(ds.db) == []
@@ -50,31 +48,14 @@ class TestBatchInsert:
         bad = (10**9, NULL, NULL, 0)
         before = ds.child_table.row_count
         with pytest.raises(ReferentialIntegrityViolation):
-            batch_insert_children(ds.db, ds.fk, rows + [bad])
+            batch_insert_rows(ds.db, "C", rows + [bad])
         assert ds.child_table.row_count == before  # atomic
-
-    def test_shared_probes_fewer_state_checks(self):
-        """The point of batching: one probe per distinct FK projection."""
-        ds_batch = loaded()
-        ds_loop = loaded()
-        rows = insert_stream(ds_batch, 100)
-
-        ds_batch.db.tracker.reset()
-        batch_insert_children(ds_batch.db, ds_batch.fk, rows)
-        batched = ds_batch.db.tracker["state_checks"]
-
-        ds_loop.db.tracker.reset()
-        for row in insert_stream(ds_loop, 100):
-            dml.insert(ds_loop.db, "C", row)
-        looped = ds_loop.db.tracker["state_checks"]
-
-        assert batched < looped
 
     def test_matches_per_row_inserts(self):
         ds_a = loaded()
         ds_b = loaded()
         rows = insert_stream(ds_a, 60)
-        batch_insert_children(ds_a.db, ds_a.fk, rows)
+        batch_insert_rows(ds_a.db, "C", rows)
         for row in insert_stream(ds_b, 60):
             dml.insert(ds_b.db, "C", row)
         assert sorted(ds_a.child_table.rows(), key=repr) == sorted(
@@ -86,16 +67,14 @@ class TestBatchInsert:
         rows = insert_stream(ds, 10)
         with pytest.raises(RuntimeError):
             with ds.db.begin():
-                batch_insert_children(ds.db, ds.fk, rows)
+                batch_insert_rows(ds.db, "C", rows)
                 raise RuntimeError
         assert check_database(ds.db) == []
 
 
 class TestNonAtomicBatchInsert:
-    """Satellite audit: ``batch_insert_children(atomic=False)`` on a
-    mid-batch violation must leave every already-inserted row fully
-    indexed with consistent statistics (each row runs in its own nested
-    scope, so only the failing row's writes unwind)."""
+    """A batch is all-or-nothing whichever of the table's foreign keys
+    a row violates: every check precedes the first write."""
 
     @staticmethod
     def two_fk_db():
@@ -115,37 +94,23 @@ class TestNonAtomicBatchInsert:
         for k in (1, 2):
             dml.insert(db, "p", (k, k))
         dml.insert(db, "q", (5,))
-        return db, fk
-
-    def test_mid_batch_violation_keeps_earlier_rows_indexed(self):
-        db, fk = self.two_fk_db()
-        # Every row satisfies fk (the shared probe pass certifies the
-        # batch up front); the third violates the *other* foreign key,
-        # so it fails mid-batch inside dml.insert.
-        rows = [(1, 1, 1, 5), (2, 2, 2, 5), (3, 1, 1, 999), (4, 2, 2, 5)]
-        with pytest.raises(ReferentialIntegrityViolation):
-            batch_insert_children(db, fk, rows, atomic=False)
-        survivors = sorted(r[0] for r in db.table("c").rows())
-        assert survivors == [1, 2]  # before the failure: kept; after: never ran
-        report = db.verify_integrity()
-        assert report.ok, report.render()
+        return db
 
     def test_atomic_batch_unwinds_everything(self):
-        """Same workload under the default: nothing survives."""
-        db, fk = self.two_fk_db()
+        """Every row satisfies the first key; the third violates the
+        second one: nothing survives."""
+        db = self.two_fk_db()
         rows = [(1, 1, 1, 5), (2, 2, 2, 5), (3, 1, 1, 999), (4, 2, 2, 5)]
         with pytest.raises(ReferentialIntegrityViolation):
-            batch_insert_children(db, fk, rows)
+            batch_insert_rows(db, "c", rows)
         assert db.table("c").row_count == 0
         assert db.verify_integrity().ok
 
     def test_probe_pass_failure_inserts_nothing(self):
-        """A violation of the batched FK itself is caught by the shared
-        probe pass before any insert, atomic or not."""
-        db, fk = self.two_fk_db()
+        db = self.two_fk_db()
         rows = [(1, 1, 1, 5), (2, 7, 7, 5)]  # (7, 7) has no parent
         with pytest.raises(ReferentialIntegrityViolation):
-            batch_insert_children(db, fk, rows, atomic=False)
+            batch_insert_rows(db, "c", rows)
         assert db.table("c").row_count == 0
         assert db.verify_integrity().ok
 
@@ -346,3 +311,69 @@ class TestBatchDelete:
                 batch_delete_parents(ds.db, ds.fk, keys)
                 raise RuntimeError
         assert sorted(ds.parent_table.rows()) == p_before
+
+    @pytest.mark.parametrize(
+        "action", [ReferentialAction.CASCADE, ReferentialAction.SET_NULL]
+    )
+    def test_match_simple_leaves_partially_null_children_alone(self, action):
+        """MATCH SIMPLE does not constrain a partially-NULL child, so a
+        parent delete must not touch it — batched or per row."""
+
+        def build():
+            db = Database("simple")
+            db.create_table("p", [
+                Column("k1", nullable=False), Column("k2", nullable=False),
+            ])
+            db.create_table("c", [Column("id"), Column("f1"), Column("f2")])
+            fk = ForeignKey("fk", "c", ("f1", "f2"), "p", ("k1", "k2"),
+                            match=MatchSemantics.SIMPLE, on_delete=action)
+            EnforcedForeignKey.create(db, fk, IndexStructure.FULL)
+            for k in (1, 2, 3):
+                dml.insert(db, "p", (k, k * 10))
+            for row in [(1, 2, 20), (2, 2, NULL), (3, NULL, 20), (4, 1, 10)]:
+                dml.insert(db, "c", row)
+            return db, fk
+
+        keys = [(2, 20), (3, 30)]
+        db_batch, fk = build()
+        db_loop, __ = build()
+        assert batch_delete_parents(db_batch, fk, keys) == 2
+        for key in keys:
+            dml.delete_where(db_loop, "p", equalities(("k1", "k2"), key))
+        survivors = sorted(db_batch.table("c").rows(), key=repr)
+        assert survivors == sorted(db_loop.table("c").rows(), key=repr)
+        assert (2, 2, NULL) in survivors and (3, NULL, 20) in survivors
+        assert db_batch.verify_integrity().ok
+
+
+def test_batch_insert_in_open_transaction_pins_its_witness():
+    """A batch-inserted child adopts its parent like a per-row insert
+    does: until the inserting transaction ends, another session's delete
+    of that parent waits.  The child table has no candidate key (the
+    synthetic datasets' shape), so the witness S-lock is the only thing
+    between the delete's SET NULL and the uncommitted child."""
+    db = Database("pin")
+    db.create_table("p", [
+        Column("k1", nullable=False), Column("k2", nullable=False),
+    ])
+    db.create_table("c", [Column("id"), Column("f1"), Column("f2")])
+    fk = ForeignKey("fk", "c", ("f1", "f2"), "p", ("k1", "k2"),
+                    match=MatchSemantics.PARTIAL)
+    EnforcedForeignKey.create(db, fk, IndexStructure.BOUNDED)
+    for k in (1, 2, 3):
+        dml.insert(db, "p", (k, k * 10))
+    manager = db.enable_sessions(lock_timeout=0.2)
+    sa, sb = manager.session(), manager.session()
+    try:
+        sa.begin()
+        sa.execute(lambda: batch_insert_rows(db, "c", [(1, 2, NULL)]))
+        with pytest.raises(LockTimeoutError):
+            sb.delete_where("p", equalities(("k1", "k2"), (2, 20)))
+        sa.commit()
+        assert db.table("c").rows() == [(1, 2, NULL)]
+        assert sorted(db.table("p").rows()) == [(1, 10), (2, 20), (3, 30)]
+        assert db.verify_integrity().ok
+    finally:
+        sa.close()
+        sb.close()
+    manager.locks.assert_idle()

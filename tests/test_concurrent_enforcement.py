@@ -31,6 +31,7 @@ from repro.errors import (
     DeadlockError,
     LockTimeoutError,
     ReferentialIntegrityViolation,
+    SerializationError,
 )
 
 from .conftest import run_threads
@@ -42,7 +43,7 @@ OPS_PER_WRITER = 25
 #: some of their probes race exactly these deletions.
 DELETED_KEYS = range(N_PARENTS - 8, N_PARENTS)
 
-RETRYABLE = (DeadlockError, LockTimeoutError)
+RETRYABLE = (DeadlockError, LockTimeoutError, SerializationError)
 
 
 def build(match: MatchSemantics, structure: IndexStructure) -> tuple:

@@ -1,9 +1,9 @@
 """Hot-path wall-clock pass: the fast paths must be invisible.
 
 Covers the optimisations of the perf pass — shared key encoding, B+ tree
-insert fast paths, prepared-probe epoch invalidation, the solo-session
-lock fast path — plus the satellite fixes (update maintenance counts,
-hash partial-prefix errors, NULL uniqueness).  The common theme: every
+insert fast paths, prepared-probe epoch invalidation — plus the
+satellite fixes (update maintenance counts, hash partial-prefix errors,
+NULL uniqueness).  The common theme: every
 fast path must leave results, invariants and the logical cost counters
 exactly as the slow path would.
 """
@@ -273,96 +273,3 @@ class TestProbeInvalidation:
         assert parent._probe_cache == {}  # bulk switch evicts stale shapes
         after = [probes.exists_eq(parent, c, v) for c, v in shapes]
         assert warm == after == [True, True, False]
-
-
-# ----------------------------------------------------------------------
-# Solo-session lock fast path
-
-
-def make_session_db():
-    db = Database("solo")
-    db.create_table("t", [Column("a", nullable=False)])
-    from repro.constraints.keys import PrimaryKey
-
-    db.add_candidate_key(PrimaryKey("t", ("a",)))
-    return db, db.enable_sessions()
-
-
-class TestSoloLockFastPath:
-    def test_single_session_runs_in_solo_mode(self):
-        db, manager = make_session_db()
-        s1 = manager.session()
-        assert manager.locks.solo_mode
-        s1.insert("t", (1,))
-        assert manager.locks.stats.acquired > 0
-        manager.locks.assert_idle()
-
-    def test_solo_acquire_skips_lock_records_but_tracks_held(self):
-        from repro.concurrency.locks import key_resource, table_resource
-
-        db, manager = make_session_db()
-        s1 = manager.session()
-        txn = s1.begin()
-        s1.insert("t", (1,))
-        resource = key_resource("t", ("a",), (1,))
-        assert resource in manager.locks.held_by(txn.txn_id)
-        # Fast path: no _LockRecord materialised while solo.
-        assert manager.locks.holders(resource) == {}
-        s1.commit()
-        manager.locks.assert_idle()
-
-    def test_second_session_materialises_grants(self):
-        from repro.concurrency.locks import LockMode, key_resource
-
-        db, manager = make_session_db()
-        s1 = manager.session()
-        txn = s1.begin()
-        s1.insert("t", (1,))
-        s2 = manager.session()
-        assert not manager.locks.solo_mode
-        resource = key_resource("t", ("a",), (1,))
-        # The solo-mode grant now exists as a real (exclusive) record.
-        assert manager.locks.holders(resource) == {txn.txn_id: LockMode.X}
-        s1.commit()
-        manager.locks.assert_idle()
-        s2.close()
-        s1.close()
-
-    def test_closing_back_to_one_session_restores_solo(self):
-        db, manager = make_session_db()
-        s1 = manager.session()
-        s2 = manager.session()
-        assert not manager.locks.solo_mode
-        epoch = manager.locks.solo_epoch
-        s2.close()
-        assert manager.locks.solo_mode
-        assert manager.locks.solo_epoch == epoch + 1
-
-    def test_standalone_lock_manager_stays_in_full_mode(self):
-        from repro.concurrency.locks import LockManager, LockMode
-
-        locks = LockManager()
-        assert not locks.solo_mode
-        locks.acquire(1, ("table", "t"), LockMode.S)
-        assert locks.holders(("table", "t")) == {1: LockMode.S}
-        locks.release_all(1)
-
-    def test_solo_child_check_still_pins_witness_key(self):
-        from repro.concurrency.locks import key_resource
-
-        db = Database("wit")
-        db.create_table("p", [Column("k1"), Column("k2")])
-        db.create_table("c", [Column("f1"), Column("f2")])
-        db.insert("p", (1, 2))
-        fk = ForeignKey("fk", "c", ("f1", "f2"), "p", ("k1", "k2"),
-                        match=MatchSemantics.PARTIAL)
-        EnforcedForeignKey.create(db, fk, IndexStructure.BOUNDED)
-        manager = db.enable_sessions()
-        s1 = manager.session()
-        txn = s1.begin()
-        s1.insert("c", (1, NULL))
-        witness = key_resource("p", ("k1", "k2"), (1, 2))
-        assert witness in manager.locks.held_by(txn.txn_id)
-        s1.commit()
-        manager.locks.assert_idle()
-        s1.close()

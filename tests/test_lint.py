@@ -91,15 +91,6 @@ def test_rpr005_allowlisted_modules_exempt():
         assert lint.lint_source(source, module) == []
 
 
-def test_rpr006_set_solo_outside_concurrency():
-    violations = _lint_fixture("rpr006_set_solo.py")
-    assert [v.code for v in violations] == ["RPR006"]
-    assert lint.lint_source(
-        (FIXTURES / "rpr006_set_solo.py").read_text(),
-        "repro.concurrency.sessions",
-    ) == []
-
-
 def test_rpr007_unguarded_socket_io():
     violations = _lint_fixture(
         "rpr007_unguarded_socket.py", module="repro.server.fixture"
@@ -241,7 +232,7 @@ def test_cli_exits_zero_on_engine_tree():
 def test_cli_exits_nonzero_on_fixture_dir():
     proc = _run_cli(str(FIXTURES))
     assert proc.returncode == 1
-    for code in ("RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006"):
+    for code in ("RPR001", "RPR002", "RPR003", "RPR004", "RPR005"):
         assert code in proc.stdout
 
 

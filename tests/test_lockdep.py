@@ -34,7 +34,6 @@ from repro.analysis.lockdep import LockdepObserver, classify
 from repro.concurrency.locks import (
     LockManager,
     LockMode,
-    StatementLatch,
     key_resource,
     table_resource,
 )
@@ -147,7 +146,7 @@ def test_same_key_class_inversion_not_reported():
 
 
 # ----------------------------------------------------------------------
-# Discipline checks: 2PL, upgrades, latch, witness.
+# Discipline checks: 2PL, upgrades, witness.
 
 
 def test_acquire_after_release_is_a_two_phase_violation():
@@ -189,27 +188,6 @@ def test_single_txn_upgrade_is_latent_not_a_finding():
         locks.release_all(1)
         assert _findings(observers) == []
         assert observers[0].graph.upgrades()  # recorded, just not escalated
-
-
-def test_solo_flip_without_latch_is_a_violation():
-    latch = StatementLatch()
-    with lockdep.scoped() as observers:
-        locks = LockManager(latch=latch, sanitize=True)
-        with latch:
-            locks.set_solo(True)  # the session-manager contract: fine
-        assert _findings(observers, "latch") == []
-        locks.set_solo(False)  # latch not held: flagged
-        violations = _findings(observers, "latch")
-    assert len(violations) == 1
-    assert "statement latch" in violations[0].message
-
-
-def test_latchless_manager_solo_flip_is_not_flagged():
-    with lockdep.scoped() as observers:
-        locks = LockManager(sanitize=True)  # no latch to hold
-        locks.set_solo(True)
-        locks.set_solo(False)
-        assert _findings(observers, "latch") == []
 
 
 def test_witness_pin_requires_a_covering_s_lock():
@@ -267,7 +245,7 @@ def test_snapshot_reads_through_sessions_are_lockdep_clean(monkeypatch):
         db = _two_table_db()
         db.enable_mvcc()
         manager = db.enable_sessions(lock_timeout=5.0)
-        s1, s2 = manager.session(), manager.session()  # two: solo is off
+        s1, s2 = manager.session(), manager.session()
         try:
             with s1.snapshot():
                 assert s1.select("P", Eq("id", 0))
@@ -304,7 +282,7 @@ def test_session_level_inversion_reported_without_deadlock(monkeypatch):
     with lockdep.scoped() as observers:
         db = _two_table_db()
         manager = db.enable_sessions(lock_timeout=5.0)
-        s1, s2 = manager.session(), manager.session()  # two: solo is off
+        s1, s2 = manager.session(), manager.session()
         try:
             s1.begin()
             s1.update_where("P", {"v": "x"}, Eq("id", 0))
@@ -431,12 +409,9 @@ def test_sanitizer_off_by_default_and_fast_path_untouched(monkeypatch):
     before = len(lockdep.observers())
     locks = LockManager()
     assert locks.sanitizer is None
-    # Solo fast path: grants record into _held only — no _LockRecord,
-    # no observer, no registry growth.
-    locks.set_solo(True)
+    # Grants leave no observer behind and do not grow the registry.
     locks.acquire(1, A, LockMode.X)
     locks.acquire(1, key_resource("P", ("k",), (1,)), LockMode.X)
-    assert locks._table == {}
     locks.release_all(1)
     assert len(lockdep.observers()) == before
 

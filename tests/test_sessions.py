@@ -20,9 +20,10 @@ from repro import (
     Eq,
     PrimaryKey,
 )
-from repro.concurrency.locks import key_resource
+from repro.concurrency.locks import LockMode, key_resource
 from repro.errors import (
     KeyViolation,
+    LockTimeoutError,
     SessionError,
     TransactionError,
     TransactionStateError,
@@ -265,6 +266,28 @@ def test_duplicate_key_insert_fails_after_writer_commits():
     assert not thread.is_alive()
     assert outcome == ["key violation"]
     assert db.select("t") == [(1, "first")]
+    manager.locks.assert_idle()
+
+
+def test_session_created_mid_transaction_meets_the_locks_already_held():
+    """A lone session locks for real, so a session that connects while
+    its transaction is open finds the grants in the lock table."""
+    db = make_pk_db()
+    manager = db.enable_sessions(lock_timeout=0.2)
+    s1 = manager.session()
+    txn = s1.begin()
+    s1.insert("t", (1, "first"))
+    s2 = manager.session()
+    assert manager.locks.holders(key_resource("t", ("a",), (1,))) == {
+        txn.txn_id: LockMode.X
+    }
+    s2.insert("t", (2, "other"))  # IX on t beside s1's IX: granted at once
+    assert manager.locks.stats.waits == 0
+    with pytest.raises(LockTimeoutError):
+        s2.insert("t", (1, "second"))  # X on s1's key: waits, times out
+    assert manager.locks.stats.waits == 1
+    s1.commit()
+    assert sorted(db.select("t")) == [(1, "first"), (2, "other")]
     manager.locks.assert_idle()
 
 

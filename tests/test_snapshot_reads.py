@@ -33,7 +33,7 @@ from repro.errors import SerializationError, SessionError
 from repro.server import ReproClient, ReproServer, ServerError
 
 
-def _pv_db(mvcc: bool = True) -> Database:
+def _pv_db() -> Database:
     db = Database("snapshots")
     db.create_table("P", [
         Column("id", DataType.INTEGER, nullable=False),
@@ -42,14 +42,11 @@ def _pv_db(mvcc: bool = True) -> Database:
     db.add_candidate_key(PrimaryKey("P", ("id",)))
     for i in range(3):
         db.table("P").insert_row((i, f"p{i}"))
-    if mvcc:
-        db.enable_mvcc()
+    db.enable_mvcc()
     return db
 
 
 def _two_sessions(db: Database, timeout: float = 5.0):
-    # Two open sessions keep the lock manager out of solo mode, so the
-    # zero-locks claim is tested against the real multi-session paths.
     manager = db.enable_sessions(lock_timeout=timeout)
     return manager, manager.session(), manager.session()
 
@@ -114,15 +111,21 @@ def test_snapshot_reader_never_waits_on_an_open_writer():
         s2.close()
 
 
-def test_snapshot_needs_mvcc_and_rejects_nesting():
-    db = _pv_db(mvcc=False)
-    manager, s1, s2 = _two_sessions(db)
+def test_snapshot_needs_mvcc_and_rejects_nesting(monkeypatch):
+    # enable_sessions() alone brings the version store: snapshot reads
+    # and the commit-time witness re-check need no enable_mvcc() first.
+    db = _fk_db()
+    assert db.versions is None
+    manager, sa, sb = _two_sessions(db)
     try:
-        with pytest.raises(SessionError):
-            s1.begin_snapshot()
+        assert db.versions is manager.versions
+        _insert_child_whose_witness_vanishes(monkeypatch, sa, sb)
+        assert sb.snapshot_select("C") == []  # sa's child is uncommitted
+        with pytest.raises(SerializationError):
+            sa.commit()
     finally:
-        s1.close()
-        s2.close()
+        sa.close()
+        sb.close()
     db = _pv_db()
     manager, s1, s2 = _two_sessions(db)
     try:
@@ -167,17 +170,13 @@ def _fk_db() -> Database:
                     match=MatchSemantics.PARTIAL)
     fk.validate_against(db)
     EnforcedForeignKey.create(db, fk, IndexStructure.BOUNDED)
-    db.enable_mvcc()
-    return db
+    return db  # no enable_mvcc(): the version store comes with sessions
 
 
-def test_commit_time_recheck_closes_the_phantom_parent_race(monkeypatch):
-    """The regression the re-verify loop used to cover: session B's
-    parent delete commits inside A's probe→grant window.  A's child
-    insert succeeds against the stale witness, so A's *commit* must fail
-    with a retryable serialization error and roll back."""
-    db = _fk_db()
-    manager, sa, sb = _two_sessions(db)
+def _insert_child_whose_witness_vanishes(monkeypatch, sa, sb):
+    """``sa`` inserts C(1, 2, 20) in an open transaction while ``sb``'s
+    delete of its witness P(2, 20) commits inside the probe→grant
+    window."""
     original = LockManager.acquire
     state = {"armed": True}
 
@@ -190,10 +189,20 @@ def test_commit_time_recheck_closes_the_phantom_parent_race(monkeypatch):
         return original(self, txn_id, resource, mode, timeout)
 
     monkeypatch.setattr(LockManager, "acquire", racing_acquire)
+    sa.begin()
+    sa.insert("C", (1, 2, 20))  # witness P(2,20) vanishes mid-grant
+    assert not state["armed"], "the race window was never exercised"
+
+
+def test_commit_time_recheck_closes_the_phantom_parent_race(monkeypatch):
+    """The regression the re-verify loop used to cover: session B's
+    parent delete commits inside A's probe→grant window.  A's child
+    insert succeeds against the stale witness, so A's *commit* must fail
+    with a retryable serialization error and roll back."""
+    db = _fk_db()
+    manager, sa, sb = _two_sessions(db)
     try:
-        sa.begin()
-        sa.insert("C", (1, 2, 20))  # witness P(2,20) vanishes mid-grant
-        assert not state["armed"], "the race window was never exercised"
+        _insert_child_whose_witness_vanishes(monkeypatch, sa, sb)
         with pytest.raises(SerializationError) as info:
             sa.commit()
         assert "(2, 20)" in str(info.value)

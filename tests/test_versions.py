@@ -6,6 +6,9 @@ well-formedness checks that ``verify_integrity`` runs per table.
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro import Column, Database, DataType, Eq, PrimaryKey
@@ -314,3 +317,46 @@ def test_prune_trims_the_commit_log_to_what_a_view_can_still_ask_for():
     snap.close()
     versions.prune()
     assert versions._commits == {}
+
+
+def test_stats_polled_beside_a_writer_never_walks_growing_chains():
+    """The server's ``stats`` op calls ``SessionManager.stats()`` without
+    the statement latch, so ``row_versions`` must be one int read — not
+    an iteration over chain dicts a writer thread is growing."""
+    db = make_db()
+    manager = db.enable_sessions()
+    rows = 1500
+    polls: list[int] = []
+    errors: list[BaseException] = []
+    done = threading.Event()
+
+    def write() -> None:
+        try:
+            with manager.session() as session:
+                for i in range(rows):
+                    session.insert("t", (i, "x"))
+        finally:
+            done.set()
+
+    def poll() -> None:
+        try:
+            while not done.is_set():
+                polls.append(manager.stats()["row_versions"])
+        except RuntimeError as exc:  # dictionary changed size during iteration
+            errors.append(exc)
+
+    threads = [threading.Thread(target=write), threading.Thread(target=poll)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert polls and polls == sorted(polls)  # nothing prunes: it only grows
+    chained = sum(len(chain) for __, chain in db.versions.chain_items("t"))
+    assert manager.stats()["row_versions"] == chained == rows
