@@ -39,10 +39,10 @@ The rules:
 ``RPR006`` retired with the lock-manager mode switch it guarded; the
     code is not reused.
 ``RPR007`` guarded wire I/O — every raw socket ``send``/``sendall``/
-    ``recv``/``accept`` in ``repro.server`` must sit in a function that
-    also crosses a fault point (``fire(...)``) or sets an explicit
-    ``settimeout``: unguarded wire I/O is invisible to the fault
-    injection harness and can stall a worker thread forever.
+    ``recv``/``accept`` in ``repro.server`` and ``repro.sharding`` must
+    sit in a function that also crosses a fault point (``fire(...)``) or
+    sets an explicit ``settimeout``: unguarded wire I/O is invisible to
+    the fault injection harness and can stall a connection thread forever.
 ``RPR008`` lock-free snapshot reads — snapshot-read code paths (any
     function whose name contains ``snapshot``, and everything in
     ``repro.storage.versions``) must not acquire S or IS locks through
@@ -58,13 +58,8 @@ The rules:
     under presumed abort, a commit acked without a fsynced decision
     record is silently rolled back by recovery after a coordinator
     crash — an acked-commit loss the chaos judge exists to catch.
-``RPR010`` non-blocking coroutines — inside ``async def`` functions in
-    ``repro.server`` no ``time.sleep()`` and no blocking socket calls
-    (``recv``/``send``/``sendall``/``accept``/``connect``): one blocking
-    call inside a coroutine stalls the event loop and with it **every**
-    pipelined connection, not just the offender's.  Blocking work
-    belongs on the executor (``run_in_executor``); awaited stream calls
-    (``await reader.read(...)``) are exempt.
+``RPR010`` retired with the event loop it guarded (no coroutine is
+    left to block); the code is not reused.
 """
 
 from __future__ import annotations
@@ -362,16 +357,8 @@ def _check_socket_guards(
             continue
         guarded = False
         socket_calls: list[tuple[int, str]] = []
-        # A directly-awaited call is an async stream API, not a raw
-        # socket — timeouts for those are wait_for's job (RPR010 covers
-        # the blocking-in-coroutine direction).
-        awaited = {
-            id(node.value)
-            for node in _own_nodes(func)
-            if isinstance(node, ast.Await)
-        }
         for node in _own_nodes(func):
-            if not isinstance(node, ast.Call) or id(node) in awaited:
+            if not isinstance(node, ast.Call):
                 continue
             callee = node.func
             name = (
@@ -446,60 +433,6 @@ def _check_decision_before_ack(
 
 
 # ----------------------------------------------------------------------
-# RPR010 — coroutines in the serving layer never block the event loop
-
-#: Socket methods that park the calling thread — fatal inside a
-#: coroutine, where the calling thread IS the event loop.
-_BLOCKING_SOCKET_CALLS = _SOCKET_CALLS | {"connect"}
-
-_ASYNC_SCOPED = ("repro.server",)
-
-
-def _check_async_blocking(
-    module: ModuleName, tree: ast.Module
-) -> Iterator[tuple[int, str]]:
-    if not _in(module, _ASYNC_SCOPED):
-        return
-    for func in ast.walk(tree):
-        if not isinstance(func, ast.AsyncFunctionDef):
-            continue
-        # A call that is directly awaited is an async API whatever its
-        # name (``await stream.send(...)``) — only sync calls block.
-        awaited = {
-            id(node.value)
-            for node in _own_nodes(func)
-            if isinstance(node, ast.Await)
-        }
-        found: list[tuple[int, str]] = []
-        for node in _own_nodes(func):
-            if not isinstance(node, ast.Call) or id(node) in awaited:
-                continue
-            callee = node.func
-            if not isinstance(callee, ast.Attribute):
-                continue
-            if (
-                callee.attr == "sleep"
-                and isinstance(callee.value, ast.Name)
-                and callee.value.id == "time"
-            ):
-                found.append((
-                    node.lineno,
-                    f"time.sleep() inside coroutine {func.name!r} stalls "
-                    "the event loop and every pipelined connection on it; "
-                    "use asyncio.sleep() or move the wait to the executor",
-                ))
-            elif callee.attr in _BLOCKING_SOCKET_CALLS:
-                found.append((
-                    node.lineno,
-                    f"blocking socket .{callee.attr}() inside coroutine "
-                    f"{func.name!r}; the event loop thread must never "
-                    "block — use the asyncio stream API or "
-                    "run_in_executor",
-                ))
-        yield from sorted(found)
-
-
-# ----------------------------------------------------------------------
 # RPR008 — snapshot-read paths stay lock-free
 
 #: Modules that are snapshot-read machinery in their entirety.
@@ -567,8 +500,6 @@ RULES: tuple[Rule, ...] = (
          _check_snapshot_lock_free),
     Rule("RPR009", "cross-shard commit acks dominated by decision record",
          _check_decision_before_ack),
-    Rule("RPR010", "server coroutines never block the event loop",
-         _check_async_blocking),
 )
 
 

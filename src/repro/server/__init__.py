@@ -1,5 +1,6 @@
-"""Serving front-end: the wire protocol, the threaded server, and the
-client library (see DESIGN.md §5d and the README's "Serving" section).
+"""Serving front-end: the wire protocol, the thread-per-connection
+serving core, its database-server role, and the client library (see
+DESIGN.md §5d and the README's "Serving" section).
 
 Quickstart::
 

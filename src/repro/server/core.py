@@ -1,0 +1,352 @@
+"""The serving core: one accept loop and one per-connection loop for
+every endpoint that speaks the wire protocol (DESIGN.md §5d).
+
+:class:`WireServer` owns the listener, an accept thread and one serial
+thread per connection::
+
+    accept thread    fire("wire.accept") · TCP_NODELAY · spawn
+    connection thread, one per client, strictly serial:
+        wire.recv_frame → role.handle() → echo ``id`` on a copy
+                        → wire.send_frame under a whole-reply deadline
+
+A connection is one in-order statement stream, so a pipelining client
+needs nothing more: its queued frames wait in the kernel's socket
+buffers (TCP paces a client that outruns the server — there is no
+user-space request queue to grow) and are answered in order.
+
+:class:`~repro.server.server.ReproServer` and
+:class:`~repro.sharding.coordinator.ShardCoordinator` are *roles* of this
+class.  A role supplies per-connection state (:meth:`open_connection` /
+:meth:`close_connection`), its op dispatch (:meth:`handle`) and its
+error cases (:meth:`error_reply`); the failure semantics of the protocol
+live here, once:
+
+* a torn or undecodable frame, or an injected ``wire.recv`` fault, ends
+  that connection after the requests before it were answered in order;
+* a reply that cannot be sent within ``send_timeout`` (a stalled
+  reader) cuts the connection instead of pinning its thread;
+* an injected ``wire.accept`` fault sheds the connection at the door;
+* a handler raising :class:`Tear` closes the connection *without
+  replying* — for outcomes an error reply would misreport;
+* two copies of one stamped request (a redelivery racing the original)
+  never execute concurrently;
+* :meth:`stop_serving` drains under one shared deadline: in-flight
+  requests finish and are answered, nothing queued behind them runs.
+"""
+
+from __future__ import annotations
+
+import socket
+import threading
+import time
+from collections.abc import Iterator, Mapping
+from contextlib import contextmanager
+from typing import Any, TypeVar
+
+from ..errors import (
+    DeadlockError,
+    LockTimeoutError,
+    ReproError,
+    SerializationError,
+    TransientFault,
+)
+from ..testing.faults import fire
+from . import wire
+
+_RETRYABLE = (DeadlockError, LockTimeoutError, SerializationError, TransientFault)
+
+#: Counted here, once, for every role.
+_CORE_COUNTERS = (
+    "connections_total", "requests", "errors", "read_faults",
+    "send_timeouts", "accept_faults",
+)
+
+
+class Overloaded(ReproError):
+    """Admission control rejected the request; retry after the hint."""
+
+    def __init__(self, message: str, retry_after: float = 0.05) -> None:
+        super().__init__(message)
+        self.retry_after = retry_after
+
+
+class Tear(Exception):
+    """Close the client connection *without replying*: the request may
+    have committed somewhere, so an error reply (which promises "not
+    committed") would lie.  The client's redelivery disambiguates."""
+
+
+class Counters:
+    """Thread-safe named counters exposed by the ``stats`` op."""
+
+    def __init__(self, *names: str) -> None:
+        self._mu = threading.Lock()
+        self._values = dict.fromkeys((*_CORE_COUNTERS, *names), 0)
+
+    def bump(self, name: str, by: int = 1) -> None:
+        with self._mu:
+            self._values[name] += by
+
+    def snapshot(self) -> dict[str, int]:
+        with self._mu:
+            return dict(self._values)
+
+
+def error_response(exc: Exception, rolled_back: bool = False) -> dict[str, Any]:
+    """The generic error reply: deadlock victims, lock timeouts,
+    injected transient faults and admission rejections are retryable."""
+    response: dict[str, Any] = {
+        "ok": False,
+        "error": str(exc),
+        "error_type": type(exc).__name__,
+        "retryable": isinstance(exc, (*_RETRYABLE, Overloaded)),
+        "rolled_back": rolled_back,
+    }
+    if isinstance(exc, Overloaded):
+        response["retry_after"] = exc.retry_after
+    return response
+
+
+def stamp_of(request: Mapping[str, Any]) -> tuple[str, int] | None:
+    """The request's exactly-once stamp ``(client, req)``, if it has one."""
+    client, req = request.get("client"), request.get("req")
+    if isinstance(client, str) and isinstance(req, int):
+        return (client, req)
+    return None
+
+
+def _shut(sock: socket.socket, how: int) -> None:
+    try:
+        sock.shutdown(how)
+    except OSError:
+        pass  # already closed by its own thread, or never connected
+
+
+_S = TypeVar("_S", bound="WireServer")
+
+
+class WireServer:
+    """Listener, accept thread and per-connection threads; see the
+    module docstring.  Subclasses are the roles."""
+
+    #: Names the role in thread names and lifecycle errors.
+    role = "server"
+
+    def __init__(
+        self, host: str, port: int, send_timeout: float, *counters: str
+    ) -> None:
+        self.host = host
+        self._requested_port = port
+        self.send_timeout = send_timeout
+        self.stats = Counters(*counters)
+        self._listener: socket.socket | None = None
+        self._accept_thread: threading.Thread | None = None
+        self._conns: dict[threading.Thread, socket.socket] = {}
+        self._conns_mu = threading.Lock()
+        self._stopping = threading.Event()
+        #: Single-flight gate per request stamp: (lock, refcount),
+        #: pruned at zero.
+        self._stamp_gate: dict[tuple[str, int], list[Any]] = {}
+        self._stamp_gate_mu = threading.Lock()
+
+    # ------------------------------------------------------------------
+    # What a role supplies
+
+    def open_connection(self, conn_id: int) -> Any:
+        """Per-connection state, built on the connection's own thread."""
+        raise NotImplementedError
+
+    def close_connection(self, state: Any) -> None:
+        """Release *state* (the connection is gone or going)."""
+
+    def handle(self, state: Any, request: dict[str, Any]) -> dict[str, Any]:
+        """Execute one request.  May raise :class:`Tear`; any other
+        exception becomes :meth:`error_reply`'s response."""
+        raise NotImplementedError
+
+    def error_reply(self, state: Any, exc: Exception) -> dict[str, Any]:
+        return error_response(exc)
+
+    # ------------------------------------------------------------------
+    # Lifecycle
+
+    @property
+    def port(self) -> int:
+        if self._listener is None:
+            raise ReproError(f"{self.role} is not started")
+        return self._listener.getsockname()[1]
+
+    @property
+    def address(self) -> tuple[str, int]:
+        return (self.host, self.port)
+
+    def start(self: _S) -> _S:
+        """Bind, listen and serve on background threads."""
+        if self._listener is not None:
+            raise ReproError(f"{self.role} already started")
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        try:
+            listener.bind((self.host, self._requested_port))
+            listener.listen(128)
+        except OSError:
+            listener.close()
+            raise
+        self._listener = listener
+        self._accept_thread = threading.Thread(
+            target=self._accept_loop, args=(listener,),
+            name=f"repro-{self.role}-accept", daemon=True,
+        )
+        self._accept_thread.start()
+        return self
+
+    def stop_serving(self, timeout: float) -> None:
+        """Stop accepting and drain every connection under one shared
+        deadline.  An idle connection ends at once (its blocked ``recv``
+        sees EOF); one with a request in flight sends that reply first —
+        only the read half is shut — and executes nothing queued behind
+        it.  Threads still busy at the deadline are cut off and left to
+        finish on their own."""
+        listener, accept_thread = self._listener, self._accept_thread
+        assert listener is not None and accept_thread is not None
+        deadline = time.monotonic() + timeout
+        self._stopping.set()
+        # close() alone does not wake a blocked accept() on Linux.
+        _shut(listener, socket.SHUT_RDWR)
+        accept_thread.join(max(0.0, deadline - time.monotonic()))
+        with self._conns_mu:
+            conns = list(self._conns.items())
+        for __, conn in conns:
+            _shut(conn, socket.SHUT_RD)
+        for thread, __ in conns:
+            thread.join(max(0.0, deadline - time.monotonic()))
+        for thread, conn in conns:
+            if thread.is_alive():
+                _shut(conn, socket.SHUT_RDWR)
+        # Closed last: requests in flight may still ask for our port.
+        listener.close()
+        self._listener = None
+
+    def __enter__(self: _S) -> _S:
+        return self.start()
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.shutdown()
+
+    def shutdown(self, timeout: float = 10.0) -> Any:
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # The only accept loop and the only connection loop
+
+    def _accept_loop(self, listener: socket.socket) -> None:
+        conn_id = 0
+        while True:
+            try:
+                conn, __ = listener.accept()
+            except OSError:
+                return  # the listener was shut down
+            if self._stopping.is_set():
+                conn.close()
+                return
+            try:
+                fire("wire.accept")
+            except ReproError:
+                # Injected accept fault: shed the connection at the door.
+                self.stats.bump("accept_faults")
+                conn.close()
+                continue
+            # Replies are small and a pipelining client has several
+            # outstanding: Nagle would hold the second one for an ACK.
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self.stats.bump("connections_total")
+            conn_id += 1
+            thread = threading.Thread(
+                target=self._serve_connection, args=(conn, conn_id),
+                name=f"repro-{self.role}-conn-{conn_id}", daemon=True,
+            )
+            with self._conns_mu:
+                self._conns[thread] = conn
+            thread.start()
+
+    @contextmanager
+    def _single_flight(self, stamp: tuple[str, int] | None) -> Iterator[None]:
+        """Serialise copies of the same stamped request.
+
+        A redelivery (client reconnected, same stamp) can arrive while
+        the first copy is still executing — in a lock wait, an fsync, a
+        patient shard link.  It must wait for that copy rather than race
+        it: run concurrently, both would find no recorded outcome and
+        both would commit (or one would answer a retryable error while
+        the other goes on to commit, inviting a fresh-stamp retry no
+        ledger can dedupe).  Once the copy ahead finishes, the waiter's
+        replay lookup sees its outcome.  Distinct stamps never share a
+        lock, so this serialises nothing but duplicates."""
+        if stamp is None:
+            yield
+            return
+        with self._stamp_gate_mu:
+            entry = self._stamp_gate.get(stamp)
+            if entry is None:
+                entry = self._stamp_gate[stamp] = [threading.Lock(), 0]
+            entry[1] += 1
+        entry[0].acquire()
+        try:
+            yield
+        finally:
+            entry[0].release()
+            with self._stamp_gate_mu:
+                entry[1] -= 1
+                if entry[1] == 0:
+                    self._stamp_gate.pop(stamp, None)
+
+    def _serve_connection(self, conn: socket.socket, conn_id: int) -> None:
+        state = None
+        try:
+            state = self.open_connection(conn_id)
+            while True:
+                try:
+                    request = wire.recv_frame(conn)
+                except (ReproError, OSError):
+                    # A torn frame or injected wire fault ends intake
+                    # for this connection only; redelivery recovers.
+                    self.stats.bump("read_faults")
+                    break
+                # Re-checked after every read: a frame queued behind the
+                # request in flight at shutdown is discarded, not run.
+                if request is None or self._stopping.is_set():
+                    break
+                self.stats.bump("requests")
+                try:
+                    with self._single_flight(stamp_of(request)):
+                        response = self.handle(state, request)
+                except Tear:
+                    break
+                except Exception as exc:  # noqa: BLE001 - boundary
+                    self.stats.bump("errors")
+                    response = self.error_reply(state, exc)
+                if "id" in request:
+                    # Copy before tagging: the dict may be a ledger-cached
+                    # reply, and the stamp's recorded result must not grow
+                    # connection-local fields.
+                    response = {**response, "id": request["id"]}
+                # Replies must not be torn, but a stalled reader must not
+                # pin this thread either: the timeout bounds the whole
+                # sendall, not each syscall, so trickling does not help.
+                conn.settimeout(self.send_timeout)
+                try:
+                    wire.send_frame(conn, response)
+                except socket.timeout:
+                    self.stats.bump("send_timeouts")
+                    break
+                except (ReproError, OSError):
+                    break
+                conn.settimeout(None)
+        finally:
+            try:
+                if state is not None:
+                    self.close_connection(state)
+            finally:
+                conn.close()
+                with self._conns_mu:
+                    self._conns.pop(threading.current_thread(), None)

@@ -1,22 +1,14 @@
-"""An asyncio pipelined wire server over one shared, session-managed
-database.
+"""The database server: the :mod:`~repro.server.core` role that serves
+one shared, session-managed database.
 
-Architecture::
-
-    asyncio event loop (background thread)
-        │  one reader task + one worker task per connection
-        │     reader: decodes frames as fast as they arrive and queues
-        │             them — clients may *pipeline* (stream stamped
-        │             requests without awaiting replies)
-        │     worker: executes the queue strictly in order, one at a
-        │             time (a connection is one Session), and replies
-        │             in order, echoing each request's ``id``
-        └─ dispatch runs on a thread pool: blocking engine work (locks,
-           the statement latch, admission waits) never blocks the loop.
-           Admission control is unchanged: at most ``max_inflight``
-           statements execute at once; the rest queue, and a queue wait
-           longer than ``admission_timeout`` is rejected with a
-           retryable "overloaded" error (backpressure, not collapse).
+The core gives every connection its own serial thread; this module
+gives that thread a :class:`~repro.concurrency.session.Session` (one
+connection = one in-order statement stream) and the op table.
+Statements block — on the statement latch, on locks, on fsync — so
+admission control bounds how many run at once: at most ``max_inflight``
+execute; the rest queue, and a queue wait longer than
+``admission_timeout`` is rejected with a retryable "overloaded" error
+(backpressure, not collapse).
 
 Request ops (all JSON, see :mod:`repro.server.wire` for framing):
 
@@ -30,7 +22,7 @@ lock-manager counters).
 a request carrying an ``id`` field gets it echoed on its reply, so a
 pipelining client can additionally assert the pairing.  Ordering is per
 connection only — concurrent connections interleave at the engine's
-discretion, exactly as before.
+discretion.
 
 Error responses carry ``retryable``: deadlock victims, lock timeouts,
 injected transient faults and admission rejections are safe to retry
@@ -57,19 +49,11 @@ torn transaction.
 
 from __future__ import annotations
 
-import asyncio
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Any
 
 from ..concurrency.locks import DEFAULT_LOCK_TIMEOUT
-from ..errors import (
-    DeadlockError,
-    LockTimeoutError,
-    ReproError,
-    SerializationError,
-    TransientFault,
-)
+from ..errors import ReproError
 from ..query.predicate import And, Eq, IsNull, Predicate
 from ..sql import ast as sql_ast
 from ..sql import parse
@@ -78,6 +62,7 @@ from ..storage.database import Database
 from ..storage.wal import open_durable
 from ..testing.faults import fire
 from . import wire
+from .core import _RETRYABLE, Overloaded, WireServer, error_response
 from .ledger import LedgerEntry, LedgerError, ResultLedger
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -88,14 +73,12 @@ if TYPE_CHECKING:  # pragma: no cover
 DEFAULT_ADMISSION_TIMEOUT = 2.0
 
 #: A reply send blocked longer than this disconnects the (stalled)
-#: reader instead of pinning a worker thread forever.
+#: reader instead of pinning its connection thread forever.
 DEFAULT_SEND_TIMEOUT = 10.0
 
 #: Ledgered commits between durable checkpoints (log compaction) — or,
 #: on a server without a durable log, between MVCC version collections.
 DEFAULT_CHECKPOINT_EVERY = 256
-
-_RETRYABLE = (DeadlockError, LockTimeoutError, SerializationError, TransientFault)
 
 #: Ops that may commit under an idempotency key.  ``begin`` is absent on
 #: purpose: retrying it on a fresh connection is inherently safe (the
@@ -107,56 +90,8 @@ _LEDGERED_OPS = frozenset(
     {"insert", "delete", "update", "execute", "commit", "txn", "batch"}
 )
 
-#: Sentinel a connection's reader task enqueues when its stream ends
-#: (clean EOF, torn frame, injected fault): tells the worker to stop.
-_EOF = object()
 
-
-class Overloaded(ReproError):
-    """Admission control rejected the request; retry after the hint."""
-
-    def __init__(self, message: str, retry_after: float = 0.05) -> None:
-        super().__init__(message)
-        self.retry_after = retry_after
-
-
-class ServerStats:
-    """Thread-safe counters exposed by the ``stats`` op."""
-
-    def __init__(self) -> None:
-        self._mu = threading.Lock()
-        self.connections_total = 0
-        self.requests = 0
-        self.errors = 0
-        self.rejected = 0
-        self.rolled_back_on_shutdown = 0
-        self.send_timeouts = 0
-        self.idempotent_replays = 0
-        self.accept_faults = 0
-        self.checkpoints = 0
-        self.read_faults = 0
-
-    def bump(self, field: str, by: int = 1) -> None:
-        with self._mu:
-            setattr(self, field, getattr(self, field) + by)
-
-    def snapshot(self) -> dict[str, int]:
-        with self._mu:
-            return {
-                "connections_total": self.connections_total,
-                "requests": self.requests,
-                "errors": self.errors,
-                "rejected": self.rejected,
-                "rolled_back_on_shutdown": self.rolled_back_on_shutdown,
-                "send_timeouts": self.send_timeouts,
-                "idempotent_replays": self.idempotent_replays,
-                "accept_faults": self.accept_faults,
-                "checkpoints": self.checkpoints,
-                "read_faults": self.read_faults,
-            }
-
-
-class ReproServer:
+class ReproServer(WireServer):
     """Serve a database over the length-prefixed JSON protocol."""
 
     def __init__(
@@ -174,27 +109,20 @@ class ReproServer:
         resolve_after: float | None = None,
         presume_abort_after: float | None = None,
     ) -> None:
+        super().__init__(
+            host, port, send_timeout,
+            "rejected", "rolled_back_on_shutdown", "idempotent_replays",
+            "checkpoints",
+        )
         self.db = db if db is not None else Database("served")
         if self.db.session_manager is None:
             self.db.enable_sessions(lock_timeout=lock_timeout)
         self.sessions = self.db.session_manager
-        self.host = host
-        self._requested_port = port
-        self.stats = ServerStats()
         self.max_inflight = max_inflight
         self.admission_timeout = admission_timeout
-        self.send_timeout = send_timeout
         self._admission = threading.Semaphore(max_inflight)
         self._admission_mu = threading.Lock()
         self._admission_waiting = 0
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._loop_thread: threading.Thread | None = None
-        self._executor: ThreadPoolExecutor | None = None
-        self._aserver: asyncio.Server | None = None
-        self._conn_tasks: set[asyncio.Task] = set()
-        self._conn_queues: set[asyncio.Queue] = set()
-        self._stopping = threading.Event()
-        self._started = False
         # Durability: a data_dir makes the WAL file-backed and replays
         # the pre-crash database (plus the exactly-once ledger) on start.
         self.ledger = ResultLedger(capacity=ledger_capacity)
@@ -224,214 +152,36 @@ class ReproServer:
             self.twophase.reinstate()
 
     # ------------------------------------------------------------------
-    # Lifecycle
-
-    @property
-    def port(self) -> int:
-        if self._aserver is None:
-            raise ReproError("server is not started")
-        return self._aserver.sockets[0].getsockname()[1]
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return (self.host, self.port)
-
-    def start(self) -> "ReproServer":
-        """Bind, listen and start serving on a background event loop."""
-        if self._started:
-            raise ReproError("server already started")
-        self._loop = asyncio.new_event_loop()
-        self._loop_thread = threading.Thread(
-            target=self._loop.run_forever, name="repro-loop", daemon=True
-        )
-        self._loop_thread.start()
-        # Dispatch blocks (locks, latch, admission waits); each serial
-        # connection worker holds at most one pool thread at a time, so
-        # sizing generously above max_inflight keeps admission control —
-        # not pool starvation — the thing that sheds load.
-        self._executor = ThreadPoolExecutor(
-            max_workers=max(32, self.max_inflight * 4),
-            thread_name_prefix="repro-dispatch",
-        )
-        try:
-            self._aserver = asyncio.run_coroutine_threadsafe(
-                self._start_serving(), self._loop
-            ).result()
-        except BaseException:
-            self._stop_loop()
-            raise
-        self._started = True
-        return self
-
-    async def _start_serving(self) -> asyncio.Server:
-        return await asyncio.start_server(
-            self._serve_connection, self.host, self._requested_port
-        )
-
-    def _stop_loop(self) -> None:
-        if self._loop is not None:
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            if self._loop_thread is not None:
-                self._loop_thread.join(5.0)
-                self._loop_thread = None
-            self._loop.close()
-            self._loop = None
-        if self._executor is not None:
-            self._executor.shutdown(wait=False)
-            self._executor = None
+    # Lifecycle and per-connection state (the core's role hooks)
 
     def shutdown(self, timeout: float = 10.0) -> int:
         """Drain and stop.  Returns how many open transactions were
         rolled back on behalf of their (now disconnected) sessions."""
-        if not self._started:
+        if self._listener is None:
             return 0
-        before = self.stats.rolled_back_on_shutdown
         self.twophase.stop()
-        self._stopping.set()
-        assert self._loop is not None
-        asyncio.run_coroutine_threadsafe(
-            self._drain(timeout), self._loop
-        ).result(timeout + 5.0)
-        self._aserver = None
-        self._stop_loop()
-        # Draining workers roll back their own sessions; close_all picks
-        # up whatever was left (e.g. sessions created outside a handler).
+        self.stop_serving(timeout)
+        # Draining connections roll back their own sessions; close_all
+        # picks up whatever was left (e.g. sessions created outside a
+        # connection, or one whose statement outlived the deadline).
         self.stats.bump("rolled_back_on_shutdown", self.sessions.close_all())
         if self.data_dir is not None and self.db.wal is not None:
             self.db.wal.close()  # the log this server opened on data_dir
-        self._started = False
-        return self.stats.rolled_back_on_shutdown - before
+        return self.stats.snapshot()["rolled_back_on_shutdown"]
 
-    async def _drain(self, timeout: float) -> None:
-        """Stop accepting, let each worker finish its in-flight request
-        (and send its reply), discard queued pipeline tail, close."""
-        if self._aserver is not None:
-            self._aserver.close()
-            await self._aserver.wait_closed()
-        # Wake workers blocked on an idle queue; workers re-check the
-        # stopping flag after every dequeue, so anything still queued
-        # behind the in-flight request is discarded, not executed.
-        for queue in list(self._conn_queues):
-            queue.put_nowait(_EOF)
-        tasks = list(self._conn_tasks)
-        if tasks:
-            __, pending = await asyncio.wait(tasks, timeout=timeout)
-            for task in pending:
-                task.cancel()
+    def open_connection(self, conn_id: int) -> "tuple[Session, SqlSession]":
+        return self.sessions.session(), SqlSession(self.db)
 
-    def __enter__(self) -> "ReproServer":
-        return self.start()
+    def close_connection(self, state: "tuple[Session, SqlSession]") -> None:
+        session = state[0]
+        if session.in_transaction and self._stopping.is_set():
+            self.stats.bump("rolled_back_on_shutdown")
+        session.close()  # rolls an open transaction back
 
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
-
-    # ------------------------------------------------------------------
-    # Per-connection tasks
-
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        assert task is not None
-        self._conn_tasks.add(task)
-        try:
-            try:
-                fire("wire.accept")
-            except ReproError:
-                # Injected accept fault: shed the connection at the door.
-                self.stats.bump("accept_faults")
-                writer.close()
-                return
-            self.stats.bump("connections_total")
-            await self._connection_loop(reader, writer)
-        finally:
-            self._conn_tasks.discard(task)
-
-    async def _connection_loop(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        loop = asyncio.get_running_loop()
-        # Session creation can block on the manager latch: off the loop.
-        session = await loop.run_in_executor(
-            self._executor, self.sessions.session
-        )
-        sql_session = SqlSession(self.db)
-        queue: asyncio.Queue = asyncio.Queue()
-        self._conn_queues.add(queue)
-        reader_task = asyncio.create_task(self._read_loop(reader, queue))
-        try:
-            while not self._stopping.is_set():
-                request = await queue.get()
-                if request is _EOF or self._stopping.is_set():
-                    break
-                response = await loop.run_in_executor(
-                    self._executor, self._dispatch_safely,
-                    session, sql_session, request,
-                )
-                if "id" in request:
-                    # Copy before tagging: the dict may be a ledger-cached
-                    # reply, and the stamp's recorded result must not grow
-                    # connection-local fields.
-                    response = {**response, "id": request["id"]}
-                # Replies must not be torn, but a stalled reader must
-                # not pin this connection forever either: bound the
-                # drain and disconnect the offender on timeout.
-                try:
-                    await asyncio.wait_for(
-                        wire.write_frame(writer, response), self.send_timeout
-                    )
-                except asyncio.TimeoutError:
-                    self.stats.bump("send_timeouts")
-                    break
-                except (ConnectionError, OSError):
-                    break
-        finally:
-            reader_task.cancel()
-            self._conn_queues.discard(queue)
-            await loop.run_in_executor(
-                self._executor, self._release_session, session
-            )
-            writer.close()
-
-    async def _read_loop(
-        self, reader: asyncio.StreamReader, queue: asyncio.Queue
-    ) -> None:
-        """Decode frames as fast as the client pipelines them.
-
-        Any read failure — clean EOF, torn frame, injected wire fault —
-        ends the connection's intake; the worker finishes what is already
-        queued (replies stay in order), then tears down.
-        """
-        try:
-            while True:
-                request = await wire.read_frame(reader)
-                if request is None:
-                    break  # clean EOF
-                queue.put_nowait(request)
-        except (wire.WireError, ReproError, OSError, EOFError):
-            # A torn frame or injected wire fault ends intake for this
-            # connection only; the client's redelivery protocol recovers.
-            self.stats.bump("read_faults")
-        finally:
-            queue.put_nowait(_EOF)
-
-    def _dispatch_safely(
-        self,
-        session: "Session",
-        sql_session: SqlSession,
-        request: dict[str, Any],
+    def handle(
+        self, state: "tuple[Session, SqlSession]", request: dict[str, Any]
     ) -> dict[str, Any]:
-        try:
-            return self._dispatch(session, sql_session, request)
-        except Exception as exc:  # noqa: BLE001 - boundary
-            return self._error_response(session, exc)
-
-    def _release_session(self, session: "Session") -> None:
-        if session.in_transaction:
-            if self._stopping.is_set():
-                self.stats.bump("rolled_back_on_shutdown")
-            session.rollback()
-        session.close()
+        return self._dispatch(*state, request)
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -443,7 +193,6 @@ class ReproServer:
         request: dict[str, Any],
     ) -> dict[str, Any]:
         fire("server.request")
-        self.stats.bump("requests")
         op = request.get("op")
         handler = getattr(self, f"_op_{op}", None)
         if handler is None:
@@ -536,28 +285,19 @@ class ReproServer:
             entry.result = response
         return response
 
-    def _error_response(self, session: "Session", exc: Exception) -> dict[str, Any]:
-        self.stats.bump("errors")
-        retryable = isinstance(exc, (_RETRYABLE, Overloaded))
+    def error_reply(
+        self, state: "tuple[Session, SqlSession]", exc: Exception
+    ) -> dict[str, Any]:
         if isinstance(exc, Overloaded):
             self.stats.bump("rejected")
         # A deadlock victim / timed-out statement leaves the transaction
         # holding its locks; the only sane continuation is rollback, so
         # do it server-side and tell the client.
-        rolled_back = False
-        if isinstance(exc, _RETRYABLE) and session.in_transaction:
+        session = state[0]
+        rolled_back = isinstance(exc, _RETRYABLE) and session.in_transaction
+        if rolled_back:
             session.rollback()
-            rolled_back = True
-        response = {
-            "ok": False,
-            "error": str(exc),
-            "error_type": type(exc).__name__,
-            "retryable": retryable,
-            "rolled_back": rolled_back,
-        }
-        if isinstance(exc, Overloaded):
-            response["retry_after"] = exc.retry_after
-        return response
+        return error_response(exc, rolled_back)
 
     def _admitted(self, fn):
         """Run *fn* under admission control (bounded in-flight work).

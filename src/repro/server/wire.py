@@ -20,10 +20,7 @@ import json
 import socket
 import struct
 from collections.abc import Sequence
-from typing import TYPE_CHECKING, Any
-
-if TYPE_CHECKING:  # pragma: no cover
-    import asyncio
+from typing import Any
 
 from ..errors import ReproError
 from ..nulls import NULL
@@ -85,72 +82,6 @@ def _recv_exact(sock: socket.socket, n: int, eof_ok: bool) -> bytes | None:
         chunks.append(chunk)
         remaining -= len(chunk)
     return b"".join(chunks)
-
-
-# ----------------------------------------------------------------------
-# Asyncio twins: same frames, same fault points, stream API
-#
-# The asyncio server reads and writes frames on ``asyncio`` streams; the
-# framing, the size cap and — crucially — the fault-injection points are
-# identical to the blocking helpers above, so every torn-frame chaos
-# scenario exercises both transports the same way.
-
-
-async def read_frame(reader: "asyncio.StreamReader") -> dict[str, Any] | None:
-    """Async :func:`recv_frame`: one frame, or None on clean EOF."""
-    header = await _read_exact(reader, _LENGTH.size, eof_ok=True)
-    if header is None:
-        return None
-    (length,) = _LENGTH.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise WireError(f"peer announced a {length}-byte frame; refusing")
-    payload = await _read_exact(reader, length, eof_ok=False)
-    assert payload is not None
-    try:
-        message = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise WireError(f"undecodable frame: {exc}") from exc
-    if not isinstance(message, dict):
-        raise WireError(f"frame is not an object: {message!r}")
-    return message
-
-
-async def _read_exact(
-    reader: "asyncio.StreamReader", n: int, eof_ok: bool
-) -> bytes | None:
-    chunks = []
-    remaining = n
-    while remaining:
-        # Same per-chunk fault point as the blocking reader: an injector
-        # can tear a frame mid-payload on either transport.
-        fire("wire.recv")
-        chunk = await reader.read(remaining)
-        if not chunk:
-            if eof_ok and remaining == n:
-                return None
-            raise WireError(
-                f"connection closed mid-frame ({n - remaining}/{n} bytes)"
-            )
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-async def write_frame(
-    writer: "asyncio.StreamWriter", message: dict[str, Any]
-) -> None:
-    """Async :func:`send_frame`: serialise *message* and write one frame.
-
-    Awaits ``drain()`` so backpressure from a stalled reader surfaces
-    here — callers bound it with ``asyncio.wait_for`` to implement the
-    send timeout.
-    """
-    fire("wire.send")
-    payload = json.dumps(message, separators=(",", ":")).encode("utf-8")
-    if len(payload) > MAX_FRAME_BYTES:
-        raise WireError(f"frame of {len(payload)} bytes exceeds the cap")
-    writer.write(_LENGTH.pack(len(payload)) + payload)
-    await writer.drain()
 
 
 # ----------------------------------------------------------------------

@@ -49,7 +49,6 @@ backstop, surfacing as a retryable error the client re-runs.
 from __future__ import annotations
 
 import pickle
-import socket
 import threading
 import time
 import uuid
@@ -67,12 +66,9 @@ from ..errors import (
 )
 from ..server import wire
 from ..server.client import DeliveryUnknown, ReproClient, ServerError
-from ..server.server import _RETRYABLE, Overloaded
+from ..server.core import Overloaded, Tear, WireServer, stamp_of
 from .catalog import FkRoute, ShardCatalog
 from .twophase import TwoPhaseError
-
-#: How often blocked accept/recv loops wake to check for shutdown.
-_POLL_S = 0.2
 
 #: A stalled reply send disconnects the reader instead of pinning us.
 _SEND_TIMEOUT = 10.0
@@ -83,29 +79,6 @@ _SCATTER_ATTEMPTS = 4
 #: Pause after a restart before new cascades may probe patterns, so
 #: pre-crash in-doubt cascades resolve first (see module docstring).
 DEFAULT_CASCADE_GRACE = 2.0
-
-
-class CoordinatorStats:
-    """Thread-safe counters exposed by the coordinator's ``stats`` op."""
-
-    _FIELDS = (
-        "requests", "errors", "teardowns", "replays", "forwards",
-        "scatters", "one_phase", "commits_2pc", "aborts_2pc", "cascades",
-        "decide_errors",
-    )
-
-    def __init__(self) -> None:
-        self._mu = threading.Lock()
-        for name in self._FIELDS:
-            setattr(self, name, 0)
-
-    def bump(self, name: str, by: int = 1) -> None:
-        with self._mu:
-            setattr(self, name, getattr(self, name) + by)
-
-    def snapshot(self) -> dict[str, int]:
-        with self._mu:
-            return {name: getattr(self, name) for name in self._FIELDS}
 
 
 class DecisionLog:
@@ -176,12 +149,6 @@ class DecisionLog:
             return len(self._by_gtid)
 
 
-class _Tear(Exception):
-    """Close the client connection *without replying*: the request may
-    have committed somewhere, so an error reply (which promises "not
-    committed") would lie.  The client's redelivery disambiguates."""
-
-
 @dataclass
 class _ConnState:
     """Per-connection coordinator state (the buffered transaction)."""
@@ -192,8 +159,10 @@ class _ConnState:
     buffer: list[dict[str, Any]] = field(default_factory=list)
 
 
-class ShardCoordinator:
+class ShardCoordinator(WireServer):
     """Serve a sharded database behind one wire endpoint."""
+
+    role = "coordinator"
 
     def __init__(
         self,
@@ -209,11 +178,13 @@ class ShardCoordinator:
                 f"catalog wants {catalog.shards} shards, "
                 f"got {len(shard_addrs)} addresses"
             )
+        super().__init__(
+            host, port, _SEND_TIMEOUT,
+            "teardowns", "replays", "forwards", "scatters", "one_phase",
+            "commits_2pc", "aborts_2pc", "cascades", "decide_errors",
+        )
         self.catalog = catalog
         self.shard_addrs = [(h, int(p)) for h, p in shard_addrs]
-        self.host = host
-        self._requested_port = port
-        self.stats = CoordinatorStats()
         self.decisions = DecisionLog(data_dir)
         #: Each incarnation gets a fresh epoch: gtids of a dead
         #: coordinator are recognisably stale and resolve to abort.
@@ -227,17 +198,6 @@ class ShardCoordinator:
         #: client's first request pays one lookup, on purpose).
         self._client_high: dict[str, int] = {}
         self._client_mu = threading.Lock()
-        #: Single-flight gate per request stamp: two copies of the same
-        #: (client, req) — a client-level redelivery racing an attempt
-        #: still blocked in a patient shard link — must never execute
-        #: concurrently.  The loser would answer from a world that does
-        #: not yet include the winner's work, e.g. a retryable "shard
-        #: unreachable" while the first copy goes on to commit — and a
-        #: retryable error reply promises "nothing committed", so the
-        #: client retries under a FRESH stamp and the ledger can no
-        #: longer dedupe.  Entries are (lock, refcount), pruned at zero.
-        self._base_gate: dict[tuple[str, int], list[Any]] = {}
-        self._base_gate_mu = threading.Lock()
         # Coordinator-local cascade pattern locks (all-or-nothing,
         # sorted keys => deadlock-free).
         self._pattern_cv = threading.Condition(threading.Lock())
@@ -251,218 +211,71 @@ class ShardCoordinator:
         self._clients_mu = threading.Lock()
         self.cascade_grace = cascade_grace
         self._grace_until = 0.0
-        self._listener: socket.socket | None = None
-        self._accept_thread: threading.Thread | None = None
-        self._handlers: list[threading.Thread] = []
-        self._handlers_mu = threading.Lock()
-        self._stopping = threading.Event()
-        self._started = False
-        self._conn_n = 0
 
     # ------------------------------------------------------------------
-    # Lifecycle
-
-    @property
-    def port(self) -> int:
-        if self._listener is None:
-            raise ReproError("coordinator is not started")
-        return self._listener.getsockname()[1]
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return (self.host, self.port)
+    # Lifecycle and per-connection state (the core's role hooks)
 
     def start(self) -> "ShardCoordinator":
-        if self._started:
-            raise ReproError("coordinator already started")
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.host, self._requested_port))
-        listener.listen(64)
-        listener.settimeout(_POLL_S)
-        self._listener = listener
-        self._started = True
+        super().start()
         if self.decisions.resumed:
             self._grace_until = time.monotonic() + self.cascade_grace
         self._push_thread = threading.Thread(
             target=self._push_loop, name="repro-coord-push", daemon=True
         )
         self._push_thread.start()
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="repro-coord-accept", daemon=True
-        )
-        self._accept_thread.start()
         return self
 
     def shutdown(self, timeout: float = 10.0) -> None:
-        if not self._started:
+        if self._listener is None:
             return
-        self._stopping.set()
+        deadline = time.monotonic() + timeout
+        self.stop_serving(timeout)
         with self._push_cv:
             self._push_cv.notify_all()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout)
-        with self._handlers_mu:
-            handlers = list(self._handlers)
-        for thread in handlers:
-            thread.join(timeout)
         if self._push_thread is not None:
-            self._push_thread.join(timeout)
-        if self._listener is not None:
-            self._listener.close()
-            self._listener = None
+            self._push_thread.join(max(0.0, deadline - time.monotonic()))
         with self._clients_mu:
             clients, self._clients = self._clients, []
         for client in clients:
             client.close()
         self.decisions.close()
-        self._started = False
 
-    def __enter__(self) -> "ShardCoordinator":
-        return self.start()
+    def open_connection(self, conn_id: int) -> _ConnState:
+        return _ConnState(session_id=conn_id)
 
-    def __exit__(self, *exc_info: Any) -> None:
-        self.shutdown()
-
-    # ------------------------------------------------------------------
-    # Accept / per-connection loops
-
-    def _accept_loop(self) -> None:
-        from ..testing.faults import fire
-
-        assert self._listener is not None
-        while not self._stopping.is_set():
-            try:
-                conn, __ = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            try:
-                fire("wire.accept")
-            except ReproError:
-                self.stats.bump("errors")
-                conn.close()
-                continue
-            self._conn_n += 1
-            thread = threading.Thread(
-                target=self._handle_connection,
-                args=(conn, self._conn_n),
-                name=f"repro-coord-conn-{self._conn_n}",
-                daemon=True,
-            )
-            with self._handlers_mu:
-                self._handlers.append(thread)
-            thread.start()
-
-    def _handle_connection(self, conn: socket.socket, conn_id: int) -> None:
-        conn.settimeout(_POLL_S)
-        state = _ConnState(session_id=conn_id)
+    def handle(
+        self, state: _ConnState, request: dict[str, Any]
+    ) -> dict[str, Any]:
         try:
-            while not self._stopping.is_set():
-                try:
-                    request = wire.recv_frame(conn)
-                except socket.timeout:
-                    continue
-                except (wire.WireError, OSError):
-                    break
-                if request is None:
-                    break
-                conn.settimeout(_SEND_TIMEOUT)
-                try:
-                    response = self._dispatch(state, request)
-                except _Tear:
-                    self.stats.bump("teardowns")
-                    break
-                except DeliveryUnknown:
-                    # Backstop: an unwrapped torn shard exchange can
-                    # never become an error reply (it would falsely
-                    # promise "not committed") — tear instead.
-                    self.stats.bump("teardowns")
-                    break
-                except Exception as exc:  # noqa: BLE001 - boundary
-                    response = self._error_response(exc)
-                if "id" in request:
-                    # Pipelined clients pair replies by id; copy so a
-                    # shard-cached reply dict is not mutated.
-                    response = {**response, "id": request["id"]}
-                try:
-                    wire.send_frame(conn, response)
-                except (socket.timeout, OSError):
-                    break
-                finally:
-                    conn.settimeout(_POLL_S)
-        finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
-            with self._handlers_mu:
-                current = threading.current_thread()
-                if current in self._handlers:
-                    self._handlers.remove(current)
+            return self._dispatch(state, request)
+        except (Tear, DeliveryUnknown) as exc:
+            # DeliveryUnknown is the backstop: an unwrapped torn shard
+            # exchange can never become an error reply (it would falsely
+            # promise "not committed") — tear instead.
+            self.stats.bump("teardowns")
+            raise Tear(str(exc)) from exc
 
     def _dispatch(
         self, state: _ConnState, request: dict[str, Any]
     ) -> dict[str, Any]:
-        self.stats.bump("requests")
         op = request.get("op")
         handler = getattr(self, f"_op_{op}", None)
         if handler is None or not isinstance(op, str) or op.startswith("_"):
             raise ReproError(f"unknown coordinator op {op!r}")
-        with self._single_flight(self._base_of(request)):
-            return handler(state, request)
+        return handler(state, request)
 
-    @contextmanager
-    def _single_flight(self, base: tuple[str, int] | None) -> Iterator[None]:
-        """Serialise copies of the same stamped request.
-
-        A redelivery (client reconnected, same stamp) must wait for the
-        first copy — which may be blocked inside a patient shard link —
-        rather than race it: once the copy ahead finishes, the waiter's
-        ``_maybe_replay`` sees its outcome instead of inventing one.
-        Distinct stamps never share a lock, so this serialises nothing
-        but duplicates."""
-        if base is None:
-            yield
-            return
-        with self._base_gate_mu:
-            entry = self._base_gate.get(base)
-            if entry is None:
-                entry = self._base_gate[base] = [threading.Lock(), 0]
-            entry[1] += 1
-        entry[0].acquire()
-        try:
-            yield
-        finally:
-            entry[0].release()
-            with self._base_gate_mu:
-                entry[1] -= 1
-                if entry[1] == 0:
-                    self._base_gate.pop(base, None)
-
-    def _error_response(self, exc: Exception) -> dict[str, Any]:
-        self.stats.bump("errors")
-        if isinstance(exc, ServerError):
-            # A shard's own judgement, passed through verbatim.
-            response: dict[str, Any] = {
-                "ok": False,
-                "error": str(exc),
-                "error_type": exc.error_type,
-                "retryable": exc.retryable,
-                "rolled_back": exc.rolled_back,
-            }
-            if exc.retry_after is not None:
-                response["retry_after"] = exc.retry_after
-            return response
-        response = {
+    def error_reply(self, state: _ConnState, exc: Exception) -> dict[str, Any]:
+        if not isinstance(exc, ServerError):
+            return super().error_reply(state, exc)
+        # A shard's own judgement, passed through verbatim.
+        response: dict[str, Any] = {
             "ok": False,
             "error": str(exc),
-            "error_type": type(exc).__name__,
-            "retryable": isinstance(exc, (*_RETRYABLE, Overloaded)),
-            "rolled_back": False,
+            "error_type": exc.error_type,
+            "retryable": exc.retryable,
+            "rolled_back": exc.rolled_back,
         }
-        if isinstance(exc, Overloaded):
+        if exc.retry_after is not None:
             response["retry_after"] = exc.retry_after
         return response
 
@@ -511,12 +324,7 @@ class ShardCoordinator:
     # ------------------------------------------------------------------
     # Exactly-once bookkeeping
 
-    @staticmethod
-    def _base_of(request: Mapping[str, Any]) -> tuple[str, int] | None:
-        client, req = request.get("client"), request.get("req")
-        if isinstance(client, str) and isinstance(req, int):
-            return (client, req)
-        return None
+    _base_of = staticmethod(stamp_of)
 
     def _note_client(self, base: tuple[str, int] | None) -> None:
         if base is None:
@@ -564,7 +372,7 @@ class ShardCoordinator:
                 # (which promises exactly that, inviting a fresh-stamp
                 # retry and a double apply) is off the table.  Tear and
                 # let the client's same-stamp redelivery ask again.
-                raise _Tear(f"ledger peek on shard {shard} tore") from exc
+                raise Tear(f"ledger peek on shard {shard} tore") from exc
             if response.get("hit"):
                 self.stats.bump("replays")
                 self._note_client(base)
@@ -660,7 +468,7 @@ class ShardCoordinator:
         while True:
             with self._push_cv:
                 while not self._push_q and not self._stopping.is_set():
-                    self._push_cv.wait(timeout=_POLL_S)
+                    self._push_cv.wait()
                 if not self._push_q and self._stopping.is_set():
                     return
                 pending = [self._push_q.popleft() for __ in range(len(self._push_q))]
@@ -714,7 +522,7 @@ class ShardCoordinator:
         try:
             response = self._shard_request(shard, request["op"], payload)
         except DeliveryUnknown as exc:
-            raise _Tear(f"forward to shard {shard} tore") from exc
+            raise Tear(f"forward to shard {shard} tore") from exc
         self.stats.bump("forwards")
         self._note_client(self._base_of(request))
         return response
@@ -748,7 +556,7 @@ class ShardCoordinator:
         try:
             response = self._shard_request(shard, "txn", payload)
         except DeliveryUnknown as exc:
-            raise _Tear(f"one-phase txn on shard {shard} tore") from exc
+            raise Tear(f"one-phase txn on shard {shard} tore") from exc
         self.stats.bump("one_phase")
         self._note_client(base)
         return response
@@ -979,11 +787,11 @@ class ShardCoordinator:
             )
             try:
                 response = self._insert_routed(derived, table, list(values))
-            except (_Tear, DeliveryUnknown):
+            except (Tear, DeliveryUnknown):
                 raise
             except Exception:
                 if rids:
-                    raise _Tear(
+                    raise Tear(
                         f"batch row {i} failed after {len(rids)} row(s) "
                         "committed"
                     ) from None
@@ -1046,10 +854,10 @@ class ShardCoordinator:
             try:
                 response = self._forward_with_retry(shard, request)
             except DeliveryUnknown as exc:
-                raise _Tear(f"scatter to shard {shard} tore") from exc
+                raise Tear(f"scatter to shard {shard} tore") from exc
             except ServerError:
                 if succeeded:
-                    raise _Tear(
+                    raise Tear(
                         f"scatter failed on shard {shard} after "
                         f"{succeeded} shard(s) committed"
                     ) from None
@@ -1167,7 +975,7 @@ class ShardCoordinator:
         ordered = sorted(keys)
         with self._pattern_cv:
             while any(key in self._pattern_held for key in ordered):
-                self._pattern_cv.wait(timeout=_POLL_S)
+                self._pattern_cv.wait()
             self._pattern_held.update(ordered)
         try:
             yield

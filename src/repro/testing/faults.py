@@ -78,7 +78,7 @@ KNOWN_POINTS: tuple[str, ...] = (
     "lock.wait",
     # server/server.py — once per decoded client request
     "server.request",
-    # server/wire.py + server/server.py — the wire transport: before
+    # server/wire.py + server/core.py — the wire transport: before
     # each frame send, before each recv() chunk (so a TransientInjector
     # can tear a frame mid-payload), and per accepted connection
     "wire.send",

@@ -1,9 +1,14 @@
 """Pipelined serving tests: in-order completion within one session,
-batch ops over the wire, error replies that do not stop the stream, and
-exactly-once redelivery when a pipelined stream is torn mid-flight.
+batch ops over the wire, error replies that do not stop the stream,
+exactly-once redelivery when a pipelined stream is torn mid-flight, and
+pipelining that is never slower than waiting (Nagle off), on both roles.
 """
 
 from __future__ import annotations
+
+import socket
+import statistics
+import time
 
 import pytest
 
@@ -11,7 +16,7 @@ from repro.errors import ReproError
 from repro.server import ReproClient, ServerError
 
 from .conftest import run_threads
-from .test_server import stress_server, tourism_server
+from .test_server import serving_role, stress_server, tourism_server
 
 
 def test_pipeline_in_order_replies_within_one_session():
@@ -157,3 +162,51 @@ def test_pipelined_wire_stress_many_sessions():
             assert len(checker.select("C")) == expected
     report = server.db.verify_integrity()
     assert report.ok, report.render()
+
+
+# ----------------------------------------------------------------------
+# Nagle: small pipelined replies must not wait for a delayed ACK
+
+
+@pytest.mark.parametrize("role", ["server", "coordinator"])
+def test_accepted_connections_disable_nagle(role):
+    with serving_role(role) as (front, __):
+        with ReproClient(*front.address) as client:
+            assert client.ping() > 0
+            (accepted,) = front._conns.values()
+            assert accepted.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY
+            ) == 1
+
+
+def test_pipelining_through_the_coordinator_is_not_slower_than_waiting():
+    """A depth-32 round of co-located inserts against the same 32
+    stop-and-wait.  With Nagle on, the second pipelined reply sits out a
+    ~40 ms delayed ACK — several whole stop-and-wait rounds — so the
+    margin below cannot hide one."""
+    depth, rounds = 32, 5
+    with serving_role("coordinator", shards=2) as (front, __):
+        with ReproClient(*front.address) as client:
+            ids = iter(range(1, 10_000))
+
+            def values() -> list[int]:
+                return [next(ids), 3, 30]
+
+            def waiting() -> float:
+                start = time.perf_counter()
+                for __ in range(depth):
+                    client.insert("C", values())
+                return time.perf_counter() - start
+
+            def pipelined() -> float:
+                start = time.perf_counter()
+                pipe = client.pipeline()
+                for __ in range(depth):
+                    pipe.send("insert", table="C", values=values())
+                assert all(r["ok"] for r in pipe.drain())
+                return time.perf_counter() - start
+
+            waiting()  # opens the shard links
+            waited = statistics.median(waiting() for __ in range(rounds))
+            piped = statistics.median(pipelined() for __ in range(rounds))
+            assert piped <= 1.5 * waited, (piped, waited)

@@ -9,13 +9,16 @@ one transaction rather than hanging.
 from __future__ import annotations
 
 import random
+import select
 import socket
 import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
 from repro import (
+    NULL,
     Column,
     Database,
     DataType,
@@ -27,6 +30,8 @@ from repro import (
 )
 from repro.server import Overloaded, ReproClient, ReproServer, ServerError
 from repro.server import wire
+from repro.sharding import ShardCoordinator, build_chaos_catalog
+from repro.testing.chaos import build_chaos_shard_database
 
 from .conftest import run_threads
 
@@ -505,3 +510,280 @@ def test_retrying_never_retries_delivery_unknown():
             with pytest.raises(DeliveryUnknown):
                 client.retrying(undecided, attempts=5)
             assert calls["n"] == 1
+
+
+def _until(predicate, what: str, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.01)
+
+
+# ----------------------------------------------------------------------
+# Intake bound: a pipelining client is paced by TCP, not buffered
+
+
+def test_intake_is_bounded_by_the_socket_buffers():
+    """A client that writes frames and never reads must not grow server
+    memory: the serial connection thread takes one frame at a time, so
+    whatever it has not dispatched yet sits in the two kernel socket
+    buffers — and nowhere else."""
+    frame = wire._LENGTH.pack(4096) + (
+        b'{"op":"ping","pad":"' + b"x" * (4096 - 22) + b'"}'
+    )
+    total = 16 * 1024 * 1024
+    with tourism_server() as server:
+        baseline = server.sessions.stats()["open_sessions"]
+        writer = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            # A fixed send buffer (no autotuning) keeps the bound small
+            # next to what is written.
+            writer.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 65536)
+            writer.connect(server.address)
+            writer.setblocking(False)
+            stream = memoryview(frame * 64)
+            deadline = time.monotonic() + 60.0
+            sent = 0
+            while sent < total:
+                assert time.monotonic() < deadline, "writer never finished"
+                try:
+                    sent += writer.send(stream[sent % len(frame):])
+                except BlockingIOError:
+                    select.select([], [writer], [], 1.0)
+            dispatched = server.stats.snapshot()["requests"]
+            (accepted,) = server._conns.values()
+            held = (
+                writer.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)
+                + accepted.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF)
+            )
+            # The kernel accounts buffers in whole segments and lets a
+            # sender overshoot by one, so the two sizes are met to within
+            # a few percent either way: allow twice their sum (a server
+            # that queues its intake holds all 16 MiB here).
+            assert sent - dispatched * len(frame) <= 2 * held
+            assert 2 * held < total // 8
+            with ReproClient(*server.address) as other:
+                assert other.ping() > 0
+        finally:
+            writer.close()
+        _until(
+            lambda: server.sessions.stats()["open_sessions"] == baseline,
+            "the writer's session to be released",
+        )
+
+
+# ----------------------------------------------------------------------
+# One lifecycle suite, run against both roles of the serving core
+
+
+@contextmanager
+def serving_role(role: str, shards: int = 1):
+    """``(front, shard_servers)``: *front* is the endpoint under test —
+    a ReproServer over the chaos schema, or a ShardCoordinator over
+    *shards* such servers."""
+    servers = [
+        ReproServer(build_chaos_shard_database(i, shards), lock_timeout=8.0)
+        .start()
+        for i in range(shards)
+    ]
+    front = servers[0]
+    if role == "coordinator":
+        front = ShardCoordinator(
+            build_chaos_catalog(shards), [s.address for s in servers]
+        ).start()
+    try:
+        yield front, servers
+    finally:
+        front.shutdown()
+        for server in servers:
+            server.shutdown()
+
+
+@pytest.fixture(params=["server", "coordinator"])
+def role(request):
+    with serving_role(request.param) as (front, servers):
+        yield front, servers[0]
+
+
+def _raw(front) -> socket.socket:
+    sock = socket.create_connection(front.address)
+    sock.settimeout(10.0)
+    return sock
+
+
+def _insert(id_: int, **extra) -> dict:
+    # Fully referencing: co-located one-phase through a coordinator.
+    return {"op": "insert", "table": "C", "values": [id_, 3, 30], **extra}
+
+
+@contextmanager
+def _key_lock_held(shard, id_: int):
+    """Hold X on ``C.id = id_`` from a session outside any connection,
+    so an insert of that id blocks in a lock wait until we let go."""
+    holder = shard.sessions.session()
+    holder.begin()
+    holder.insert("C", (id_, NULL, NULL))
+    try:
+        yield
+    finally:
+        if holder.is_open:
+            holder.close()
+
+
+def _await_requests(front, n: int) -> None:
+    _until(lambda: front.stats.snapshot()["requests"] >= n,
+           f"request {n} to be dispatched")
+
+
+def test_idle_connections_do_not_delay_shutdown(role):
+    front, __ = role
+    clients = [ReproClient(*front.address) for __ in range(3)]
+    try:
+        assert all(c.ping() > 0 for c in clients)
+        start = time.monotonic()
+        front.shutdown()
+        assert time.monotonic() - start < 1.0
+    finally:
+        for c in clients:
+            c.close()
+
+
+def test_inflight_request_is_answered_and_the_queued_one_is_not_run(role):
+    front, shard = role
+    sock = _raw(front)
+    try:
+        with _key_lock_held(shard, 1):
+            wire.send_frame(sock, _insert(1, id=1))
+            wire.send_frame(sock, _insert(2, id=2))
+            _await_requests(front, 1)
+            stopper = threading.Thread(target=front.shutdown, daemon=True)
+            stopper.start()
+            time.sleep(0.3)  # shutdown is now draining around the wait
+            assert stopper.is_alive()
+        reply = wire.recv_frame(sock)
+        assert reply is not None and reply["ok"] and reply["id"] == 1
+        assert wire.recv_frame(sock) is None  # clean close, no second reply
+        stopper.join(10.0)
+        assert not stopper.is_alive()
+    finally:
+        sock.close()
+    assert [row[0] for row in shard.db.select("C")] == [1]
+
+
+def test_shutdown_deadline_holds_with_a_handler_blocked_on_a_lock(role):
+    front, shard = role
+    sock = _raw(front)
+    try:
+        with _key_lock_held(shard, 1):
+            wire.send_frame(sock, _insert(1))
+            _await_requests(front, 1)
+            time.sleep(0.2)  # let it reach the lock wait
+            start = time.monotonic()
+            front.shutdown(timeout=0.5)
+            assert time.monotonic() - start < 1.5
+    finally:
+        sock.close()
+
+
+def test_trickling_reader_is_cut_after_send_timeout_and_counted(role):
+    """The send timeout bounds the whole reply: a reader that takes a
+    byte now and then is cut like one that takes none.  (Both roles
+    quote an unknown op back in the error, which makes a reply of any
+    size without a table to fill.)"""
+    front, __ = role
+    front.send_timeout = 0.3
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    try:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.connect(front.address)
+        wire.send_frame(sock, {"op": "x" * (8 * 1024 * 1024)})
+        deadline = time.monotonic() + 15.0
+        while not front.stats.snapshot()["send_timeouts"]:
+            assert time.monotonic() < deadline, "stalled reader never cut"
+            sock.recv(1)
+            time.sleep(0.05)
+        assert front.stats.snapshot()["send_timeouts"] == 1
+    finally:
+        sock.close()
+    with ReproClient(*front.address) as client:
+        assert client.ping() > 0
+
+
+def test_accept_fault_sheds_one_connection_and_serves_the_next(role):
+    from repro.testing import faults
+
+    front, __ = role
+    faults.install("wire.accept", faults.TransientInjector(times=1))
+    shed = _raw(front)
+    try:
+        try:
+            wire.send_frame(shed, {"op": "ping"})
+            assert wire.recv_frame(shed) is None
+        except OSError:
+            pass  # reset instead of a clean close: shed all the same
+    finally:
+        shed.close()
+    with ReproClient(*front.address) as client:
+        assert client.ping() > 0
+    stats = front.stats.snapshot()
+    assert stats["accept_faults"] == 1
+    assert stats["connections_total"] == 1
+
+
+def test_frame_torn_mid_pipeline_ends_the_connection_in_order(role):
+    front, __ = role
+    sock = _raw(front)
+    try:
+        for i in (1, 2, 3):
+            wire.send_frame(sock, {"op": "ping", "id": i})
+        sock.sendall(b"\x00\x00\x00\x64" + b'{"op":"pi')  # announces 100
+        sock.shutdown(socket.SHUT_WR)
+        replies = [wire.recv_frame(sock) for __ in range(4)]
+    finally:
+        sock.close()
+    assert [r and r["id"] for r in replies] == [1, 2, 3, None]
+    assert front.stats.snapshot()["read_faults"] == 1
+
+
+def test_id_echo_does_not_leak_into_a_ledger_cached_reply(role):
+    front, __ = role
+    sock = _raw(front)
+    try:
+        stamp = {"client": "echo-test", "req": 1}
+        wire.send_frame(sock, _insert(1, id=7, **stamp))
+        first = wire.recv_frame(sock)
+        assert first["ok"] and first["id"] == 7
+        wire.send_frame(sock, _insert(1, **stamp))  # redelivery, no id
+        replay = wire.recv_frame(sock)
+        assert replay["ok"] and "id" not in replay
+        assert replay["rid"] == first["rid"]
+        wire.send_frame(sock, _insert(1, id=9, **stamp))
+        assert wire.recv_frame(sock)["id"] == 9
+    finally:
+        sock.close()
+
+
+def test_same_stamp_on_two_connections_runs_once(role):
+    """A redelivery that arrives while the first copy is still executing
+    waits for it and replays its outcome; it never runs beside it."""
+    front, shard = role
+    first, second = _raw(front), _raw(front)
+    try:
+        request = _insert(1, client="twice", req=1)
+        latch = shard.sessions.latch
+        latch.acquire()  # any stall: a checkpoint, an fsync, a lock wait
+        try:
+            wire.send_frame(first, request)
+            _await_requests(front, 1)
+            wire.send_frame(second, request)
+            _await_requests(front, 2)
+            time.sleep(0.1)
+        finally:
+            latch.release()
+        replies = [wire.recv_frame(first), wire.recv_frame(second)]
+    finally:
+        first.close()
+        second.close()
+    assert [r["ok"] for r in replies] == [True, True]
+    assert "replayed" not in replies[0] and replies[1]["replayed"]
+    assert [row[0] for row in shard.db.select("C")] == [1]
