@@ -56,6 +56,13 @@ class Session:
         #: One-shot annotation consumed by the next commit on this
         #: session (see :meth:`annotate_next_commit`).
         self._commit_note: Any = None
+        #: The ledger seam, and the only listener there is: the server
+        #: sets it to ``ReproServer._record_commit``.  Called with the
+        #: consumed note right after a commit of this session is durable
+        #: and visible — inside the commit, so the committing statement
+        #: still holds the statement latch and no checkpoint can fall
+        #: between the commit and its entry in the result ledger.
+        self.on_commit: Callable[[Any], None] | None = None
 
     # ------------------------------------------------------------------
     # Thread binding

@@ -169,7 +169,12 @@ def _plan_uncached(
         if best_key is None or key < best_key:
             best, best_key = candidate, key
 
-    if best is None or best.estimated_rows >= full_scan.estimated_rows:
+    # A tie goes to the index.  Both paths of the engine fix a shape's
+    # access path at its first planning (the plan cache, a prepared
+    # probe), and an empty table ties every candidate with the scan at
+    # zero rows: a scan verdict reached there would outlive the empty
+    # state and read the whole heap on every later probe.
+    if best is None or best.estimated_rows > full_scan.estimated_rows:
         return full_scan
     return best
 

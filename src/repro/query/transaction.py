@@ -263,6 +263,8 @@ class Transaction:
             versions.on_commit(self.txn_id)
         self._undo.clear()
         self._close(_COMMITTED)
+        if note is not None and self.session.on_commit is not None:
+            self.session.on_commit(note)
 
     def rollback(self) -> None:
         """Physically restore every mutated row, newest first.

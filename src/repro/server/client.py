@@ -137,7 +137,11 @@ class TransactionTorn(ReproError):
     """The connection died inside an explicit transaction.
 
     The server rolls an open transaction back when its connection dies,
-    so nothing of the transaction survived — re-run it from ``begin``.
+    so nothing of the transaction survives — re-run it from ``begin``.
+    The client has closed its socket by the time this is raised; the
+    rollback happens when the server reads that close, so for a moment a
+    plain (non-snapshot) read on the next connection can still see the
+    doomed rows, as it sees any other session's uncommitted work.
     Raised instead of redelivering, because a mid-transaction statement
     replayed onto a fresh session would execute as its own autocommit
     statement, outside the transaction it belonged to.
@@ -228,9 +232,14 @@ class ReproClient:
             if redeliver:
                 raise  # auto_reconnect disabled: surface the raw failure
             self._in_txn = False
+            # A garbled reply tears the exchange but not the socket: left
+            # open, the next autocommit statement would run inside the
+            # abandoned server-side transaction and be rolled back with
+            # it.  Closing makes the server roll back now.
+            self.close()
             raise TransactionTorn(
                 f"connection died inside an explicit transaction (on "
-                f"{op!r}); the server rolled it back — re-run from begin"
+                f"{op!r}); the server rolls it back — re-run from begin"
             ) from exc
         except DeliveryUnknown:
             if ends_txn:

@@ -16,7 +16,8 @@ Request ops (all JSON, see :mod:`repro.server.wire` for framing):
 ``insert`` / ``delete`` / ``update`` / ``select`` (structured DML) ·
 ``batch`` (vectorized multi-row insert) · ``begin`` / ``commit`` /
 ``rollback`` · ``verify`` (integrity report) · ``stats`` (server +
-lock-manager counters).
+lock-manager counters) · ``provision`` (create the named indexes that
+are missing; idempotent).
 
 **Pipelining.**  Replies on one connection are always in request order;
 a request carrying an ``id`` field gets it echoed on its reply, so a
@@ -53,7 +54,8 @@ import threading
 from typing import TYPE_CHECKING, Any
 
 from ..concurrency.locks import DEFAULT_LOCK_TIMEOUT
-from ..errors import ReproError
+from ..errors import ReproError, TransactionStateError
+from ..indexes.definition import IndexDefinition
 from ..query.predicate import And, Eq, IsNull, Predicate
 from ..sql import ast as sql_ast
 from ..sql import parse
@@ -170,7 +172,9 @@ class ReproServer(WireServer):
         return self.stats.snapshot()["rolled_back_on_shutdown"]
 
     def open_connection(self, conn_id: int) -> "tuple[Session, SqlSession]":
-        return self.sessions.session(), SqlSession(self.db)
+        session = self.sessions.session()
+        session.on_commit = self._record_commit
+        return session, SqlSession(self.db)
 
     def close_connection(self, state: "tuple[Session, SqlSession]") -> None:
         session = state[0]
@@ -201,7 +205,8 @@ class ReproServer(WireServer):
         # Exactly-once: a stamped mutating request first consults the
         # ledger (a hit replays the acknowledged result without touching
         # the database), then executes with a LedgerEntry annotated onto
-        # the session so the commit record persists its result.
+        # the session so the commit record persists its result and the
+        # commit itself enters it into the ledger (_record_commit).
         entry = self._ledger_entry_for(session, op, request)
         if entry is not None:
             cached = self.ledger.replay(entry.client_id, entry.request_id)
@@ -212,13 +217,24 @@ class ReproServer(WireServer):
         try:
             response = handler(session, sql_session, request, entry)
         finally:
-            committed = entry is not None and session._commit_note is None
             session.annotate_next_commit(None)
-        if entry is not None and committed:
-            self.ledger.record(entry.client_id, entry.request_id, entry.result)
-            self._commits_since_checkpoint += 1
+        if entry is not None:
             self._maybe_checkpoint()
         return response
+
+    def _record_commit(self, note: Any) -> None:
+        """Enter a committed request into the ledger.
+
+        Runs inside the commit (``Session.on_commit``), under the
+        committing statement's latch.  A checkpoint takes that latch, so
+        the ledger it snapshots holds every stamp whose commit record it
+        truncates; recorded any later, a checkpoint from another
+        connection could slip in between, and after a crash the
+        redelivered stamp would execute a second time.
+        """
+        if isinstance(note, LedgerEntry):
+            self.ledger.record(note.client_id, note.request_id, note.result)
+            self._commits_since_checkpoint += 1
 
     def _ledger_entry_for(
         self, session: "Session", op: Any, request: dict[str, Any]
@@ -500,6 +516,43 @@ class ReproServer(WireServer):
             return self._fill(entry, {"ok": True, "results": results})
 
         return self._admitted(lambda: session.execute(work))
+
+    def _op_provision(self, session, sql_session, request, entry) -> dict[str, Any]:
+        """Create whichever of the named indexes this database lacks.
+
+        The coordinator sends its catalog's index design before the
+        first request it routes here (DESIGN.md §5i).  Each creation is
+        WAL-logged DDL under the exclusive statement latch, so restart
+        and recovery rebuild the index; a repeat creates nothing.
+        """
+        wanted = request.get("indexes")
+        if not isinstance(wanted, dict):
+            raise ReproError("provision needs an 'indexes' object")
+        if session.in_transaction:
+            raise TransactionStateError(
+                "provision inside an explicit transaction is not supported"
+            )
+
+        def run() -> list[str]:
+            created = []
+            with session.use(), session.db_latch():
+                for table_name, specs in wanted.items():
+                    present = self.db.table(table_name).indexes
+                    for spec in specs:
+                        definition = IndexDefinition(
+                            spec["name"], tuple(spec["columns"])
+                        )
+                        if definition.name not in present:
+                            self.db.create_index(table_name, definition)
+                            created.append(definition.name)
+                        elif present.get(definition.name).columns != definition.columns:
+                            raise ReproError(
+                                f"index {definition.name!r} exists on other "
+                                f"columns than {definition.columns}"
+                            )
+            return created
+
+        return {"ok": True, "created": self._admitted(run)}
 
     def _op_prepare(self, session, sql_session, request, entry) -> dict[str, Any]:
         gtid = request.get("gtid")

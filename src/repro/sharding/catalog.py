@@ -11,6 +11,13 @@ live anywhere) need a cross-shard two-phase commit.
 Hashing must agree across processes and restarts, so it is crc32 over a
 canonical JSON rendering of the partition values — Python's ``hash()``
 is salted per process and would route every restart differently.
+
+The catalog also declares the **index design** every shard enforces
+with (:meth:`ShardCatalog.index_definitions`): per foreign key the
+paper's Bounded structure, plus an index on each table's row-identity
+column.  The coordinator provisions it (DESIGN.md §5i), so
+the probes it issues — witness by key subset, child by id, child by
+null-state pattern — are index ranges on every shard, not heap scans.
 """
 
 from __future__ import annotations
@@ -21,7 +28,10 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..constraints.foreign_key import ForeignKey
+from ..core.strategies import IndexStructure, index_definitions
 from ..errors import ReproError
+from ..indexes.definition import IndexDefinition
 
 
 class CatalogError(ReproError):
@@ -66,8 +76,10 @@ class TableRoute:
     columns: tuple[str, ...]
     partition: tuple[str, ...]
     fk: FkRoute | None = None
-    #: Column whose values identify rows in operator reports (orphan
-    #: listings); falls back to the first column when unset.
+    #: Column whose values identify rows: operator reports (orphan
+    #: listings) name rows by it, falling back to the first column when
+    #: unset, and every shard indexes it (the local key check and
+    #: select/delete by id).
     id_column: str | None = None
 
     def row_mapping(self, values: Sequence[Any]) -> dict[str, Any]:
@@ -117,13 +129,51 @@ class ShardCatalog:
     def is_parent(self, table: str) -> bool:
         return bool(self.children_of(table))
 
+    def index_definitions(self) -> dict[str, list[IndexDefinition]]:
+        """Per table, the indexes every shard carries: the route's
+        ``id_column`` and, for each foreign key, the paper's Bounded
+        structure (§6.2) on its parent and child tables (named after the
+        child table, so two constraints never collide)."""
+        wanted: dict[str, list[IndexDefinition]] = {
+            name: [] for name in self.tables
+        }
+        for entry in self.tables.values():
+            if entry.id_column is not None:
+                wanted[entry.name].append(IndexDefinition(
+                    f"{entry.name}_{entry.id_column}", (entry.id_column,)
+                ))
+            fk = entry.fk
+            if fk is None:
+                continue
+            parent_defs, child_defs = index_definitions(
+                ForeignKey(
+                    f"fk_{entry.name}", entry.name, fk.child_columns,
+                    fk.parent_table, fk.parent_key,
+                ),
+                IndexStructure.BOUNDED,
+            )
+            wanted[fk.parent_table] += parent_defs
+            wanted[entry.name] += child_defs
+        return wanted
+
+    def index_design(self) -> dict[str, list[dict[str, Any]]]:
+        """:meth:`index_definitions` in wire form — the ``indexes``
+        payload of the shard's ``provision`` op."""
+        return {
+            table: [
+                {"name": d.name, "columns": list(d.columns)} for d in definitions
+            ]
+            for table, definitions in self.index_definitions().items()
+        }
+
 
 def build_chaos_catalog(shards: int) -> ShardCatalog:
     """The catalog for the chaos soak's P/C MATCH PARTIAL pair.
 
     Parent ``P`` partitions on its primary key ``(k1, k2)``; child ``C``
     partitions on its FK columns ``(k1, k2)`` — fully-referencing
-    children co-locate with their witness parent.
+    children co-locate with their witness parent.  Shards enforce under
+    Bounded, with ``C.id`` indexed for the local key check.
     """
     fk = FkRoute(
         parent_table="P",

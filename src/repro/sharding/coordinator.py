@@ -34,6 +34,12 @@ committed (partial scatter, torn shard link), it **tears the client
 connection instead of answering** — an error reply would falsely promise
 "not committed".
 
+Index design: the catalog declares, per foreign key, the paper's index
+structure the shards enforce with.  Before the first request it routes
+to a shard the coordinator sends one idempotent ``provision`` op naming
+those indexes, so witness probes, key checks and cascade pattern reads
+are index ranges there.  Start-up never waits on a shard.
+
 Cascaded SET NULL on a parent delete is planned coordinator-side:
 delete + full-match NULL-out on the parent's shard, then one NULL-out
 batch per orphaned single-column pattern on that pattern's home shard,
@@ -211,6 +217,10 @@ class ShardCoordinator(WireServer):
         self._clients_mu = threading.Lock()
         self.cascade_grace = cascade_grace
         self._grace_until = 0.0
+        #: The catalog's index design in wire form, and the shards that
+        #: acknowledged it to this incarnation (see :meth:`_provision`).
+        self._index_design = catalog.index_design()
+        self._provisioned: set[int] = set()
 
     # ------------------------------------------------------------------
     # Lifecycle and per-connection state (the core's role hooks)
@@ -319,7 +329,27 @@ class ShardCoordinator(WireServer):
         except OSError as exc:
             # Nothing was sent: a retryable error reply is truthful.
             raise TransientFault(f"shard {shard} is unreachable") from exc
+        # Decide pushes and stats (the impatient link) route nothing new:
+        # a push follows a prepare, which already went through here.
+        if patient and shard not in self._provisioned:
+            self._provision(shard, client)
         return client.request(op, **payload)
+
+    def _provision(self, shard: int, client: ReproClient) -> None:
+        """Have *shard* create whatever it lacks of the catalog's index
+        design, before the first request routed to it.
+
+        The op is idempotent on the shard, so threads racing here, a
+        restarted coordinator and a restarted shard (whose recovery
+        already rebuilt the indexes) all re-send harmlessly.  The routed
+        request has not been sent yet, so a shard that cannot be reached
+        is a truthful retryable error.
+        """
+        try:
+            client.request("provision", indexes=self._index_design)
+        except DeliveryUnknown as exc:
+            raise TransientFault(f"shard {shard} is unreachable") from exc
+        self._provisioned.add(shard)
 
     # ------------------------------------------------------------------
     # Exactly-once bookkeeping
@@ -365,13 +395,15 @@ class ShardCoordinator(WireServer):
                 response = self._shard_request(
                     shard, "ledger_peek", {"peek_client": client, "peek_req": req}
                 )
-            except (DeliveryUnknown, TransientFault) as exc:
+            except (DeliveryUnknown, TransientFault, ServerError) as exc:
                 # The peek exists because a prior attempt of this stamp
                 # may have committed; while any ledger is unreachable we
                 # cannot certify "not committed", so an error reply
                 # (which promises exactly that, inviting a fresh-stamp
                 # retry and a double apply) is off the table.  Tear and
-                # let the client's same-stamp redelivery ask again.
+                # let the client's same-stamp redelivery ask again.  A
+                # shard's own refusal counts: the provisioning op sent
+                # ahead of a first peek passes admission control.
                 raise Tear(f"ledger peek on shard {shard} tore") from exc
             if response.get("hit"):
                 self.stats.bump("replays")
@@ -561,6 +593,26 @@ class ShardCoordinator(WireServer):
         self._note_client(base)
         return response
 
+    def _scatter_select(
+        self, payload: Mapping[str, Any]
+    ) -> list[tuple[int, list[Any]]]:
+        """Run one ``select`` shard by shard: ``(shard, row)`` pairs in
+        shard order, stopping at the payload's ``limit``.  Reads change
+        nothing, so an unreachable shard is a retryable error."""
+        limit = payload.get("limit")
+        found: list[tuple[int, list[Any]]] = []
+        for shard in range(self.catalog.shards):
+            try:
+                response = self._shard_request(shard, "select", payload)
+            except DeliveryUnknown as exc:
+                raise TransientFault(
+                    f"shard {shard} is unreachable during a scatter read; retry"
+                ) from exc
+            found.extend((shard, row) for row in response.get("rows") or [])
+            if limit is not None and len(found) >= limit:
+                return found[:limit]
+        return found
+
     def _choose_witness(
         self, fk: FkRoute, equals: Mapping[str, Any]
     ) -> tuple[int, dict[str, Any]] | None:
@@ -571,20 +623,14 @@ class ShardCoordinator(WireServer):
         retryably rather than admitting an orphan.
         """
         columns = list(fk.parent_key)
-        for shard in range(self.catalog.shards):
-            try:
-                response = self._shard_request(shard, "select", {
-                    "table": fk.parent_table, "equals": dict(equals),
-                    "columns": columns, "limit": 1, "snapshot": True,
-                })
-            except DeliveryUnknown as exc:
-                raise TransientFault(
-                    f"witness probe on shard {shard} is unreachable; retry"
-                ) from exc
-            rows = response.get("rows") or []
-            if rows:
-                return shard, dict(zip(columns, rows[0]))
-        return None
+        found = self._scatter_select({
+            "table": fk.parent_table, "equals": dict(equals),
+            "columns": columns, "limit": 1, "snapshot": True,
+        })
+        if not found:
+            return None
+        shard, row = found[0]
+        return shard, dict(zip(columns, row))
 
     def _scatter_rows(
         self,
@@ -593,19 +639,10 @@ class ShardCoordinator(WireServer):
         columns: list[str] | None = None,
         limit: int | None = None,
     ) -> list[list[Any]]:
-        rows: list[list[Any]] = []
-        for shard in range(self.catalog.shards):
-            try:
-                response = self._shard_request(shard, "select", {
-                    "table": table, "equals": equals, "columns": columns,
-                    "limit": limit, "snapshot": True,
-                })
-            except DeliveryUnknown as exc:
-                raise TransientFault(
-                    f"shard {shard} is unreachable during a scatter read"
-                ) from exc
-            rows.extend(response.get("rows") or [])
-        return rows
+        return [row for __, row in self._scatter_select({
+            "table": table, "equals": equals, "columns": columns,
+            "limit": limit, "snapshot": True,
+        })]
 
     # ------------------------------------------------------------------
     # Client ops
@@ -855,7 +892,7 @@ class ShardCoordinator(WireServer):
                 response = self._forward_with_retry(shard, request)
             except DeliveryUnknown as exc:
                 raise Tear(f"scatter to shard {shard} tore") from exc
-            except ServerError:
+            except (ServerError, TransientFault):
                 if succeeded:
                     raise Tear(
                         f"scatter failed on shard {shard} after "
@@ -874,21 +911,11 @@ class ShardCoordinator(WireServer):
         route = self.catalog.route(table)
         if all(column in equals for column in route.partition):
             return self._forward(self.catalog.shard_for(table, equals), request)
-        limit = request.get("limit")
         payload = {k: v for k, v in request.items() if k != "op"}
-        rows: list[list[Any]] = []
-        for shard in range(self.catalog.shards):
-            try:
-                response = self._shard_request(shard, "select", payload)
-            except DeliveryUnknown as exc:
-                raise TransientFault(
-                    f"shard {shard} is unreachable during scatter select"
-                ) from exc
-            rows.extend(response.get("rows") or [])
-            if limit is not None and len(rows) >= limit:
-                rows = rows[:limit]
-                break
-        return {"ok": True, "rows": rows}
+        return {
+            "ok": True,
+            "rows": [row for __, row in self._scatter_select(payload)],
+        }
 
     # ------------------------------------------------------------------
     # Explicit transactions (buffered, planned at commit)

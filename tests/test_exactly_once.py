@@ -10,6 +10,8 @@ ledger from the durable WAL.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro import Database
@@ -234,6 +236,59 @@ def test_replay_survives_checkpoint_compaction_and_restart(tmp_path):
             again = stamped(client, 5, op="insert", table="t", values=[5, 50])
             assert again["replayed"] is True
             assert len(client.select("t")) == 5
+
+
+def test_checkpoint_cannot_fall_between_a_commit_and_its_ledger_entry(tmp_path):
+    """A commit enters the ledger before its statement latch is
+    released.  Recorded after it, a checkpoint from a second connection
+    could snapshot a ledger without the stamp and truncate the commit
+    record that carried it; after a crash the redelivery would then
+    execute a second time.  The test stalls connection A's
+    ``ledger.record`` while connection B makes the commit that is due a
+    checkpoint (the second of ``checkpoint_every=2``; A's own commit
+    must not take another one that would repair the ledger before the
+    restart): B's checkpoint may only run once A's entry is in."""
+    with ReproServer(
+        simple_db(), data_dir=str(tmp_path), checkpoint_every=2
+    ) as server:
+        record = server.ledger.record
+        stalled = threading.Event()
+        overtaken = threading.Event()
+
+        def stalling_record(client_id, request_id, result):
+            if client_id == "a":
+                stalled.set()
+                # Unfixed, B commits and checkpoints during this wait;
+                # fixed, B waits for the latch and the wait times out.
+                overtaken.wait(1.0)
+            record(client_id, request_id, result)
+
+        server.ledger.record = stalling_record
+        first: dict = {}
+
+        def connection_a():
+            with ReproClient(*server.address, client_id="a") as client:
+                first.update(
+                    stamped(client, 1, op="insert", table="t", values=[1, 10])
+                )
+
+        a = threading.Thread(target=connection_a)
+        with ReproClient(*server.address, client_id="b") as client:
+            stamped(client, 1, op="insert", table="t", values=[2, 20])
+            a.start()
+            assert stalled.wait(5.0)
+            stamped(client, 2, op="insert", table="t", values=[3, 30])
+        overtaken.set()
+        a.join(5.0)
+        assert not a.is_alive() and first["ok"]
+        assert server.stats.snapshot()["checkpoints"] == 1
+
+    with ReproServer(simple_db(), data_dir=str(tmp_path)) as restarted:
+        with ReproClient(*restarted.address, client_id="a") as client:
+            again = stamped(client, 1, op="insert", table="t", values=[1, 10])
+            assert again["replayed"] is True
+            assert again["rid"] == first["rid"]
+            assert sorted(client.select("t")) == [[1, 10], [2, 20], [3, 30]]
 
 
 def test_sql_text_commit_is_ledgered_mid_transaction():

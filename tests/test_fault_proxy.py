@@ -189,6 +189,19 @@ def test_torn_sql_text_commit_ack_replays_exactly_once():
         assert server.stats.snapshot()["idempotent_replays"] == 1
 
 
+def _await_no_sessions(server, timeout_s: float = 5.0) -> None:
+    """Wait until the server has let go of every connection's session.
+
+    A client that abandoned its connection has closed the socket, but
+    the server rolls the open transaction back only when its connection
+    thread reads the EOF; until then a plain select dirty-reads the
+    doomed rows like any other session's uncommitted tip."""
+    deadline = time.monotonic() + timeout_s
+    while server.sessions.open_sessions:
+        assert time.monotonic() < deadline, "server kept a dead session"
+        time.sleep(0.005)
+
+
 def test_torn_mid_txn_sql_statement_raises_transaction_torn():
     """A torn non-ending statement of a SQL-text transaction must not be
     redelivered: a replay on a fresh session would commit it on its own,
@@ -202,5 +215,31 @@ def test_torn_mid_txn_sql_statement_raises_transaction_torn():
                 proxy.policy = DropConnection("s2c", times=1)
                 with pytest.raises(TransactionTorn):
                     client.execute("INSERT INTO t VALUES (1, 10);")
+                _await_no_sessions(server)
                 assert client.select("t") == []
                 assert client.verify()["clean"]
+
+
+def test_garbled_reply_mid_txn_abandons_the_connection():
+    """A garbled reply tears the exchange but leaves the socket alive.
+    The client must close it before raising ``TransactionTorn``: kept,
+    its next autocommit statement runs inside the abandoned server-side
+    transaction, and what that statement did is rolled back when the
+    connection finally dies — an acknowledged delete whose row comes
+    back (the chaos harness's RESURRECTED verdict)."""
+    with ReproServer(simple_db()) as server:
+        with FaultProxy(server.address, PassThrough()) as proxy:
+            with ReproClient(
+                *proxy.address, client_id="c1", reconnect_delay=0.01
+            ) as client:
+                client.insert("t", [5, 50])
+                client.begin()
+                proxy.policy = Garble("s2c", times=1)
+                with pytest.raises(TransactionTorn):
+                    client.insert("t", [1, 10])
+                assert client.delete("t", {"a": 5}) == 1
+                assert client.reconnects == 1
+        # Both connections are gone, and with them the transaction.
+        _await_no_sessions(server)
+        with ReproClient(*server.address) as client:
+            assert client.select("t") == []

@@ -9,6 +9,7 @@ import pytest
 
 from repro.indexes.definition import IndexDefinition, IndexKind
 from repro.nulls import NULL
+from repro.query import executor, probes
 from repro.query.planner import plan
 from repro.query.predicate import And, Cmp, Eq, IsNull, Or, equalities
 from repro.storage.schema import Column, DataType
@@ -138,6 +139,62 @@ class TestPlanCache:
         plan(t, Eq("a", 1))
         plan(t, Eq("a", 2))
         assert t.tracker["planner_candidates"] == 6
+
+
+class TestFirstPlannedOnAnEmptyTable:
+    """Both deciders fix a shape's access path at its first planning.
+    On an empty table every index ties the scan at zero rows; the tie
+    goes to the index, so the path still fits once rows exist (a scan
+    verdict would read the whole heap on every later probe)."""
+
+    def test_plan_cache_uses_the_index_once_rows_exist(self):
+        t = make_table(SINGLE_A, rows=0)
+        assert plan(t, Eq("a", 1)).index is not None  # planned and cached
+        for i in range(100):
+            t.insert_row((i % 10, i % 7, i))
+        t.tracker.reset()
+        rows = [row for __, row in executor.iter_matching(t, Eq("a", 1))]
+        assert len(rows) == 10
+        assert t.tracker["full_scans"] == 0
+        assert t.tracker["rows_fetched"] == 10
+
+    def test_prepared_probe_uses_the_index_once_rows_exist(self):
+        t = make_table(SINGLE_A, rows=0)
+        assert not probes.exists_eq(t, ("a",), (1,))  # planned on no rows
+        for i in range(100):
+            t.insert_row((i % 10, i % 7, i))
+        t.tracker.reset()
+        assert probes.exists_eq(t, ("a",), (1,))
+        assert t.tracker["full_scans"] == 0
+        assert t.tracker["rows_examined"] == 1
+        assert t.tracker["index_node_reads"] >= 1
+
+    def test_a_one_row_table_ties_too(self):
+        t = make_table(SINGLE_A, rows=1)  # the row is (0, 0, 0)
+        assert plan(t, Eq("a", 0)).index is not None
+
+    def test_populated_table_counters_are_what_they_were(self):
+        """The tie rule moves no plan made on a populated table: the
+        same shapes through both deciders charge what they charged
+        before it (numbers recorded at the commit before the rule)."""
+        t = make_table(COMPOUND, SINGLE_A, SINGLE_B)
+        t.tracker.reset()
+        for predicate in (
+            Eq("a", 3), And(Eq("a", 3), Eq("b", 3)), Eq("b", 5),
+            Eq("c", 42), And(Eq("b", 2), IsNull("a")),
+        ):
+            list(executor.iter_matching(t, predicate))
+        for columns, values, null_columns in (
+            (("a",), (3,), ()), (("a", "b"), (3, 3), ()),
+            (("b",), (5,), ("a",)), (("c",), (42,), ()),
+        ):
+            probes.exists_eq(t, columns, values, null_columns)
+        charged = {k: v for k, v in t.tracker.counters.items() if v}
+        assert charged == {
+            "full_scans": 2, "index_entries_scanned": 54,
+            "index_node_reads": 42, "planner_candidates": 27,
+            "rows_examined": 173, "rows_fetched": 56,
+        }
 
 
 class TestIndexDives:

@@ -17,14 +17,18 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.server import ReproClient, ReproServer, ServerError
+from repro.server import Overloaded, ReproClient, ReproServer, ServerError
 from repro.sharding import (
     CatalogError,
     ShardCoordinator,
     build_chaos_catalog,
     stable_hash,
 )
-from repro.testing.chaos import N_PARENTS, build_chaos_shard_database
+from repro.testing.chaos import (
+    N_PARENTS,
+    ServerSupervisor,
+    build_chaos_shard_database,
+)
 
 
 def _free_port() -> int:
@@ -87,6 +91,87 @@ def test_fk_route_partial_null_witness_pattern():
     assert fk.parent_equals({"id": 1, "k1": None, "k2": None}) == {}
 
 
+def test_catalog_declares_the_index_design_shards_enforce_with():
+    """Bounded (§6.2) on both sides of the foreign key, plus ``C.id``."""
+    catalog = build_chaos_catalog(2)
+    design = {
+        table: [(d.name, d.columns) for d in definitions]
+        for table, definitions in catalog.index_definitions().items()
+    }
+    assert design == {
+        "P": [("fk_C_p_k1_k2", ("k1", "k2")), ("fk_C_p_k1", ("k1",)),
+              ("fk_C_p_k2", ("k2",))],
+        "C": [("C_id", ("id",)), ("fk_C_c_k1_k2", ("k1", "k2")),
+              ("fk_C_c_k1", ("k1",)), ("fk_C_c_k2", ("k2",))],
+    }
+    assert catalog.index_design()["C"][0] == {"name": "C_id", "columns": ["id"]}
+
+
+# ----------------------------------------------------------------------
+# Provisioning the index design (the shard op)
+
+
+def test_provisioning_is_idempotent_and_refuses_a_conflicting_index():
+    design = build_chaos_catalog(1).index_design()
+    with ReproServer(build_chaos_shard_database(0, 1)) as server:
+        with ReproClient(*server.address) as client:
+            created = client.request("provision", indexes=design)["created"]
+            assert sorted(created) == sorted(
+                spec["name"] for specs in design.values() for spec in specs
+            )
+            version = server.db.table("C").indexes.version
+            assert client.request("provision", indexes=design)["created"] == []
+            assert server.db.table("C").indexes.version == version
+            with pytest.raises(ServerError, match="other columns"):
+                client.request("provision", indexes={
+                    "C": [{"name": "C_id", "columns": ["k1"]}],
+                })
+            client.begin()
+            with pytest.raises(ServerError) as excinfo:
+                client.request("provision", indexes=design)
+            assert excinfo.value.error_type == "TransactionStateError"
+        assert server.db.verify_integrity().ok
+
+
+def test_indexed_shard_answers_every_coordinator_probe_like_a_heap_scan():
+    """Witness by k1 and by k2, child by id, child by (k1, k2) and child
+    by k1 with k2 IS NULL — the shapes the coordinator's probes, forwards
+    and cascade plans send — read the same rows from index ranges as
+    from the heap."""
+    design = build_chaos_catalog(1).index_design()
+    shapes = [
+        ("P", {"k1": 3}), ("P", {"k2": 70}), ("P", {"k1": 99}),
+        ("C", {"id": 12}), ("C", {"id": 999}),
+        ("C", {"k1": 3, "k2": 30}), ("C", {"k1": 3, "k2": None}),
+        ("C", {"k1": None, "k2": 70}), ("C", {"k1": 5, "k2": None}),
+    ]
+    with ReproServer(build_chaos_shard_database(0, 1)) as scanned, \
+            ReproServer(build_chaos_shard_database(0, 1)) as indexed:
+        with ReproClient(*scanned.address) as plain, \
+                ReproClient(*indexed.address) as client:
+            client.request("provision", indexes=design)
+            for each in (plain, client):
+                each.insert("P", [3, 999])
+                for child in range(40):
+                    k1 = child % N_PARENTS
+                    each.insert("C", [
+                        child,
+                        None if child % 5 == 0 else k1,
+                        None if child % 3 == 0 else k1 * 10,
+                    ])
+            reads = indexed.db.tracker["index_node_reads"]
+            scans = indexed.db.tracker["full_scans"]
+            for table, equals in shapes:
+                expected = sorted(
+                    plain.select(table, equals, snapshot=True), key=repr
+                )
+                got = sorted(client.select(table, equals, snapshot=True), key=repr)
+                assert got == expected, (table, equals)
+            assert indexed.db.tracker["full_scans"] == scans
+            assert indexed.db.tracker["index_node_reads"] > reads
+            assert scanned.db.tracker["index_node_reads"] == 0
+
+
 # ----------------------------------------------------------------------
 # End-to-end: coordinator over real shard servers
 
@@ -131,6 +216,153 @@ def test_inserts_route_and_enforce_across_shards(tmp_path):
         assert not excinfo.value.retryable
         ids = sorted(row[0] for row in client.select("C", columns=["id"]))
         assert ids == [1, 2, 3]
+
+
+def _index_names(server, table: str) -> list[str]:
+    return sorted(server.db.table(table).indexes.names())
+
+
+def test_coordinator_provisions_each_shard_before_its_first_routed_request(
+    tmp_path,
+):
+    """Start-up sends nothing; the first request routed to a shard is
+    preceded by the provisioning op, and enforcement runs on indexes."""
+    with _cluster(tmp_path) as (client, coordinator, servers):
+        assert [_index_names(server, "C") for server in servers] == [[], []]
+        # A new client's first insert peeks every shard's ledger, and
+        # the scatter probe of the second reaches every shard anyway.
+        client.insert("C", [1, 3, 30])
+        client.insert("C", [2, 5, None])
+        for server in servers:
+            assert _index_names(server, "C") == [
+                "C_id", "fk_C_c_k1", "fk_C_c_k1_k2", "fk_C_c_k2",
+            ]
+            assert _index_names(server, "P") == [
+                "fk_C_p_k1", "fk_C_p_k1_k2", "fk_C_p_k2",
+            ]
+        # The local key check is an index probe now, and still a veto.
+        scans = [server.db.tracker["full_scans"] for server in servers]
+        with pytest.raises(ServerError) as excinfo:
+            client.insert("C", [1, 3, 30])
+        assert excinfo.value.error_type == "KeyViolation"
+        assert not excinfo.value.retryable
+        assert [server.db.tracker["full_scans"] for server in servers] == scans
+        assert client.request("verify", deep=True)["clean"]
+
+
+def test_shard_first_reached_after_coordinator_start_is_provisioned(tmp_path):
+    """The coordinator starts and serves with a shard down; once that
+    shard is up, its first routed request provisions it."""
+    catalog = build_chaos_catalog(2)
+    # A parent insert is a plain forward to its home shard: it touches
+    # no other shard (a child insert would peek every shard's ledger).
+    keys = {
+        catalog.shard_for("P", {"k1": k1, "k2": 1}): [k1, 1]
+        for k1 in range(100, 140)
+    }
+    late_port = _free_port()
+    up = ReproServer(
+        build_chaos_shard_database(0, 2), data_dir=str(tmp_path / "s0")
+    ).start()
+    late = ReproServer(
+        build_chaos_shard_database(1, 2), port=late_port,
+        data_dir=str(tmp_path / "s1"),
+    )
+    coordinator = ShardCoordinator(
+        catalog, [up.address, ("127.0.0.1", late_port)],
+        data_dir=str(tmp_path / "coord"),
+    ).start()
+    try:
+        with ReproClient("127.0.0.1", coordinator.port) as client:
+            client.insert("P", keys[0])
+            assert _index_names(up, "P") != []
+            with pytest.raises(ServerError) as excinfo:
+                client.insert("P", keys[1])
+            assert excinfo.value.retryable  # nothing was sent
+            late.start()
+            client.insert("P", keys[1])
+            assert _index_names(late, "P") == _index_names(up, "P")
+            assert _index_names(late, "C") == _index_names(up, "C") != []
+            assert client.request("verify", deep=True)["clean"]
+    finally:
+        coordinator.shutdown()
+        up.shutdown()
+        late.shutdown()
+
+
+def test_refused_provisioning_ahead_of_a_ledger_peek_tears_not_errors(tmp_path):
+    """A restarted coordinator's first contact with a shard may be the
+    ledger peek for a redelivered stamp, and the provisioning op sent
+    ahead of it passes the shard's admission control.  A refusal there
+    must tear the client connection like an unreachable ledger does: an
+    error reply would promise "not committed" for a stamp that did."""
+    with _cluster(tmp_path) as (client, coordinator, servers):
+        stamped = dict(table="C", values=[900, 3, 30], client="dup", req=42)
+        assert client.request("insert", **stamped)["ok"]
+        refusals = []
+
+        def refuse_once(session, sql_session, request, entry):
+            del servers[0]._op_provision  # the class's own op from now on
+            refusals.append(request["op"])
+            raise Overloaded("busy", retry_after=0.01)
+
+        servers[0]._op_provision = refuse_once
+        restarted = ShardCoordinator(
+            coordinator.catalog, [server.address for server in servers]
+        ).start()
+        try:
+            with ReproClient(
+                "127.0.0.1", restarted.port, reconnect_delay=0.01
+            ) as again:
+                assert again.request("insert", **stamped)["ok"]
+                assert again.reconnects == 1  # torn and redelivered
+        finally:
+            restarted.shutdown()
+        assert refusals == ["provision"]
+        assert len(client.select("C", {"id": 900})) == 1
+
+
+def test_killed_shard_comes_back_with_its_indexes(tmp_path):
+    """Provisioning is WAL-logged DDL: a shard SIGKILLed and restarted
+    on its data directory rebuilds the indexes in recovery, and a new
+    coordinator's re-sent provisioning creates nothing."""
+    design = build_chaos_catalog(1).index_design()
+    shard_dir = tmp_path / "shard"
+    shard_dir.mkdir()
+    port = _free_port()
+    shard = ServerSupervisor(shard_dir, port, 0, argv=[
+        "serve", "--port", str(port), "--schema", "chaos",
+        "--shard-index", "0", "--shard-count", "1",
+        "--data-dir", str(shard_dir),
+    ])
+    @contextmanager
+    def routed():
+        coordinator = ShardCoordinator(
+            build_chaos_catalog(1), [("127.0.0.1", port)]
+        ).start()
+        try:
+            with ReproClient("127.0.0.1", coordinator.port) as client:
+                yield client
+        finally:
+            coordinator.shutdown()
+
+    shard.start()
+    try:
+        with routed() as client:
+            client.insert("C", [1, 3, 30])
+        shard.kill9()
+        shard.start()
+        with routed() as client:
+            with pytest.raises(ServerError) as excinfo:
+                client.insert("C", [1, 3, 30])
+            assert excinfo.value.error_type == "KeyViolation"
+            assert client.select("C", {"k1": 3, "k2": 30}) == [[1, 3, 30]]
+        with ReproClient("127.0.0.1", port) as direct:
+            assert direct.request("provision", indexes=design)["created"] == []
+    finally:
+        shard.stop()
+    log = (shard_dir / "server.log").read_text()
+    assert "7 index(es) rebuilt" in log
 
 
 def test_partial_insert_vetoed_when_no_witness_anywhere(tmp_path):
