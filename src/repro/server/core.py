@@ -81,7 +81,7 @@ class Counters:
 
     def __init__(self, *names: str) -> None:
         self._mu = threading.Lock()
-        self._values = dict.fromkeys((*_CORE_COUNTERS, *names), 0)
+        self._values = dict.fromkeys(names, 0)
 
     def bump(self, name: str, by: int = 1) -> None:
         with self._mu:
@@ -138,7 +138,7 @@ class WireServer:
         self.host = host
         self._requested_port = port
         self.send_timeout = send_timeout
-        self.stats = Counters(*counters)
+        self.stats = Counters(*_CORE_COUNTERS, *counters)
         self._listener: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
         self._conns: dict[threading.Thread, socket.socket] = {}

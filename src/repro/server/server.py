@@ -3,7 +3,10 @@ one shared, session-managed database.
 
 The core gives every connection its own serial thread; this module
 gives that thread a :class:`~repro.concurrency.session.Session` (one
-connection = one in-order statement stream) and the op table.
+connection = one in-order statement stream) and the op table.  The four
+row ops are defined once (:func:`run_row_op`): a client's ``insert``, a
+row of the coordinator's one-phase ``txn`` and a row of a 2PC prepare —
+live or re-executed by recovery — run the same code.
 Statements block — on the statement latch, on locks, on fsync — so
 admission control bounds how many run at once: at most ``max_inflight``
 execute; the rest queue, and a queue wait longer than
@@ -391,56 +394,17 @@ class ReproServer(WireServer):
 
         return {"ok": True, "results": self._admitted(statement)}
 
-    def _op_insert(self, session, sql_session, request, entry) -> dict[str, Any]:
-        table = request["table"]
-        values = wire.decode_values(request["values"])
+    def _op_row(self, session, sql_session, request, entry) -> dict[str, Any]:
+        """``insert`` / ``batch`` / ``delete`` / ``update``: one statement
+        (autocommit, or part of the session's open transaction) running
+        the request as its own :func:`run_row_op`."""
 
         def work() -> dict[str, Any]:
-            rid = self.db.insert(table, values)
-            return self._fill(entry, {"ok": True, "rid": rid})
+            return self._fill(entry, {"ok": True, **run_row_op(self.db, request)})
 
         return self._admitted(lambda: session.execute(work))
 
-    def _op_batch(self, session, sql_session, request, entry) -> dict[str, Any]:
-        """Vectorized multi-row insert: one stamp, one transaction, one
-        index walk per run of adjacent keys (repro.core.batch)."""
-        table = request["table"]
-        rows_field = request.get("rows")
-        if not isinstance(rows_field, list):
-            raise ReproError("batch needs a 'rows' list")
-        rows = [wire.decode_values(r) for r in rows_field]
-
-        def work() -> dict[str, Any]:
-            rids = self.db.batch_insert(table, rows)
-            return self._fill(
-                entry, {"ok": True, "rids": rids, "rowcount": len(rids)}
-            )
-
-        return self._admitted(lambda: session.execute(work))
-
-    def _op_delete(self, session, sql_session, request, entry) -> dict[str, Any]:
-        table = request["table"]
-        predicate = _predicate_from(request.get("equals"))
-
-        def work() -> dict[str, Any]:
-            count = self.db.delete_where(table, predicate)
-            return self._fill(entry, {"ok": True, "rowcount": count})
-
-        return self._admitted(lambda: session.execute(work))
-
-    def _op_update(self, session, sql_session, request, entry) -> dict[str, Any]:
-        table = request["table"]
-        assignments = {
-            column: wire.decode_value(value)
-            for column, value in request["assignments"].items()
-        }
-        predicate = _predicate_from(request.get("equals"))
-
-        def work() -> dict[str, Any]:
-            count = self.db.update_where(table, assignments, predicate)
-            return self._fill(entry, {"ok": True, "rowcount": count})
-
-        return self._admitted(lambda: session.execute(work))
+    _op_insert = _op_batch = _op_delete = _op_update = _op_row
 
     def _op_select(self, session, sql_session, request, entry) -> dict[str, Any]:
         table = request["table"]
@@ -599,6 +563,37 @@ class ReproServer(WireServer):
         if cached is None:
             return {"ok": True, "hit": False}
         return {"ok": True, "hit": True, "result": cached}
+
+
+def run_row_op(db: Database, op: dict[str, Any]) -> dict[str, Any]:
+    """Decode and execute one row op — the single definition behind the
+    client-facing ``insert``/``batch``/``delete``/``update`` handlers,
+    the coordinator's ``txn`` op and the 2PC participant's prepare and
+    recovery (:func:`repro.sharding.twophase.apply_shard_op`).  Values
+    arrive wire-encoded; the caller supplies the statement context."""
+    kind = op.get("op")
+    if kind not in ("insert", "batch", "delete", "update"):
+        raise ReproError(f"unknown row op {kind!r}")
+    table = op["table"]
+    if kind == "insert":
+        return {"rid": db.insert(table, wire.decode_values(op["values"]))}
+    if kind == "batch":
+        # Vectorized: one transaction, one index walk per run of
+        # adjacent keys (repro.core.batch).
+        rows = op.get("rows")
+        if not isinstance(rows, list):
+            raise ReproError("batch needs a 'rows' list")
+        rids = db.batch_insert(table, [wire.decode_values(r) for r in rows])
+        return {"rids": rids, "rowcount": len(rids)}
+    # Raw wire equals: _predicate_from turns JSON null into IS NULL.
+    predicate = _predicate_from(op.get("equals"))
+    if kind == "delete":
+        return {"rowcount": db.delete_where(table, predicate)}
+    assignments = {
+        column: wire.decode_value(value)
+        for column, value in op["assignments"].items()
+    }
+    return {"rowcount": db.update_where(table, assignments, predicate)}
 
 
 def _predicate_from(equals: dict[str, Any] | None) -> Predicate | None:

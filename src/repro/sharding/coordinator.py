@@ -5,17 +5,21 @@ shards (DESIGN.md §5i).  It speaks the same length-prefixed JSON protocol
 as the shards, so the existing :class:`~repro.server.client.ReproClient`
 (with its exactly-once stamps) talks to a sharded deployment unchanged.
 
-Routing (:mod:`repro.sharding.catalog`): tables hash-partition on their
-FK-prefix, so a child row whose FK components are all non-NULL co-locates
-with its witness parent and commits **one-phase** — a single ``txn`` op
-(witness pin + insert) on the home shard, ledgered under the client's own
-stamp.  Only a MATCH PARTIAL child row with NULL components may find its
-witness on a foreign shard: the coordinator scatter-probes a snapshot
-witness, then runs **presumed-abort two-phase commit** — PREPARE the pin
-on the witness shard and the insert on the home shard (each durably
-logged by the participant before it votes), write the COMMIT decision to
-the coordinator's own :class:`DecisionLog` segment store, and only then
-acknowledge the client and push the decides.
+One write path (:meth:`ShardCoordinator._write_rows`): every row a
+client inserts — an autocommit ``insert`` (a transaction of one), a
+``batch``, the buffer of a ``begin … commit`` — goes through one planner
+and one commit, all rows or none.  Tables hash-partition on their
+FK-prefix (:mod:`repro.sharding.catalog`), so a child row whose FK
+components are all non-NULL co-locates with its witness parent, and a
+plan that lands on one shard commits **one-phase**: a single ``txn`` op
+(witness pins, then the rows) ledgered under the client's own stamp.
+Only a MATCH PARTIAL child row with NULL components may find its witness
+on a foreign shard (the planner scatter-probes a snapshot witness).  A
+plan on several shards runs **presumed-abort two-phase commit**, as
+cascades do: PREPARE each shard's ops (durably logged by the participant
+before it votes), write the COMMIT decision to the coordinator's own
+:class:`DecisionLog` segment store, and only then acknowledge the client
+and push the decides.
 
 Presumed abort means only COMMIT decisions are logged.  ``resolve``
 answers a participant asking about an in-doubt transaction: a logged
@@ -23,16 +27,19 @@ decision is ``commit``; a transaction still being prepared is
 ``pending``; anything else — including every gtid of a previous
 coordinator incarnation (gtids carry an epoch) — is ``abort``.
 
-Exactly-once across the extra hop: deterministic routes (plain forwards,
-co-located ``txn`` ops) redeliver under the client's original stamp and
-replay from the shard's result ledger.  Non-deterministic routes (2PC,
-cascades — a re-probe may pick a different witness shard) replay from the
-decision log by ``(client, req)`` base, falling back to a scatter
-``ledger_peek`` for acks that committed one-phase before a coordinator
-crash.  When the coordinator cannot rule out that a forwarded stamp
-committed (partial scatter, torn shard link), it **tears the client
-connection instead of answering** — an error reply would falsely promise
-"not committed".
+Exactly-once across the extra hop: plain forwards and one-phase ``txn``
+ops carry the client's original stamp and replay from the shard's result
+ledger; 2PC outcomes replay from the decision log by ``(client, req)``
+base.  A write that may pin a probed witness can take another route when
+re-planned, so before planning it looks its stamp up: the decision log,
+then a scatter ``ledger_peek`` for acks that committed one-phase before
+a coordinator crash.  When the coordinator cannot rule out that a
+forwarded stamp committed (partial scatter, torn shard link), it **tears
+the client connection instead of answering** — an error reply would
+falsely promise "not committed".
+
+Shard links belong to the client connection whose thread opened them and
+close with it; the decide pusher keeps one link per shard of its own.
 
 Index design: the catalog declares, per foreign key, the paper's index
 structure the shards enforce with.  Before the first request it routes
@@ -59,7 +66,7 @@ import threading
 import time
 import uuid
 from collections import deque
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any
@@ -73,7 +80,7 @@ from ..errors import (
 from ..server import wire
 from ..server.client import DeliveryUnknown, ReproClient, ServerError
 from ..server.core import Overloaded, Tear, WireServer, stamp_of
-from .catalog import FkRoute, ShardCatalog
+from .catalog import FkRoute, ShardCatalog, TableRoute
 from .twophase import TwoPhaseError
 
 #: A stalled reply send disconnects the reader instead of pinning us.
@@ -81,6 +88,13 @@ _SEND_TIMEOUT = 10.0
 
 #: Per-shard retries of a retryable error inside one scatter pass.
 _SCATTER_ATTEMPTS = 4
+
+#: Only single-row inserts are buffered by ``begin … commit``.
+_AUTOCOMMIT_ONLY = frozenset({"batch", "delete", "update"})
+
+#: ``prepare(shard, ops)`` inside :meth:`ShardCoordinator._two_phase`:
+#: PREPARE one batch of the global transaction, return its op results.
+_Prepare = Callable[[int, list[dict[str, Any]]], list[dict[str, Any]]]
 
 #: Pause after a restart before new cascades may probe patterns, so
 #: pre-crash in-doubt cascades resolve first (see module docstring).
@@ -162,7 +176,8 @@ class _ConnState:
     session_id: int
     in_txn: bool = False
     txn_id: int = 0
-    buffer: list[dict[str, Any]] = field(default_factory=list)
+    #: The open transaction's ``(table, values)`` rows, in order.
+    buffer: list[tuple[str, list[Any]]] = field(default_factory=list)
 
 
 class ShardCoordinator(WireServer):
@@ -213,7 +228,7 @@ class ShardCoordinator(WireServer):
         self._push_cv = threading.Condition(threading.Lock())
         self._push_thread: threading.Thread | None = None
         self._local = threading.local()
-        self._clients: list[ReproClient] = []
+        self._clients: set[ReproClient] = set()
         self._clients_mu = threading.Lock()
         self.cascade_grace = cascade_grace
         self._grace_until = 0.0
@@ -245,7 +260,7 @@ class ShardCoordinator(WireServer):
         if self._push_thread is not None:
             self._push_thread.join(max(0.0, deadline - time.monotonic()))
         with self._clients_mu:
-            clients, self._clients = self._clients, []
+            clients, self._clients = self._clients, set()
         for client in clients:
             client.close()
         self.decisions.close()
@@ -253,26 +268,36 @@ class ShardCoordinator(WireServer):
     def open_connection(self, conn_id: int) -> _ConnState:
         return _ConnState(session_id=conn_id)
 
-    def handle(
-        self, state: _ConnState, request: dict[str, Any]
-    ) -> dict[str, Any]:
-        try:
-            return self._dispatch(state, request)
-        except (Tear, DeliveryUnknown) as exc:
-            # DeliveryUnknown is the backstop: an unwrapped torn shard
-            # exchange can never become an error reply (it would falsely
-            # promise "not committed") — tear instead.
-            self.stats.bump("teardowns")
-            raise Tear(str(exc)) from exc
+    def close_connection(self, state: _ConnState) -> None:
+        """Shard links live as long as the client connection whose
+        thread opened them (this runs on that thread)."""
+        mine = list(getattr(self._local, "clients", {}).values())
+        self._local.clients = {}
+        with self._clients_mu:
+            self._clients.difference_update(mine)
+        for client in mine:
+            client.close()
 
-    def _dispatch(
+    def handle(
         self, state: _ConnState, request: dict[str, Any]
     ) -> dict[str, Any]:
         op = request.get("op")
         handler = getattr(self, f"_op_{op}", None)
         if handler is None or not isinstance(op, str) or op.startswith("_"):
             raise ReproError(f"unknown coordinator op {op!r}")
-        return handler(state, request)
+        if state.in_txn and op in _AUTOCOMMIT_ONLY:
+            raise TransactionStateError(
+                f"{op} inside an explicit sharded transaction is not "
+                "supported; run it autocommit"
+            )
+        try:
+            return handler(state, request)
+        except (Tear, DeliveryUnknown) as exc:
+            # DeliveryUnknown is the backstop: an unwrapped torn shard
+            # exchange can never become an error reply (it would falsely
+            # promise "not committed") — tear instead.
+            self.stats.bump("teardowns")
+            raise Tear(str(exc)) from exc
 
     def error_reply(self, state: _ConnState, exc: Exception) -> dict[str, Any]:
         if not isinstance(exc, ServerError):
@@ -314,7 +339,7 @@ class ShardCoordinator(WireServer):
                 )
             cache[key] = client
             with self._clients_mu:
-                self._clients.append(client)
+                self._clients.add(client)
         return client
 
     def _shard_request(
@@ -354,8 +379,6 @@ class ShardCoordinator(WireServer):
     # ------------------------------------------------------------------
     # Exactly-once bookkeeping
 
-    _base_of = staticmethod(stamp_of)
-
     def _note_client(self, base: tuple[str, int] | None) -> None:
         if base is None:
             return
@@ -369,9 +392,9 @@ class ShardCoordinator(WireServer):
     ) -> dict[str, Any] | None:
         """Replay a previously-acked result for this stamp, if any.
 
-        Consulted only by non-deterministically-routed requests (2PC,
-        cascades, commit) — a redelivery there may re-plan differently,
-        so re-execution must be ruled out *before* planning.  Order:
+        Consulted by every write and cascade *before* planning — a
+        redelivery may re-plan differently (another witness, another
+        survivor set), so re-execution must be ruled out first.  Order:
         high-water fast path (unknown after a restart ⇒ look), then the
         durable decision log by base, then (for work that may have gone
         one-phase) a scatter ``ledger_peek`` over the shard ledgers.
@@ -415,56 +438,59 @@ class ShardCoordinator(WireServer):
     # ------------------------------------------------------------------
     # Two-phase commit core
 
-    def _next_gtid(self) -> str:
-        with self._gtid_mu:
-            self._gtid_n += 1
-            return f"{self.epoch}:{self._gtid_n}"
-
-    def _prepare(
-        self, gtid: str, shard: int, ops: list[dict[str, Any]], seq: int = 0
-    ) -> list[dict[str, Any]]:
-        response = self._shard_request(shard, "prepare", {
-            "gtid": gtid, "seq": seq, "ops": ops,
-            "resolve": [self.host, self.port],
-        })
-        return response.get("results") or []
-
     def _two_phase(
         self,
         base: tuple[str, int] | None,
-        batches: dict[int, list[dict[str, Any]]],
-        make_result: Callable[[dict[int, list[dict[str, Any]]]], dict[str, Any]],
+        run: Callable[[_Prepare], tuple[dict[str, Any], bool]],
     ) -> dict[str, Any]:
-        """PREPARE every batch (shard order = global lock order), then
-        durably log the commit decision and ack.  Decide pushes are
-        asynchronous; participants can also pull via ``resolve``."""
-        gtid = self._next_gtid()
+        """The one 2PC driver.  *run* prepares its batches through the
+        callable it is handed (in shard order, the global lock order) and
+        returns the client's result plus whether there is anything to
+        commit.  Commit: the decision is durably logged, then acked;
+        decide pushes are asynchronous (participants can also pull via
+        ``resolve``).  Nothing to commit, or any failure: abort."""
+        with self._gtid_mu:
+            self._gtid_n += 1
+            gtid = f"{self.epoch}:{self._gtid_n}"
         with self._in_flight_mu:
             self._in_flight.add(gtid)
-        shards = sorted(batches)
-        results: dict[int, list[dict[str, Any]]] = {}
+        #: shard -> the last ``seq`` sent to it.  Entered before sending:
+        #: a torn prepare may have landed, and the abort push
+        #: (idempotent, "forgotten" if not) covers both.
+        sent: dict[int, int] = {}
+
+        def prepare(shard: int, ops: list[dict[str, Any]]) -> list[dict[str, Any]]:
+            seq = sent[shard] = sent.get(shard, -1) + 1
+            response = self._shard_request(shard, "prepare", {
+                "gtid": gtid, "seq": seq, "ops": ops,
+                "resolve": [self.host, self.port],
+            })
+            return response.get("results") or []
+
+        commit = False
         try:
-            for shard in shards:
-                results[shard] = self._prepare(gtid, shard, batches[shard])
+            result, commit = run(prepare)
         except DeliveryUnknown as exc:
-            # The torn shard may or may not hold a prepare; the abort
-            # push (idempotent, "forgotten" if not) covers both.
-            self._abort_two_phase(gtid, shards)
             raise TransientFault(
                 f"a shard was unreachable during prepare; transaction "
                 f"{gtid} aborted"
             ) from exc
-        except BaseException:
-            self._abort_two_phase(gtid, shards)
-            raise
-        result = make_result(results)
+        finally:
+            if not commit:
+                with self._in_flight_mu:
+                    self._in_flight.discard(gtid)
+                self._queue_decides(gtid, sent, "abort")
+                self.stats.bump("aborts_2pc")
+        if not commit:
+            self._note_client(base)
+            return result
         self.decisions.record_decision(gtid, base, result)
-        return self.ack_committed(gtid, shards, base, result)
+        return self.ack_committed(gtid, sent, base, result)
 
     def ack_committed(
         self,
         gtid: str,
-        shards: Sequence[int],
+        shards: Iterable[int],
         base: tuple[str, int] | None,
         result: dict[str, Any],
     ) -> dict[str, Any]:
@@ -478,14 +504,8 @@ class ShardCoordinator(WireServer):
         self.stats.bump("commits_2pc")
         return result
 
-    def _abort_two_phase(self, gtid: str, shards: Sequence[int]) -> None:
-        with self._in_flight_mu:
-            self._in_flight.discard(gtid)
-        self._queue_decides(gtid, shards, "abort")
-        self.stats.bump("aborts_2pc")
-
     def _queue_decides(
-        self, gtid: str, shards: Sequence[int], verdict: str
+        self, gtid: str, shards: Iterable[int], verdict: str
     ) -> None:
         with self._push_cv:
             for shard in shards:
@@ -547,51 +567,29 @@ class ShardCoordinator(WireServer):
     # ------------------------------------------------------------------
     # Routing helpers
 
-    def _forward(self, shard: int, request: dict[str, Any]) -> dict[str, Any]:
-        """Pass a client request through untouched (keeping its stamp);
-        the shard's own ledger gives it exactly-once semantics."""
-        payload = {k: v for k, v in request.items() if k != "op"}
-        try:
-            response = self._shard_request(shard, request["op"], payload)
-        except DeliveryUnknown as exc:
-            raise Tear(f"forward to shard {shard} tore") from exc
-        self.stats.bump("forwards")
-        self._note_client(self._base_of(request))
-        return response
-
-    def _forward_with_retry(
-        self, shard: int, request: dict[str, Any]
+    def _forward(
+        self, shard: int, request: dict[str, Any], attempts: int = 1
     ) -> dict[str, Any]:
-        """Forward, absorbing retryable shard errors (same stamp: an
-        error reply proved the attempt did not commit)."""
+        """Pass a client request through untouched (keeping its stamp);
+        the shard's own ledger gives it exactly-once semantics.  With
+        *attempts* > 1, retryable shard errors are absorbed (same stamp:
+        an error reply proved the attempt did not commit)."""
         payload = {k: v for k, v in request.items() if k != "op"}
-        for attempt in range(_SCATTER_ATTEMPTS):
+        for attempt in range(attempts):
             try:
-                return self._shard_request(shard, request["op"], payload)
+                response = self._shard_request(shard, request["op"], payload)
+            except DeliveryUnknown as exc:
+                raise Tear(f"forward to shard {shard} tore") from exc
             except ServerError as exc:
-                if not exc.retryable or attempt == _SCATTER_ATTEMPTS - 1:
+                if not exc.retryable or attempt == attempts - 1:
                     raise
                 wait = exc.retry_after
                 time.sleep(wait if wait is not None else 0.05 * (attempt + 1))
+                continue
+            self.stats.bump("forwards")
+            self._note_client(stamp_of(request))
+            return response
         raise AssertionError("unreachable")  # pragma: no cover
-
-    def _one_phase(
-        self,
-        shard: int,
-        base: tuple[str, int] | None,
-        ops: list[dict[str, Any]],
-    ) -> dict[str, Any]:
-        """Run *ops* as one ledgered ``txn`` op on a single shard."""
-        payload: dict[str, Any] = {"ops": ops}
-        if base is not None:
-            payload["client"], payload["req"] = base
-        try:
-            response = self._shard_request(shard, "txn", payload)
-        except DeliveryUnknown as exc:
-            raise Tear(f"one-phase txn on shard {shard} tore") from exc
-        self.stats.bump("one_phase")
-        self._note_client(base)
-        return response
 
     def _scatter_select(
         self, payload: Mapping[str, Any]
@@ -651,271 +649,231 @@ class ShardCoordinator(WireServer):
         return {"ok": True, "pong": True, "session_id": state.session_id}
 
     def _op_insert(self, state: _ConnState, request: dict[str, Any]) -> dict[str, Any]:
+        row = (request["table"], list(request.get("values") or []))
         if state.in_txn:
-            state.buffer.append(dict(request))
+            state.buffer.append(row)
             return {"ok": True, "rid": -1, "buffered": True}
-        return self._insert_routed(
-            self._base_of(request), request["table"],
-            list(request.get("values") or []),
+        return self._write_ack(
+            "insert", self._write_rows(stamp_of(request), [row])
         )
-
-    def _insert_routed(
-        self,
-        base: tuple[str, int] | None,
-        table: str,
-        values: list[Any],
-    ) -> dict[str, Any]:
-        """Route one autocommit insert: forward, one-phase pin+insert on
-        the witness's shard, or 2PC — under *base*'s exactly-once stamp."""
-        request: dict[str, Any] = {"op": "insert", "table": table,
-                                   "values": list(values)}
-        if base is not None:
-            request["client"], request["req"] = base
-        route = self.catalog.route(table)
-        row = route.row_mapping(values)
-        fk = route.fk
-        home = self.catalog.shard_for(table, row)
-        if fk is None:
-            return self._forward(home, request)
-        witness_equals = fk.parent_equals(row)
-        if not witness_equals:
-            # Every FK component NULL: MATCH SIMPLE/PARTIAL admit it
-            # witness-free; the shard enforces its local constraints.
-            return self._forward(home, request)
-        replayed = self._maybe_replay(base)
-        if replayed is not None:
-            return self._insert_ack(replayed)
-        insert_op = {"op": "insert", "table": table, "values": list(values)}
-        if len(witness_equals) == len(fk.parent_key):
-            # Fully referencing ⇒ co-located with the witness by
-            # construction (both sides hash the same value tuple).
-            pin = {"op": "pin", "table": fk.parent_table, "equals": witness_equals}
-            return self._insert_ack(self._one_phase(home, base, [pin, insert_op]))
-        witness = self._choose_witness(fk, witness_equals)
-        if witness is None:
-            raise ReferentialIntegrityViolation(
-                f"no row of {fk.parent_table!r} matches {witness_equals!r}; "
-                f"insert into {table!r} vetoed"
-            )
-        wshard, wkey = witness
-        pin = {"op": "pin", "table": fk.parent_table, "equals": wkey,
-               "probed": True}
-        if wshard == home:
-            return self._insert_ack(self._one_phase(home, base, [pin, insert_op]))
-        return self._two_phase(
-            base,
-            {wshard: [pin], home: [insert_op]},
-            lambda results: self._insert_ack({"ok": True, "results": results[home]}),
-        )
-
-    @staticmethod
-    def _insert_ack(response: dict[str, Any]) -> dict[str, Any]:
-        """Normalise a txn/2PC/replayed result to the client's insert
-        ack shape (``rid``)."""
-        if "rid" in response:
-            return response
-        out: dict[str, Any] = {"ok": True, "rid": -1}
-        for item in response.get("results") or []:
-            if isinstance(item, dict) and item.get("op") == "insert":
-                out["rid"] = item["rid"]
-                break
-        else:
-            if response.get("result_lost"):
-                out["result_lost"] = True
-        if response.get("replayed"):
-            out["replayed"] = True
-        return out
 
     def _op_batch(self, state: _ConnState, request: dict[str, Any]) -> dict[str, Any]:
-        """Route a multi-row insert batch.
-
-        Co-located batches — every row homes on one shard and none is
-        *partially* referencing (those need a scatter witness probe and
-        possibly a foreign-shard pin) — ship as a single ledgered ``txn``
-        op: one pin per distinct witness key, then one vectorized
-        ``batch`` op, all under the client's own stamp.  Anything else
-        falls back to per-row routing under **derived stamps**
-        ``(client#b<req>, i+1)``: a redelivered batch replays each row
-        from the shard ledgers / decision log, so rows committed before
-        a tear are never applied twice.
-        """
+        """A multi-row insert: one stamp, one atomic transaction, on one
+        shard or many (see :meth:`_write_rows`)."""
         table = request["table"]
         rows_field = request.get("rows")
         if not isinstance(rows_field, list):
             raise ReproError("batch needs a 'rows' list")
-        if state.in_txn:
-            raise TransactionStateError(
-                "batch inside an explicit sharded transaction is not "
-                "supported; run it autocommit"
-            )
-        base = self._base_of(request)
-        if not rows_field:
-            self._note_client(base)
-            return {"ok": True, "rids": [], "rowcount": 0}
-        route = self.catalog.route(table)
-        fk = route.fk
-        homes: set[int] = set()
-        pins: list[dict[str, Any]] = []
-        seen_pins: set[tuple[tuple[str, Any], ...]] = set()
-        colocated = True
-        for values in rows_field:
-            row = route.row_mapping(values)
-            homes.add(self.catalog.shard_for(table, row))
-            if fk is None:
-                continue
-            witness_equals = fk.parent_equals(row)
-            if not witness_equals:
-                continue
-            if len(witness_equals) < len(fk.parent_key):
-                colocated = False
-                continue
-            pin_key = tuple(sorted(witness_equals.items()))
-            if pin_key not in seen_pins:
-                seen_pins.add(pin_key)
-                pins.append({"op": "pin", "table": fk.parent_table,
-                             "equals": witness_equals})
-        if colocated and len(homes) == 1:
-            replayed = self._maybe_replay(base)
-            if replayed is not None:
-                return self._batch_ack(replayed)
-            batch_op = {"op": "batch", "table": table,
-                        "rows": [list(r) for r in rows_field]}
-            (home,) = homes
-            return self._batch_ack(
-                self._one_phase(home, base, [*pins, batch_op])
-            )
-        return self._batch_per_row(base, table, rows_field)
+        return self._write_ack("batch", self._write_rows(
+            stamp_of(request), [(table, list(r)) for r in rows_field]
+        ))
 
-    @staticmethod
-    def _batch_ack(response: dict[str, Any]) -> dict[str, Any]:
-        """Normalise a txn/replayed result to the client's batch ack
-        shape (``rids``)."""
-        if "rids" in response:
-            return response
-        out: dict[str, Any] = {"ok": True, "rids": [], "rowcount": 0}
-        for item in response.get("results") or []:
-            if isinstance(item, dict) and item.get("op") == "batch":
-                out["rids"] = list(item["rids"])
-                out["rowcount"] = len(out["rids"])
-                break
-        else:
-            if response.get("result_lost"):
-                out["result_lost"] = True
-        if response.get("replayed"):
-            out["replayed"] = True
-        return out
-
-    def _batch_per_row(
+    def _write_rows(
         self,
         base: tuple[str, int] | None,
-        table: str,
-        rows: list[Any],
+        rows: list[tuple[str, list[Any]]],
     ) -> dict[str, Any]:
-        """Cross-shard fallback: one routed insert per row.
-
-        Each row gets a deterministic derived stamp, so the whole batch
-        is replayable row-by-row.  A failure after the first committed
-        row tears the connection — an error reply would falsely promise
-        "nothing committed" for a batch that partially did."""
-        rids: list[int] = []
-        for i, values in enumerate(rows):
-            derived = (
-                (f"{base[0]}#b{base[1]}", i + 1) if base is not None else None
-            )
+        """The one write path: every row a client inserts — an
+        autocommit ``insert`` (a transaction of one), a ``batch``, the
+        buffer of a ``begin … commit`` — is planned by :meth:`_plan_rows`
+        and committed here, all rows or none, under *base*'s
+        exactly-once stamp: on one shard as the ledgered ``txn`` op, on
+        several by 2PC.  Returns the shard's ``txn`` reply (``results``),
+        the logged 2PC result (``rids``, in row order) or either of them
+        replayed; :meth:`_write_ack` shapes the client's ack.
+        """
+        if not rows:
+            self._note_client(base)
+            return {"ok": True, "rids": []}
+        routes = {
+            table: self.catalog.route(table) for table in {t for t, __ in rows}
+        }
+        # Rows of a table without a foreign key route as a pure function
+        # of the request and touch no shard but their own (they commit
+        # with others down).  A table with one may pin a probed witness,
+        # and a re-probe may pick a route the acked attempt did not take:
+        # those writes also ask the shard ledgers, before planning.
+        replayed = self._maybe_replay(
+            base, peek=any(route.fk is not None for route in routes.values())
+        )
+        if replayed is not None:
+            return replayed
+        plan, slots = self._plan_rows(rows, routes)
+        if len(plan) == 1:
+            ((shard, ops),) = plan.items()
+            payload: dict[str, Any] = {"ops": ops}
+            if base is not None:
+                payload["client"], payload["req"] = base
             try:
-                response = self._insert_routed(derived, table, list(values))
-            except (Tear, DeliveryUnknown):
-                raise
-            except Exception:
-                if rids:
-                    raise Tear(
-                        f"batch row {i} failed after {len(rids)} row(s) "
-                        "committed"
-                    ) from None
-                raise
-            rids.append(int(response.get("rid", -1)))
-        self._note_client(base)
-        return {"ok": True, "rids": rids, "rowcount": len(rids)}
+                response = self._shard_request(shard, "txn", payload)
+            except DeliveryUnknown as exc:
+                raise Tear(f"one-phase txn on shard {shard} tore") from exc
+            self.stats.bump("one_phase")
+            self._note_client(base)
+            return response
 
-    def _op_delete(self, state: _ConnState, request: dict[str, Any]) -> dict[str, Any]:
-        if state.in_txn:
-            raise TransactionStateError(
-                "delete inside an explicit sharded transaction is not "
-                "supported; run it autocommit"
-            )
+        def run(prepare: _Prepare) -> tuple[dict[str, Any], bool]:
+            rids = [-1] * len(rows)
+            for shard, ops in plan.items():
+                results = prepare(shard, ops)
+                filled = slots.get(shard, [])
+                for item, indices in zip(results[len(ops) - len(filled):], filled):
+                    for i, rid in zip(indices, item.get("rids") or [item["rid"]]):
+                        rids[i] = rid
+            return {"ok": True, "rids": rids}, True
+
+        return self._two_phase(base, run)
+
+    def _plan_rows(
+        self,
+        rows: list[tuple[str, list[Any]]],
+        routes: Mapping[str, TableRoute],
+    ) -> tuple[dict[int, list[dict[str, Any]]], dict[int, list[list[int]]]]:
+        """The one planner: *rows* as ops per shard, in shard order (the
+        global lock order), plus per shard the row indices each of its
+        row ops carries.
+
+        Per shard the witness pins come first (one per distinct
+        predicate; a pin queues behind a cascade's parent X-lock before
+        the transaction locks anything that cascade wants), then per
+        table one ``insert`` op for a single row or one vectorized
+        ``batch`` op for several.  A partially referencing row scatter-
+        probes its witness, which may live on another shard than its home.
+        """
+        pins: dict[int, list[dict[str, Any]]] = {}
+        slots: dict[int, dict[str, list[int]]] = {}
+        witnessed: set[tuple[Any, ...]] = set()
+        own: dict[str, list[dict[str, Any]]] = {}
+        for i, (table, values) in enumerate(rows):
+            row = routes[table].row_mapping(values)
+            home = self.catalog.shard_for(table, row)
+            slots.setdefault(home, {}).setdefault(table, []).append(i)
+            fk = routes[table].fk
+            equals = fk.parent_equals(row) if fk is not None else {}
+            predicate = (fk.parent_table, *sorted(equals.items())) if fk else ()
+            # No pin for an all-NULL (or absent) FK, for a predicate
+            # already pinned, or for a witness this transaction inserted
+            # earlier (its X-lock holds that key until the same commit).
+            if equals and predicate not in witnessed and not any(
+                all(parent[column] == value for column, value in equals.items())
+                for parent in own.get(fk.parent_table, ())
+            ):
+                witnessed.add(predicate)
+                pin = {"op": "pin", "table": fk.parent_table, "equals": equals}
+                wshard = home
+                # Fully referencing ⇒ co-located with the witness by
+                # construction (both sides hash the same value tuple);
+                # otherwise the witness is wherever a probe finds one.
+                if len(equals) < len(fk.parent_key):
+                    witness = self._choose_witness(fk, equals)
+                    if witness is None:
+                        raise ReferentialIntegrityViolation(
+                            f"no row of {fk.parent_table!r} matches "
+                            f"{equals!r}; insert into {table!r} vetoed"
+                        )
+                    wshard, pin["equals"] = witness
+                    pin["probed"] = True
+                pins.setdefault(wshard, []).append(pin)
+            own.setdefault(table, []).append(row)
+        plan: dict[int, list[dict[str, Any]]] = {}
+        for shard in sorted({*pins, *slots}):
+            plan[shard] = ops = pins.get(shard, [])
+            for table, indices in slots.get(shard, {}).items():
+                if len(indices) == 1:
+                    ops.append({"op": "insert", "table": table,
+                                "values": rows[indices[0]][1]})
+                else:
+                    ops.append({"op": "batch", "table": table,
+                                "rows": [rows[i][1] for i in indices]})
+        return plan, {s: list(by_table.values()) for s, by_table in slots.items()}
+
+    @staticmethod
+    def _write_ack(op: str, outcome: dict[str, Any]) -> dict[str, Any]:
+        """Shape :meth:`_write_rows`'s outcome — fresh or replayed, from
+        a shard ledger or the decision log — as the client's ack for
+        *op*: ``rid``, ``rids`` (row order) or a bare commit ack."""
+        rids = outcome.get("rids")
+        if rids is None:
+            rids = []
+            for item in outcome.get("results") or []:
+                if item.get("op") == "insert":
+                    rids.append(item["rid"])
+                elif item.get("op") == "batch":
+                    rids.extend(item["rids"])
+        ack: dict[str, Any] = {"ok": True}
+        if op == "insert":
+            ack["rid"] = rids[0] if rids else -1
+        elif op == "batch":
+            ack["rids"] = list(rids)
+            ack["rowcount"] = len(rids)
+        for flag in ("replayed", "result_lost"):
+            if outcome.get(flag):
+                ack[flag] = True
+        return ack
+
+    def _by_partition_key(
+        self,
+        request: dict[str, Any],
+        scatter: Callable[[dict[str, Any]], dict[str, Any]],
+    ) -> dict[str, Any]:
+        """A select/delete/update naming the full partition key goes to
+        the one shard that can hold its rows; anything else to *scatter*."""
         table = request["table"]
         equals = request.get("equals") or {}
-        base = self._base_of(request)
-        if self.catalog.is_parent(table):
-            return self._cascade_delete(base, table, equals)
-        route = self.catalog.route(table)
-        if all(column in equals for column in route.partition):
+        if all(column in equals for column in self.catalog.route(table).partition):
             return self._forward(self.catalog.shard_for(table, equals), request)
-        return self._scatter_mutation(base, request)
+        return scatter(request)
+
+    def _op_delete(self, state: _ConnState, request: dict[str, Any]) -> dict[str, Any]:
+        table = request["table"]
+        if self.catalog.is_parent(table):
+            return self._cascade_delete(
+                stamp_of(request), table, request.get("equals") or {}
+            )
+        return self._by_partition_key(request, self._scatter_mutation)
 
     def _op_update(self, state: _ConnState, request: dict[str, Any]) -> dict[str, Any]:
-        if state.in_txn:
-            raise TransactionStateError(
-                "update inside an explicit sharded transaction is not "
-                "supported; run it autocommit"
-            )
         table = request["table"]
         route = self.catalog.route(table)
-        assignments = request.get("assignments") or {}
         guarded = set(route.partition) | set(
             route.fk.child_columns if route.fk else ()
         )
-        touched = guarded & set(assignments)
+        touched = guarded & set(request.get("assignments") or {})
         if touched:
             raise ReproError(
                 f"updating partition/FK columns {sorted(touched)} of "
                 f"{table!r} through the coordinator is not supported"
             )
-        equals = request.get("equals") or {}
-        base = self._base_of(request)
-        if all(column in equals for column in route.partition):
-            return self._forward(self.catalog.shard_for(table, equals), request)
-        return self._scatter_mutation(base, request)
+        return self._by_partition_key(request, self._scatter_mutation)
 
-    def _scatter_mutation(
-        self, base: tuple[str, int] | None, request: dict[str, Any]
-    ) -> dict[str, Any]:
+    def _scatter_mutation(self, request: dict[str, Any]) -> dict[str, Any]:
         """Run a stamped mutation on every shard.  Each shard ledgers
         the same stamp independently, so a redelivered scatter replays
         per shard.  After the first shard succeeds, any failure tears
         the connection — partial scatter state must not be mistaken for
         "did not commit"."""
         total = 0
-        succeeded = 0
         for shard in range(self.catalog.shards):
             try:
-                response = self._forward_with_retry(shard, request)
-            except DeliveryUnknown as exc:
-                raise Tear(f"scatter to shard {shard} tore") from exc
+                response = self._forward(shard, request, _SCATTER_ATTEMPTS)
             except (ServerError, TransientFault):
-                if succeeded:
+                if shard:
                     raise Tear(
                         f"scatter failed on shard {shard} after "
-                        f"{succeeded} shard(s) committed"
+                        f"{shard} shard(s) committed"
                     ) from None
                 raise
             total += int(response.get("rowcount") or 0)
-            succeeded += 1
         self.stats.bump("scatters")
-        self._note_client(base)
         return {"ok": True, "rowcount": total}
 
     def _op_select(self, state: _ConnState, request: dict[str, Any]) -> dict[str, Any]:
-        table = request["table"]
-        equals = request.get("equals") or {}
-        route = self.catalog.route(table)
-        if all(column in equals for column in route.partition):
-            return self._forward(self.catalog.shard_for(table, equals), request)
-        payload = {k: v for k, v in request.items() if k != "op"}
-        return {
-            "ok": True,
-            "rows": [row for __, row in self._scatter_select(payload)],
-        }
+        def scatter(request: dict[str, Any]) -> dict[str, Any]:
+            payload = {k: v for k, v in request.items() if k != "op"}
+            rows = [row for __, row in self._scatter_select(payload)]
+            return {"ok": True, "rows": rows}
+
+        return self._by_partition_key(request, scatter)
 
     # ------------------------------------------------------------------
     # Explicit transactions (buffered, planned at commit)
@@ -934,7 +892,7 @@ class ShardCoordinator(WireServer):
         return {"ok": True}
 
     def _op_commit(self, state: _ConnState, request: dict[str, Any]) -> dict[str, Any]:
-        base = self._base_of(request)
+        base = stamp_of(request)
         if not state.in_txn:
             # A redelivered commit lands on a fresh connection; the
             # decision log / shard ledgers say whether the original
@@ -943,55 +901,9 @@ class ShardCoordinator(WireServer):
             if replayed is not None:
                 return {"ok": True, "replayed": True}
             raise TransactionStateError("no transaction to commit")
-        buffered, state.buffer = state.buffer, []
+        rows, state.buffer = state.buffer, []
         state.in_txn = False
-        if not buffered:
-            self._note_client(base)
-            return {"ok": True}
-        batches: dict[int, list[dict[str, Any]]] = {}
-        for buffered_request in buffered:
-            self._plan_buffered_insert(buffered_request, batches)
-        if len(batches) == 1:
-            ((shard, ops),) = batches.items()
-            self._one_phase(shard, base, ops)
-            return {"ok": True}
-        self._two_phase(base, batches, lambda results: {"ok": True})
-        return {"ok": True}
-
-    def _plan_buffered_insert(
-        self,
-        request: dict[str, Any],
-        batches: dict[int, list[dict[str, Any]]],
-    ) -> None:
-        table = request["table"]
-        values = request.get("values") or []
-        route = self.catalog.route(table)
-        row = route.row_mapping(values)
-        fk = route.fk
-        home = self.catalog.shard_for(table, row)
-        insert_op = {"op": "insert", "table": table, "values": list(values)}
-        if fk is None:
-            batches.setdefault(home, []).append(insert_op)
-            return
-        witness_equals = fk.parent_equals(row)
-        if not witness_equals:
-            batches.setdefault(home, []).append(insert_op)
-            return
-        if len(witness_equals) == len(fk.parent_key):
-            pin = {"op": "pin", "table": fk.parent_table, "equals": witness_equals}
-            batches.setdefault(home, []).extend([pin, insert_op])
-            return
-        witness = self._choose_witness(fk, witness_equals)
-        if witness is None:
-            raise ReferentialIntegrityViolation(
-                f"no row of {fk.parent_table!r} matches {witness_equals!r}; "
-                f"transaction vetoed"
-            )
-        wshard, wkey = witness
-        pin = {"op": "pin", "table": fk.parent_table, "equals": wkey,
-               "probed": True}
-        batches.setdefault(wshard, []).append(pin)
-        batches.setdefault(home, []).append(insert_op)
+        return self._write_ack("commit", self._write_rows(base, rows))
 
     # ------------------------------------------------------------------
     # Cascaded SET NULL (parent delete)
@@ -1062,50 +974,32 @@ class ShardCoordinator(WireServer):
     ) -> dict[str, Any]:
         self.stats.bump("cascades")
         pshard = self.catalog.shard_for(table, key)
-        gtid = self._next_gtid()
-        with self._in_flight_mu:
-            self._in_flight.add(gtid)
-        prepared: list[int] = [pshard]
-        try:
-            parent_ops: list[dict[str, Any]] = [
-                {"op": "delete", "table": table, "equals": dict(key)},
-            ]
-            for child, fk in children:
-                if not fk.set_null:
-                    continue
-                full_match = {
-                    c: key[p] for c, p in zip(fk.child_columns, fk.parent_key)
-                }
-                parent_ops.append({
-                    "op": "update", "table": child,
-                    "assignments": {c: None for c in fk.child_columns},
-                    "equals": full_match,
-                })
-            results = self._prepare(gtid, pshard, parent_ops, seq=0)
-            rowcount = int(results[0].get("rowcount") or 0)
-            if rowcount == 0:
-                # Someone else already deleted it; nothing cascades.
-                self._abort_two_phase(gtid, prepared)
-                self._note_client(base)
-                return {"ok": True, "rowcount": 0}
-            pattern_batches = self._plan_pattern_updates(table, key, children)
-            for shard in sorted(pattern_batches):
-                seq = 1 if shard == pshard else 0
-                self._prepare(gtid, shard, pattern_batches[shard], seq=seq)
-                if shard not in prepared:
-                    prepared.append(shard)
-        except DeliveryUnknown as exc:
-            self._abort_two_phase(gtid, prepared)
-            raise TransientFault(
-                f"a shard was unreachable during the cascade; transaction "
-                f"{gtid} aborted"
-            ) from exc
-        except BaseException:
-            self._abort_two_phase(gtid, prepared)
-            raise
-        result = {"ok": True, "rowcount": rowcount}
-        self.decisions.record_decision(gtid, base, result)
-        return self.ack_committed(gtid, prepared, base, result)
+        parent_ops: list[dict[str, Any]] = [
+            {"op": "delete", "table": table, "equals": dict(key)},
+        ]
+        for child, fk in children:
+            if not fk.set_null:
+                continue
+            full_match = {
+                c: key[p] for c, p in zip(fk.child_columns, fk.parent_key)
+            }
+            parent_ops.append({
+                "op": "update", "table": child,
+                "assignments": {c: None for c in fk.child_columns},
+                "equals": full_match,
+            })
+
+        def run(prepare: _Prepare) -> tuple[dict[str, Any], bool]:
+            rowcount = int(prepare(pshard, parent_ops)[0].get("rowcount") or 0)
+            # Zero: someone else already deleted it; nothing cascades.
+            patterns = (
+                self._plan_pattern_updates(table, key, children) if rowcount else {}
+            )
+            for shard in sorted(patterns):
+                prepare(shard, patterns[shard])
+            return {"ok": True, "rowcount": rowcount}, rowcount > 0
+
+        return self._two_phase(base, run)
 
     def _plan_pattern_updates(
         self,

@@ -1,7 +1,8 @@
 """The two-phase-commit participant living inside a shard server.
 
 Presumed-abort 2PC, participant side (DESIGN.md §5i).  The coordinator
-(:mod:`repro.sharding.coordinator`) sends ``prepare`` batches — the
+(:mod:`repro.sharding.coordinator`) sends ``prepare`` batches — witness
+``pin``s and the server's own row ops (:func:`apply_shard_op`).  The
 participant executes the batch inside an open transaction (acquiring its
 2PL locks, including the FK witness S-pins), writes a durable ``prepare``
 record through the shard's WAL, and only then votes.  A later ``decide``
@@ -54,7 +55,8 @@ from ..errors import (
 )
 from ..query import probes
 from ..server import wire
-from ..server.server import _predicate_from
+from ..server.core import Counters
+from ..server.server import run_row_op
 from ..testing.faults import fire
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -116,36 +118,18 @@ class PreparedTxn:
 def apply_shard_op(
     server: "ReproServer", session: "Session", op: dict[str, Any]
 ) -> dict[str, Any]:
-    """Execute one shard-level sub-operation of a distributed transaction.
+    """Execute one shard-level sub-operation of a distributed transaction:
+    a witness ``pin``, or one of the server's row ops
+    (:func:`repro.server.server.run_row_op`, values wire-encoded exactly
+    as the coordinator forwarded them).
 
     Must run inside a statement context of *session* (the caller wraps
-    the batch in :meth:`Session.execute`).  Values arrive wire-encoded,
-    exactly as the coordinator forwarded them.
+    the batch in :meth:`Session.execute`).
     """
     kind = op.get("op")
-    if kind == "insert":
-        values = wire.decode_values(op["values"])
-        return {"op": "insert", "rid": server.db.insert(op["table"], values)}
-    if kind == "delete":
-        # Raw wire equals: _predicate_from turns JSON null into IS NULL.
-        predicate = _predicate_from(op.get("equals"))
-        count = server.db.delete_where(op["table"], predicate)
-        return {"op": "delete", "rowcount": count}
-    if kind == "update":
-        assignments = {
-            column: wire.decode_value(value)
-            for column, value in op["assignments"].items()
-        }
-        predicate = _predicate_from(op.get("equals"))
-        count = server.db.update_where(op["table"], assignments, predicate)
-        return {"op": "update", "rowcount": count}
-    if kind == "batch":
-        rows = [wire.decode_values(r) for r in op["rows"]]
-        rids = server.db.batch_insert(op["table"], rows)
-        return {"op": "batch", "rids": rids}
     if kind == "pin":
         return _pin_witness(server, session, op)
-    raise TwoPhaseError(f"unknown shard op {kind!r}")
+    return {"op": kind, **run_row_op(server.db, op)}
 
 
 def _decoded_equals(op: dict[str, Any]) -> dict[str, Any] | None:
@@ -219,15 +203,11 @@ class TwoPhaseParticipant:
         self._resolved: OrderedDict[str, str] = OrderedDict()
         self._stop = threading.Event()
         self._resolver: threading.Thread | None = None
-        # Counters (exposed via the server's stats op).
-        self.prepares = 0
-        self.commits = 0
-        self.aborts = 0
-        self.presumed_aborts = 0
-        self.recommitted = 0
-        self.reinstated = 0
-        self.forgotten_decides = 0
-        self.resolve_errors = 0
+        #: Exposed via the server's stats op (:meth:`stats_snapshot`).
+        self.stats = Counters(
+            "prepares", "commits", "aborts", "presumed_aborts", "recommitted",
+            "reinstated", "forgotten_decides", "resolve_errors",
+        )
 
     # ------------------------------------------------------------------
     # Phase one
@@ -269,27 +249,32 @@ class TwoPhaseParticipant:
                 if seq in txn.batches:  # redelivery raced the original
                     return txn.results[seq]
             try:
-                results = txn.session.execute(
-                    lambda: [
-                        apply_shard_op(self.server, txn.session, op)
-                        for op in ops
-                    ]
-                )
-                wal = self.server.db.wal
-                if wal is not None:
-                    # The vote is a durable promise: the prepare record
-                    # must survive a crash *before* the coordinator
-                    # hears "yes".
-                    wal.log_two_phase(
-                        "prepare", (gtid, seq, list(ops), resolve_addr)
-                    )
+                results = self._execute_batch(txn, seq, ops, vote=True)
             except BaseException:
                 self._drop_failed(gtid, txn)
                 raise
-            with self._mu:
-                txn.batches[seq] = list(ops)
-                txn.results[seq] = results
-        self.prepares += 1
+        self.stats.bump("prepares")
+        return results
+
+    def _execute_batch(
+        self, txn: PreparedTxn, seq: int, ops: list[dict[str, Any]], vote: bool
+    ) -> list[dict[str, Any]]:
+        """Run batch *seq* inside *txn*'s open transaction and file it
+        under its idempotency key.  *vote* writes the durable prepare
+        record first; recovery re-executes batches whose record it read."""
+        results = txn.session.execute(
+            lambda: [apply_shard_op(self.server, txn.session, op) for op in ops]
+        )
+        wal = self.server.db.wal
+        if vote and wal is not None:
+            # The vote is a durable promise: the prepare record must
+            # survive a crash *before* the coordinator hears "yes".
+            wal.log_two_phase(
+                "prepare", (txn.gtid, seq, list(ops), txn.resolve_addr)
+            )
+        with self._mu:
+            txn.batches[seq] = list(ops)
+            txn.results[seq] = results
         return results
 
     def _drop_failed(self, gtid: str, txn: PreparedTxn) -> None:
@@ -330,7 +315,7 @@ class TwoPhaseParticipant:
                             f"{prior!r}; conflicting decide {verdict!r}"
                         )
                     return f"already-{prior}"
-                self.forgotten_decides += 1
+                self.stats.bump("forgotten_decides")
                 return "forgotten"
         # txn.mu serialises against a still-executing prepare batch (the
         # coordinator can race an abort onto a torn prepare): the
@@ -351,10 +336,10 @@ class TwoPhaseParticipant:
                 if verdict == "commit":
                     txn.session.annotate_next_commit(TwoPhaseMarker(gtid))
                     txn.session.commit()
-                    self.commits += 1
+                    self.stats.bump("commits")
                 else:
                     txn.session.rollback()
-                    self.aborts += 1
+                    self.stats.bump("aborts")
                 txn.session.close()
         with self._mu:
             self._remember_locked(gtid, verdict)
@@ -424,13 +409,7 @@ class TwoPhaseParticipant:
                 reinstated=True,
             )
             for seq, ops, __ in batches:
-                results = session.execute(
-                    lambda ops=ops: [
-                        apply_shard_op(self.server, session, op) for op in ops
-                    ]
-                )
-                txn.batches[seq] = list(ops)
-                txn.results[seq] = results
+                self._execute_batch(txn, seq, ops, vote=False)
             if verdict == "commit":
                 # The decision was durable but the data commit was not:
                 # finish it now (the decide record needs no re-logging).
@@ -439,12 +418,12 @@ class TwoPhaseParticipant:
                 session.close()
                 with self._mu:
                     self._remember_locked(gtid, "commit")
-                self.recommitted += 1
+                self.stats.bump("recommitted")
                 continue
             with self._mu:
                 self._prepared[gtid] = txn
             in_doubt += 1
-        self.reinstated = in_doubt
+        self.stats.bump("reinstated", in_doubt)
         if in_doubt:
             self.ensure_resolver()
         return in_doubt
@@ -487,12 +466,12 @@ class TwoPhaseParticipant:
                 ):
                     # The coordinator has been unreachable for so long it
                     # is presumed dead for good; release the locks.
-                    self.presumed_aborts += 1
+                    self.stats.bump("presumed_aborts")
                     self.decide(txn.gtid, "abort")
             except ReproError:
                 # An injected resolve fault or a decide race: this sweep
                 # skips the transaction, the next one retries.
-                self.resolve_errors += 1
+                self.stats.bump("resolve_errors")
 
     def _ask_coordinator(self, txn: PreparedTxn) -> str | None:
         """``commit``/``abort``/``pending`` from the coordinator's
@@ -525,16 +504,7 @@ class TwoPhaseParticipant:
     def stats_snapshot(self) -> dict[str, int]:
         with self._mu:
             in_doubt = len(self._prepared)
-        return {
-            "in_doubt": in_doubt,
-            "prepares": self.prepares,
-            "commits": self.commits,
-            "aborts": self.aborts,
-            "presumed_aborts": self.presumed_aborts,
-            "recommitted": self.recommitted,
-            "reinstated": self.reinstated,
-            "forgotten_decides": self.forgotten_decides,
-        }
+        return {"in_doubt": in_doubt, **self.stats.snapshot()}
 
     def stop(self) -> None:
         """Stop the resolver thread (in-doubt sessions are left to the

@@ -7,6 +7,7 @@ never collects them), and the real engine tree is asserted clean.
 
 from __future__ import annotations
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -162,6 +163,24 @@ def test_serving_core_holds_the_only_accept_loop():
         if ".accept()" in line
     ]
     assert accepts == ["server/core.py"]
+
+
+def test_sharding_has_one_commit_ack_and_one_decision_write():
+    # RPR009 (unmodified) checks every ack is paired with the decision
+    # log; this pins that there is one 2PC driver to pair — one call
+    # acks a commit and one call writes a decision, in one function.
+    calls = [
+        (path.name, node.func.attr)
+        for path in sorted((SRC / "sharding").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("ack_committed", "record_decision")
+    ]
+    assert sorted(calls) == [
+        ("coordinator.py", "ack_committed"),
+        ("coordinator.py", "record_decision"),
+    ]
 
 
 def test_fixture_directory_trips_every_rule():

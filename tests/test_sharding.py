@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import socket
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 
 import pytest
 
@@ -27,6 +27,7 @@ from repro.sharding import (
 from repro.testing.chaos import (
     N_PARENTS,
     ServerSupervisor,
+    build_chaos_database,
     build_chaos_shard_database,
 )
 
@@ -436,6 +437,160 @@ def test_stats_report_cluster_drained(tmp_path):
             )
 
         _await(drained, what="two-phase drain")
+
+
+# ----------------------------------------------------------------------
+# The one write path: insert, batch and begin … commit
+
+
+#: The third row has no witness anywhere; on three shards the first two
+#: home on different shards, and the second needs a scatter probe.
+_VETOED = [[1, 1, 10], [2, 2, None], [3, None, 999999]]
+
+
+def _send_batch(client, rows):
+    return client.batch_insert("C", rows)
+
+
+def _send_transaction(client, rows):
+    client.begin()
+    for row in rows:
+        client.insert("C", row)
+    client.commit()
+
+
+@pytest.mark.parametrize("entry", ["batch", "commit", "single-server"])
+def test_vetoed_row_vetoes_the_whole_write_on_every_entry_point(tmp_path, entry):
+    """An update applies with all its side effects or not at all: one
+    non-retryable error reply, no connection torn, no row left."""
+    with ExitStack() as stack:
+        if entry == "single-server":
+            server = stack.enter_context(ReproServer(build_chaos_database()))
+            client = stack.enter_context(ReproClient(*server.address))
+        else:
+            client, __, __ = stack.enter_context(_cluster(tmp_path, shards=3))
+        send = _send_transaction if entry == "commit" else _send_batch
+        with pytest.raises(ServerError) as excinfo:
+            send(client, _VETOED)
+        assert excinfo.value.error_type == "ReferentialIntegrityViolation"
+        assert not excinfo.value.retryable
+        assert client.reconnects == 0
+        assert client.select("C") == []
+
+
+def _cross_shard_rows(catalog, first_id: int) -> list[list[int]]:
+    rows = [[first_id + k, k, k * 10] for k in range(6)]
+    homes = {
+        catalog.shard_for("C", {"id": r[0], "k1": r[1], "k2": r[2]}) for r in rows
+    }
+    assert len(homes) > 1
+    return rows
+
+
+def test_cross_shard_batch_is_one_transaction_and_replays_as_a_unit(tmp_path):
+    """Two-phase commit under the client's stamp: the redelivery — on
+    another connection, then through a restarted coordinator reading the
+    same decision log — applies nothing and repeats the rids in row
+    order."""
+    with _cluster(tmp_path) as (client, coordinator, servers):
+        rows = _cross_shard_rows(coordinator.catalog, 100)
+        stamped = dict(table="C", rows=rows, client="dup", req=7)
+        first = client.request("batch", **stamped)
+        assert first["rowcount"] == len(rows) and "replayed" not in first
+        assert coordinator.stats.snapshot()["commits_2pc"] == 1
+        with ReproClient("127.0.0.1", coordinator.port) as other:
+            again = other.request("batch", **stamped)
+        assert again["rids"] == first["rids"] and again["replayed"] is True
+        _await(lambda: not any(s.twophase.in_doubt() for s in servers),
+               what="decide push")
+        coordinator.shutdown()
+        restarted = ShardCoordinator(
+            coordinator.catalog, [server.address for server in servers],
+            data_dir=str(tmp_path / "coord"),
+        ).start()
+        try:
+            with ReproClient("127.0.0.1", restarted.port) as late:
+                replay = late.request("batch", **stamped)
+                assert replay["rids"] == first["rids"] and replay["replayed"]
+                assert restarted.stats.snapshot()["commits_2pc"] == 0
+                by_id = {row[0]: row for row in late.select("C")}
+                assert by_id == {row[0]: row for row in rows}
+                # Row order, not shard order: each rid is its row's.
+                for rid, row in zip(first["rids"], rows):
+                    home = servers[coordinator.catalog.shard_for(
+                        "C", dict(zip(("id", "k1", "k2"), row))
+                    )]
+                    assert list(home.db.table("C").heap.get(rid)) == row
+        finally:
+            restarted.shutdown()
+
+
+def test_colocated_writes_reach_their_shard_as_one_txn(tmp_path):
+    """A single insert is ``[pin, insert]``; a multi-row batch homing on
+    one shard is its de-duplicated pins and ONE vectorized ``batch`` op
+    — each a single ledgered ``txn`` request under the client's stamp."""
+    with _cluster(tmp_path) as (client, coordinator, servers):
+        client.insert("C", [1, 3, 30])  # provisions, learns the client
+        home = coordinator.catalog.shard_for("C", {"id": 0, "k1": 3, "k2": 30})
+        seen = []
+        shard_txn = servers[home]._op_txn
+
+        def recording(session, sql_session, request, entry):
+            seen.append((request["client"], request["ops"]))
+            return shard_txn(session, sql_session, request, entry)
+
+        servers[home]._op_txn = recording
+        requests = [s.stats.snapshot()["requests"] for s in servers]
+        client.insert("C", [2, 3, 30])
+        rids = client.batch_insert("C", [[3, 3, 30], [4, 3, 30]])
+        assert len(set(rids)) == 2
+        pin = {"op": "pin", "table": "P", "equals": {"k1": 3, "k2": 30}}
+        assert seen == [
+            (client.client_id,
+             [pin, {"op": "insert", "table": "C", "values": [2, 3, 30]}]),
+            (client.client_id,
+             [pin, {"op": "batch", "table": "C",
+                    "rows": [[3, 3, 30], [4, 3, 30]]}]),
+        ]
+        assert [s.stats.snapshot()["requests"] for s in servers] == [
+            before + 2 * (index == home)
+            for index, before in enumerate(requests)
+        ]
+        assert coordinator.stats.snapshot()["one_phase"] == 3
+
+
+def test_transaction_own_parent_witnesses_its_children(tmp_path):
+    """Pins go first, but not for a witness the same transaction
+    inserts: its own lock holds that key until the one commit."""
+    with _cluster(tmp_path) as (client, coordinator, servers):
+        client.begin()
+        client.insert("P", [100, 1000])
+        client.insert("C", [1, 100, 1000])
+        client.insert("C", [2, 100, None])
+        client.commit()
+        assert sorted(client.select("C")) == [[1, 100, 1000], [2, 100, None]]
+        assert client.request("verify", deep=True)["clean"]
+
+
+def test_shard_links_close_with_the_client_connection(tmp_path):
+    """A connection thread's shard links end with it: clients that come
+    and go leave no session on any shard and no link in the coordinator
+    (the decide pusher's own link and the open client's stay)."""
+    with _cluster(tmp_path) as (client, coordinator, servers):
+        client.insert("C", [1, 5, None])  # 2PC: the pusher's link opens
+        _await(lambda: not coordinator.pending_decides()
+               and not any(s.twophase.in_doubt() for s in servers),
+               what="decide push")
+        sessions = [len(server.sessions.open_sessions) for server in servers]
+        links = len(coordinator._clients)
+        for index in range(30):
+            with ReproClient("127.0.0.1", coordinator.port) as passing:
+                passing.insert("C", [10 + index, 3, 30])
+        _await(
+            lambda: [len(s.sessions.open_sessions) for s in servers] == sessions,
+            what="shard sessions to drain",
+        )
+        assert len(coordinator._clients) == links
 
 
 # ----------------------------------------------------------------------
