@@ -60,6 +60,13 @@ The rules:
     crash — an acked-commit loss the chaos judge exists to catch.
 ``RPR010`` retired with the event loop it guarded (no coroutine is
     left to block); the code is not reused.
+``RPR011`` settle-before-reply — in ``repro.server.core`` a function
+    that writes replies to a connection (``send_frame`` / ``send_frames``)
+    must call the role's ``settle`` earlier in the same function: a
+    commit made on a connection leaves its record in the log buffer, so
+    a reply of any kind — a write ack, a read that saw the commit, a
+    ledger replay — sent without the flush behind it acknowledges what
+    a crash can still lose.  RPR009's idea, for every commit ack.
 """
 
 from __future__ import annotations
@@ -127,13 +134,7 @@ def _fire_literals(tree: ast.Module) -> Iterator[tuple[int, str]]:
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
-        func = node.func
-        name = None
-        if isinstance(func, ast.Name):
-            name = func.id
-        elif isinstance(func, ast.Attribute):
-            name = func.attr
-        if name != "fire" or not node.args:
+        if _callee_name(node) != "fire" or not node.args:
             continue
         arg = node.args[0]
         if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
@@ -347,6 +348,16 @@ def _own_nodes(func: ast.AST) -> Iterator[ast.AST]:
         stack.extend(ast.iter_child_nodes(node))
 
 
+def _callee_name(call: ast.Call) -> str | None:
+    """``f`` of ``f(...)`` or ``x.f(...)``."""
+    callee = call.func
+    if isinstance(callee, ast.Name):
+        return callee.id
+    if isinstance(callee, ast.Attribute):
+        return callee.attr
+    return None
+
+
 def _check_socket_guards(
     module: ModuleName, tree: ast.Module
 ) -> Iterator[tuple[int, str]]:
@@ -360,12 +371,7 @@ def _check_socket_guards(
         for node in _own_nodes(func):
             if not isinstance(node, ast.Call):
                 continue
-            callee = node.func
-            name = (
-                callee.id if isinstance(callee, ast.Name)
-                else callee.attr if isinstance(callee, ast.Attribute)
-                else None
-            )
+            name = _callee_name(node)
             if name == "fire" or name == "settimeout":
                 guarded = True
             elif name in _SOCKET_CALLS:
@@ -411,12 +417,7 @@ def _check_decision_before_ack(
         for node in _own_nodes(func):
             if not isinstance(node, ast.Call):
                 continue
-            callee = node.func
-            name = (
-                callee.id if isinstance(callee, ast.Name)
-                else callee.attr if isinstance(callee, ast.Attribute)
-                else None
-            )
+            name = _callee_name(node)
             if name in _DECISION_GUARDS:
                 guarded = True
             elif name in _DECISION_ACKS:
@@ -429,6 +430,43 @@ def _check_decision_before_ack(
                     "in the same function; under presumed abort an acked "
                     "commit with no durable decision record is rolled back "
                     "by recovery after a coordinator crash",
+                )
+
+
+# ----------------------------------------------------------------------
+# RPR011 — the role's settle() dominates every reply the core writes
+
+_REPLY_SENDS = {"send_frame", "send_frames"}
+
+_SETTLE_SCOPED = ("repro.server.core",)
+
+
+def _check_settle_before_reply(
+    module: ModuleName, tree: ast.Module
+) -> Iterator[tuple[int, str]]:
+    if not _in(module, _SETTLE_SCOPED):
+        return
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        calls = sorted(
+            (
+                (node.lineno, _callee_name(node))
+                for node in _own_nodes(func) if isinstance(node, ast.Call)
+            ),
+            key=lambda call: call[0],
+        )
+        settled_at = min(
+            (line for line, name in calls if name == "settle"), default=None
+        )
+        for line, name in calls:
+            if name in _REPLY_SENDS and (settled_at is None or settled_at > line):
+                yield (
+                    line,
+                    f"{name}() with no settle() before it in this "
+                    "function; a reply must not leave while the log "
+                    "buffer holds a record older than it — call the "
+                    "role's settle(state) first",
                 )
 
 
@@ -500,6 +538,8 @@ RULES: tuple[Rule, ...] = (
          _check_snapshot_lock_free),
     Rule("RPR009", "cross-shard commit acks dominated by decision record",
          _check_decision_before_ack),
+    Rule("RPR011", "serving-core replies written only after settle()",
+         _check_settle_before_reply),
 )
 
 

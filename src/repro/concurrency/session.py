@@ -58,11 +58,15 @@ class Session:
         self._commit_note: Any = None
         #: The ledger seam, and the only listener there is: the server
         #: sets it to ``ReproServer._record_commit``.  Called with the
-        #: consumed note right after a commit of this session is durable
+        #: consumed note right after a commit of this session is logged
         #: and visible — inside the commit, so the committing statement
         #: still holds the statement latch and no checkpoint can fall
         #: between the commit and its entry in the result ledger.
         self.on_commit: Callable[[Any], None] | None = None
+        #: Whether a commit of this session flushes the log itself.  An
+        #: owner that clears it (the server does, for its connections'
+        #: sessions) must flush before acknowledging anything.
+        self.flush_on_commit = True
 
     # ------------------------------------------------------------------
     # Thread binding

@@ -258,7 +258,15 @@ class Transaction:
             else None
         )
         if self.wal_txn_id is not None:
-            self._db.wal.commit(self.wal_txn_id, note)
+            # A session whose owner flushes before it acknowledges (the
+            # server's connections) leaves the record in the log buffer:
+            # locks and the MVCC stamp below are released ahead of the
+            # fsync, and whoever then builds on this commit is flushed
+            # behind it, in LSN order.
+            self._db.wal.commit(
+                self.wal_txn_id, note,
+                sync=self.session is None or self.session.flush_on_commit,
+            )
         if versions is not None:
             versions.on_commit(self.txn_id)
         self._undo.clear()

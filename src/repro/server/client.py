@@ -200,6 +200,10 @@ class ReproClient:
             (self._host, self._port), self._connect_timeout
         )
         self._sock.settimeout(None)
+        # Replies are read through one buffer per connection: a drained
+        # pipeline costs a recv or two, not two per reply.  The reader
+        # is handed ``self._sock`` on every read and dies with it.
+        self._reader = wire.FrameReader()
 
     # ------------------------------------------------------------------
 
@@ -291,7 +295,7 @@ class ReproClient:
         if self._sock is None:
             raise wire.WireError("client is closed")
         wire.send_frame(self._sock, message)
-        response = wire.recv_frame(self._sock)
+        response = self._reader.read(self._sock)
         if response is None:
             raise wire.WireError("server closed the connection")
         if not response.get("ok"):
@@ -557,7 +561,7 @@ class Pipeline:
         pending = list(self._sent)
         while pending and not self._torn:
             try:
-                response = wire.recv_frame(client._sock)  # type: ignore[arg-type]
+                response = client._reader.read(client._sock)  # type: ignore[arg-type]
             except (wire.WireError, OSError):
                 self._torn = True
                 break

@@ -5,29 +5,38 @@ every endpoint that speaks the wire protocol (DESIGN.md §5d).
 thread per connection::
 
     accept thread    fire("wire.accept") · TCP_NODELAY · spawn
-    connection thread, one per client, strictly serial:
-        wire.recv_frame → role.handle() → echo ``id`` on a copy
-                        → wire.send_frame under a whole-reply deadline
+    connection thread, one per client, strictly serial, burst by burst:
+        FrameReader.read       one recv: every frame the client has queued
+        → role.handle() each   in order, each its own statement; ``id`` echoed
+        → role.settle()        once: what the replies reflect is durable
+        → wire.send_frames     once, under a whole-burst deadline
 
-A connection is one in-order statement stream, so a pipelining client
-needs nothing more: its queued frames wait in the kernel's socket
-buffers (TCP paces a client that outruns the server — there is no
-user-space request queue to grow) and are answered in order.
+A connection is one in-order statement stream.  A stop-and-wait client
+makes bursts of one; a pipelining client's queued frames arrive with one
+``recv`` and share one ``settle`` (on the database role: one log flush,
+one fsync) and one ``sendall``.  What one ``recv`` returned bounds the
+burst; frames beyond it wait in the kernel's socket buffers (TCP paces a
+client that outruns the server — there is no user-space request queue to
+grow).
 
 :class:`~repro.server.server.ReproServer` and
 :class:`~repro.sharding.coordinator.ShardCoordinator` are *roles* of this
 class.  A role supplies per-connection state (:meth:`open_connection` /
-:meth:`close_connection`), its op dispatch (:meth:`handle`) and its
-error cases (:meth:`error_reply`); the failure semantics of the protocol
-live here, once:
+:meth:`close_connection`), its op dispatch (:meth:`handle`), its error
+cases (:meth:`error_reply`) and what must happen before a reply may
+leave (:meth:`settle`); the failure semantics of the protocol live
+here, once:
 
 * a torn or undecodable frame, or an injected ``wire.recv`` fault, ends
   that connection after the requests before it were answered in order;
-* a reply that cannot be sent within ``send_timeout`` (a stalled
-  reader) cuts the connection instead of pinning its thread;
+* replies that cannot be sent within ``send_timeout`` (a stalled
+  reader) or whose send fails cut the connection instead of pinning its
+  thread; the burst's replies are lost together and the client's
+  same-stamp redelivery recovers them;
 * an injected ``wire.accept`` fault sheds the connection at the door;
 * a handler raising :class:`Tear` closes the connection *without
-  replying* — for outcomes an error reply would misreport;
+  replying* to that request — for outcomes an error reply would
+  misreport — after the requests before it were answered;
 * two copies of one stamped request (a redelivery racing the original)
   never execute concurrently;
 * :meth:`stop_serving` drains under one shared deadline: in-flight
@@ -167,6 +176,12 @@ class WireServer:
     def error_reply(self, state: Any, exc: Exception) -> dict[str, Any]:
         return error_response(exc)
 
+    def settle(self, state: Any) -> None:
+        """Called once per burst, after its requests ran and before any
+        of their replies is written: return only when everything those
+        replies reflect is durable.  A role with nothing volatile
+        behind its replies keeps this no-op."""
+
     # ------------------------------------------------------------------
     # Lifecycle
 
@@ -304,38 +319,23 @@ class WireServer:
         state = None
         try:
             state = self.open_connection(conn_id)
-            while True:
-                try:
-                    request = wire.recv_frame(conn)
-                except (ReproError, OSError):
-                    # A torn frame or injected wire fault ends intake
-                    # for this connection only; redelivery recovers.
-                    self.stats.bump("read_faults")
-                    break
-                # Re-checked after every read: a frame queued behind the
-                # request in flight at shutdown is discarded, not run.
-                if request is None or self._stopping.is_set():
-                    break
-                self.stats.bump("requests")
-                try:
-                    with self._single_flight(stamp_of(request)):
-                        response = self.handle(state, request)
-                except Tear:
-                    break
-                except Exception as exc:  # noqa: BLE001 - boundary
-                    self.stats.bump("errors")
-                    response = self.error_reply(state, exc)
-                if "id" in request:
-                    # Copy before tagging: the dict may be a ledger-cached
-                    # reply, and the stamp's recorded result must not grow
-                    # connection-local fields.
-                    response = {**response, "id": request["id"]}
+            reader = wire.FrameReader()
+            serving = True
+            while serving:
+                replies: list[dict[str, Any]] = []
+                serving = self._run_burst(state, reader, conn, replies)
+                if not replies:
+                    continue
+                # No reply leaves before the role has made durable
+                # whatever it reflects — this connection's commits and
+                # any other's that a read or a ledger replay saw.
+                self.settle(state)
                 # Replies must not be torn, but a stalled reader must not
                 # pin this thread either: the timeout bounds the whole
                 # sendall, not each syscall, so trickling does not help.
                 conn.settimeout(self.send_timeout)
                 try:
-                    wire.send_frame(conn, response)
+                    wire.send_frames(conn, replies)
                 except socket.timeout:
                     self.stats.bump("send_timeouts")
                     break
@@ -350,3 +350,46 @@ class WireServer:
                 conn.close()
                 with self._conns_mu:
                     self._conns.pop(threading.current_thread(), None)
+
+    def _run_burst(
+        self,
+        state: Any,
+        reader: wire.FrameReader,
+        conn: socket.socket,
+        replies: list[dict[str, Any]],
+    ) -> bool:
+        """Wait for a request, then execute it and every complete one the
+        same ``recv`` brought in behind it, in order, queueing their
+        replies on *replies*.  False when the connection is to end once
+        those are sent."""
+        while True:
+            try:
+                request = reader.read(conn, wait=not replies)
+            except (ReproError, OSError):
+                # A torn frame or injected wire fault ends intake
+                # for this connection only; redelivery recovers.
+                self.stats.bump("read_faults")
+                return False
+            if request is None:
+                # EOF while waiting ends the connection; an empty buffer
+                # only ends the burst.
+                return bool(replies)
+            # Re-checked before every frame: one queued behind the
+            # request in flight at shutdown is discarded, not run.
+            if self._stopping.is_set():
+                return False
+            self.stats.bump("requests")
+            try:
+                with self._single_flight(stamp_of(request)):
+                    response = self.handle(state, request)
+            except Tear:
+                return False
+            except Exception as exc:  # noqa: BLE001 - boundary
+                self.stats.bump("errors")
+                response = self.error_reply(state, exc)
+            if "id" in request:
+                # Copy before tagging: the dict may be a ledger-cached
+                # reply, and the stamp's recorded result must not grow
+                # connection-local fields.
+                response = {**response, "id": request["id"]}
+            replies.append(response)

@@ -7,10 +7,10 @@ connection = one in-order statement stream) and the op table.  The four
 row ops are defined once (:func:`run_row_op`): a client's ``insert``, a
 row of the coordinator's one-phase ``txn`` and a row of a 2PC prepare —
 live or re-executed by recovery — run the same code.
-Statements block — on the statement latch, on locks, on fsync — so
-admission control bounds how many run at once: at most ``max_inflight``
-execute; the rest queue, and a queue wait longer than
-``admission_timeout`` is rejected with a retryable "overloaded" error
+Statements block — on the statement latch, on locks, a 2PC vote or a
+checkpoint on fsync — so admission control bounds how many run at once:
+at most ``max_inflight`` execute; the rest queue, and a queue wait longer
+than ``admission_timeout`` is rejected with a retryable "overloaded" error
 (backpressure, not collapse).
 
 Request ops (all JSON, see :mod:`repro.server.wire` for framing):
@@ -26,7 +26,11 @@ are missing; idempotent).
 a request carrying an ``id`` field gets it echoed on its reply, so a
 pipelining client can additionally assert the pairing.  Ordering is per
 connection only — concurrent connections interleave at the engine's
-discretion.
+discretion.  The requests one ``recv`` brought in run back to back, each
+its own statement, and share one log flush and one send
+(:mod:`repro.server.core`): a commit made on a connection releases its
+locks without waiting for the disk, and no reply of any kind leaves the
+server while the log buffer holds a record older than the reply.
 
 Error responses carry ``retryable``: deadlock victims, lock timeouts,
 injected transient faults and admission rejections are safe to retry
@@ -170,13 +174,21 @@ class ReproServer(WireServer):
         # picks up whatever was left (e.g. sessions created outside a
         # connection, or one whose statement outlived the deadline).
         self.stats.bump("rolled_back_on_shutdown", self.sessions.close_all())
-        if self.data_dir is not None and self.db.wal is not None:
-            self.db.wal.close()  # the log this server opened on data_dir
+        wal = self.db.wal
+        if wal is not None:
+            # A connection cut off at the deadline, or one whose replies
+            # could not be sent, may have left commits in the buffer.
+            wal.flush()
+            if self.data_dir is not None:
+                wal.close()  # the log this server opened on data_dir
         return self.stats.snapshot()["rolled_back_on_shutdown"]
 
     def open_connection(self, conn_id: int) -> "tuple[Session, SqlSession]":
         session = self.sessions.session()
         session.on_commit = self._record_commit
+        # Commits append and release their locks; settle() pays the
+        # flush once per burst, before any reply is written.
+        session.flush_on_commit = False
         return session, SqlSession(self.db)
 
     def close_connection(self, state: "tuple[Session, SqlSession]") -> None:
@@ -189,6 +201,16 @@ class ReproServer(WireServer):
         self, state: "tuple[Session, SqlSession]", request: dict[str, Any]
     ) -> dict[str, Any]:
         return self._dispatch(*state, request)
+
+    def settle(self, state: "tuple[Session, SqlSession]") -> None:
+        """Flush the log, always: whatever a queued reply reflects — this
+        connection's commits, another's that a read or a ledger replay
+        saw — was appended before the reply was built, and a flush that
+        returns has made all of that durable.  An empty buffer proves
+        nothing (another thread's flush may hold the record and still be
+        inside its fsync), so there is no shortcut to take."""
+        if self.db.wal is not None:
+            self.db.wal.flush()
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -298,8 +320,8 @@ class ReproServer(WireServer):
         entry: LedgerEntry | None, response: dict[str, Any]
     ) -> dict[str, Any]:
         """Record *response* as the entry's result — called inside the
-        transaction, i.e. before the commit flush serialises the entry
-        into the durable commit record."""
+        transaction, i.e. before the commit appends the entry to the log
+        (the flush that carries it out serialises it as it is then)."""
         if entry is not None:
             entry.result = response
         return response
@@ -428,7 +450,7 @@ class ReproServer(WireServer):
         return {"ok": True, "txn_id": txn.txn_id}
 
     def _op_commit(self, session, sql_session, request, entry) -> dict[str, Any]:
-        # Fill before committing: the commit flush serialises the entry.
+        # Fill before committing: the commit record carries the entry.
         response = self._fill(entry, {"ok": True})
         session.commit()
         return response

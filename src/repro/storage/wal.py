@@ -14,9 +14,12 @@ Record flow:
 * every logical row mutation (insert/delete/update, with before and
   after images) and every index/table DDL performed through the
   :class:`~repro.storage.database.Database` API appends one record;
-* records become durable at commit (**group commit**: inside
-  ``wal.group_commit()`` many transactions share one flush), or when the
-  buffer overflows its capacity;
+* records become durable when the log is flushed: at commit, unless the
+  committer defers it (``commit(..., sync=False)`` — the server's
+  connections, which flush once per burst of requests before any reply
+  leaves — or a thread inside ``wal.group_commit()``: either way many
+  transactions share one flush), or when the buffer overflows its
+  capacity;
 * :meth:`WriteAheadLog.checkpoint` snapshots every table and truncates
   the durable log — the recovery starting point.
 
@@ -134,6 +137,13 @@ class RecoveryReport:
         )
 
 
+class _GroupScope(threading.local):
+    """Per-thread ``group_commit`` nesting depth: the scope defers the
+    flushes of the thread that entered it and of no other."""
+
+    depth = 0
+
+
 class WriteAheadLog:
     """Logical redo/undo log with group commit and checkpoints."""
 
@@ -160,7 +170,7 @@ class WriteAheadLog:
         self._next_lsn = 0
         self._next_txn = 1
         self._checkpoint: _Checkpoint | None = None
-        self._group_depth = 0
+        self._group = _GroupScope()
         self._suspended = False
         #: Number of physical flushes — group commit is measured by this
         #: staying far below the number of commits.
@@ -214,7 +224,8 @@ class WriteAheadLog:
 
     def close(self) -> None:
         """Release the segment store's open file (a durable log only).
-        Nothing is flushed, and the log stays usable afterwards."""
+        Nothing is flushed — an owner that deferred commit flushes calls
+        :meth:`flush` first — and the log stays usable afterwards."""
         if self._store is not None:
             self._store.close()
 
@@ -324,18 +335,24 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
     # Commit / abort / flush
 
-    def commit(self, txn_id: int, note: Any = None) -> None:
-        """Make the transaction durable (flushes unless inside a group).
+    def commit(self, txn_id: int, note: Any = None, sync: bool = True) -> None:
+        """Append the commit record and, with *sync*, make it durable.
+
+        ``sync=False`` leaves the record in the buffer: the caller owes
+        a :meth:`flush` before it tells anyone the transaction
+        committed.  A thread inside :meth:`group_commit` defers the same
+        way, and the scope's exit pays the flush.
 
         *note* is an opaque payload persisted inside the commit record —
         the server's exactly-once ledger stores the acknowledged result
         here so a post-crash retry replays the answer instead of the
-        work.  It must be set (not merely referenced) before the flush
-        this commit triggers, because durable stores serialise then.
+        work.  It must be complete before this call and must not change
+        afterwards, because durable stores serialise it at whichever
+        flush carries the record out.
         """
         payload = () if note is None else (note,)
         self._append(txn_id, "commit", payload=payload)
-        if self._group_depth == 0:
+        if sync and not self._group.depth:
             self.flush()
 
     def abort(self, txn_id: int) -> None:
@@ -349,6 +366,9 @@ class WriteAheadLog:
 
     def flush(self) -> None:
         """Move the volatile buffer to the durable log (one 'fsync').
+        When this returns, every record appended before the call is
+        durable — including one that another thread's flush, still
+        syncing, had already taken out of the buffer (``_flush_mu``).
 
         With a segment store attached the flushed records also reach
         disk here, CRC-framed, with exactly one physical fsync — so the
@@ -375,19 +395,21 @@ class WriteAheadLog:
 
     @contextmanager
     def group_commit(self) -> Iterator[None]:
-        """Defer commit flushes inside the block to a single flush.
+        """Defer this thread's commit flushes inside the block to a
+        single flush at its end.
 
         This is group commit as MySQL's binary log implements it: many
         transactions' commit records ride one fsync.  A transaction is
         not durable until the group flushes — a crash inside the block
-        loses the whole group, atomically per transaction.
+        loses the whole group, atomically per transaction.  Commits of
+        other threads are not part of the group and flush as usual.
         """
-        self._group_depth += 1
+        self._group.depth += 1
         try:
             yield
         finally:
-            self._group_depth -= 1
-            if self._group_depth == 0:
+            self._group.depth -= 1
+            if not self._group.depth:
                 self.flush()
 
     # ------------------------------------------------------------------

@@ -136,6 +136,25 @@ def test_rpr009_only_applies_to_sharding_modules():
     assert lint.lint_source(source, "repro.query.dml") == []
 
 
+def test_rpr011_reply_without_settle():
+    violations = _lint_fixture(
+        "rpr011_unsettled_reply.py", module="repro.server.core"
+    )
+    assert [v.code for v in violations] == ["RPR011"] * 2
+    assert "send_frame()" in violations[0].message
+    assert "send_frames()" in violations[1].message
+    # settle_then_reply below stays clean.
+    assert all(v.line < 16 for v in violations)
+
+
+def test_rpr011_only_applies_to_the_serving_core():
+    # The client and the tests' raw sockets send frames too; only the
+    # core answers requests, so only it owes a settle().
+    source = (FIXTURES / "rpr011_unsettled_reply.py").read_text()
+    assert lint.lint_source(source, "repro.server.client") == []
+    assert lint.lint_source(source, "repro.sharding.coordinator") == []
+
+
 def test_rpr008_versions_module_covered_entirely():
     # Inside repro.storage.versions every function is a snapshot path,
     # whatever its name — locked_read_rows gets flagged there too.
@@ -165,6 +184,19 @@ def test_serving_core_holds_the_only_accept_loop():
     assert accepts == ["server/core.py"]
 
 
+def test_frame_reader_holds_the_only_recv():
+    # Server and client both read through wire.FrameReader, so the
+    # serving and sharding layers hold one recv call between them.
+    recvs = [
+        path.relative_to(SRC).as_posix()
+        for package in ("server", "sharding")
+        for path in sorted((SRC / package).glob("*.py"))
+        for line in path.read_text().splitlines()
+        if ".recv(" in line
+    ]
+    assert recvs == ["server/wire.py"]
+
+
 def test_sharding_has_one_commit_ack_and_one_decision_write():
     # RPR009 (unmodified) checks every ack is paired with the decision
     # log; this pins that there is one 2PC driver to pair — one call
@@ -186,13 +218,15 @@ def test_sharding_has_one_commit_ack_and_one_decision_write():
 def test_fixture_directory_trips_every_rule():
     codes = set()
     for path in sorted(FIXTURES.glob("*.py")):
-        # The socket-guard and decision-log rules are scoped to the
-        # serving/sharding layers, so their fixtures lint under the
+        # The socket-guard, decision-log and settle rules are scoped to
+        # the serving/sharding layers, so their fixtures lint under the
         # matching module names.
         if path.stem.startswith("rpr007"):
             package = "server"
         elif path.stem.startswith("rpr009"):
             package = "sharding"
+        elif path.stem.startswith("rpr011"):
+            package = "server.core"
         else:
             package = "query"
         for violation in lint.lint_source(

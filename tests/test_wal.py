@@ -1,5 +1,7 @@
 """Unit tests for the write-ahead log and crash recovery."""
 
+import threading
+
 import pytest
 
 from repro import Column, Database
@@ -97,6 +99,55 @@ class TestGroupCommit:
             # committed, but the group has not flushed: not yet durable
             simulate_crash(db)
         assert rows(db) == before
+
+
+    def test_group_scope_defers_only_the_thread_that_entered_it(self):
+        """Thread B commits while thread A sits inside ``group_commit()``:
+        B is not part of A's group, so B's commit record is durable when
+        B's ``commit`` returns (a shared depth counter made B skip its
+        flush and acknowledge an undurable commit).  A's own commit still
+        waits for the end of A's scope."""
+        wal = WriteAheadLog()
+        inside, b_done = threading.Event(), threading.Event()
+        seen: dict[str, list[int]] = {}
+
+        def durable_commits() -> list[int]:
+            return [r.txn_id for r in wal.durable_records if r.kind == "commit"]
+
+        def thread_a() -> None:
+            with wal.group_commit():
+                a = wal.begin()
+                wal.commit(a)
+                inside.set()
+                assert b_done.wait(5.0)
+                seen["inside"] = durable_commits()
+            seen["after"] = durable_commits()
+
+        def thread_b() -> None:
+            assert inside.wait(5.0)
+            b = wal.begin()
+            wal.commit(b)
+            seen["b"] = durable_commits()
+            b_done.set()
+
+        threads = [threading.Thread(target=t) for t in (thread_a, thread_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10.0)
+        assert not any(thread.is_alive() for thread in threads)
+        # B's flush carried A's buffered record out with its own — the
+        # log is one stream — but B never waited for A's scope to end.
+        assert seen["b"] == [1, 2]
+        assert seen["inside"] == seen["after"] == [1, 2]
+
+    def test_group_scopes_nest_and_flush_once_at_the_outermost_exit(self):
+        wal = WriteAheadLog()
+        with wal.group_commit():
+            with wal.group_commit():
+                wal.commit(wal.begin())
+            assert wal.flush_count == 0
+        assert wal.flush_count == 1
 
 
 class TestRecovery:
