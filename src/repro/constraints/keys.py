@@ -62,7 +62,9 @@ class CandidateKey:
         """Raise :class:`KeyViolation` if *row* would duplicate a key.
 
         ``ignore_rid`` excludes one existing row (the UPDATE self-match).
-        Keys containing NULL never collide, per SQL.
+        Keys containing NULL never collide, per SQL.  An INSERT asks one
+        prepared LIMIT-1 probe (no predicate tree, no per-call plan);
+        only the UPDATE case walks the matches to skip its own row.
         """
         values = self.key_values(row)
         if any(v is NULL for v in values):
@@ -71,13 +73,19 @@ class CandidateKey:
                     f"{self.name}: NULL in primary key columns {self.columns}"
                 )
             return
-        from ..query import executor
+        from ..query import executor, probes
 
         table = db.table(self.table)
-        predicate = self.match_predicate(values)
-        for rid, __ in executor.iter_matching(table, predicate):
-            if ignore_rid is not None and rid == ignore_rid:
-                continue
+        if ignore_rid is None:
+            duplicate = probes.exists_eq(table, self.columns, values)
+        else:
+            duplicate = any(
+                rid != ignore_rid
+                for rid, __ in executor.iter_matching(
+                    table, self.match_predicate(values)
+                )
+            )
+        if duplicate:
             raise KeyViolation(
                 f"{self.name}: duplicate key value {values!r} on {self.table}"
             )

@@ -26,6 +26,7 @@ from .predicate import Predicate
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..storage.database import Database
+    from ..storage.table import Table
 
 
 # ----------------------------------------------------------------------
@@ -183,24 +184,25 @@ def handle_parent_removed(
             continue
 
         # 2. Each partial state: u = 1 .. n-1 null markers.  The
-        #    per-state column lists are value-independent, so they are
-        #    compiled once per foreign key and only the values bind per
+        #    per-state probes are value-independent, so they are
+        #    prepared once per foreign key and only the values bind per
         #    removal.  The child probes of one key revisit the same few
         #    index ranges with different residuals, so they share one
-        #    read of each — until an action rewrites children.
+        #    read and one census of each — until an action rewrites
+        #    children.
         scope = probes.RangeScope()
-        for state, child_cols, child_nulls, parent_cols, total_positions in _state_shapes(fk):
+        for state, total_positions, child_probe, parent_probe in _state_probes(
+            fk, child, parent
+        ):
             values = tuple([parent_key[i] for i in total_positions])
             if (state, values) in probed:
                 continue
             probed.add((state, values))
             fire("enforce.state_probe")
             db.tracker.count("state_checks")
-            if not probes.exists_eq(
-                child, child_cols, values, null_columns=child_nulls, scope=scope
-            ):
+            if not child_probe.exists(values, None, scope):
                 continue
-            if probes.exists_eq(parent, parent_cols, values):
+            if parent_probe.exists(values):
                 # An alternative parent subsumes this state's children:
                 # the removed rows are already gone (AFTER DELETE), so
                 # any hit is a genuine alternative.
@@ -212,41 +214,42 @@ def handle_parent_removed(
     return affected
 
 
-def _state_shapes(
-    fk: ForeignKey,
+def _state_probes(
+    fk: ForeignKey, child: Table, parent: Table
 ) -> tuple[
-    tuple[
-        tuple[int, ...],
-        tuple[str, ...],
-        tuple[str, ...],
-        tuple[str, ...],
-        tuple[int, ...],
-    ],
+    tuple[tuple[int, ...], tuple[int, ...], probes.PreparedProbe, probes.PreparedProbe],
     ...,
 ]:
-    """Per-state probe shapes of the §6.1 state loop, memoized on *fk*.
+    """Per-state prepared probes of the §6.1 state loop.
 
-    One entry per partial null-state: (state, child equality columns,
-    child IS NULL columns, parent equality columns, total positions).
+    One entry per partial null-state: (state, total positions, the
+    child-state probe, the alternative-parent probe).  Resolved once per
+    foreign key and catalog epoch of the two tables, and memoized on
+    *fk*: the loop binds values and nothing else.
     """
-    shapes = fk.__dict__.get("_partial_state_shapes")
-    if shapes is None:
+    epoch = (child, child.indexes.version, parent, parent.indexes.version)
+    cached = fk.__dict__.get("_partial_state_probes")
+    if cached is None or cached[0] != epoch:
         n = fk.n_columns
         built = []
         for state in iter_null_states(n, include_total=False, include_all_null=False):
-            state_set = set(state)
-            total_positions = tuple(i for i in range(n) if i not in state_set)
+            total_positions = tuple(i for i in range(n) if i not in state)
             built.append(
                 (
                     state,
-                    tuple(fk.fk_columns[i] for i in total_positions),
-                    tuple(fk.fk_columns[i] for i in state),
-                    tuple(fk.key_columns[i] for i in total_positions),
                     total_positions,
+                    probes.prepared(
+                        child,
+                        [fk.fk_columns[i] for i in total_positions],
+                        [fk.fk_columns[i] for i in state],
+                    ),
+                    probes.prepared(
+                        parent, [fk.key_columns[i] for i in total_positions]
+                    ),
                 )
             )
-        shapes = fk._partial_state_shapes = tuple(built)
-    return shapes
+        cached = fk._partial_state_probes = (epoch, tuple(built))
+    return cached[1]
 
 
 def _alternative_parent_exists(

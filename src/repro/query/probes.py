@@ -30,7 +30,9 @@ of :meth:`~repro.indexes.btree.BPlusTree.runs` — finds the first match
 at C level (:func:`_first_hit`) and *computes* every scan counter from
 where the hit fell instead of counting row by row.  Probes that share a
 :class:`RangeScope` (the ``2^n - 2`` state probes of one parent delete)
-read each index range once and answer from it.
+read each index range once, classify its rows once into a *census* —
+null/value pattern → first position — and answer with one dictionary
+lookup each.
 """
 
 from __future__ import annotations
@@ -61,15 +63,25 @@ class RangeScope(dict):
     """The index ranges one statement's probes share.
 
     Maps ``(index, encoded prefix)`` to the range as it stood when first
-    probed — ``(rows, leaf-step offsets, descent reads)``, everything a
-    later probe of the same range needs to answer and to charge itself
-    exactly as if it had walked the index again.  The ``2^n - 2`` state
-    probes of one parent delete (§6.1) revisit the same few ranges with
-    different residuals; under a scope each range is read once.
+    probed — ``(rows, leaf-step offsets, descent reads, censuses)``,
+    everything a later probe of the same range needs to answer and to
+    charge itself exactly as if it had walked the index again.  A
+    *census* maps each row's projection onto a set of tested columns
+    (keyed by their schema positions, in schema order) to the first
+    position that shows it, so a probe is one lookup of the pattern it
+    expects.  The ``2^n - 2`` state probes of one parent delete (§6.1)
+    revisit the same few ranges with different residuals, and since
+    every state tests the same columns — the foreign key's, less the
+    range's prefix — they share one census per range.
 
-    A snapshot is only as good as the table is still: the owner must
-    :meth:`clear` the scope the moment anything writes the probed table,
-    and drops it with the loop it was opened for.
+    Bound: one range per probed ``(index, prefix)`` and one census per
+    distinct tested-column set on it.  The §6.1 loop draws every prefix
+    from the one removed key, so it holds at most one range and one
+    census per prefix length ``1..n-1`` of each child index (``2n - 1``
+    under Bounded, ``n - 1`` under Hybrid).  A snapshot is only as good
+    as the table is still: the owner must :meth:`clear` the scope the
+    moment anything writes the probed table, and drops it with the loop
+    it was opened for.
     """
 
     __slots__ = ()
@@ -100,9 +112,10 @@ class PreparedProbe:
     positions a row must be checked on, whose output is compared against
     one expected tuple (bound values, then ``NULL`` per IS NULL column;
     ``NULL`` is a singleton without ``__eq__``, so it equals only
-    itself and a NULL column never equals a bound value).  Re-plans
-    itself lazily whenever ``table.indexes.version`` has moved since the
-    last execution.
+    itself and a NULL column never equals a bound value).  For a
+    :class:`RangeScope` census the residual test is also kept in schema
+    order (:meth:`_plan`).  Re-plans itself lazily whenever
+    ``table.indexes.version`` has moved since the last execution.
     """
 
     __slots__ = (
@@ -116,6 +129,8 @@ class PreparedProbe:
         "_prefix_slots",
         "_residual_slots",
         "_residual_project",
+        "_census_positions",
+        "_census_pattern",
         "_dives",
     )
 
@@ -135,6 +150,8 @@ class PreparedProbe:
         self._prefix_slots: tuple[int, ...] = ()
         self._residual_slots: tuple[int, ...] = ()
         self._residual_project: Callable[[Row], Any] | None = None
+        self._census_positions: tuple[int, ...] = ()
+        self._census_pattern: Callable[[tuple[Any, ...]], Any] | None = None
         self._dives: tuple[tuple[Any, int], ...] = ()
 
     def _projector(self, eq_columns: Sequence[str]) -> Callable[[Row], Any] | None:
@@ -180,6 +197,21 @@ class PreparedProbe:
         residual = [c for c in columns if c not in bound]
         self._residual_slots = tuple(slot_of[c] for c in residual)
         self._residual_project = self._projector(residual)
+        # The same test in schema order, whichever way this shape splits
+        # the tested columns between ``=`` and IS NULL, so that every
+        # shape testing them shares one census of a range: positions,
+        # and what picks the expected pattern out of ``(*values, NULL)``.
+        # (Scans keep equalities first: a tuple comparison stops at its
+        # first mismatch, and value-to-NULL comparisons are the slow ones.)
+        position = table.schema.position
+        tested = sorted(
+            [(position(c), slot_of[c]) for c in residual]
+            + [(position(c), len(columns)) for c in self.null_columns]
+        )
+        self._census_positions = tuple(p for p, __ in tested)
+        self._census_pattern = (
+            itemgetter(*[source for __, source in tested]) if tested else None
+        )
 
     def _bind(self, values: Sequence[Any]) -> None:
         """Per-execution planner work: epoch check, candidate charge, dives."""
@@ -188,9 +220,19 @@ class PreparedProbe:
         if indexes.version != self._version:
             self._plan(values)
             self._version = indexes.version
-        table.tracker.count("planner_candidates", len(indexes))
+        count = table.tracker.count
+        count("planner_candidates", len(indexes))
+        # A dive into a tree of uniform depth charges its height and
+        # nothing else (TableIndex.dive): those are charged as one sum.
+        reads = 0
         for index, slot in self._dives:
-            index.dive(values[slot])
+            tree = index._structure
+            if tree._uniform:
+                reads += tree._height
+            else:
+                index.dive(values[slot])
+        if reads:
+            count("index_node_reads", reads)
 
     # ------------------------------------------------------------------
 
@@ -221,9 +263,9 @@ class PreparedProbe:
     ) -> Row | None:
         """The one probe kernel: full scan or index range, tip or view.
 
-        Rows are tested a batch at a time by :func:`_first_hit` — the
-        whole heap, a leaf run, or a scope's whole range — and every
-        charge follows from where the hit fell: node reads for the
+        Rows are tested a batch at a time — the whole heap or a leaf run
+        by :func:`_first_hit`, a scope's whole range by its census — and
+        every charge follows from where the hit fell: node reads for the
         descent and for each leaf step up to the hit's leaf, index
         entries for those consumed before the hit (with the hit, under
         a hash index), heap fetches and examined rows up to and
@@ -289,19 +331,14 @@ class PreparedProbe:
         scope: RangeScope | None,
     ) -> Row | None:
         """:meth:`_search` over the planned index range: the scope's
-        snapshot of it when there is one, else leaf run by leaf run,
-        stopping at the run that holds the hit."""
+        snapshot and census of it when there is one, else leaf run by
+        leaf run, stopping at the run that holds the hit."""
         index = self._index
         heap = self.table.heap
         prefix = tuple(
             [encode_component(values[slot]) for slot in self._prefix_slots]
         )
         project = self._residual_project
-        expected = (
-            self._expected([values[slot] for slot in self._residual_slots])
-            if project is not None
-            else None
-        )
         hit_scanned = index.hit_scanned
         hit = None
         reads = scanned = fetched = 0
@@ -309,8 +346,21 @@ class PreparedProbe:
             snapshot = scope.get((index, prefix))
             if snapshot is None:
                 snapshot = scope[index, prefix] = self._read_range(prefix)
-            rows, steps, reads = snapshot
-            at = _first_hit(project, expected, rows)
+            rows, steps, reads, censuses = snapshot
+            positions = self._census_positions
+            if not positions:  # nothing to test: the first row is the hit
+                at = 0 if rows else -1
+            else:
+                census = censuses.get(positions)
+                if census is None:
+                    # first position wins: written last, in reverse
+                    census = censuses[positions] = dict(
+                        zip(
+                            map(itemgetter(*positions), reversed(rows)),
+                            range(len(rows) - 1, -1, -1),
+                        )
+                    )
+                at = census.get(self._census_pattern((*values, NULL)), -1)
             if at < 0:
                 reads += len(steps)
                 scanned = fetched = len(rows)
@@ -329,6 +379,11 @@ class PreparedProbe:
                     fetched = 1
                     break
         else:
+            expected = (
+                self._expected([values[slot] for slot in self._residual_slots])
+                if project is not None
+                else None
+            )
             for entries, run_reads in index.runs(prefix):
                 reads += run_reads
                 rids = list(map(_SECOND, entries))
@@ -355,21 +410,21 @@ class PreparedProbe:
 
     def _read_range(
         self, prefix: EncodedKey
-    ) -> tuple[list[Row], list[int], int]:
+    ) -> tuple[list[Row], list[int], int, dict[tuple[int, ...], dict[Any, int]]]:
         """The whole range under *prefix* for a :class:`RangeScope`:
         its rows in index order, the offset into them at which each leaf
-        step was taken, and the node reads of the descent."""
-        fetch = self.table.heap.fetch
-        rows: list[Row] = []
+        step was taken, the node reads of the descent, and its censuses
+        (none yet)."""
+        rids: list[int] = []
         steps: list[int] = []
         descent = 0
         for entries, reads in self._index.runs(prefix):
             if descent:
-                steps += [len(rows)] * reads
+                steps += [len(rids)] * reads
             else:
                 descent = reads
-            rows += fetch(map(_SECOND, entries))
-        return rows, steps, descent
+            rids += map(_SECOND, entries)
+        return self.table.heap.fetch(rids), steps, descent, {}
 
 
 def prepared(

@@ -6,7 +6,8 @@ entry-at-a-time generators and per-row loops it replaced are kept here,
 verbatim in behaviour, as the reference: for every tree shape, prefix,
 residual and hit position the result and all four scan counters —
 ``index_node_reads``, ``index_entries_scanned``, ``rows_fetched``,
-``rows_examined`` — must be what the reference counts.
+``rows_examined`` — must be what the reference counts.  So is the
+``_first_hit`` scan a scope's census replaced (:func:`ref_scoped_find`).
 
 ``derandomize=True`` fixes the example generation so tier-1 stays
 reproducible.
@@ -16,17 +17,19 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.harness import prepare_cell
+from repro.constraints.actions import ReferentialAction
 from repro.core.strategies import IndexStructure
 from repro.indexes.btree import BPlusTree
 from repro.indexes.cost import CostTracker
 from repro.indexes.definition import IndexDefinition, IndexKind
 from repro.indexes.keys import encode_component, encode_key
 from repro.nulls import NULL
-from repro.query import dml, enforcement, probes
+from repro.query import dml, probes
 from repro.query.predicate import equalities
 from repro.storage.schema import Column
 from repro.storage.table import Table
@@ -152,6 +155,34 @@ def ref_find(probe: probes.PreparedProbe, values, view=None):
         return None
     finally:
         tracker.count("rows_examined", examined)
+
+
+def ref_scoped_find(probe: probes.PreparedProbe, values):
+    """The scoped branch as it was before the census: read the whole
+    range, scan it with ``_first_hit`` under the probe's own projection
+    (residual equalities, then IS NULL columns), charge from the hit."""
+    probe._bind(values)
+    tracker = probe.table.tracker
+    prefix = tuple(encode_component(values[s]) for s in probe._prefix_slots)
+    rows, steps, reads, __ = probe._read_range(prefix)
+    project = probe._residual_project
+    expected = (
+        probe._expected([values[s] for s in probe._residual_slots])
+        if project is not None
+        else None
+    )
+    at = probes._first_hit(project, expected, rows)
+    if at < 0:
+        tracker.count("index_node_reads", reads + len(steps))
+        tracker.count("index_entries_scanned", len(rows))
+        fetched = len(rows)
+    else:
+        tracker.count("index_node_reads", reads + bisect_right(steps, at))
+        tracker.count("index_entries_scanned", at + probe._index.hit_scanned)
+        fetched = at + 1
+    tracker.count("rows_fetched", fetched)
+    tracker.count("rows_examined", fetched)
+    return rows[at] if at >= 0 else None
 
 
 def measured(table: Table, run):
@@ -398,20 +429,118 @@ def test_scope_reuse_after_an_early_hit():
     scope = probes.RangeScope()
     early = assert_parity(table, ("a", "c"), (1, 8), scope=scope)
     assert early[1]["rows_fetched"] == 1
-    ((rows, steps, descent),) = scope.values()
+    ((rows, steps, descent, censuses),) = scope.values()
     assert len(rows) == 8  # the whole range was read, once
+    (by_c,) = censuses.values()  # ...and classified, once
+    assert by_c == {c: c - 8 for c in range(8, 16)}
     # later probes answer from it, each charged as a fresh walk
     for c in (15, 11, -1, 8):
         assert_parity(table, ("a", "c"), (1, c), scope=scope)
+    assert list(censuses.values()) == [by_c]
     assert_parity(table, ("a",), (1,), ("b",), scope=scope)
-    assert list(scope.values()) == [(rows, steps, descent)]
+    assert list(scope.values()) == [(rows, steps, descent, censuses)]
+    assert len(censuses) == 2  # another tested column, another census
+    assert next(iter(censuses.values())) is by_c
 
 
-def state_loop_cell():
+# ----------------------------------------------------------------------
+# The census: one classification pass per range, one lookup per probe.
+
+
+def census_table(rows, kind=IndexKind.BTREE):
+    """``t(a, b, c, d)`` over order-4 structures, indexed on ``a``;
+    ``b`` and ``c`` repeat and may be NULL, ``d`` is unique per row."""
+    table = Table(
+        "t", [Column("a"), Column("b"), Column("c"), Column("d")], index_order=4
+    )
+    table.create_index(IndexDefinition("by_a", ("a",), kind))
+    for d, (a, b, c) in enumerate(rows):
+        table.insert_row((a, b, c, d))
+    return table
+
+
+def assert_census_parity(table, scope, columns, values, null_columns=()):
+    """A scoped probe answers and charges what the ``_first_hit`` scan
+    of the same range did; False when the planner chose a full scan."""
+    probe = probes.prepared(table, columns, null_columns)
+    actual = measured(table, lambda: probe.exists(values, None, scope))
+    if probe._index is None:
+        return False
+    found, cost = measured(table, lambda: ref_scoped_find(probe, values))
+    assert actual == (found is not None, cost)
+    return True
+
+
+small = st.one_of(st.integers(0, 2), st.just(NULL))
+
+
+@given(rows=st.lists(st.tuples(st.integers(0, 2), small, small), max_size=70))
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_census_answers_and_charges_like_the_first_hit_scan(rows):
+    for kind in (IndexKind.BTREE, IndexKind.HASH):
+        table = census_table(rows, kind)
+        for a in range(4):  # 3 is never present: the empty range
+            scope = probes.RangeScope()
+            in_range = [row for row in table.rows() if row[0] == a]
+            patterns = {row[1:3] for row in in_range} | {(0, 1), (NULL, NULL), (7, 7)}
+            indexed = True
+            for b, c in sorted(patterns, key=repr):
+                # one tested column set (b, c), split four ways between
+                # ``=`` and IS NULL the way the null-states split a key
+                eq = [(n, v) for n, v in (("b", b), ("c", c)) if v is not NULL]
+                columns = ("a", *[n for n, __ in eq])
+                values = (a, *[v for __, v in eq])
+                nulls = tuple(n for n, v in (("b", b), ("c", c)) if v is NULL)
+                indexed &= assert_census_parity(table, scope, columns, values, nulls)
+            if indexed and scope:
+                ((__, __, __, censuses),) = scope.values()
+                assert list(censuses) == [(1, 2)]  # shared by every split
+            # one-column residuals project to the bare value: a hit at
+            # every position, a miss, an IS NULL pattern, many duplicates
+            for row in in_range:
+                assert_census_parity(table, scope, ("a", "d"), (a, row[3]))
+            assert_census_parity(table, scope, ("a", "d"), (a, -1))
+            assert_census_parity(table, scope, ("a",), (a,), ("b",))
+            for b in range(3):
+                assert_census_parity(table, scope, ("a", "b"), (a, b))
+            assert_census_parity(table, scope, ("a",), (a,))  # nothing to test
+            assert len(scope) <= 1
+
+
+def test_state_shapes_reading_one_range_share_one_census():
+    # 30 rows under a = 1; the first of each (b, c) pattern sits at 0..8
+    rows = [(1, (NULL, 0, 1)[i % 3], (NULL, 0, 1)[i // 3 % 3]) for i in range(30)]
+    table = census_table(rows + [(0, 0, 0)] * 30)
+    scope = probes.RangeScope()
+    assert assert_census_parity(table, scope, ("a", "b"), (1, 0), ("c",))
+    ((rows_read, __, __, censuses),) = scope.values()
+    (census,) = censuses.values()
+    assert len(rows_read) == 30
+    assert census == {
+        ((NULL, 0, 1)[i % 3], (NULL, 0, 1)[i // 3 % 3]): i for i in range(9)
+    }
+    # the other states of the "key" (b, c), and a total probe, read the
+    # same range and ask the same census: nothing is built again
+    assert assert_census_parity(table, scope, ("a", "c"), (1, 1), ("b",))
+    assert assert_census_parity(table, scope, ("a",), (1,), ("b", "c"))
+    assert assert_census_parity(table, scope, ("a", "b", "c"), (1, 1, 1))
+    assert assert_census_parity(table, scope, ("a", "b", "c"), (1, 1, 7))  # a miss
+    assert len(scope) == 1 and list(censuses.values()) == [census]
+    assert next(iter(censuses.values())) is census
+    # cleared, the next probe reads and classifies the range again
+    scope.clear()
+    assert assert_census_parity(table, scope, ("a", "b"), (1, 0), ("c",))
+    ((again, __, __, recount),) = scope.values()
+    assert again is not rows_read and recount is not censuses
+    assert recount == censuses
+
+
+def state_loop_cell(action=ReferentialAction.SET_NULL, n_columns=3):
     config = synthetic.SyntheticConfig(
-        n_columns=3, parent_rows=60, null_fraction=0.6, seed=5
+        n_columns=n_columns, parent_rows=60, null_fraction=0.6, seed=5
     )
     cell = prepare_cell(config, IndexStructure.BOUNDED)
+    cell.fk.on_delete = action  # read when the AFTER DELETE trigger fires
     return cell, synthetic.delete_stream(cell.dataset, 40)
 
 
@@ -424,26 +553,77 @@ def run_deletes(cell, keys):
     return cost, sorted(db.table(fk.child_table).rows(), key=repr)
 
 
-def test_scope_invalidation_when_set_null_rewrites_children_mid_loop(monkeypatch):
-    scoped_cell, keys = state_loop_cell()
+def assert_scope_is_cleared_by(action, monkeypatch):
+    """The scoped state loop equals the un-scoped one, counter for
+    counter and row for row — and only because it clears its scope."""
+    scoped_cell, keys = state_loop_cell(action)
     scoped = run_deletes(scoped_cell, keys)
     # the state loops did apply actions between their probes
     assert scoped[0]["index_maintenance_ops"] > len(keys) * 4
 
-    unscoped_cell, __ = state_loop_cell()
-    exists_eq = probes.exists_eq
+    unscoped_cell, __ = state_loop_cell(action)
+    exists = probes.PreparedProbe.exists
     monkeypatch.setattr(
-        enforcement.probes, "exists_eq",
-        lambda *args, scope=None, **kwargs: exists_eq(*args, **kwargs),
+        probes.PreparedProbe, "exists",
+        lambda self, values, view=None, scope=None: exists(self, values, view),
     )
     assert run_deletes(unscoped_cell, keys) == scoped
     monkeypatch.undo()
 
     # ...and it is the invalidation that keeps them equal: a scope that
     # outlives the action answers from rows that are no longer there
-    stale_cell, __ = state_loop_cell()
+    stale_cell, __ = state_loop_cell(action)
     monkeypatch.setattr(probes.RangeScope, "clear", lambda self: None)
     assert run_deletes(stale_cell, keys)[0] != scoped[0]
+
+
+def test_scope_invalidation_when_set_null_rewrites_children_mid_loop(monkeypatch):
+    assert_scope_is_cleared_by(ReferentialAction.SET_NULL, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "action", [ReferentialAction.CASCADE, ReferentialAction.SET_DEFAULT],
+    ids=lambda action: action.name,
+)
+def test_scope_invalidation_under_cascade_and_set_default(action, monkeypatch):
+    assert_scope_is_cleared_by(action, monkeypatch)
+
+
+def test_scope_holds_one_range_and_one_census_per_index_prefix(monkeypatch):
+    """RangeScope's bound (ROADMAP 6c).  Every prefix a state probe of
+    one removed key binds is drawn from that key, so an index and a
+    prefix length name one range, and every probe of it tests the same
+    columns (the foreign key's, less the prefix): at most one range and
+    one census per prefix length 1..n-1 of each child index — ``2n - 1``
+    under Bounded — dropped with the key's loop."""
+    peak = {"ranges": 0, "censuses": 0, "scopes": 0}
+
+    class WatchedScope(probes.RangeScope):
+        def __init__(self):
+            super().__init__()
+            peak["scopes"] += 1
+
+        def get(self, key):
+            peak["ranges"] = max(peak["ranges"], len(self))
+            named = [(index.name, len(prefix)) for index, prefix in self]
+            assert len(set(named)) == len(named)
+            for __, __, __, censuses in self.values():
+                assert len(censuses) <= 1
+                peak["censuses"] |= len(censuses)
+            return super().get(key)
+
+    monkeypatch.setattr(probes, "RangeScope", WatchedScope)
+    n = 5
+    cell, keys = state_loop_cell(n_columns=n)
+    child = cell.db.table(cell.fk.child_table)
+    widths = sorted(len(index.columns) for index in child.indexes)
+    assert widths == [1] * n + [n]  # f1, ..., f5, (f1..f5)
+    run_deletes(cell, keys)
+    assert peak["scopes"] == len(keys)  # one per removed key
+    assert peak["censuses"] == 1
+    # more than one per index: the compound one is read at several depths
+    bound = sum(min(width, n - 1) for width in widths)
+    assert len(widths) < peak["ranges"] <= bound == 2 * n - 1
 
 
 # ----------------------------------------------------------------------
