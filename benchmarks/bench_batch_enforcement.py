@@ -10,73 +10,51 @@ probe walk per shape, index-major maintenance) and
 batch).
 """
 
-import pytest
-
-from repro.bench import harness
 from repro.core import IndexStructure
 from repro.core.batch import batch_delete_parents, batch_insert_rows
-from repro.query import dml
-from repro.query.predicate import equalities
 from repro.workloads.synthetic import clustered_insert_stream, delete_stream
 
-from conftest import micro_config
+from conftest import deletes, in_transaction, inserts, synthetic, time_fresh
 
 INSERT_BATCH = 300
 DELETE_BATCH = 30
 
 
 def fresh_cell():
-    return harness.prepare_cell(micro_config(), IndexStructure.BOUNDED)
+    return synthetic(IndexStructure.BOUNDED)
 
 
 def test_insert_batch_per_row(benchmark):
     def make():
         cell = fresh_cell()
-        rows = clustered_insert_stream(cell.dataset, INSERT_BATCH)
+        rows = clustered_insert_stream(cell, INSERT_BATCH)
+        return in_transaction(cell, inserts(cell), rows)
 
-        def run():
-            with cell.db.begin():
-                for row in rows:
-                    dml.insert(cell.db, "C", row)
-
-        return run
-
-    benchmark.pedantic(lambda run: run(), setup=lambda: ((make(),), {}),
-                       rounds=2)
+    time_fresh(benchmark, make, rounds=2)
 
 
 def test_insert_batch_shared(benchmark):
     def make():
         cell = fresh_cell()
-        rows = clustered_insert_stream(cell.dataset, INSERT_BATCH)
+        rows = clustered_insert_stream(cell, INSERT_BATCH)
         return lambda: batch_insert_rows(cell.db, "C", rows)
 
-    benchmark.pedantic(lambda run: run(), setup=lambda: ((make(),), {}),
-                       rounds=2)
+    time_fresh(benchmark, make, rounds=2)
 
 
 def test_delete_batch_per_row(benchmark):
     def make():
         cell = fresh_cell()
-        keys = delete_stream(cell.dataset, DELETE_BATCH)
+        keys = delete_stream(cell, DELETE_BATCH)
+        return in_transaction(cell, deletes(cell), keys)
 
-        def run():
-            with cell.db.begin():
-                for key in keys:
-                    dml.delete_where(cell.db, "P",
-                                     equalities(cell.fk.key_columns, key))
-
-        return run
-
-    benchmark.pedantic(lambda run: run(), setup=lambda: ((make(),), {}),
-                       rounds=2)
+    time_fresh(benchmark, make, rounds=2)
 
 
 def test_delete_batch_shared(benchmark):
     def make():
         cell = fresh_cell()
-        keys = delete_stream(cell.dataset, DELETE_BATCH)
+        keys = delete_stream(cell, DELETE_BATCH)
         return lambda: batch_delete_parents(cell.db, cell.fk, keys)
 
-    benchmark.pedantic(lambda run: run(), setup=lambda: ((make(),), {}),
-                       rounds=2)
+    time_fresh(benchmark, make, rounds=2)

@@ -1,21 +1,18 @@
 """Concurrent enforcement — throughput and lock behaviour under load.
 
-Microbenchmarks: one mixed insert+delete workload cell per (structure,
+Micro cells: one mixed insert+delete workload cell per (structure,
 thread count), Bounded vs Hybrid, through the multi-session engine, plus
 MVCC snapshot-read mixes (90:10 and 99:1) whose readers must acquire
-zero logical locks.  Sweeps: the full thread grids via
-repro.bench.concurrency, written to results/.
-
-Also runnable directly at tiny scale (the CI smoke):
-
-    REPRO_QUICK=1 REPRO_OPS=30 python benchmarks/bench_concurrency.py
+zero logical locks.  The full thread grids are the ``concurrency`` and
+``read_mix`` experiments (``python -m repro experiment concurrency``).
 """
 
 import pytest
 
-from repro.bench import concurrency, experiments
+from repro.bench import concurrency
+from repro.bench.scale import default_plan
 
-from conftest import bench_plan, record_result
+from conftest import time_each
 
 THREADS = (1, 2, 4)
 
@@ -25,11 +22,10 @@ THREADS = (1, 2, 4)
 )
 @pytest.mark.parametrize("n_threads", THREADS)
 def test_concurrent_mixed_workload(benchmark, structure, n_threads):
-    plan = bench_plan()
-    result = benchmark.pedantic(
-        lambda: concurrency.run_cell(structure, n_threads, plan),
-        rounds=1,
-        iterations=1,
+    plan = default_plan()
+    result = time_each(
+        benchmark, lambda _: concurrency.run_cell(structure, n_threads, plan),
+        [None], rounds=1,
     )
     assert result.clean, "integrity violated under concurrency"
 
@@ -38,53 +34,14 @@ def test_concurrent_mixed_workload(benchmark, structure, n_threads):
 @pytest.mark.parametrize("n_threads", THREADS)
 def test_snapshot_read_mix(benchmark, read_pct, n_threads):
     """MVCC read:write mix — snapshot readers must take zero locks."""
-    plan = bench_plan()
-    result = benchmark.pedantic(
-        lambda: concurrency.run_read_mix_cell(
+    plan = default_plan()
+    result = time_each(
+        benchmark,
+        lambda _: concurrency.run_read_mix_cell(
             concurrency.STRUCTURES[0], n_threads, plan, read_pct=read_pct
         ),
-        rounds=1,
-        iterations=1,
+        [None], rounds=1,
     )
     assert result.clean, "integrity violated under snapshot reads"
     assert result.reader_lock_acquires == 0, "snapshot readers took locks"
     assert result.reader_lock_waits == 0, "snapshot readers waited on locks"
-
-
-def test_concurrency_sweep(benchmark):
-    """Run the full experiment once; rendering goes to results/."""
-    result = benchmark.pedantic(
-        lambda: experiments.concurrency_throughput(bench_plan()),
-        rounds=1,
-        iterations=1,
-    )
-    record_result(result)
-    assert not any(
-        note.startswith("INTEGRITY") for note in result.notes
-    ), result.render()
-
-
-def test_read_mix_sweep(benchmark):
-    """Run the snapshot-read scaling experiment once."""
-    result = benchmark.pedantic(
-        lambda: experiments.read_mix_scaling(bench_plan()),
-        rounds=1,
-        iterations=1,
-    )
-    record_result(result)
-    assert not any(
-        note.startswith(("INTEGRITY", "READER")) for note in result.notes
-    ), result.render()
-
-
-if __name__ == "__main__":
-    failed = False
-    for experiment in (
-        experiments.concurrency_throughput, experiments.read_mix_scaling
-    ):
-        outcome = experiment(bench_plan())
-        print(outcome.render())
-        failed = failed or any(
-            n.startswith(("INTEGRITY", "READER")) for n in outcome.notes
-        )
-    raise SystemExit(1 if failed else 0)

@@ -1,129 +1,25 @@
 """The durability tax — file-backed WAL throughput vs the in-memory log.
 
-Three commit disciplines over the same autocommit insert stream:
-
-* ``memory``        — the seed's volatile WAL (one logical flush per
-  commit, no disk I/O): the baseline every durable mode is taxed against;
-* ``durable``       — file-backed segments, one fsync per commit (the
-  worst case a naive server pays);
-* ``durable-group`` — the same segments under ``wal.group_commit()``:
-  every commit in a batch rides one fsync, which is how the server's
-  dispatch loop amortises durability.
-
-The sweep prints commits/s and *physical syncs per commit* — the whole
-point of group commit is the third column collapsing toward zero.
-
-Also runnable directly at tiny scale (the CI smoke):
-
-    REPRO_QUICK=1 REPRO_OPS=50 python benchmarks/bench_durability.py
+One micro cell per commit discipline of
+:data:`repro.bench.experiments.DURABILITY_MODES`, over the same
+autocommit insert stream through one session.  The ``durability``
+experiment (``python -m repro experiment durability``) prints commits/s
+and physical syncs per commit, and fails unless deferred commits share
+their fsyncs.
 """
-
-from __future__ import annotations
-
-import os
-import tempfile
-import time
 
 import pytest
 
-from repro import Column, Database
-from repro.storage.wal import open_durable
+from repro.bench import experiments
+from repro.bench.scale import default_plan
 
-MODES = ("memory", "durable", "durable-group")
-
-OPS = int(os.environ.get("REPRO_OPS", "400"))
-if os.environ.get("REPRO_QUICK", "0") not in ("0", "", "false"):
-    OPS = min(OPS, 50)
-
-#: Commits per group-commit batch in the ``durable-group`` mode.
-GROUP = 16
+from conftest import time_each
 
 
-def make_db(data_dir: str | None):
-    db = Database("durability")
-    db.create_table("t", [Column("a"), Column("b")])
-    if data_dir is None:
-        from repro.storage.wal import WriteAheadLog
-
-        db.attach_wal(WriteAheadLog())
-        return db, db.wal
-    wal, __ = open_durable(db, data_dir)
-    return db, wal
-
-
-def run_commits(mode: str, ops: int, data_dir: str | None) -> dict:
-    db, wal = make_db(data_dir)
-    started = time.monotonic()
-    if mode == "durable-group":
-        done = 0
-        while done < ops:
-            batch = min(GROUP, ops - done)
-            with wal.group_commit():
-                for i in range(batch):
-                    db.insert("t", (done + i, 0))
-            done += batch
-    else:
-        for i in range(ops):
-            db.insert("t", (i, 0))
-    elapsed = time.monotonic() - started
-    syncs = wal.store.sync_count if wal.store is not None else 0
-    return {
-        "mode": mode,
-        "ops": ops,
-        "elapsed_s": elapsed,
-        "commits_per_s": ops / elapsed if elapsed > 0 else float("inf"),
-        "syncs": syncs,
-        "syncs_per_commit": syncs / ops,
-    }
-
-
-def run_mode(mode: str, ops: int = OPS) -> dict:
-    if mode == "memory":
-        return run_commits(mode, ops, None)
-    with tempfile.TemporaryDirectory(prefix="repro-bench-wal-") as data_dir:
-        return run_commits(mode, ops, data_dir)
-
-
-# ----------------------------------------------------------------------
-# Microbenchmarks
-
-
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("mode", experiments.DURABILITY_MODES)
 def test_commit_throughput(benchmark, mode):
-    result = benchmark.pedantic(
-        lambda: run_mode(mode), rounds=1, iterations=1
+    ops = default_plan().insert_ops
+    result = time_each(
+        benchmark, lambda _: experiments.run_commits(mode, ops), [None], rounds=1
     )
-    assert result["ops"] == OPS
-
-
-def test_group_commit_amortises_syncs():
-    per_commit = run_mode("durable")
-    grouped = run_mode("durable-group")
-    assert per_commit["syncs"] >= OPS  # one fsync per commit, at least
-    assert grouped["syncs"] <= per_commit["syncs"] / (GROUP / 2)
-
-
-# ----------------------------------------------------------------------
-
-
-def render(results: list[dict]) -> str:
-    lines = [
-        f"durability tax ({OPS} autocommit inserts)",
-        f"{'mode':<16} {'commits/s':>12} {'syncs':>8} {'syncs/commit':>14}",
-    ]
-    for r in results:
-        lines.append(
-            f"{r['mode']:<16} {r['commits_per_s']:>12.0f} "
-            f"{r['syncs']:>8d} {r['syncs_per_commit']:>14.3f}"
-        )
-    return "\n".join(lines)
-
-
-if __name__ == "__main__":
-    outcomes = [run_mode(mode) for mode in MODES]
-    print(render(outcomes))
-    grouped = next(r for r in outcomes if r["mode"] == "durable-group")
-    per_commit = next(r for r in outcomes if r["mode"] == "durable")
-    raise SystemExit(
-        0 if grouped["syncs"] < per_commit["syncs"] else 1
-    )
+    assert result["ops"] == ops

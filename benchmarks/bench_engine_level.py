@@ -8,79 +8,49 @@ partitioned O(1) child structure plus a subset-counting O(1) parent
 structure — against Bounded.
 """
 
-import pytest
-
-from repro.bench import harness
 from repro.core import IndexStructure
 from repro.core.engine_level import EngineLevelEnforcement
-from repro.query import dml
-from repro.query.predicate import equalities
-from repro.workloads.synthetic import (
-    delete_stream,
-    insert_stream,
-)
+from repro.workloads.synthetic import delete_stream, insert_stream
 from repro.workloads.synthetic import generate as generate_synthetic
 
-from conftest import micro_config
+from conftest import deletes, inserts, micro_config, synthetic, time_each
 
 
-@pytest.fixture(scope="module")
-def engine_dataset():
+def engine_level():
     dataset = generate_synthetic(micro_config())
     EngineLevelEnforcement(dataset.db, dataset.fk)
     return dataset
 
 
-@pytest.fixture(scope="module")
-def bounded_cell(prepared_cells):
-    return prepared_cells(IndexStructure.BOUNDED)
+def test_insert_engine_level(benchmark, cells):
+    cell = cells(engine_level)
+    rows = insert_stream(cell, 130, seed=18)
+    time_each(benchmark, inserts(cell), rows, rounds=120)
 
 
-def test_insert_engine_level(benchmark, engine_dataset):
-    rows = iter(insert_stream(engine_dataset, 130, seed=18))
-    benchmark.pedantic(
-        lambda row: dml.insert(engine_dataset.db, "C", row),
-        setup=lambda: ((next(rows),), {}),
-        rounds=120,
-    )
+def test_insert_bounded_triggers(benchmark, cells):
+    cell = cells(synthetic, IndexStructure.BOUNDED)
+    rows = insert_stream(cell, 130, seed=18)
+    time_each(benchmark, inserts(cell), rows, rounds=120)
 
 
-def test_insert_bounded_triggers(benchmark, bounded_cell):
-    rows = iter(insert_stream(bounded_cell.dataset, 130, seed=18))
-    benchmark.pedantic(
-        lambda row: dml.insert(bounded_cell.db, "C", row),
-        setup=lambda: ((next(rows),), {}),
-        rounds=120,
-    )
+def test_delete_engine_level(benchmark, cells):
+    cell = cells(engine_level)
+    keys = delete_stream(cell, 35, seed=18)
+    time_each(benchmark, deletes(cell), keys, rounds=30)
 
 
-def test_delete_engine_level(benchmark, engine_dataset):
-    keys = iter(delete_stream(engine_dataset, 35, seed=18))
-    key_columns = engine_dataset.fk.key_columns
-    benchmark.pedantic(
-        lambda key: dml.delete_where(engine_dataset.db, "P",
-                                     equalities(key_columns, key)),
-        setup=lambda: ((next(keys),), {}),
-        rounds=30,
-    )
+def test_delete_bounded_triggers(benchmark, cells):
+    cell = cells(synthetic, IndexStructure.BOUNDED)
+    keys = delete_stream(cell, 35, seed=18)
+    time_each(benchmark, deletes(cell), keys, rounds=30)
 
 
-def test_delete_bounded_triggers(benchmark, bounded_cell):
-    keys = iter(delete_stream(bounded_cell.dataset, 35, seed=18))
-    key_columns = bounded_cell.fk.key_columns
-    benchmark.pedantic(
-        lambda key: dml.delete_where(bounded_cell.db, "P",
-                                     equalities(key_columns, key)),
-        setup=lambda: ((next(keys),), {}),
-        rounds=30,
-    )
-
-
-def test_engine_level_probes_are_constant(engine_dataset):
+def test_engine_level_probes_are_constant(cells):
     """Counter-level claim: no scans, no B-tree probe blocks — every
     enforcement search is an O(1) structure lookup."""
-    db = engine_dataset.db
-    db.tracker.reset()
-    for key in delete_stream(engine_dataset, 10, seed=19):
-        dml.delete_where(db, "P", equalities(engine_dataset.fk.key_columns, key))
-    assert db.tracker["full_scans"] == 0
+    cell = cells(engine_level)
+    cell.db.tracker.reset()
+    for key in delete_stream(cell, 10, seed=19):
+        deletes(cell)(key)
+    assert cell.db.tracker["full_scans"] == 0

@@ -1,20 +1,16 @@
 """Figures 4 and 5 — performance trends for 4- and 5-column foreign keys.
 
-The figures plot the Table 1/2 grids as series over data-set size; the
-sweep writes both data series (and ASCII log-scale charts) to
-results/fig4.txt and results/fig5.txt.  Microbenchmarks compare the
-4-column against the 5-column foreign key under Hybrid and Bounded.
+The figures plot the Table 1/2 grids as series over data-set size (the
+``fig4``/``fig5`` experiments).  Micro cells compare the 4-column
+against the 5-column foreign key under Hybrid and Bounded.
 """
 
 import pytest
 
-from repro.bench import experiments
 from repro.core import IndexStructure
-from repro.query import dml
-from repro.query.predicate import equalities
 from repro.workloads.synthetic import delete_stream, insert_stream
 
-from conftest import bench_plan, record_result
+from conftest import deletes, inserts, synthetic, time_each
 
 ROUNDS = 20
 
@@ -23,41 +19,17 @@ ROUNDS = 20
 @pytest.mark.parametrize("structure",
                          [IndexStructure.HYBRID, IndexStructure.BOUNDED],
                          ids=lambda s: s.label)
-def test_delete_by_fk_width(benchmark, prepared_cells, structure, n_columns):
-    cell = prepared_cells(structure, n_columns=n_columns)
-    keys = iter(delete_stream(cell.dataset, ROUNDS + 5, seed=6))
-    parent = cell.fk.parent_table
-    key_columns = cell.fk.key_columns
-    benchmark.pedantic(
-        lambda key: dml.delete_where(cell.db, parent,
-                                     equalities(key_columns, key)),
-        setup=lambda: ((next(keys),), {}),
-        rounds=ROUNDS,
-    )
+def test_delete_by_fk_width(benchmark, cells, structure, n_columns):
+    cell = cells(synthetic, structure, n_columns=n_columns)
+    keys = delete_stream(cell, ROUNDS + 5, seed=6)
+    time_each(benchmark, deletes(cell), keys, ROUNDS)
 
 
 @pytest.mark.parametrize("n_columns", [4, 5], ids=["n4", "n5"])
 @pytest.mark.parametrize("structure",
                          [IndexStructure.HYBRID, IndexStructure.BOUNDED],
                          ids=lambda s: s.label)
-def test_insert_by_fk_width(benchmark, prepared_cells, structure, n_columns):
-    cell = prepared_cells(structure, n_columns=n_columns)
-    rows = iter(insert_stream(cell.dataset, ROUNDS + 5, seed=6))
-    child = cell.fk.child_table
-    benchmark.pedantic(
-        lambda row: dml.insert(cell.db, child, row),
-        setup=lambda: ((next(rows),), {}),
-        rounds=ROUNDS,
-    )
-
-
-def test_fig4_sweep(benchmark):
-    """Run the full experiment once; rendering goes to results/."""
-    result = benchmark.pedantic(lambda: experiments.fig4_insert_trends(bench_plan()), rounds=1, iterations=1)
-    record_result(result)
-
-
-def test_fig5_sweep(benchmark):
-    """Run the full experiment once; rendering goes to results/."""
-    result = benchmark.pedantic(lambda: experiments.fig5_delete_trends(bench_plan()), rounds=1, iterations=1)
-    record_result(result)
+def test_insert_by_fk_width(benchmark, cells, structure, n_columns):
+    cell = cells(synthetic, structure, n_columns=n_columns)
+    rows = insert_stream(cell, ROUNDS + 5, seed=6)
+    time_each(benchmark, inserts(cell), rows, ROUNDS)

@@ -9,14 +9,11 @@ which has no analogue in RAM (recorded as a deviation in EXPERIMENTS.md).
 
 import pytest
 
-from repro.bench import experiments
 from repro.core import IndexStructure
 from repro.core.strategies import index_definitions
-from repro.query import dml
-from repro.query.predicate import equalities
 from repro.workloads.synthetic import delete_stream, insert_stream
 
-from conftest import bench_plan, record_result
+from conftest import deletes, inserts, synthetic, time_each
 
 STRUCTURES = [
     IndexStructure.FULL,
@@ -28,9 +25,9 @@ STRUCTURES = [
 ROUNDS = 60
 
 
-def test_powerset_equals_bounded_at_n2(prepared_cells):
+def test_powerset_equals_bounded_at_n2(cells):
     """Sanity: the two structures define the same index set for n = 2."""
-    cell = prepared_cells(IndexStructure.BOUNDED, n_columns=2)
+    cell = cells(synthetic, IndexStructure.BOUNDED, n_columns=2)
     bounded_p, bounded_c = index_definitions(cell.fk, IndexStructure.BOUNDED)
     powerset_p, powerset_c = index_definitions(cell.fk, IndexStructure.POWERSET)
     assert {d.columns for d in bounded_p} == {d.columns for d in powerset_p}
@@ -38,32 +35,14 @@ def test_powerset_equals_bounded_at_n2(prepared_cells):
 
 
 @pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.label)
-def test_insert_two_column(benchmark, prepared_cells, structure):
-    cell = prepared_cells(structure, n_columns=2)
-    rows = iter(insert_stream(cell.dataset, ROUNDS + 5, seed=7))
-    child = cell.fk.child_table
-    benchmark.pedantic(
-        lambda row: dml.insert(cell.db, child, row),
-        setup=lambda: ((next(rows),), {}),
-        rounds=ROUNDS,
-    )
+def test_insert_two_column(benchmark, cells, structure):
+    cell = cells(synthetic, structure, n_columns=2)
+    rows = insert_stream(cell, ROUNDS + 5, seed=7)
+    time_each(benchmark, inserts(cell), rows, ROUNDS)
 
 
 @pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.label)
-def test_delete_two_column(benchmark, prepared_cells, structure):
-    cell = prepared_cells(structure, n_columns=2)
-    keys = iter(delete_stream(cell.dataset, ROUNDS + 5, seed=7))
-    parent = cell.fk.parent_table
-    key_columns = cell.fk.key_columns
-    benchmark.pedantic(
-        lambda key: dml.delete_where(cell.db, parent,
-                                     equalities(key_columns, key)),
-        setup=lambda: ((next(keys),), {}),
-        rounds=ROUNDS,
-    )
-
-
-def test_fig6_sweep(benchmark):
-    """Run the full experiment once; rendering goes to results/."""
-    result = benchmark.pedantic(lambda: experiments.fig6_two_column(bench_plan()), rounds=1, iterations=1)
-    record_result(result)
+def test_delete_two_column(benchmark, cells, structure):
+    cell = cells(synthetic, structure, n_columns=2)
+    keys = delete_stream(cell, ROUNDS + 5, seed=7)
+    time_each(benchmark, deletes(cell), keys, ROUNDS)

@@ -8,55 +8,19 @@ compound index on the parent key).
 
 import pytest
 
-from repro.bench import experiments
-from repro.core import IndexStructure
-from repro.query import dml
-from repro.query.predicate import equalities
+from repro.bench.experiments import ABLATIONS
 from repro.workloads.synthetic import delete_stream, insert_stream
 
-from conftest import bench_plan, record_result
-
-ABLATIONS = [
-    IndexStructure.HYBRID,
-    IndexStructure.HYBRID_COMPOUND,
-    IndexStructure.HYBRID_NSINGLE,
-    IndexStructure.BOUNDED,
-]
+from conftest import deletes, inserts, synthetic, time_each
 
 
 @pytest.mark.parametrize("structure", ABLATIONS, ids=lambda s: s.label)
-def test_fig7_delete_ablation(benchmark, prepared_cells, structure):
-    cell = prepared_cells(structure)
-    keys = iter(delete_stream(cell.dataset, 30, seed=8))
-    parent = cell.fk.parent_table
-    key_columns = cell.fk.key_columns
-    benchmark.pedantic(
-        lambda key: dml.delete_where(cell.db, parent,
-                                     equalities(key_columns, key)),
-        setup=lambda: ((next(keys),), {}),
-        rounds=25,
-    )
+def test_fig7_delete_ablation(benchmark, cells, structure):
+    cell = cells(synthetic, structure)
+    time_each(benchmark, deletes(cell), delete_stream(cell, 30, seed=8), 25)
 
 
 @pytest.mark.parametrize("structure", ABLATIONS, ids=lambda s: s.label)
-def test_fig8_insert_ablation(benchmark, prepared_cells, structure):
-    cell = prepared_cells(structure)
-    rows = iter(insert_stream(cell.dataset, 110, seed=8))
-    child = cell.fk.child_table
-    benchmark.pedantic(
-        lambda row: dml.insert(cell.db, child, row),
-        setup=lambda: ((next(rows),), {}),
-        rounds=100,
-    )
-
-
-def test_fig7_sweep(benchmark):
-    """Run the full experiment once; rendering goes to results/."""
-    result = benchmark.pedantic(lambda: experiments.fig7_delete_ablation(bench_plan()), rounds=1, iterations=1)
-    record_result(result)
-
-
-def test_fig8_sweep(benchmark):
-    """Run the full experiment once; rendering goes to results/."""
-    result = benchmark.pedantic(lambda: experiments.fig8_insert_ablation(bench_plan()), rounds=1, iterations=1)
-    record_result(result)
+def test_fig8_insert_ablation(benchmark, cells, structure):
+    cell = cells(synthetic, structure)
+    time_each(benchmark, inserts(cell), insert_stream(cell, 110, seed=8), 100)

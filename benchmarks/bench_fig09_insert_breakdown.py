@@ -8,12 +8,10 @@ probe with one compound ref access.
 
 import pytest
 
-from repro.bench import experiments
 from repro.core import IndexStructure
-from repro.query import dml
 from repro.workloads.synthetic import partial_insert_stream, total_insert_stream
 
-from conftest import bench_plan, record_result
+from conftest import inserts, synthetic, time_each
 
 STRUCTURES = [
     IndexStructure.HYBRID,
@@ -25,45 +23,30 @@ ROUNDS = 100
 
 
 @pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.label)
-def test_insert_total_tuples(benchmark, prepared_cells, structure):
-    cell = prepared_cells(structure)
-    rows = iter(total_insert_stream(cell.dataset, ROUNDS + 10, seed=9))
-    child = cell.fk.child_table
-    benchmark.pedantic(
-        lambda row: dml.insert(cell.db, child, row),
-        setup=lambda: ((next(rows),), {}),
-        rounds=ROUNDS,
-    )
+def test_insert_total_tuples(benchmark, cells, structure):
+    cell = cells(synthetic, structure)
+    rows = total_insert_stream(cell, ROUNDS + 10, seed=9)
+    time_each(benchmark, inserts(cell), rows, ROUNDS)
 
 
 @pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.label)
-def test_insert_partial_tuples(benchmark, prepared_cells, structure):
-    cell = prepared_cells(structure)
-    rows = iter(partial_insert_stream(cell.dataset, ROUNDS + 10, seed=9))
-    child = cell.fk.child_table
-    benchmark.pedantic(
-        lambda row: dml.insert(cell.db, child, row),
-        setup=lambda: ((next(rows),), {}),
-        rounds=ROUNDS,
-    )
+def test_insert_partial_tuples(benchmark, cells, structure):
+    cell = cells(synthetic, structure)
+    rows = partial_insert_stream(cell, ROUNDS + 10, seed=9)
+    time_each(benchmark, inserts(cell), rows, ROUNDS)
 
 
-def test_probe_mechanism_contrast(prepared_cells):
+def test_probe_mechanism_contrast(cells):
     """The counter-level Figure 9: Hybrid fetches a dup block per total
     insert, Bounded fetches ~1 row."""
-    hybrid = prepared_cells(IndexStructure.HYBRID)
-    bounded = prepared_cells(IndexStructure.BOUNDED)
     results = {}
-    for name, cell in (("hybrid", hybrid), ("bounded", bounded)):
-        rows = total_insert_stream(cell.dataset, 50, seed=10)
+    for structure in (IndexStructure.HYBRID, IndexStructure.BOUNDED):
+        cell = cells(synthetic, structure)
+        rows = total_insert_stream(cell, 50, seed=10)
         cell.db.tracker.reset()
         for row in rows:
-            dml.insert(cell.db, cell.fk.child_table, row)
-        results[name] = cell.db.tracker["rows_fetched"]
-    assert results["hybrid"] > 5 * max(results["bounded"], 1)
-
-
-def test_fig9_sweep(benchmark):
-    """Run the full experiment once; rendering goes to results/."""
-    result = benchmark.pedantic(lambda: experiments.fig9_insert_breakdown(bench_plan()), rounds=1, iterations=1)
-    record_result(result)
+            inserts(cell)(row)
+        results[structure] = cell.db.tracker["rows_fetched"]
+    assert results[IndexStructure.HYBRID] > 5 * max(
+        results[IndexStructure.BOUNDED], 1
+    )

@@ -7,13 +7,10 @@ fast under both insertions (Figure 8/9) and deletions (this figure).
 
 import pytest
 
-from repro.bench import experiments
 from repro.core import IndexStructure
-from repro.query import dml
-from repro.query.predicate import equalities
 from repro.workloads.synthetic import delete_stream
 
-from conftest import bench_plan, record_result
+from conftest import deletes, synthetic, time_each
 
 ALL_STRUCTURES = [
     IndexStructure.NO_INDEX,
@@ -28,20 +25,6 @@ ALL_STRUCTURES = [
 
 
 @pytest.mark.parametrize("structure", ALL_STRUCTURES, ids=lambda s: s.label)
-def test_delete_all_structures(benchmark, prepared_cells, structure):
-    cell = prepared_cells(structure)
-    keys = iter(delete_stream(cell.dataset, 25, seed=11))
-    parent = cell.fk.parent_table
-    key_columns = cell.fk.key_columns
-    benchmark.pedantic(
-        lambda key: dml.delete_where(cell.db, parent,
-                                     equalities(key_columns, key)),
-        setup=lambda: ((next(keys),), {}),
-        rounds=20,
-    )
-
-
-def test_fig10_sweep(benchmark):
-    """Run the full experiment once; rendering goes to results/."""
-    result = benchmark.pedantic(lambda: experiments.fig10_delete_structures(bench_plan()), rounds=1, iterations=1)
-    record_result(result)
+def test_delete_all_structures(benchmark, cells, structure):
+    cell = cells(synthetic, structure)
+    time_each(benchmark, deletes(cell), delete_stream(cell, 25, seed=11), 20)

@@ -9,77 +9,45 @@ back to scanning under hash structures.
 
 import pytest
 
-from repro.bench import harness
 from repro.core import IndexStructure
-from repro.indexes.definition import IndexKind
 from repro.core.enforcement import EnforcedForeignKey
-from repro.query import dml
-from repro.query.predicate import equalities
-from repro.workloads.synthetic import (
-    delete_stream,
-    insert_stream,
-)
+from repro.indexes.definition import IndexKind
+from repro.workloads.synthetic import delete_stream, insert_stream
 from repro.workloads.synthetic import generate as generate_synthetic
 
-from conftest import micro_config
+from conftest import deletes, inserts, micro_config, time_each
+
+KINDS = pytest.mark.parametrize(
+    "kind", [IndexKind.BTREE, IndexKind.HASH], ids=lambda k: k.value
+)
 
 
-@pytest.fixture(scope="module")
-def kind_cells():
-    cache = {}
-
-    def get(kind: IndexKind):
-        if kind not in cache:
-            dataset = generate_synthetic(micro_config())
-            EnforcedForeignKey.create(
-                dataset.db, dataset.fk, IndexStructure.BOUNDED, kind
-            )
-            cache[kind] = dataset
-        return cache[kind]
-
-    return get
+def bounded_by_kind(kind: IndexKind):
+    dataset = generate_synthetic(micro_config())
+    EnforcedForeignKey.create(dataset.db, dataset.fk, IndexStructure.BOUNDED, kind)
+    return dataset
 
 
-@pytest.mark.parametrize("kind", [IndexKind.BTREE, IndexKind.HASH],
-                         ids=lambda k: k.value)
-def test_insert_bounded_by_kind(benchmark, kind_cells, kind):
-    dataset = kind_cells(kind)
-    rows = iter(insert_stream(dataset, 110, seed=20))
-    benchmark.pedantic(
-        lambda row: dml.insert(dataset.db, "C", row),
-        setup=lambda: ((next(rows),), {}),
-        rounds=100,
-    )
+@KINDS
+def test_insert_bounded_by_kind(benchmark, cells, kind):
+    cell = cells(bounded_by_kind, kind)
+    time_each(benchmark, inserts(cell), insert_stream(cell, 110, seed=20), 100)
 
 
-@pytest.mark.parametrize("kind", [IndexKind.BTREE, IndexKind.HASH],
-                         ids=lambda k: k.value)
-def test_delete_bounded_by_kind(benchmark, kind_cells, kind):
-    dataset = kind_cells(kind)
-    keys = iter(delete_stream(dataset, 25, seed=20))
-    key_columns = dataset.fk.key_columns
-    benchmark.pedantic(
-        lambda key: dml.delete_where(dataset.db, "P",
-                                     equalities(key_columns, key)),
-        setup=lambda: ((next(keys),), {}),
-        rounds=20,
-    )
+@KINDS
+def test_delete_bounded_by_kind(benchmark, cells, kind):
+    cell = cells(bounded_by_kind, kind)
+    time_each(benchmark, deletes(cell), delete_stream(cell, 25, seed=20), 20)
 
 
-def test_hash_compound_unusable_for_prefix(kind_cells):
+def test_hash_compound_unusable_for_prefix(cells):
     """Mechanism: the hash compound index cannot serve prefix probes, so
     partial-state searches lean on the singletons alone."""
-    dataset = kind_cells(IndexKind.HASH)
-    db = dataset.db
-    db.tracker.reset()
-    for key in delete_stream(dataset, 5, seed=21):
-        dml.delete_where(db, "P", equalities(dataset.fk.key_columns, key))
-    hash_cost = db.tracker["rows_fetched"] + db.tracker["rows_examined"]
-
-    dataset_b = kind_cells(IndexKind.BTREE)
-    db_b = dataset_b.db
-    db_b.tracker.reset()
-    for key in delete_stream(dataset_b, 5, seed=21):
-        dml.delete_where(db_b, "P", equalities(dataset_b.fk.key_columns, key))
-    btree_cost = db_b.tracker["rows_fetched"] + db_b.tracker["rows_examined"]
-    assert hash_cost >= btree_cost
+    costs = {}
+    for kind in (IndexKind.HASH, IndexKind.BTREE):
+        cell = cells(bounded_by_kind, kind)
+        cell.db.tracker.reset()
+        for key in delete_stream(cell, 5, seed=21):
+            deletes(cell)(key)
+        costs[kind] = cell.db.tracker["rows_fetched"] + cell.db.tracker["rows_examined"]
+    assert costs[IndexKind.HASH] >= costs[IndexKind.BTREE]

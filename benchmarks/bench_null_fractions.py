@@ -8,13 +8,10 @@ Hybrid comparison under all three fractions.
 
 import pytest
 
-from repro.bench import harness
 from repro.core import IndexStructure
-from repro.query import dml
-from repro.query.predicate import equalities
 from repro.workloads.synthetic import delete_stream, insert_stream
 
-from conftest import micro_config  # noqa: F401  (prepared_cells comes from conftest)
+from conftest import deletes, inserts, synthetic, time_each
 
 FRACTIONS = [0.25, 0.5, 0.8]
 STRUCTURES = [IndexStructure.HYBRID, IndexStructure.BOUNDED]
@@ -22,43 +19,28 @@ STRUCTURES = [IndexStructure.HYBRID, IndexStructure.BOUNDED]
 
 @pytest.mark.parametrize("fraction", FRACTIONS, ids=lambda f: f"null{int(f*100)}")
 @pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.label)
-def test_delete_by_null_fraction(benchmark, prepared_cells, structure, fraction):
-    cell = prepared_cells(structure, null_fraction=fraction)
-    keys = iter(delete_stream(cell.dataset, 30, seed=22))
-    key_columns = cell.fk.key_columns
-    benchmark.pedantic(
-        lambda key: dml.delete_where(cell.db, "P",
-                                     equalities(key_columns, key)),
-        setup=lambda: ((next(keys),), {}),
-        rounds=25,
-    )
+def test_delete_by_null_fraction(benchmark, cells, structure, fraction):
+    cell = cells(synthetic, structure, null_fraction=fraction)
+    time_each(benchmark, deletes(cell), delete_stream(cell, 30, seed=22), 25)
 
 
 @pytest.mark.parametrize("fraction", FRACTIONS, ids=lambda f: f"null{int(f*100)}")
 @pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.label)
-def test_insert_by_null_fraction(benchmark, prepared_cells, structure, fraction):
-    cell = prepared_cells(structure, null_fraction=fraction)
-    rows = iter(insert_stream(cell.dataset, 110, seed=22))
-    child = cell.fk.child_table
-    benchmark.pedantic(
-        lambda row: dml.insert(cell.db, child, row),
-        setup=lambda: ((next(rows),), {}),
-        rounds=100,
-    )
+def test_insert_by_null_fraction(benchmark, cells, structure, fraction):
+    cell = cells(synthetic, structure, null_fraction=fraction)
+    time_each(benchmark, inserts(cell), insert_stream(cell, 110, seed=22), 100)
 
 
-def test_bounded_beats_hybrid_deletes_at_every_fraction(prepared_cells):
+def test_bounded_beats_hybrid_deletes_at_every_fraction(cells):
     """The paper's robustness claim, as a pass/fail assertion on the
     deterministic cost counters."""
     for fraction in FRACTIONS:
         costs = {}
         for structure in STRUCTURES:
-            cell = prepared_cells(structure, null_fraction=fraction)
-            db = cell.db
-            db.tracker.reset()
-            for key in delete_stream(cell.dataset, 10, seed=23):
-                dml.delete_where(db, "P",
-                                 equalities(cell.fk.key_columns, key))
-            costs[structure] = (db.tracker["rows_examined"]
-                                + db.tracker["rows_fetched"])
+            cell = cells(synthetic, structure, null_fraction=fraction)
+            cell.db.tracker.reset()
+            for key in delete_stream(cell, 10, seed=23):
+                deletes(cell)(key)
+            costs[structure] = (cell.db.tracker["rows_examined"]
+                                + cell.db.tracker["rows_fetched"])
         assert costs[IndexStructure.BOUNDED] < costs[IndexStructure.HYBRID], fraction

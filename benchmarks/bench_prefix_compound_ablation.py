@@ -9,40 +9,23 @@ the 31 match queries at n = 5.
 
 import pytest
 
-from repro.bench import experiments
 from repro.core import IndexStructure
 from repro.core.states import sargable_states_with_prefix_indexes, total_state_count
-from repro.query import dml
-from repro.query.predicate import equalities
 from repro.workloads.synthetic import delete_stream
 
-from conftest import bench_plan, record_result
+from conftest import deletes, synthetic, time_each
 
 PAIR = [IndexStructure.BOUNDED, IndexStructure.PREFIX_COMPOUND]
 
 
 @pytest.mark.parametrize("n_columns", [3, 4, 5], ids=["n3", "n4", "n5"])
 @pytest.mark.parametrize("structure", PAIR, ids=lambda s: s.label)
-def test_delete_prefix_compound(benchmark, prepared_cells, structure, n_columns):
-    cell = prepared_cells(structure, n_columns=n_columns)
-    keys = iter(delete_stream(cell.dataset, 25, seed=17))
-    parent = cell.fk.parent_table
-    key_columns = cell.fk.key_columns
-    benchmark.pedantic(
-        lambda key: dml.delete_where(cell.db, parent,
-                                     equalities(key_columns, key)),
-        setup=lambda: ((next(keys),), {}),
-        rounds=20,
-    )
+def test_delete_prefix_compound(benchmark, cells, structure, n_columns):
+    cell = cells(synthetic, structure, n_columns=n_columns)
+    time_each(benchmark, deletes(cell), delete_stream(cell, 25, seed=17), 20)
 
 
 def test_match_query_coverage():
     """The paper's combinatorial claim, independent of any timing."""
     assert sargable_states_with_prefix_indexes(5) == 21
     assert total_state_count(5) == 31
-
-
-def test_prefix_compound_sweep(benchmark):
-    """Run the full experiment once; rendering goes to results/."""
-    result = benchmark.pedantic(lambda: experiments.prefix_compound_ablation(bench_plan()), rounds=1, iterations=1)
-    record_result(result)

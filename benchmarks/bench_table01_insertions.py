@@ -1,57 +1,27 @@
 """Table 1 — execution time for insertion with a 5-column foreign key.
 
-Microbenchmarks: one child-table insert under every §6.2 index structure
-plus the built-in simple-semantics baseline.  Sweep: the full size grid,
-written to results/table1.txt.
+Micro cells: one child-table insert under every §6.2 index structure
+plus the built-in simple-semantics baseline (the ``table1`` experiment
+runs the full size grid).
 """
 
 import pytest
 
-from repro.bench import experiments
+from repro.bench.experiments import GRID_STRUCTURES
 from repro.core import IndexStructure
-from repro.query import dml
 from repro.workloads.synthetic import insert_stream
 
-from conftest import bench_plan, record_result
-
-STRUCTURES = [
-    IndexStructure.NO_INDEX,
-    IndexStructure.FULL,
-    IndexStructure.SINGLETON,
-    IndexStructure.HYBRID,
-    IndexStructure.POWERSET,
-    IndexStructure.BOUNDED,
-]
+from conftest import inserts, synthetic, time_each
 
 ROUNDS = 120
 
 
-@pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.label)
-def test_insert_partial_semantics(benchmark, prepared_cells, structure):
-    cell = prepared_cells(structure)
-    rows = iter(insert_stream(cell.dataset, ROUNDS + 10, seed=1))
-    child = cell.fk.child_table
-
-    benchmark.pedantic(
-        lambda row: dml.insert(cell.db, child, row),
-        setup=lambda: ((next(rows),), {}),
-        rounds=ROUNDS,
-    )
+@pytest.mark.parametrize("structure", GRID_STRUCTURES, ids=lambda s: s.label)
+def test_insert_partial_semantics(benchmark, cells, structure):
+    cell = cells(synthetic, structure)
+    time_each(benchmark, inserts(cell), insert_stream(cell, ROUNDS + 10, seed=1), ROUNDS)
 
 
-def test_insert_simple_semantics_baseline(benchmark, prepared_cells):
-    cell = prepared_cells(IndexStructure.FULL, simple=True)
-    rows = iter(insert_stream(cell.dataset, ROUNDS + 10, seed=1))
-    child = cell.fk.child_table
-
-    benchmark.pedantic(
-        lambda row: dml.insert(cell.db, child, row),
-        setup=lambda: ((next(rows),), {}),
-        rounds=ROUNDS,
-    )
-
-
-def test_table1_sweep(benchmark):
-    """Run the full experiment once; rendering goes to results/."""
-    result = benchmark.pedantic(lambda: experiments.table1_insertions(bench_plan()), rounds=1, iterations=1)
-    record_result(result)
+def test_insert_simple_semantics_baseline(benchmark, cells):
+    cell = cells(synthetic, IndexStructure.FULL, simple=True)
+    time_each(benchmark, inserts(cell), insert_stream(cell, ROUNDS + 10, seed=1), ROUNDS)

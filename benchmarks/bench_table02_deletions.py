@@ -7,56 +7,21 @@ whose leading foreign-key column is null (§7.5).
 
 import pytest
 
-from repro.bench import experiments
+from repro.bench.experiments import GRID_STRUCTURES
 from repro.core import IndexStructure
-from repro.query import dml
-from repro.query.predicate import equalities
 from repro.workloads.synthetic import delete_stream
 
-from conftest import bench_plan, record_result
-
-STRUCTURES = [
-    IndexStructure.NO_INDEX,
-    IndexStructure.FULL,
-    IndexStructure.SINGLETON,
-    IndexStructure.HYBRID,
-    IndexStructure.POWERSET,
-    IndexStructure.BOUNDED,
-]
+from conftest import deletes, synthetic, time_each
 
 ROUNDS = 25
 
 
-@pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.label)
-def test_delete_partial_semantics(benchmark, prepared_cells, structure):
-    cell = prepared_cells(structure)
-    keys = iter(delete_stream(cell.dataset, ROUNDS + 5, seed=2))
-    parent = cell.fk.parent_table
-    key_columns = cell.fk.key_columns
-
-    benchmark.pedantic(
-        lambda key: dml.delete_where(cell.db, parent,
-                                     equalities(key_columns, key)),
-        setup=lambda: ((next(keys),), {}),
-        rounds=ROUNDS,
-    )
+@pytest.mark.parametrize("structure", GRID_STRUCTURES, ids=lambda s: s.label)
+def test_delete_partial_semantics(benchmark, cells, structure):
+    cell = cells(synthetic, structure)
+    time_each(benchmark, deletes(cell), delete_stream(cell, ROUNDS + 5, seed=2), ROUNDS)
 
 
-def test_delete_simple_semantics_baseline(benchmark, prepared_cells):
-    cell = prepared_cells(IndexStructure.FULL, simple=True)
-    keys = iter(delete_stream(cell.dataset, ROUNDS + 5, seed=2))
-    parent = cell.fk.parent_table
-    key_columns = cell.fk.key_columns
-
-    benchmark.pedantic(
-        lambda key: dml.delete_where(cell.db, parent,
-                                     equalities(key_columns, key)),
-        setup=lambda: ((next(keys),), {}),
-        rounds=ROUNDS,
-    )
-
-
-def test_table2_sweep(benchmark):
-    """Run the full experiment once; rendering goes to results/."""
-    result = benchmark.pedantic(lambda: experiments.table2_deletions(bench_plan()), rounds=1, iterations=1)
-    record_result(result)
+def test_delete_simple_semantics_baseline(benchmark, cells):
+    cell = cells(synthetic, IndexStructure.FULL, simple=True)
+    time_each(benchmark, deletes(cell), delete_stream(cell, ROUNDS + 5, seed=2), ROUNDS)

@@ -2,62 +2,33 @@
 
 The paper: even at 100M rows, Bounded processes inserts in 2.7ms and
 deletes in 84.8ms, confirming feasibility at scale.  We run the scaled
-equivalent (100M / REPRO_SCALE parents).
+equivalent (the scale plan's 100M / REPRO_SCALE parents).
 """
 
 import pytest
 
-from repro.bench import experiments, harness
+from repro.bench import harness
+from repro.bench.scale import default_plan
 from repro.core import IndexStructure
-from repro.query import dml
 from repro.workloads.synthetic import SyntheticConfig, insert_stream
 
-from conftest import bench_plan, record_result
-
-
-@pytest.fixture(scope="module")
-def largest_cells():
-    plan = bench_plan()
-    cache = {}
-
-    def get(structure, simple=False):
-        key = (structure, simple)
-        if key not in cache:
-            config = SyntheticConfig(n_columns=5, parent_rows=plan.largest)
-            cache[key] = harness.prepare_cell(config, structure, simple=simple)
-        return cache[key]
-
-    return get
-
+from conftest import inserts, time_each
 
 ROUNDS = 60
 
 
+def largest(structure, simple=False):
+    config = SyntheticConfig(n_columns=5, parent_rows=default_plan().largest)
+    return harness.prepare_cell(config, structure, simple=simple).dataset
+
+
 @pytest.mark.parametrize("structure", [IndexStructure.HYBRID, IndexStructure.BOUNDED],
                          ids=lambda s: s.label)
-def test_insert_at_largest_size(benchmark, largest_cells, structure):
-    cell = largest_cells(structure)
-    rows = iter(insert_stream(cell.dataset, ROUNDS + 10, seed=3))
-    child = cell.fk.child_table
-    benchmark.pedantic(
-        lambda row: dml.insert(cell.db, child, row),
-        setup=lambda: ((next(rows),), {}),
-        rounds=ROUNDS,
-    )
+def test_insert_at_largest_size(benchmark, cells, structure):
+    cell = cells(largest, structure)
+    time_each(benchmark, inserts(cell), insert_stream(cell, ROUNDS + 10, seed=3), ROUNDS)
 
 
-def test_insert_simple_at_largest_size(benchmark, largest_cells):
-    cell = largest_cells(IndexStructure.FULL, simple=True)
-    rows = iter(insert_stream(cell.dataset, ROUNDS + 10, seed=3))
-    child = cell.fk.child_table
-    benchmark.pedantic(
-        lambda row: dml.insert(cell.db, child, row),
-        setup=lambda: ((next(rows),), {}),
-        rounds=ROUNDS,
-    )
-
-
-def test_table3_sweep(benchmark):
-    """Run the full experiment once; rendering goes to results/."""
-    result = benchmark.pedantic(lambda: experiments.table3_largest(bench_plan()), rounds=1, iterations=1)
-    record_result(result)
+def test_insert_simple_at_largest_size(benchmark, cells):
+    cell = cells(largest, IndexStructure.FULL, simple=True)
+    time_each(benchmark, inserts(cell), insert_stream(cell, ROUNDS + 10, seed=3), ROUNDS)

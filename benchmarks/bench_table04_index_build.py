@@ -6,11 +6,10 @@ for Hybrid); Bounded costs ~1.5x Hybrid — a feasible one-time price.
 
 import pytest
 
-from repro.bench import experiments
-from repro.core import IndexStructure, apply_structure
+from repro.core import IndexStructure, apply_structure, remove_structure
 from repro.workloads.synthetic import generate as generate_synthetic
 
-from conftest import bench_plan, micro_config, record_result
+from conftest import micro_config, time_each
 
 STRUCTURES = [
     IndexStructure.FULL,
@@ -21,28 +20,15 @@ STRUCTURES = [
     IndexStructure.PREFIX_COMPOUND,
 ]
 
+ROUNDS = 3
+
 
 @pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.label)
 def test_index_build(benchmark, structure):
     """Build the whole structure over a pre-loaded dataset per round."""
     dataset = generate_synthetic(micro_config())
-
-    def build():
-        names = apply_structure(dataset.db, dataset.fk, structure)
-        return names
-
-    def teardown_and_setup():
-        from repro.core import remove_structure
-
-        remove_structure(dataset.db, dataset.fk, structure)
-        return (), {}
-
-    # First round builds on clean tables; subsequent rounds drop+rebuild.
-    apply_structure(dataset.db, dataset.fk, structure)
-    benchmark.pedantic(build, setup=teardown_and_setup, rounds=3)
-
-
-def test_table4_sweep(benchmark):
-    """Run the full experiment once; rendering goes to results/."""
-    result = benchmark.pedantic(lambda: experiments.table4_index_build(bench_plan()), rounds=1, iterations=1)
-    record_result(result)
+    db, fk = dataset.db, dataset.fk
+    # The first build is untimed; every round drops, then times a rebuild.
+    apply_structure(db, fk, structure)
+    dropped = (remove_structure(db, fk, structure) for __ in range(ROUNDS))
+    time_each(benchmark, lambda __: apply_structure(db, fk, structure), dropped, ROUNDS)

@@ -7,61 +7,33 @@ Hybrid.  We benchmark scaled batches inside one transaction each.
 
 import pytest
 
-from repro.bench import experiments, harness
 from repro.core import IndexStructure
-from repro.query import dml
-from repro.query.predicate import equalities
 from repro.workloads.synthetic import delete_stream, insert_stream
 
-from conftest import bench_plan, micro_config, record_result
+from conftest import deletes, in_transaction, inserts, synthetic, time_fresh
 
 INSERT_BATCH = 200
 DELETE_BATCH = 25
 
+PAIR = pytest.mark.parametrize(
+    "structure", [IndexStructure.HYBRID, IndexStructure.BOUNDED],
+    ids=lambda s: s.label,
+)
 
-@pytest.mark.parametrize("structure",
-                         [IndexStructure.HYBRID, IndexStructure.BOUNDED],
-                         ids=lambda s: s.label)
+
+@PAIR
 def test_transaction_insert_batch(benchmark, structure):
-    def run_batch():
-        cell = harness.prepare_cell(micro_config(), structure)
-        rows = insert_stream(cell.dataset, INSERT_BATCH)
-        child = cell.fk.child_table
+    def make():
+        cell = synthetic(structure)
+        return in_transaction(cell, inserts(cell), insert_stream(cell, INSERT_BATCH))
 
-        def txn():
-            with cell.db.begin():
-                for row in rows:
-                    dml.insert(cell.db, child, row)
-
-        return txn
-
-    benchmark.pedantic(lambda txn: txn(),
-                       setup=lambda: ((run_batch(),), {}), rounds=2)
+    time_fresh(benchmark, make, rounds=2)
 
 
-@pytest.mark.parametrize("structure",
-                         [IndexStructure.HYBRID, IndexStructure.BOUNDED],
-                         ids=lambda s: s.label)
+@PAIR
 def test_transaction_delete_batch(benchmark, structure):
-    def run_batch():
-        cell = harness.prepare_cell(micro_config(), structure)
-        keys = delete_stream(cell.dataset, DELETE_BATCH)
-        parent = cell.fk.parent_table
-        key_columns = cell.fk.key_columns
+    def make():
+        cell = synthetic(structure)
+        return in_transaction(cell, deletes(cell), delete_stream(cell, DELETE_BATCH))
 
-        def txn():
-            with cell.db.begin():
-                for key in keys:
-                    dml.delete_where(cell.db, parent,
-                                     equalities(key_columns, key))
-
-        return txn
-
-    benchmark.pedantic(lambda txn: txn(),
-                       setup=lambda: ((run_batch(),), {}), rounds=2)
-
-
-def test_table5_sweep(benchmark):
-    """Run the full experiment once; rendering goes to results/."""
-    result = benchmark.pedantic(lambda: experiments.table5_transactions(bench_plan()), rounds=1, iterations=1)
-    record_result(result)
+    time_fresh(benchmark, make, rounds=2)

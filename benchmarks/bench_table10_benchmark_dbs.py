@@ -1,139 +1,60 @@
-"""Tables 9 and 10 — the benchmark databases: TPC-H, TPC-C, Gene Ontology.
+"""Table 10 — the benchmark databases: TPC-H, TPC-C, Gene Ontology.
 
-Table 9 is the static description of the four tested foreign keys;
-Table 10 measures insert/delete enforcement per structure on each, after
-Missing-at-Random null injection.
+Micro cells: inserts into the child table and deletes from the parent
+table of the TPC-H and TPC-C (orders→customer) foreign keys, set up by
+the ``table10`` experiment's own targets (Missing-at-Random nulls, then
+enforcement) at smaller sizes.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from repro.bench import experiments
-from repro.core import EnforcedForeignKey, IndexStructure
-from repro.query import dml
-from repro.query.predicate import equalities
-from repro.workloads import (
-    TpccConfig,
-    TpchConfig,
-    generate_tpcc,
-    generate_tpch,
-    inject_nulls,
+from repro.bench.experiments import tpcc_orders_target, tpch_target, victim_keys
+from repro.core import IndexStructure
+from repro.workloads import TpccConfig, TpchConfig
+
+from conftest import deletes, inserts, time_each
+
+STRUCTURES = pytest.mark.parametrize(
+    "structure", [IndexStructure.HYBRID, IndexStructure.BOUNDED],
+    ids=lambda s: s.label,
 )
 
-from conftest import bench_plan, record_result
-
-STRUCTURES = [IndexStructure.HYBRID, IndexStructure.BOUNDED]
-
-
-@pytest.fixture(scope="module")
-def tpch_cells():
-    cache = {}
-
-    def get(structure):
-        if structure not in cache:
-            ds = generate_tpch(TpchConfig(parts=400, suppliers=100,
-                                          lineitems=8000))
-            inject_nulls(ds.db.table("lineitem"),
-                         ds.fk.fk_columns, 0.15)
-            EnforcedForeignKey.create(ds.db, ds.fk, structure)
-            cache[structure] = ds
-        return cache[structure]
-
-    return get
+TPCH = tpch_target(TpchConfig(parts=400, suppliers=100, lineitems=8000))
+TPCC = tpcc_orders_target(TpccConfig(warehouses=2, districts_per_warehouse=10,
+                                     customers_per_district=40))
 
 
-@pytest.fixture(scope="module")
-def tpcc_cells():
-    cache = {}
-
-    def get(structure):
-        if structure not in cache:
-            ds = generate_tpcc(TpccConfig(warehouses=2,
-                                          districts_per_warehouse=10,
-                                          customers_per_district=40))
-            inject_nulls(ds.db.table("orders"),
-                         ds.fk_orders_customer.fk_columns, 0.15)
-            EnforcedForeignKey.create(ds.db, ds.fk_orders_customer, structure)
-            cache[structure] = ds
-        return cache[structure]
-
-    return get
+def enforced(target, structure):
+    db, fk, parent_keys = target.enforce(structure)
+    return SimpleNamespace(db=db, fk=fk, parent_keys=parent_keys)
 
 
-@pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.label)
-def test_tpch_insert_lineitem(benchmark, tpch_cells, structure):
-    ds = tpch_cells(structure)
-    rng = random.Random(13)
-    counter = iter(range(10_000))
-
-    def make_row():
-        part, supp = ds.partsupp_keys[rng.randrange(len(ds.partsupp_keys))]
-        return ((900_000 + next(counter), 1, part, supp, 5),), {}
-
-    benchmark.pedantic(
-        lambda row: dml.insert(ds.db, "lineitem", row),
-        setup=make_row, rounds=80,
-    )
+@STRUCTURES
+def test_tpch_insert_lineitem(benchmark, cells, structure):
+    cell = cells(enforced, TPCH, structure)
+    rows = TPCH.child_rows(cell.parent_keys, random.Random(13), 80)
+    time_each(benchmark, inserts(cell), rows, 80)
 
 
-@pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.label)
-def test_tpch_delete_partsupp(benchmark, tpch_cells, structure):
-    ds = tpch_cells(structure)
-    rng = random.Random(14)
-    victims = iter(dict.fromkeys(
-        ds.partsupp_keys[rng.randrange(len(ds.partsupp_keys))]
-        for __ in range(500)
-    ))
-    benchmark.pedantic(
-        lambda key: dml.delete_where(
-            ds.db, "partsupp",
-            equalities(("ps_partkey", "ps_suppkey"), key)),
-        setup=lambda: ((next(victims),), {}),
-        rounds=30,
-    )
+@STRUCTURES
+def test_tpch_delete_partsupp(benchmark, cells, structure):
+    cell = cells(enforced, TPCH, structure)
+    keys = victim_keys(cell.parent_keys, random.Random(14), 30)
+    time_each(benchmark, deletes(cell), keys, 30)
 
 
-@pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.label)
-def test_tpcc_insert_orders(benchmark, tpcc_cells, structure):
-    ds = tpcc_cells(structure)
-    rng = random.Random(15)
-    counter = iter(range(10_000))
-
-    def make_row():
-        w, d, c = ds.customer_keys[rng.randrange(len(ds.customer_keys))]
-        return ((w, d, 900_000 + next(counter), c, 1),), {}
-
-    benchmark.pedantic(
-        lambda row: dml.insert(ds.db, "orders", row),
-        setup=make_row, rounds=80,
-    )
+@STRUCTURES
+def test_tpcc_insert_orders(benchmark, cells, structure):
+    cell = cells(enforced, TPCC, structure)
+    rows = TPCC.child_rows(cell.parent_keys, random.Random(15), 80)
+    time_each(benchmark, inserts(cell), rows, 80)
 
 
-@pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.label)
-def test_tpcc_delete_customer(benchmark, tpcc_cells, structure):
-    ds = tpcc_cells(structure)
-    rng = random.Random(16)
-    victims = iter(dict.fromkeys(
-        ds.customer_keys[rng.randrange(len(ds.customer_keys))]
-        for __ in range(500)
-    ))
-    benchmark.pedantic(
-        lambda key: dml.delete_where(
-            ds.db, "customer",
-            equalities(("c_w_id", "c_d_id", "c_id"), key)),
-        setup=lambda: ((next(victims),), {}),
-        rounds=25,
-    )
-
-
-def test_table9_sweep(benchmark):
-    """Run the full experiment once; rendering goes to results/."""
-    result = benchmark.pedantic(lambda: experiments.table9_benchmark_details(), rounds=1, iterations=1)
-    record_result(result)
-
-
-def test_table10_sweep(benchmark):
-    """Run the full experiment once; rendering goes to results/."""
-    result = benchmark.pedantic(lambda: experiments.table10_benchmark_dbs(bench_plan()), rounds=1, iterations=1)
-    record_result(result)
+@STRUCTURES
+def test_tpcc_delete_customer(benchmark, cells, structure):
+    cell = cells(enforced, TPCC, structure)
+    keys = victim_keys(cell.parent_keys, random.Random(16), 25)
+    time_each(benchmark, deletes(cell), keys, 25)

@@ -9,13 +9,10 @@ Hybrid+Compound only helps the non-unique case.
 
 import pytest
 
-from repro.bench import experiments, harness
 from repro.core import IndexStructure
-from repro.query import dml
-from repro.query.predicate import equalities
 from repro.workloads.synthetic import delete_stream
 
-from conftest import bench_plan, micro_config, record_result
+from conftest import deletes, synthetic, time_each
 
 STRUCTURES = [
     IndexStructure.HYBRID,
@@ -26,40 +23,13 @@ STRUCTURES = [
 ROUNDS = 12
 
 
-@pytest.fixture(scope="module")
-def split_cells():
-    cache = {}
-
-    def get(structure):
-        if structure not in cache:
-            cache[structure] = harness.prepare_cell(
-                micro_config(unique_parent_fraction=0.3), structure
-            )
-        return cache[structure]
-
-    return get
-
-
 @pytest.mark.parametrize("structure", STRUCTURES, ids=lambda s: s.label)
 @pytest.mark.parametrize("kind", ["unique", "nonunique"])
-def test_delete_by_parent_kind(benchmark, split_cells, structure, kind):
-    cell = split_cells(structure)
-    keys = iter(delete_stream(
-        cell.dataset, ROUNDS + 5,
+def test_delete_by_parent_kind(benchmark, cells, structure, kind):
+    cell = cells(synthetic, structure, unique_parent_fraction=0.3)
+    keys = delete_stream(
+        cell, ROUNDS + 5,
         seed=4 if kind == "unique" else 5,
         from_unique=(kind == "unique"),
-    ))
-    parent = cell.fk.parent_table
-    key_columns = cell.fk.key_columns
-    benchmark.pedantic(
-        lambda key: dml.delete_where(cell.db, parent,
-                                     equalities(key_columns, key)),
-        setup=lambda: ((next(keys),), {}),
-        rounds=ROUNDS,
     )
-
-
-def test_tables6_7_8_sweep(benchmark):
-    """Run the full experiment once; rendering goes to results/."""
-    result = benchmark.pedantic(lambda: experiments.tables6_7_8_unique_parents(bench_plan()), rounds=1, iterations=1)
-    record_result(result)
+    time_each(benchmark, deletes(cell), keys, ROUNDS)

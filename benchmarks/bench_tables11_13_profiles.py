@@ -8,78 +8,31 @@ semantics baseline.
 
 import pytest
 
-from repro.bench import experiments, harness
+from repro.bench.experiments import ABLATIONS
 from repro.core import IndexStructure
-from repro.query import dml
-from repro.query.predicate import equalities
 from repro.workloads.synthetic import delete_stream, insert_stream
 
-from conftest import bench_plan, micro_config, record_result
+from conftest import deletes, in_transaction, inserts, synthetic, time_each, time_fresh
 
 PROFILED = [IndexStructure.BOUNDED, IndexStructure.HYBRID_NSINGLE]
 
 
 @pytest.mark.parametrize("structure", PROFILED, ids=lambda s: s.label)
-def test_profile_insert(benchmark, prepared_cells, structure):
-    cell = prepared_cells(structure)
-    rows = iter(insert_stream(cell.dataset, 110, seed=12))
-    child = cell.fk.child_table
-    benchmark.pedantic(
-        lambda row: dml.insert(cell.db, child, row),
-        setup=lambda: ((next(rows),), {}),
-        rounds=100,
-    )
+def test_profile_insert(benchmark, cells, structure):
+    cell = cells(synthetic, structure)
+    time_each(benchmark, inserts(cell), insert_stream(cell, 110, seed=12), 100)
 
 
 @pytest.mark.parametrize("structure", PROFILED, ids=lambda s: s.label)
-def test_profile_delete(benchmark, prepared_cells, structure):
-    cell = prepared_cells(structure)
-    keys = iter(delete_stream(cell.dataset, 30, seed=12))
-    parent = cell.fk.parent_table
-    key_columns = cell.fk.key_columns
-    benchmark.pedantic(
-        lambda key: dml.delete_where(cell.db, parent,
-                                     equalities(key_columns, key)),
-        setup=lambda: ((next(keys),), {}),
-        rounds=25,
-    )
+def test_profile_delete(benchmark, cells, structure):
+    cell = cells(synthetic, structure)
+    time_each(benchmark, deletes(cell), delete_stream(cell, 30, seed=12), 25)
 
 
-TXN_STRUCTURES = [
-    IndexStructure.HYBRID,
-    IndexStructure.HYBRID_COMPOUND,
-    IndexStructure.HYBRID_NSINGLE,
-    IndexStructure.BOUNDED,
-]
-
-
-@pytest.mark.parametrize("structure", TXN_STRUCTURES, ids=lambda s: s.label)
+@pytest.mark.parametrize("structure", ABLATIONS, ids=lambda s: s.label)
 def test_table13_transaction_deletes(benchmark, structure):
-    def make_txn():
-        cell = harness.prepare_cell(micro_config(), structure)
-        keys = delete_stream(cell.dataset, 20)
-        parent = cell.fk.parent_table
-        key_columns = cell.fk.key_columns
+    def make():
+        cell = synthetic(structure)
+        return in_transaction(cell, deletes(cell), delete_stream(cell, 20))
 
-        def txn():
-            with cell.db.begin():
-                for key in keys:
-                    dml.delete_where(cell.db, parent,
-                                     equalities(key_columns, key))
-
-        return txn
-
-    benchmark.pedantic(lambda txn: txn(),
-                       setup=lambda: ((make_txn(),), {}), rounds=2)
-
-
-def test_table11_12_sweep(benchmark):
-    """Run the full experiment once; rendering goes to results/."""
-    result = benchmark.pedantic(lambda: experiments.table11_12_profiles(bench_plan()), rounds=1, iterations=1)
-    record_result(result)
-
-
-def test_table13_sweep(benchmark):
-    """Run the full experiment once; rendering goes to results/."""
-    result = benchmark.pedantic(lambda: experiments.table13_transaction_structures(bench_plan()), rounds=1, iterations=1)
-    record_result(result)
+    time_fresh(benchmark, make, rounds=2)

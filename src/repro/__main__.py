@@ -5,8 +5,14 @@ Commands:
 * ``repl``                — the SQL shell (see examples/sql_repl.py)
 * ``demo``                — the paper's Example 1 walked through end to end
 * ``advisor N ROWS``      — rank index structures for an N-column FK
-* ``experiment ID``       — run one reproduction experiment (table1, fig9, ...)
-* ``experiments``         — list available experiment ids
+* ``experiment ID|all [--json DIR]``
+                          — run one reproduction experiment (table1, fig9,
+                            ...) or every one under the scale plan of
+                            REPRO_SCALE / REPRO_OPS / REPRO_QUICK
+                            (repro.bench.scale), print it and write
+                            benchmarks/results/ID.txt (and DIR/ID.json);
+                            exits non-zero if an expectation failed
+* ``experiments``         — list the experiment ids
 * ``verify``              — build the demo database, run a workload under
                             the write-ahead log, and print the integrity
                             report (heap ↔ index ↔ statistics ↔ constraints)
@@ -73,6 +79,25 @@ from __future__ import annotations
 
 import sys
 
+#: The paper's Example 1: tours and the bookings that partially
+#: reference them under MATCH PARTIAL.
+_EXAMPLE1_SCHEMA = """
+    CREATE TABLE tour (tour_id TEXT NOT NULL, site_code TEXT NOT NULL,
+        site_name TEXT, PRIMARY KEY (tour_id, site_code));
+    CREATE TABLE booking (visitor_id INTEGER NOT NULL, tour_id TEXT,
+        site_code TEXT, day TEXT,
+        FOREIGN KEY (tour_id, site_code)
+            REFERENCES tour (tour_id, site_code)
+            MATCH PARTIAL ON DELETE SET NULL WITH STRUCTURE bounded);
+    INSERT INTO tour VALUES ('GCG','OR','O''Reilly''s'),
+        ('BRT','OR','O''Reilly''s'), ('BRT','MV','Movie World'),
+        ('RF','BB','Binna Burra'), ('RF','OR','O''Reilly''s');
+"""
+_EXAMPLE1_BOOKINGS = """
+    INSERT INTO booking VALUES (1001,'BRT','OR','Nov 21'),
+        (1008, NULL, 'BB', 'Sep 5'), (1011, 'RF', NULL, 'Oct 5');
+"""
+
 
 def _run_repl() -> int:
     from .errors import ReproError
@@ -109,20 +134,7 @@ def _run_demo() -> int:
     from .sql import SqlSession
 
     session = SqlSession()
-    session.execute("""
-        CREATE TABLE tour (tour_id TEXT NOT NULL, site_code TEXT NOT NULL,
-            site_name TEXT, PRIMARY KEY (tour_id, site_code));
-        CREATE TABLE booking (visitor_id INTEGER NOT NULL, tour_id TEXT,
-            site_code TEXT, day TEXT,
-            FOREIGN KEY (tour_id, site_code)
-                REFERENCES tour (tour_id, site_code)
-                MATCH PARTIAL ON DELETE SET NULL WITH STRUCTURE bounded);
-        INSERT INTO tour VALUES ('GCG','OR','O''Reilly''s'),
-            ('BRT','OR','O''Reilly''s'), ('BRT','MV','Movie World'),
-            ('RF','BB','Binna Burra'), ('RF','OR','O''Reilly''s');
-        INSERT INTO booking VALUES (1001,'BRT','OR','Nov 21'),
-            (1008, NULL, 'BB', 'Sep 5'), (1011, 'RF', NULL, 'Oct 5');
-    """)
+    session.execute(_EXAMPLE1_SCHEMA + _EXAMPLE1_BOOKINGS)
     print("Example 1 loaded; partial referential integrity enforced "
           "(Bounded structure).")
     try:
@@ -152,31 +164,37 @@ def _run_advisor(argv: list[str]) -> int:
     return 0
 
 
-def _run_experiment(name: str) -> int:
-    from .bench import experiments
+def _run_experiment(argv: list[str]) -> int:
+    from pathlib import Path
 
-    lookup = {fn.__name__: fn for fn in experiments.ALL_EXPERIMENTS}
-    # also accept the short experiment ids (table1, fig9, ...): the first
-    # underscore-separated chunk of each function name
-    short = {fn.__name__.split("_")[0]: fn for fn in experiments.ALL_EXPERIMENTS
-             if fn.__name__.split("_")[0] not in ("tables", "prefix")}
-    short["tables678"] = experiments.tables6_7_8_unique_parents
-    short["prefix_compound"] = experiments.prefix_compound_ablation
-    fn = lookup.get(name) or short.get(name)
-    if fn is None:
+    from .bench import experiments
+    from .bench.scale import default_plan
+
+    name, rest = argv[0], argv[1:]
+    json_dir = Path(rest[1]) if len(rest) == 2 and rest[0] == "--json" else None
+    if rest and json_dir is None:
+        print("usage: experiment ID|all [--json DIR]", file=sys.stderr)
+        return 1
+    if name != "all" and name not in experiments.REGISTRY:
         print(f"unknown experiment {name!r}; try one of:", file=sys.stderr)
         _list_experiments()
         return 1
-    print(fn().render())
+    ids = list(experiments.REGISTRY) if name == "all" else [name]
+    plan = default_plan()
+    print(f"scale plan: {plan}")
+    failed = [i for i in ids if experiments.run(i, plan, json_dir).failures]
+    if failed:
+        print(f"failed expectations: {', '.join(failed)}", file=sys.stderr)
+        return 1
     return 0
 
 
 def _list_experiments() -> int:
     from .bench import experiments
 
-    for fn in experiments.ALL_EXPERIMENTS:
+    for experiment_id, fn in experiments.REGISTRY.items():
         doc = (fn.__doc__ or "").strip().splitlines()[0]
-        print(f"  {fn.__name__:32s} {doc}")
+        print(f"  {experiment_id:16s} {doc}")
     return 0
 
 
@@ -187,21 +205,10 @@ def _run_verify() -> int:
     session = SqlSession()
     db = session.db
     db.attach_wal(WriteAheadLog())
-    session.execute("""
-        CREATE TABLE tour (tour_id TEXT NOT NULL, site_code TEXT NOT NULL,
-            site_name TEXT, PRIMARY KEY (tour_id, site_code));
-        CREATE TABLE booking (visitor_id INTEGER NOT NULL, tour_id TEXT,
-            site_code TEXT, day TEXT,
-            FOREIGN KEY (tour_id, site_code)
-                REFERENCES tour (tour_id, site_code)
-                MATCH PARTIAL ON DELETE SET NULL WITH STRUCTURE bounded);
-        INSERT INTO tour VALUES ('GCG','OR','O''Reilly''s'),
-            ('BRT','OR','O''Reilly''s'), ('BRT','MV','Movie World'),
-            ('RF','BB','Binna Burra'), ('RF','OR','O''Reilly''s');
-        INSERT INTO booking VALUES (1001,'BRT','OR','Nov 21'),
-            (1008, NULL, 'BB', 'Sep 5'), (1011, 'RF', NULL, 'Oct 5');
-        DELETE FROM tour WHERE tour_id = 'BRT' AND site_code = 'MV';
-    """)
+    session.execute(
+        _EXAMPLE1_SCHEMA + _EXAMPLE1_BOOKINGS
+        + "DELETE FROM tour WHERE tour_id = 'BRT' AND site_code = 'MV';"
+    )
     report = db.verify_integrity()
     print(report.render())
     print(f"wal: {len(db.wal)} durable records, "
@@ -263,18 +270,7 @@ def _run_serve(argv: list[str]) -> int:
     else:
         db = Database("served")
         if schema == "demo":
-            SqlSession(db).execute("""
-                CREATE TABLE tour (tour_id TEXT NOT NULL, site_code TEXT NOT NULL,
-                    site_name TEXT, PRIMARY KEY (tour_id, site_code));
-                CREATE TABLE booking (visitor_id INTEGER NOT NULL, tour_id TEXT,
-                    site_code TEXT, day TEXT,
-                    FOREIGN KEY (tour_id, site_code)
-                        REFERENCES tour (tour_id, site_code)
-                        MATCH PARTIAL ON DELETE SET NULL WITH STRUCTURE bounded);
-                INSERT INTO tour VALUES ('GCG','OR','O''Reilly''s'),
-                    ('BRT','OR','O''Reilly''s'), ('BRT','MV','Movie World'),
-                    ('RF','BB','Binna Burra'), ('RF','OR','O''Reilly''s');
-            """)
+            SqlSession(db).execute(_EXAMPLE1_SCHEMA)
         elif schema is not None:
             print(f"unknown schema {schema!r} (demo, chaos)", file=sys.stderr)
             return 1
@@ -384,7 +380,7 @@ def main(argv: list[str] | None = None) -> int:
     if command == "advisor":
         return _run_advisor(rest)
     if command == "experiment" and rest:
-        return _run_experiment(rest[0])
+        return _run_experiment(rest)
     if command == "experiments":
         return _list_experiments()
     if command == "verify":

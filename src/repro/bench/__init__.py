@@ -1,32 +1,6 @@
-"""Benchmark harness: measurement, scaling, reporting, experiments."""
-
-from .harness import (
-    SIMPLE_BASELINE,
-    PreparedCell,
-    prepare_cell,
-    run_delete_cell,
-    run_insert_cell,
-    run_transaction_cell,
-    structure_label,
-)
-from .measure import Measurement, measure_block, measure_ops
-from .report import format_series, format_table, ratio_note
-from .scale import ScalePlan, default_plan
-
-__all__ = [
-    "SIMPLE_BASELINE",
-    "PreparedCell",
-    "prepare_cell",
-    "run_delete_cell",
-    "run_insert_cell",
-    "run_transaction_cell",
-    "structure_label",
-    "Measurement",
-    "measure_block",
-    "measure_ops",
-    "format_series",
-    "format_table",
-    "ratio_note",
-    "ScalePlan",
-    "default_plan",
-]
+"""Benchmark harness: ``harness`` builds and measures cells, ``measure``
+times operations and captures logical costs, ``scale`` maps the paper's
+sizes to a :class:`~repro.bench.scale.ScalePlan`, ``report`` renders
+tables and series, ``experiments`` holds the registry of paper tables
+and figures and its runner, ``concurrency`` the multi-session
+experiments, and ``hotpath`` the perf-regression guard."""

@@ -18,8 +18,8 @@ strict-2PL protocol.  Reader lock traffic is measured over a pure-read
 tail phase and must be exactly zero — snapshot reads never touch the
 lock manager.
 
-Run via ``python -m repro experiment concurrency`` (or ``read_mix``) or
-at benchmark scale through ``benchmarks/bench_concurrency.py``.
+Run via ``python -m repro experiment concurrency`` (or ``read_mix``);
+``benchmarks/bench_concurrency.py`` times single cells.
 """
 
 from __future__ import annotations
@@ -37,10 +37,10 @@ from ..errors import (
     RestrictViolation,
     SerializationError,
 )
-from ..query.predicate import And, Eq, Predicate
+from ..query.predicate import equalities
 from ..workloads import synthetic
 from . import harness, report
-from .scale import ScalePlan, default_plan
+from .scale import ScalePlan
 
 #: Structures worth contrasting under concurrency: the paper's overall
 #: recommendation and its strongest rival for low column counts.
@@ -55,6 +55,9 @@ _VETOES = (ReferentialIntegrityViolation, RestrictViolation)
 #: Read percentages of the snapshot-read scaling experiment: a
 #: read-mostly OLTP shape and a nearly-read-only one.
 READ_MIXES = (90, 99)
+
+#: Snapshot reads per worker in the pure-read tail of a read-mix cell.
+_TAIL_READS = 25
 
 
 def thread_counts(plan: ScalePlan) -> tuple[int, ...]:
@@ -82,26 +85,21 @@ class CellResult:
         return self.ops / self.elapsed_s if self.elapsed_s > 0 else 0.0
 
 
-def _key_predicate(columns, key) -> Predicate:
-    parts = [Eq(c, v) for c, v in zip(columns, key)]
-    return parts[0] if len(parts) == 1 else And(*parts)
+def _session_cell(structure: IndexStructure, plan: ScalePlan):
+    """A fresh 3-column cell (600 parents in a quick plan, else 1,500)
+    and its session manager."""
+    config = synthetic.SyntheticConfig(
+        n_columns=3, parent_rows=600 if plan.quick else 1500
+    )
+    cell = harness.prepare_cell(config, structure)
+    return cell, cell.db.enable_sessions(lock_timeout=5.0)
 
 
 def run_cell(
-    structure: IndexStructure,
-    n_threads: int,
-    plan: ScalePlan,
-    n_columns: int = 3,
-    parent_rows: int | None = None,
+    structure: IndexStructure, n_threads: int, plan: ScalePlan
 ) -> CellResult:
     """Measure one mixed workload cell on a freshly built database."""
-    if parent_rows is None:
-        parent_rows = 600 if plan.quick else 1500
-    config = synthetic.SyntheticConfig(
-        n_columns=n_columns, parent_rows=parent_rows
-    )
-    cell = harness.prepare_cell(config, structure)
-    manager = cell.db.enable_sessions(lock_timeout=5.0)
+    cell, manager = _session_cell(structure, plan)
 
     inserts = synthetic.insert_stream(cell.dataset, plan.insert_ops, seed=7)
     deletes = synthetic.delete_stream(cell.dataset, plan.delete_ops, seed=17)
@@ -132,7 +130,7 @@ def run_cell(
                             session.insert(child, payload)
                         else:
                             session.delete_where(
-                                parent, _key_predicate(key_columns, payload)
+                                parent, equalities(key_columns, payload)
                             )
                         break
                     except _RETRYABLE:
@@ -206,9 +204,6 @@ def run_read_mix_cell(
     n_threads: int,
     plan: ScalePlan,
     read_pct: int = 99,
-    n_columns: int = 3,
-    parent_rows: int | None = None,
-    tail_reads: int = 25,
 ) -> ReadMixResult:
     """Measure a read:write mix where every read is an MVCC snapshot read.
 
@@ -221,14 +216,7 @@ def run_read_mix_cell(
     counters are snapshotted around it — snapshot reads acquire zero
     logical locks, so the reader deltas are expected to be exactly 0.
     """
-    if parent_rows is None:
-        parent_rows = 600 if plan.quick else 1500
-    config = synthetic.SyntheticConfig(
-        n_columns=n_columns, parent_rows=parent_rows
-    )
-    cell = harness.prepare_cell(config, structure)
-    manager = cell.db.enable_sessions(lock_timeout=5.0)
-
+    cell, manager = _session_cell(structure, plan)
     parent = cell.fk.parent_table
     child = cell.fk.child_table
     key_columns = cell.fk.key_columns
@@ -251,7 +239,7 @@ def run_read_mix_cell(
             session.insert(child, row)
         else:
             key = parent_keys[rng.randrange(len(parent_keys))]
-            session.delete_where(parent, _key_predicate(key_columns, key))
+            session.delete_where(parent, equalities(key_columns, key))
             session.insert(parent, tuple(key) + (0,))
         return True
 
@@ -265,9 +253,7 @@ def run_read_mix_cell(
             for __ in range(ops_per_thread):
                 if rng.randrange(100) < read_pct:
                     key = parent_keys[rng.randrange(len(parent_keys))]
-                    session.snapshot_select(
-                        parent, _key_predicate(key_columns, key)
-                    )
+                    session.snapshot_select(parent, equalities(key_columns, key))
                     reads[worker_id] += 1
                 else:
                     for attempt in range(_RETRIES):
@@ -283,11 +269,9 @@ def run_read_mix_cell(
                             break
             barrier.wait()  # mixed phase complete everywhere
             barrier.wait()  # main thread snapshotted the lock counters
-            for __ in range(tail_reads):
+            for __ in range(_TAIL_READS):
                 key = parent_keys[rng.randrange(len(parent_keys))]
-                session.snapshot_select(
-                    parent, _key_predicate(key_columns, key)
-                )
+                session.snapshot_select(parent, equalities(key_columns, key))
         except BaseException as exc:  # noqa: BLE001 - reported by caller
             errors.append(exc)
             barrier.abort()
@@ -330,11 +314,10 @@ def run_read_mix_cell(
     )
 
 
-def read_mix_scaling(plan: ScalePlan | None = None) -> "ExperimentResult":
+def read_mix_scaling(plan: ScalePlan) -> "ExperimentResult":
     """Snapshot-read scaling: 90:10 and 99:1 mixes across 1..16 sessions."""
     from .experiments import ExperimentResult
 
-    plan = plan or default_plan()
     cells = [
         run_read_mix_cell(IndexStructure.BOUNDED, n, plan, read_pct=pct)
         for pct in READ_MIXES
@@ -367,25 +350,24 @@ def read_mix_scaling(plan: ScalePlan | None = None) -> "ExperimentResult":
         [c.__dict__ | {"reads_per_s": c.reads_per_s} for c in cells],
     )
     locked = [c for c in cells if c.reader_lock_acquires or c.reader_lock_waits]
-    result.notes.append(
-        "snapshot readers acquired zero logical locks in every cell"
-        if not locked
-        else f"READER LOCK TRAFFIC in {len(locked)} cell(s)!"
+    result.expect(
+        not locked,
+        "snapshot readers acquired zero logical locks in every cell",
+        f"READER LOCK TRAFFIC in {len(locked)} cell(s)!",
     )
     dirty = [c for c in cells if not c.clean]
-    result.notes.append(
-        "every cell ends with a clean integrity report"
-        if not dirty
-        else f"INTEGRITY VIOLATIONS in {len(dirty)} cell(s)!"
+    result.expect(
+        not dirty,
+        "every cell ends with a clean integrity report",
+        f"INTEGRITY VIOLATIONS in {len(dirty)} cell(s)!",
     )
     return result
 
 
-def concurrency_throughput(plan: ScalePlan | None = None) -> "ExperimentResult":
+def concurrency_throughput(plan: ScalePlan) -> "ExperimentResult":
     """Insert+delete enforcement throughput, 1..16 concurrent sessions."""
     from .experiments import ExperimentResult
 
-    plan = plan or default_plan()
     cells = [
         run_cell(structure, n, plan)
         for structure in STRUCTURES
@@ -420,10 +402,10 @@ def concurrency_throughput(plan: ScalePlan | None = None) -> "ExperimentResult":
         [c.__dict__ | {"ops_per_s": c.ops_per_s} for c in cells],
     )
     dirty = [c for c in cells if not c.clean]
-    result.notes.append(
-        "every cell ends with a clean integrity report"
-        if not dirty
-        else f"INTEGRITY VIOLATIONS in {len(dirty)} cell(s)!"
+    result.expect(
+        not dirty,
+        "every cell ends with a clean integrity report",
+        f"INTEGRITY VIOLATIONS in {len(dirty)} cell(s)!",
     )
     result.notes.append(
         "vetoed = inserts refused because a concurrent delete removed the "

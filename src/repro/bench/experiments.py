@@ -1,17 +1,26 @@
 """One function per paper table/figure: the reproduction experiments.
 
-Every experiment returns an :class:`ExperimentResult` whose ``text`` is a
-paper-style rendering and whose ``rows``/``series`` carry the raw numbers
-(consumed by EXPERIMENTS.md and by the pytest-benchmark wrappers under
-``benchmarks/``).  Sweep results are cached per (n, plan) inside the
-module so the figure experiments can re-render the table experiments'
-data without recomputing it.
+:data:`REGISTRY` maps each result id to its experiment; every experiment
+is called as ``fn(plan)`` with a :class:`~repro.bench.scale.ScalePlan`
+and returns an :class:`ExperimentResult` whose ``text`` is a paper-style
+rendering and whose ``rows`` carry the raw numbers (consumed by
+EXPERIMENTS.md).  :func:`run` is the one runner: ``python -m repro
+experiment ID|all`` and ``benchmarks/bench_experiments.py`` both go
+through it.  Sweep results are cached per (n, plan) inside the module so
+the figure experiments can re-render the table experiments' data without
+recomputing it.
 """
 
 from __future__ import annotations
 
+import json
+import math
+import random
+import tempfile
+import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any
 
 from ..constraints.foreign_key import ForeignKey, MatchSemantics
@@ -20,10 +29,13 @@ from ..core.states import sargable_states_with_prefix_indexes, total_state_count
 from ..core.strategies import IndexStructure
 from ..query import dml
 from ..query.predicate import equalities
+from ..storage.database import Database
+from ..storage.schema import Column
+from ..storage.wal import WriteAheadLog, open_durable
 from ..workloads import geneontology, mar, synthetic, tpcc, tpch
 from . import harness, report
-from .measure import Measurement, measure_block, measure_ops
-from .scale import ScalePlan, default_plan
+from .measure import Measurement, measure_ops
+from .scale import ScalePlan
 
 #: Structures of the §7.2 head-to-head (Table 1/2, Figures 4/5).
 GRID_STRUCTURES = (
@@ -53,6 +65,14 @@ class ExperimentResult:
     text: str
     rows: list[dict[str, Any]] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+    #: The expectations that did not hold; any one fails the runner.
+    failures: list[str] = field(default_factory=list)
+
+    def expect(self, holds: bool, met: str, failed: str) -> None:
+        """Note whether an expectation of the run held."""
+        self.notes.append(met if holds else failed)
+        if not holds:
+            self.failures.append(failed)
 
     def render(self) -> str:
         out = [self.text]
@@ -160,9 +180,8 @@ def _grid_rows(
 # Table 1 / Table 2: insert and delete times for the 5-column key.
 
 
-def table1_insertions(plan: ScalePlan | None = None, n_columns: int = 5) -> ExperimentResult:
+def table1_insertions(plan: ScalePlan, n_columns: int = 5) -> ExperimentResult:
     """Table 1: execution time for insertion with a 5-column foreign key."""
-    plan = plan or default_plan()
     cells = synthetic_sweep(n_columns, plan)
     headers, rows = _grid_rows(cells, plan, lambda c: c.inserts.avg_ms)
     text = report.format_table(
@@ -187,9 +206,8 @@ def table1_insertions(plan: ScalePlan | None = None, n_columns: int = 5) -> Expe
     return result
 
 
-def table2_deletions(plan: ScalePlan | None = None, n_columns: int = 5) -> ExperimentResult:
+def table2_deletions(plan: ScalePlan, n_columns: int = 5) -> ExperimentResult:
     """Table 2: execution time for deletion with a 5-column foreign key."""
-    plan = plan or default_plan()
     cells = synthetic_sweep(n_columns, plan)
     headers, rows = _grid_rows(cells, plan, lambda c: c.deletes.avg_ms)
     text = report.format_table(
@@ -223,9 +241,8 @@ def table2_deletions(plan: ScalePlan | None = None, n_columns: int = 5) -> Exper
 # Table 3: the 100M data set, Hybrid vs Bounded vs simple semantics.
 
 
-def table3_largest(plan: ScalePlan | None = None) -> ExperimentResult:
+def table3_largest(plan: ScalePlan) -> ExperimentResult:
     """Table 3: Hybrid vs Bounded vs simple on the largest (100M) set."""
-    plan = plan or default_plan()
     size = plan.largest
     config = synthetic.SyntheticConfig(n_columns=5, parent_rows=size)
     rows = []
@@ -264,9 +281,8 @@ def table3_largest(plan: ScalePlan | None = None) -> ExperimentResult:
 # Table 4: loading data and building the indexes.
 
 
-def table4_index_build(plan: ScalePlan | None = None) -> ExperimentResult:
+def table4_index_build(plan: ScalePlan) -> ExperimentResult:
     """Table 4: time to load data and build each index structure."""
-    plan = plan or default_plan()
     cells = synthetic_sweep(5, plan)
     headers, rows = _grid_rows(
         cells, plan, lambda c: c.load.total_s + c.build.total_s
@@ -299,9 +315,8 @@ def table4_index_build(plan: ScalePlan | None = None) -> ExperimentResult:
 # Table 5 / Table 13: transactions.
 
 
-def table5_transactions(plan: ScalePlan | None = None) -> ExperimentResult:
+def table5_transactions(plan: ScalePlan) -> ExperimentResult:
     """Table 5: one transaction of inserts / deletes, Hybrid vs Bounded."""
-    plan = plan or default_plan()
     return _transaction_experiment(
         "table5",
         "Table 5 — transaction times (s), largest grid size",
@@ -311,9 +326,8 @@ def table5_transactions(plan: ScalePlan | None = None) -> ExperimentResult:
     )
 
 
-def table13_transaction_structures(plan: ScalePlan | None = None) -> ExperimentResult:
+def table13_transaction_structures(plan: ScalePlan) -> ExperimentResult:
     """Table 13: transactions under all four ablation structures + simple."""
-    plan = plan or default_plan()
     return _transaction_experiment(
         "table13",
         "Table 13 — transaction times (s) under index structures",
@@ -367,9 +381,8 @@ def _transaction_experiment(
 # Tables 6-8: deleting unique vs non-unique parents.
 
 
-def tables6_7_8_unique_parents(plan: ScalePlan | None = None) -> ExperimentResult:
+def tables6_7_8_unique_parents(plan: ScalePlan) -> ExperimentResult:
     """Tables 6/7/8: unique vs non-unique parent deletions per structure."""
-    plan = plan or default_plan()
     size = plan.sizes[min(3, len(plan.sizes) - 1)]  # the paper used 10M
     config = synthetic.SyntheticConfig(
         n_columns=5, parent_rows=size, unique_parent_fraction=0.3
@@ -413,18 +426,29 @@ def tables6_7_8_unique_parents(plan: ScalePlan | None = None) -> ExperimentResul
 # Figures 4/5: performance trends (insert / delete) for n = 4 and 5.
 
 
-def fig4_insert_trends(plan: ScalePlan | None = None) -> ExperimentResult:
+def fig4_insert_trends(plan: ScalePlan) -> ExperimentResult:
     """Figure 4: insert-time trends across sizes, n = 4 and n = 5."""
-    plan = plan or default_plan()
     return _trend_figure("fig4", "Figure 4 — insert trends", plan,
                          metric="inserts")
 
 
-def fig5_delete_trends(plan: ScalePlan | None = None) -> ExperimentResult:
+def fig5_delete_trends(plan: ScalePlan) -> ExperimentResult:
     """Figure 5: delete-time trends across sizes, n = 4 and n = 5."""
-    plan = plan or default_plan()
     return _trend_figure("fig5", "Figure 5 — delete trends", plan,
                          metric="deletes")
+
+
+def _figure(
+    title: str, cells: list[CellMeasurements], plan: ScalePlan, metric: str
+) -> tuple[str, dict[str, list[float]]]:
+    """A figure's series — per structure, *metric*'s average over
+    ascending sizes — and its rendering."""
+    series: dict[str, list[float]] = {}
+    for c in sorted(cells, key=lambda c: c.size):
+        series.setdefault(c.structure, []).append(getattr(c, metric).avg_ms)
+    sizes = sorted({c.size for c in cells})
+    text = report.format_series(title, [plan.size_label(s) for s in sizes], series)
+    return text, series
 
 
 def _trend_figure(
@@ -433,19 +457,10 @@ def _trend_figure(
     blocks = []
     raw = []
     for n in (4, 5):
-        cells = synthetic_sweep(n, plan)
-        structures = list(dict.fromkeys(c.structure for c in cells))
-        sizes = sorted({c.size for c in cells})
-        series = {
-            s: [getattr(c, metric).avg_ms
-                for c in sorted(
-                    (c for c in cells if c.structure == s), key=lambda c: c.size
-                )]
-            for s in structures
-        }
-        blocks.append(report.format_series(
-            f"{title}, {n}-column FK", [plan.size_label(s) for s in sizes], series
-        ))
+        text, series = _figure(
+            f"{title}, {n}-column FK", synthetic_sweep(n, plan), plan, metric
+        )
+        blocks.append(text)
         for s, values in series.items():
             raw.append({"n": n, "structure": s, "avg_ms_by_size": values})
     return ExperimentResult(experiment_id, title, "\n\n".join(blocks), raw)
@@ -455,10 +470,9 @@ def _trend_figure(
 # Figure 6: 2-column foreign keys — the Hybrid exception.
 
 
-def fig6_two_column(plan: ScalePlan | None = None) -> ExperimentResult:
+def fig6_two_column(plan: ScalePlan) -> ExperimentResult:
     """Figure 6: with n=2, Hybrid is competitive on large data sets and
     Powerset coincides with Bounded."""
-    plan = plan or default_plan()
     structures = (
         IndexStructure.FULL,
         IndexStructure.SINGLETON,
@@ -466,25 +480,9 @@ def fig6_two_column(plan: ScalePlan | None = None) -> ExperimentResult:
         IndexStructure.BOUNDED,   # == Powerset for n = 2
     )
     cells = synthetic_sweep(2, plan, structures=structures, include_simple=False)
-    sizes = sorted({c.size for c in cells})
-    labels = list(dict.fromkeys(c.structure for c in cells))
-    insert_series = {
-        s: [c.inserts.avg_ms for c in sorted(
-            (c for c in cells if c.structure == s), key=lambda c: c.size)]
-        for s in labels
-    }
-    delete_series = {
-        s: [c.deletes.avg_ms for c in sorted(
-            (c for c in cells if c.structure == s), key=lambda c: c.size)]
-        for s in labels
-    }
     text = "\n\n".join([
-        report.format_series(
-            "Figure 6a — 2-column FK inserts",
-            [plan.size_label(s) for s in sizes], insert_series),
-        report.format_series(
-            "Figure 6b — 2-column FK deletes",
-            [plan.size_label(s) for s in sizes], delete_series),
+        _figure("Figure 6a — 2-column FK inserts", cells, plan, "inserts")[0],
+        _figure("Figure 6b — 2-column FK deletes", cells, plan, "deletes")[0],
     ])
     result = ExperimentResult("fig6", "2-column foreign keys", text)
     result.rows = [
@@ -504,9 +502,8 @@ def fig6_two_column(plan: ScalePlan | None = None) -> ExperimentResult:
 # Figures 7/8/10: ablation structures under deletions and insertions.
 
 
-def fig7_delete_ablation(plan: ScalePlan | None = None) -> ExperimentResult:
+def fig7_delete_ablation(plan: ScalePlan) -> ExperimentResult:
     """Figure 7: deletions — adding nSingle to Hybrid gives the boost."""
-    plan = plan or default_plan()
     cells = synthetic_sweep(5, plan, structures=ABLATIONS, include_simple=False)
     return _ablation_figure("fig7", "Figure 7 — deletions (ablations)",
                             cells, plan, metric="deletes",
@@ -514,9 +511,8 @@ def fig7_delete_ablation(plan: ScalePlan | None = None) -> ExperimentResult:
                                  "Hybrid+Compound ≈ Hybrid")
 
 
-def fig8_insert_ablation(plan: ScalePlan | None = None) -> ExperimentResult:
+def fig8_insert_ablation(plan: ScalePlan) -> ExperimentResult:
     """Figure 8: insertions — adding Compound to Hybrid gives the boost."""
-    plan = plan or default_plan()
     cells = synthetic_sweep(5, plan, structures=ABLATIONS, include_simple=False)
     return _ablation_figure("fig8", "Figure 8 — insertions (ablations)",
                             cells, plan, metric="inserts",
@@ -524,9 +520,8 @@ def fig8_insert_ablation(plan: ScalePlan | None = None) -> ExperimentResult:
                                  "Hybrid+nSingle ≈ Hybrid")
 
 
-def fig10_delete_structures(plan: ScalePlan | None = None) -> ExperimentResult:
+def fig10_delete_structures(plan: ScalePlan) -> ExperimentResult:
     """Figure 10: deletions across the full structure set, 5-column FK."""
-    plan = plan or default_plan()
     all_structures = GRID_STRUCTURES + (
         IndexStructure.HYBRID_COMPOUND, IndexStructure.HYBRID_NSINGLE,
     )
@@ -545,16 +540,7 @@ def _ablation_figure(
     metric: str,
     note: str,
 ) -> ExperimentResult:
-    sizes = sorted({c.size for c in cells})
-    labels = list(dict.fromkeys(c.structure for c in cells))
-    series = {
-        s: [getattr(c, metric).avg_ms for c in sorted(
-            (c for c in cells if c.structure == s), key=lambda c: c.size)]
-        for s in labels
-    }
-    text = report.format_series(
-        title, [plan.size_label(s) for s in sizes], series
-    )
+    text = _figure(title, cells, plan, metric)[0]
     result = ExperimentResult(experiment_id, title, text)
     result.rows = [
         {"structure": c.structure, "size": c.size,
@@ -569,10 +555,9 @@ def _ablation_figure(
 # Figure 9: insert breakdown — total vs partially-null tuples.
 
 
-def fig9_insert_breakdown(plan: ScalePlan | None = None) -> ExperimentResult:
+def fig9_insert_breakdown(plan: ScalePlan) -> ExperimentResult:
     """Figure 9: Hybrid is slow specifically for *total* inserts; adding
     the compound parent index (Hybrid+Compound, Bounded) fixes that."""
-    plan = plan or default_plan()
     size = plan.sizes[-1]
     config = synthetic.SyntheticConfig(n_columns=5, parent_rows=size)
     count = plan.insert_ops // 2
@@ -607,9 +592,8 @@ def fig9_insert_breakdown(plan: ScalePlan | None = None) -> ExperimentResult:
 # Tables 11/12: per-structure profiles (index build + per-op times).
 
 
-def table11_12_profiles(plan: ScalePlan | None = None) -> ExperimentResult:
+def table11_12_profiles(plan: ScalePlan) -> ExperimentResult:
     """Tables 11 and 12: IB for C / IB for P / insert avg / delete avg."""
-    plan = plan or default_plan()
     blocks = []
     raw = []
     for table_id, structure in (
@@ -657,68 +641,108 @@ BENCHMARK_STRUCTURES = (
 )
 
 
-@dataclass
-class _BenchmarkTarget:
+@dataclass(frozen=True)
+class BenchmarkTarget:
     """One benchmark FK test: how to build it and how to exercise it."""
 
     label: str
-    build: Callable[[], tuple[Any, ForeignKey, list[tuple[Any, ...]]]]
-    make_child_row: Callable[[Any, tuple[Any, ...], int], tuple[Any, ...]]
+    build: Callable[[], tuple[Database, ForeignKey, list[tuple[Any, ...]]]]
+    make_child_row: Callable[[tuple[Any, ...], int], tuple[Any, ...]]
     null_rate: float = 0.15
 
+    def enforce(
+        self, structure: IndexStructure, simple: bool = False
+    ) -> tuple[Database, ForeignKey, list[tuple[Any, ...]]]:
+        """Build the database, null the child's FK columns at random
+        (Missing-at-Random, :attr:`null_rate`) and enforce the FK under
+        *structure* — or, with *simple*, the built-in MATCH SIMPLE
+        baseline on the Full structure.  Returns the database, the
+        enforced FK and the parent keys."""
+        db, fk, parent_keys = self.build()
+        mar.inject_nulls(db.table(fk.child_table), fk.fk_columns, self.null_rate)
+        if simple:
+            fk = ForeignKey(
+                fk.name, fk.child_table, fk.fk_columns,
+                fk.parent_table, fk.key_columns,
+                match=MatchSemantics.SIMPLE,
+            )
+            structure = IndexStructure.FULL
+        EnforcedForeignKey.create(db, fk, structure)
+        return db, fk, parent_keys
 
-def _tpch_target(scale: float) -> _BenchmarkTarget:
+    def child_rows(
+        self, parent_keys: list[tuple[Any, ...]], rng: random.Random, count: int
+    ) -> list[tuple[Any, ...]]:
+        """*count* new child rows, each referencing a parent drawn by *rng*."""
+        return [
+            self.make_child_row(parent_keys[rng.randrange(len(parent_keys))], i)
+            for i in range(count)
+        ]
+
+
+def victim_keys(
+    parent_keys: list[tuple[Any, ...]], rng: random.Random, count: int
+) -> list[tuple[Any, ...]]:
+    """*count* distinct parent keys: the first of ``3 * count`` draws."""
+    draws = (parent_keys[rng.randrange(len(parent_keys))] for __ in range(count * 3))
+    return list(dict.fromkeys(draws))[:count]
+
+
+def tpch_target(config: tpch.TpchConfig, label: str = "TPC-H") -> BenchmarkTarget:
     def build():
-        config = tpch.TpchConfig(
-            parts=max(50, int(500 * scale)),
-            suppliers=max(20, int(100 * scale)),
-            lineitems=max(500, int(12_000 * scale)),
-        )
         ds = tpch.generate(config)
         return ds.db, ds.fk, ds.partsupp_keys
 
-    def make_row(db, key, i):
+    def make_row(key, i):
         return (900_000 + i, 1, key[0], key[1], 5)
 
-    label = f"TPC-H x{scale:g}"
-    return _BenchmarkTarget(label, build, make_row)
+    return BenchmarkTarget(label, build, make_row)
 
 
-def _tpcc_orders_target() -> _BenchmarkTarget:
+def _scaled_tpch_target(scale: float) -> BenchmarkTarget:
+    config = tpch.TpchConfig(
+        parts=max(50, int(500 * scale)),
+        suppliers=max(20, int(100 * scale)),
+        lineitems=max(500, int(12_000 * scale)),
+    )
+    return tpch_target(config, f"TPC-H x{scale:g}")
+
+
+def tpcc_orders_target(config: tpcc.TpccConfig | None = None) -> BenchmarkTarget:
     def build():
-        ds = tpcc.generate(tpcc.TpccConfig())
+        ds = tpcc.generate(config or tpcc.TpccConfig())
         return ds.db, ds.fk_orders_customer, ds.customer_keys
 
-    def make_row(db, key, i):
+    def make_row(key, i):
         return (key[0], key[1], 900_000 + i, key[2], 1)
 
-    return _BenchmarkTarget("TPC-C orders→customer", build, make_row)
+    return BenchmarkTarget("TPC-C orders→customer", build, make_row)
 
 
-def _tpcc_orderline_target() -> _BenchmarkTarget:
+def _tpcc_orderline_target() -> BenchmarkTarget:
     def build():
         ds = tpcc.generate(tpcc.TpccConfig())
         return ds.db, ds.fk_orderline_orders, ds.order_keys
 
-    def make_row(db, key, i):
+    def make_row(key, i):
         return (key[0], key[1], key[2], 900_000 + i, 42, 1)
 
-    return _BenchmarkTarget("TPC-C orderline→orders", build, make_row)
+    return BenchmarkTarget("TPC-C orderline→orders", build, make_row)
 
 
-def _go_target() -> _BenchmarkTarget:
+def _go_target() -> BenchmarkTarget:
     def build():
         ds = geneontology.generate(geneontology.GeneOntologyConfig())
         return ds.db, ds.fk, ds.edge_keys
 
-    def make_row(db, key, i):
+    def make_row(key, i):
         return (key[0], key[1], key[2], 900_000 + i)
 
-    return _BenchmarkTarget("Gene Ontology TT-metadata→TT", build, make_row)
+    return BenchmarkTarget("Gene Ontology TT-metadata→TT", build, make_row)
 
 
-def table9_benchmark_details() -> ExperimentResult:
-    """Table 9: the tested benchmark foreign keys (static description)."""
+def table9_benchmark_details(plan: ScalePlan) -> ExperimentResult:
+    """Table 9: the tested benchmark foreign keys (static; no plan needed)."""
     rows = [
         ["TPC-H", "PARTSUPP", "LINEITEM",
          "[l_partkey, l_suppkey] ⊆ [ps_partkey, ps_suppkey]"],
@@ -737,15 +761,14 @@ def table9_benchmark_details() -> ExperimentResult:
     return ExperimentResult("table9", "Benchmark FK details", text)
 
 
-def table10_benchmark_dbs(plan: ScalePlan | None = None) -> ExperimentResult:
+def table10_benchmark_dbs(plan: ScalePlan) -> ExperimentResult:
     """Table 10: enforcing partial semantics on the benchmark databases."""
-    plan = plan or default_plan()
     targets = [
-        _tpch_target(0.5),       # test 1: the smaller TPC-H set
-        _tpch_target(2.0),       # test 2: the larger TPC-H set
-        _tpcc_orders_target(),   # test 3
+        _scaled_tpch_target(0.5),   # test 1: the smaller TPC-H set
+        _scaled_tpch_target(2.0),   # test 2: the larger TPC-H set
+        tpcc_orders_target(),       # test 3
         _tpcc_orderline_target(),
-        _go_target(),            # test 4
+        _go_target(),               # test 4
     ]
     if plan.quick:
         targets = [targets[0], targets[2], targets[4]]
@@ -762,36 +785,17 @@ def table10_benchmark_dbs(plan: ScalePlan | None = None) -> ExperimentResult:
         for structure, simple in (
             [(s, False) for s in BENCHMARK_STRUCTURES] + [(IndexStructure.FULL, True)]
         ):
-            db, fk, parent_keys = target.build()
-            child = db.table(fk.child_table)
-            mar.inject_nulls(child, fk.fk_columns, target.null_rate)
-            if simple:
-                fk = ForeignKey(
-                    fk.name, fk.child_table, fk.fk_columns,
-                    fk.parent_table, fk.key_columns,
-                    match=MatchSemantics.SIMPLE,
-                )
-                EnforcedForeignKey.create(db, fk, IndexStructure.FULL)
-            else:
-                EnforcedForeignKey.create(db, fk, structure)
-            import random as _random
-            rng = _random.Random(31)
-            insert_rows = [
-                target.make_child_row(db, parent_keys[rng.randrange(len(parent_keys))], i)
-                for i in range(n_ops)
-            ]
+            db, fk, parent_keys = target.enforce(structure, simple)
+            rng = random.Random(31)
             inserts = measure_ops(
                 "insert", lambda r: dml.insert(db, fk.child_table, r),
-                insert_rows, db.tracker,
+                target.child_rows(parent_keys, rng, n_ops), db.tracker,
             )
-            victims = list(dict.fromkeys(
-                parent_keys[rng.randrange(len(parent_keys))] for __ in range(n_dels * 3)
-            ))[:n_dels]
             deletes = measure_ops(
                 "delete",
                 lambda k: dml.delete_where(db, fk.parent_table,
                                            equalities(fk.key_columns, k)),
-                victims, db.tracker,
+                victim_keys(parent_keys, rng, n_dels), db.tracker,
             )
             ins_col.append(inserts.avg_ms)
             del_col.append(deletes.avg_ms)
@@ -827,11 +831,10 @@ def table10_benchmark_dbs(plan: ScalePlan | None = None) -> ExperimentResult:
 # §9 future work: the 2n-compound PrefixCompound option.
 
 
-def prefix_compound_ablation(plan: ScalePlan | None = None) -> ExperimentResult:
+def prefix_compound_ablation(plan: ScalePlan) -> ExperimentResult:
     """§9: Bounded beats the 2n-compound option on deletions for n=3..5,
     builds 1.5-4x cheaper, and PrefixCompound covers only 21 of 31
     partial-match probes at n=5."""
-    plan = plan or default_plan()
     size = plan.sizes[-1]
     rows = []
     raw = []
@@ -865,43 +868,139 @@ def prefix_compound_ablation(plan: ScalePlan | None = None) -> ExperimentResult:
 
 
 # ----------------------------------------------------------------------
-# Run everything (used by benchmarks/run_all.py and EXPERIMENTS.md).
+# The durability tax: the file-backed log against the in-memory one.
+
+#: Commit disciplines over the same autocommit insert stream through one
+#: session: ``memory`` flushes a volatile log per commit (no disk I/O);
+#: ``durable`` fsyncs file-backed segments per commit, the worst case;
+#: ``durable-group`` defers the flush the way the server's connections
+#: do (``flush_on_commit = False``) and flushes once per
+#: :data:`GROUP` commits.
+DURABILITY_MODES = ("memory", "durable", "durable-group")
+
+#: Commits that share one flush in the ``durable-group`` mode.
+GROUP = 16
+
+
+def run_commits(mode: str, ops: int) -> dict[str, Any]:
+    """*ops* autocommit inserts under one :data:`DURABILITY_MODES` mode.
+    Every mode runs the same loop; they differ only in when the log
+    flushes."""
+    with tempfile.TemporaryDirectory(prefix="repro-bench-wal-") as data_dir:
+        db = Database("durability")
+        db.create_table("t", [Column("a"), Column("b")])
+        if mode == "memory":
+            wal = WriteAheadLog()
+            db.attach_wal(wal)
+        else:
+            wal, __ = open_durable(db, data_dir)
+        session = db.enable_sessions().session()
+        session.flush_on_commit = mode != "durable-group"
+        started = time.perf_counter()
+        for i in range(ops):
+            session.insert("t", (i, 0))
+            if (i + 1) % GROUP == 0:
+                wal.flush()
+        wal.flush()
+        elapsed = time.perf_counter() - started
+        session.close()
+        wal.close()
+    syncs = wal.store.sync_count if wal.store is not None else 0
+    return {
+        "mode": mode,
+        "ops": ops,
+        "elapsed_s": elapsed,
+        "commits_per_s": ops / elapsed if elapsed > 0 else float("inf"),
+        "syncs": syncs,
+        "syncs_per_commit": syncs / ops,
+    }
+
+
+def durability_tax(plan: ScalePlan) -> ExperimentResult:
+    """The durability tax: commits/s and fsyncs per commit by log mode."""
+    ops = plan.insert_ops
+    runs = [run_commits(mode, ops) for mode in DURABILITY_MODES]
+    text = report.format_table(
+        f"Durability tax ({ops} autocommit inserts through one session)",
+        ["Mode", "commits/s", "Syncs", "Syncs/commit"],
+        [[r["mode"], f"{r['commits_per_s']:.0f}", r["syncs"],
+          f"{r['syncs_per_commit']:.3f}"] for r in runs],
+    )
+    result = ExperimentResult("durability", "Durability tax", text, runs)
+    syncs = {r["mode"]: r["syncs"] for r in runs}
+    per_commit, grouped = syncs["durable"], syncs["durable-group"]
+    result.expect(
+        per_commit >= ops and grouped <= math.ceil(ops / GROUP),
+        f"one fsync per durable commit, one per {GROUP} deferred commits",
+        f"DEFERRED COMMITS DID NOT SHARE FSYNCS ({per_commit} per-commit "
+        f"vs {grouped} grouped)!",
+    )
+    return result
+
+
+# ----------------------------------------------------------------------
+# The registry and its runner.
 
 # Imported here (not at the top) because bench.concurrency needs
 # ExperimentResult from this module.
 from .concurrency import concurrency_throughput, read_mix_scaling  # noqa: E402
 
-ALL_EXPERIMENTS: tuple[Callable[..., ExperimentResult], ...] = (
-    table1_insertions,
-    table2_deletions,
-    table3_largest,
-    table4_index_build,
-    table5_transactions,
-    tables6_7_8_unique_parents,
-    fig4_insert_trends,
-    fig5_delete_trends,
-    fig6_two_column,
-    fig7_delete_ablation,
-    fig8_insert_ablation,
-    fig9_insert_breakdown,
-    fig10_delete_structures,
-    table9_benchmark_details,
-    table10_benchmark_dbs,
-    table11_12_profiles,
-    table13_transaction_structures,
-    prefix_compound_ablation,
-    concurrency_throughput,
-    read_mix_scaling,
-)
+#: Result id -> experiment, in paper order.
+REGISTRY: dict[str, Callable[[ScalePlan], ExperimentResult]] = {
+    "table1": table1_insertions,
+    "table2": table2_deletions,
+    "table3": table3_largest,
+    "table4": table4_index_build,
+    "table5": table5_transactions,
+    "tables6_7_8": tables6_7_8_unique_parents,
+    "fig4": fig4_insert_trends,
+    "fig5": fig5_delete_trends,
+    "fig6": fig6_two_column,
+    "fig7": fig7_delete_ablation,
+    "fig8": fig8_insert_ablation,
+    "fig9": fig9_insert_breakdown,
+    "fig10": fig10_delete_structures,
+    "table9": table9_benchmark_details,
+    "table10": table10_benchmark_dbs,
+    "table11_12": table11_12_profiles,
+    "table13": table13_transaction_structures,
+    "prefix_compound": prefix_compound_ablation,
+    "concurrency": concurrency_throughput,
+    "read_mix": read_mix_scaling,
+    "durability": durability_tax,
+}
+
+#: Where :func:`run` writes every rendering.
+RESULTS_DIR = Path(__file__).resolve().parents[3] / "benchmarks" / "results"
 
 
-def run_all(plan: ScalePlan | None = None) -> list[ExperimentResult]:
-    """Run every experiment and return the results in paper order."""
-    plan = plan or default_plan()
-    results = []
-    for experiment in ALL_EXPERIMENTS:
-        if experiment is table9_benchmark_details:
-            results.append(experiment())
-        else:
-            results.append(experiment(plan))
-    return results
+def run(
+    experiment_id: str, plan: ScalePlan, json_dir: Path | None = None
+) -> ExperimentResult:
+    """Run one registry experiment, print its rendering and write it to
+    ``RESULTS_DIR/<id>.txt``.  With *json_dir*, also write
+    ``json_dir/<id>.json`` carrying the raw rows, for diffing runs or
+    plotting without re-parsing the rendered tables."""
+    started = time.perf_counter()
+    result = REGISTRY[experiment_id](plan)
+    elapsed = time.perf_counter() - started
+    RESULTS_DIR.mkdir(exist_ok=True)
+    path = RESULTS_DIR / f"{experiment_id}.txt"
+    path.write_text(result.render() + "\n")
+    if json_dir is not None:
+        json_dir.mkdir(parents=True, exist_ok=True)
+        payload = {
+            "experiment_id": result.experiment_id,
+            "title": result.title,
+            "elapsed_s": round(elapsed, 3),
+            "scale_plan": repr(plan),
+            "rows": result.rows,
+            "notes": result.notes,
+        }
+        (json_dir / f"{experiment_id}.json").write_text(
+            json.dumps(payload, indent=2) + "\n"
+        )
+    print(f"[{elapsed:7.1f}s] {experiment_id} -> {path}")
+    print(result.render())
+    print()
+    return result

@@ -48,22 +48,21 @@ def format_table(
 
 
 def format_series(
-    title: str,
-    x_values: Sequence[Any],
-    series: Mapping[str, Sequence[float]],
-    y_label: str = "avg time (ms)",
-    log_chart: bool = True,
+    title: str, x_values: Sequence[Any], series: Mapping[str, Sequence[float]]
 ) -> str:
-    """Render a figure as its data series plus an ASCII log-scale chart."""
+    """Render a figure as its data series (average times in ms) plus an
+    ASCII log-scale chart."""
     headers = ["series"] + [str(x) for x in x_values]
     rows = [[label] + list(values) for label, values in series.items()]
-    out = [format_table(f"{title} [{y_label}]", headers, rows)]
-    if log_chart:
-        out.append(_ascii_log_chart(series))
-    return "\n".join(out)
+    table = format_table(f"{title} [avg time (ms)]", headers, rows)
+    return table + "\n" + _ascii_log_chart(series)
 
 
-def _ascii_log_chart(series: Mapping[str, Sequence[float]], width: int = 50) -> str:
+#: Bar length of the largest value in a log-scale chart.
+_CHART_WIDTH = 50
+
+
+def _ascii_log_chart(series: Mapping[str, Sequence[float]]) -> str:
     """One bar per (series, last x): log-scale magnitude comparison."""
     finals = {label: values[-1] for label, values in series.items() if values}
     positives = [v for v in finals.values() if v > 0]
@@ -78,7 +77,7 @@ def _ascii_log_chart(series: Mapping[str, Sequence[float]], width: int = 50) -> 
         if value <= 0:
             bar = 0
         else:
-            bar = 1 + int((math.log10(value) - low) / span * (width - 1))
+            bar = 1 + int((math.log10(value) - low) / span * (_CHART_WIDTH - 1))
         lines.append(f"   {label.ljust(label_width)} |{'#' * bar} {format_value(value)}")
     return "\n".join(lines)
 

@@ -60,10 +60,6 @@ class ScalePlan:
         return scaled[:3] if self.quick else scaled
 
     @property
-    def paper_sizes(self) -> tuple[int, ...]:
-        return PAPER_SIZES[:3] if self.quick else PAPER_SIZES
-
-    @property
     def largest(self) -> int:
         return PAPER_LARGEST // self.scale
 

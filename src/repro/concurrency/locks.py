@@ -55,6 +55,9 @@ if TYPE_CHECKING:  # pragma: no cover
 #: (e.g. a lock leaked by buggy user code) surfaces as an error.
 DEFAULT_LOCK_TIMEOUT = 10.0
 
+#: Longest single sleep of a lock wait between grant and deadlock checks.
+_POLL_CAP_S = 0.02
+
 #: A lockable thing: ``("table", name)`` or ``("key", table, cols, vals)``.
 Resource = Hashable
 
@@ -321,12 +324,10 @@ class LockManager:
         self,
         latch: StatementLatch | None = None,
         timeout: float = DEFAULT_LOCK_TIMEOUT,
-        poll_interval: float = 0.02,
         sanitize: bool | None = None,
     ) -> None:
         self._latch = latch
         self.timeout = timeout
-        self.poll_interval = poll_interval
         self._mu = threading.Lock()
         self._cond = threading.Condition(self._mu)
         self._table: dict[Resource, _LockRecord] = {}
@@ -391,9 +392,9 @@ class LockManager:
         deadline = time.monotonic() + (self.timeout if timeout is None else timeout)
         waiter = _Waiter(txn_id, mode)
         started = time.monotonic()
-        # Backoff: poll slices double up to the manager's interval cap,
-        # so short waits resolve quickly and long waits stay cheap.
-        slice_s = min(0.002, self.poll_interval)
+        # Backoff: poll slices double up to _POLL_CAP_S, so short waits
+        # resolve quickly and long waits stay cheap.
+        slice_s = 0.002
         with self._cond:
             record = self._table.setdefault(resource, _LockRecord())
             record.waiters.append(waiter)
@@ -436,7 +437,7 @@ class LockManager:
                         )
                     fire("lock.wait")
                     self._cond.wait(min(slice_s, remaining))
-                    slice_s = min(slice_s * 2, self.poll_interval)
+                    slice_s = min(slice_s * 2, _POLL_CAP_S)
             finally:
                 if waiter in record.waiters:
                     record.waiters.remove(waiter)

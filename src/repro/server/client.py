@@ -123,6 +123,20 @@ class ServerError(ReproError):
         self.rolled_back = rolled_back
 
 
+def error_reply_from(exc: ServerError) -> dict[str, Any]:
+    """The error reply *exc* was raised from, rebuilt for passing on."""
+    response: dict[str, Any] = {
+        "ok": False,
+        "error": str(exc),
+        "error_type": exc.error_type,
+        "retryable": exc.retryable,
+        "rolled_back": exc.rolled_back,
+    }
+    if exc.retry_after is not None:
+        response["retry_after"] = exc.retry_after
+    return response
+
+
 class DeliveryUnknown(ReproError):
     """Every delivery attempt tore; the request's outcome is unknown.
 
@@ -590,14 +604,4 @@ class Pipeline:
         try:
             return self._client._deliver(message)
         except ServerError as exc:
-            response: dict[str, Any] = {
-                "ok": False,
-                "id": message["id"],
-                "error": str(exc),
-                "error_type": exc.error_type,
-                "retryable": exc.retryable,
-                "rolled_back": exc.rolled_back,
-            }
-            if exc.retry_after is not None:
-                response["retry_after"] = exc.retry_after
-            return response
+            return {**error_reply_from(exc), "id": message["id"]}

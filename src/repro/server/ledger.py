@@ -43,13 +43,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..storage.wal import WalRecord
 
 #: Ledger snapshots map client id -> {request id: acknowledged result}.
-#: (Older snapshots used ``(request_id, result)`` tuples; ``restore``
-#: still accepts that shape.)
 LedgerSnapshot = dict[str, "dict[int, dict[str, Any] | None]"]
 
 #: Per-client replay window.  Must exceed the deepest pipeline a client
 #: may have in flight when its connection tears.
-DEFAULT_WINDOW = 256
+WINDOW = 256
 
 
 class LedgerError(ReproError):
@@ -80,15 +78,10 @@ class LedgerEntry:
 class ResultLedger:
     """Bounded per-client memory of acknowledged mutation results."""
 
-    def __init__(
-        self, capacity: int = 1024, window: int = DEFAULT_WINDOW
-    ) -> None:
+    def __init__(self, capacity: int = 1024) -> None:
         if capacity < 1:
             raise LedgerError("ledger capacity must be >= 1")
-        if window < 1:
-            raise LedgerError("ledger window must be >= 1")
         self.capacity = capacity
-        self.window = window
         self._mu = threading.Lock()
         #: client id -> request id -> acknowledged result, each inner
         #: map ordered by request id (its own bounded replay window).
@@ -155,7 +148,7 @@ class ResultLedger:
                     # re-sort so pruning keeps dropping the oldest ids.
                     for key in sorted(window):
                         window.move_to_end(key)
-                while len(window) > self.window:
+                while len(window) > WINDOW:
                     window.popitem(last=False)
             self._entries.move_to_end(client_id)
             while len(self._entries) > self.capacity:
@@ -185,8 +178,6 @@ class ResultLedger:
         restored = 0
         if snapshot:
             for client_id, stored in snapshot.items():
-                if isinstance(stored, tuple):  # pre-window snapshot shape
-                    stored = {stored[0]: stored[1]}
                 for request_id in sorted(stored):
                     self.record(client_id, request_id, stored[request_id])
                     restored += 1

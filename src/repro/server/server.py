@@ -114,7 +114,6 @@ class ReproServer(WireServer):
         send_timeout: float = DEFAULT_SEND_TIMEOUT,
         data_dir: str | None = None,
         checkpoint_every: int | None = None,
-        ledger_capacity: int = 1024,
         resolve_after: float | None = None,
         presume_abort_after: float | None = None,
     ) -> None:
@@ -134,7 +133,7 @@ class ReproServer(WireServer):
         self._admission_waiting = 0
         # Durability: a data_dir makes the WAL file-backed and replays
         # the pre-crash database (plus the exactly-once ledger) on start.
-        self.ledger = ResultLedger(capacity=ledger_capacity)
+        self.ledger = ResultLedger()
         self.data_dir = data_dir
         self.recovery_report: "RecoveryReport | None" = None
         if checkpoint_every is None:

@@ -78,7 +78,7 @@ from ..errors import (
     TransientFault,
 )
 from ..server import wire
-from ..server.client import DeliveryUnknown, ReproClient, ServerError
+from ..server.client import DeliveryUnknown, ReproClient, ServerError, error_reply_from
 from ..server.core import Overloaded, Tear, WireServer, stamp_of
 from .catalog import FkRoute, ShardCatalog, TableRoute
 from .twophase import TwoPhaseError
@@ -303,16 +303,7 @@ class ShardCoordinator(WireServer):
         if not isinstance(exc, ServerError):
             return super().error_reply(state, exc)
         # A shard's own judgement, passed through verbatim.
-        response: dict[str, Any] = {
-            "ok": False,
-            "error": str(exc),
-            "error_type": exc.error_type,
-            "retryable": exc.retryable,
-            "rolled_back": exc.rolled_back,
-        }
-        if exc.retry_after is not None:
-            response["retry_after"] = exc.retry_after
-        return response
+        return error_reply_from(exc)
 
     # ------------------------------------------------------------------
     # Shard links

@@ -191,12 +191,10 @@ class TwoPhaseParticipant:
         server: "ReproServer",
         resolve_after: float = DEFAULT_RESOLVE_AFTER,
         presume_abort_after: float = DEFAULT_PRESUME_ABORT_AFTER,
-        poll_interval: float = _POLL_S,
     ) -> None:
         self.server = server
         self.resolve_after = resolve_after
         self.presume_abort_after = presume_abort_after
-        self.poll_interval = poll_interval
         self._mu = threading.Lock()
         self._prepared: dict[str, PreparedTxn] = {}
         #: gtid -> final verdict, bounded memory for duplicate decides.
@@ -442,7 +440,7 @@ class TwoPhaseParticipant:
         self._resolver.start()
 
     def _resolve_loop(self) -> None:
-        while not self._stop.wait(self.poll_interval):
+        while not self._stop.wait(_POLL_S):
             self.resolve_pass()
 
     def resolve_pass(self) -> None:

@@ -15,11 +15,10 @@ Record flow:
   after images) and every index/table DDL performed through the
   :class:`~repro.storage.database.Database` API appends one record;
 * records become durable when the log is flushed: at commit, unless the
-  committer defers it (``commit(..., sync=False)`` — the server's
-  connections, which flush once per burst of requests before any reply
-  leaves — or a thread inside ``wal.group_commit()``: either way many
-  transactions share one flush), or when the buffer overflows its
-  capacity;
+  committer defers it with ``commit(..., sync=False)`` — the server's
+  connections do, and flush once per burst of requests before any reply
+  leaves, so many transactions share one flush — or when the buffer
+  overflows its capacity;
 * :meth:`WriteAheadLog.checkpoint` snapshots every table and truncates
   the durable log — the recovery starting point.
 
@@ -137,15 +136,9 @@ class RecoveryReport:
         )
 
 
-class _GroupScope(threading.local):
-    """Per-thread ``group_commit`` nesting depth: the scope defers the
-    flushes of the thread that entered it and of no other."""
-
-    depth = 0
-
-
 class WriteAheadLog:
-    """Logical redo/undo log with group commit and checkpoints."""
+    """Logical redo/undo log with deferrable commit flushes and
+    checkpoints."""
 
     def __init__(
         self, capacity: int = 256, store: SegmentStore | None = None
@@ -170,10 +163,9 @@ class WriteAheadLog:
         self._next_lsn = 0
         self._next_txn = 1
         self._checkpoint: _Checkpoint | None = None
-        self._group = _GroupScope()
         self._suspended = False
-        #: Number of physical flushes — group commit is measured by this
-        #: staying far below the number of commits.
+        #: Number of physical flushes — deferred commits are measured by
+        #: this staying far below the number of commits.
         self.flush_count = 0
         #: Optional file-backed segment store: when present, every flush
         #: appends the flushed records to disk (one fsync) and every
@@ -186,9 +178,7 @@ class WriteAheadLog:
     # Durable construction
 
     @classmethod
-    def open(
-        cls, data_dir: str | os.PathLike[str], capacity: int = 256
-    ) -> "WriteAheadLog":
+    def open(cls, data_dir: str | os.PathLike[str]) -> "WriteAheadLog":
         """Open (or create) the durable log under *data_dir*.
 
         Loads the checkpoint and every intact committed-or-not record
@@ -198,7 +188,7 @@ class WriteAheadLog:
         everything replayed, so new records never collide with old ones.
         """
         store = SegmentStore(data_dir)
-        wal = cls(capacity, store=store)
+        wal = cls(store=store)
         blob = store.load_checkpoint()
         if blob is not None:
             wal._checkpoint = pickle.loads(blob)
@@ -340,8 +330,8 @@ class WriteAheadLog:
 
         ``sync=False`` leaves the record in the buffer: the caller owes
         a :meth:`flush` before it tells anyone the transaction
-        committed.  A thread inside :meth:`group_commit` defers the same
-        way, and the scope's exit pays the flush.
+        committed, and a crash before that flush loses the transaction
+        whole.  Transactions committed this way share the next flush.
 
         *note* is an opaque payload persisted inside the commit record —
         the server's exactly-once ledger stores the acknowledged result
@@ -352,7 +342,7 @@ class WriteAheadLog:
         """
         payload = () if note is None else (note,)
         self._append(txn_id, "commit", payload=payload)
-        if sync and not self._group.depth:
+        if sync:
             self.flush()
 
     def abort(self, txn_id: int) -> None:
@@ -371,8 +361,8 @@ class WriteAheadLog:
         syncing, had already taken out of the buffer (``_flush_mu``).
 
         With a segment store attached the flushed records also reach
-        disk here, CRC-framed, with exactly one physical fsync — so the
-        group-commit path batches physical syncs for free.  The buffer
+        disk here, CRC-framed, with exactly one physical fsync — so
+        deferred commits batch physical syncs for free.  The buffer
         changes hands in one step under the log mutex (an append lands
         in the old list or the new one, never in between); pickling and
         the sync happen outside it, so appenders never wait for the
@@ -392,25 +382,6 @@ class WriteAheadLog:
                 self._store.append(
                     [pickle.dumps(r, pickle.HIGHEST_PROTOCOL) for r in flushed]
                 )
-
-    @contextmanager
-    def group_commit(self) -> Iterator[None]:
-        """Defer this thread's commit flushes inside the block to a
-        single flush at its end.
-
-        This is group commit as MySQL's binary log implements it: many
-        transactions' commit records ride one fsync.  A transaction is
-        not durable until the group flushes — a crash inside the block
-        loses the whole group, atomically per transaction.  Commits of
-        other threads are not part of the group and flush as usual.
-        """
-        self._group.depth += 1
-        try:
-            yield
-        finally:
-            self._group.depth -= 1
-            if not self._group.depth:
-                self.flush()
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -600,9 +571,7 @@ def simulate_crash(db: "Database") -> RecoveryReport:
 
 
 def open_durable(
-    db: "Database",
-    data_dir: str | os.PathLike[str],
-    capacity: int = 256,
+    db: "Database", data_dir: str | os.PathLike[str]
 ) -> tuple[WriteAheadLog, RecoveryReport | None]:
     """Attach a file-backed WAL under *data_dir*, recovering if it has
     prior state.
@@ -617,7 +586,7 @@ def open_durable(
     """
     if db.wal is not None:
         raise WalError("a write-ahead log is already attached")
-    wal = WriteAheadLog.open(data_dir, capacity=capacity)
+    wal = WriteAheadLog.open(data_dir)
     if wal._checkpoint is not None:
         db._wal = wal
         report = recover(db, wal)

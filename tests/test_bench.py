@@ -145,7 +145,7 @@ class TestExperimentPlumbing:
     def test_table9_static(self):
         from repro.bench.experiments import table9_benchmark_details
 
-        result = table9_benchmark_details()
+        result = table9_benchmark_details(default_plan())
         assert "TPC-H" in result.text
         assert "Gene Ontology" in result.text
 

@@ -31,6 +31,14 @@ def rows(db: Database) -> list:
     return sorted(db.table("t").rows())
 
 
+def deferring_session(db: Database):
+    """A session whose commits wait for the owner's flush, as the
+    server's connections do."""
+    session = db.enable_sessions().session()
+    session.flush_on_commit = False
+    return session
+
+
 # ----------------------------------------------------------------------
 # Physical layer: SegmentStore
 
@@ -174,15 +182,13 @@ class TestDurableRestart:
 
     def test_unflushed_buffer_dies_with_the_process(self, tmp_path):
         db = bootstrap()
-        wal, _ = open_durable(db, tmp_path)
+        open_durable(db, tmp_path)
         db.insert("t", (1, 10))
-        with wal.group_commit():
-            with db.begin():
-                db.insert("t", (2, 20))
-            # Group still open: the commit has not reached disk.  A
-            # kill -9 here loses (2, 20) but must keep (1, 10).
-            db2 = bootstrap()
-            __, report = open_durable(db2, tmp_path)
+        deferring_session(db).insert("t", (2, 20))
+        # Committed but not flushed: the commit has not reached disk.  A
+        # kill -9 here loses (2, 20) but must keep (1, 10).
+        db2 = bootstrap()
+        __, report = open_durable(db2, tmp_path)
         assert report is not None
         assert rows(db2) == [(1, 10)]
 
@@ -212,12 +218,12 @@ class TestDurableRestart:
         db = bootstrap()
         wal, _ = open_durable(db, tmp_path)
         db.insert("t", (1, 10))
-        wal.checkpoint(db, extras={"ledger": {"c1": (7, {"ok": True})}})
+        wal.checkpoint(db, extras={"ledger": {"c1": {7: {"ok": True}}}})
         db.insert("t", (2, 20))
 
         db2 = bootstrap()
         wal2, report = open_durable(db2, tmp_path)
-        assert wal2.checkpoint_extras == {"ledger": {"c1": (7, {"ok": True})}}
+        assert wal2.checkpoint_extras == {"ledger": {"c1": {7: {"ok": True}}}}
         assert rows(db2) == [(1, 10), (2, 20)]
         assert report is not None
 
@@ -253,15 +259,15 @@ class TestDurableRestart:
         ]
         assert {"client": "c1", "req": 3} in notes
 
-    def test_group_commit_batches_physical_syncs(self, tmp_path):
+    def test_deferred_commits_batch_physical_syncs(self, tmp_path):
         db = bootstrap()
         wal, _ = open_durable(db, tmp_path)
         assert wal.store is not None
         base = wal.store.sync_count
-        with wal.group_commit():
-            for i in range(20):
-                with db.begin():
-                    db.insert("t", (i, 0))
+        session = deferring_session(db)
+        for i in range(20):
+            session.insert("t", (i, 0))
+        wal.flush()
         assert wal.store.sync_count == base + 1
 
     def test_lsn_and_txn_counters_resume_past_disk(self, tmp_path):

@@ -92,7 +92,7 @@ class TestResultLedger:
             WalRecord(2, 2, "commit", None, ()),  # unstamped commit
         )
         ledger = ResultLedger()
-        ledger.restore({"c1": (3, {"ok": True, "rid": 33})}, records)
+        ledger.restore({"c1": {3: {"ok": True, "rid": 33}}}, records)
         # The log-order note (req 5) supersedes the snapshot (req 3).
         assert ledger.replay("c1", 5) == {
             "ok": True, "rid": 55, "replayed": True,

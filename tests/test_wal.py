@@ -1,7 +1,5 @@
 """Unit tests for the write-ahead log and crash recovery."""
 
-import threading
-
 import pytest
 
 from repro import Column, Database
@@ -77,15 +75,23 @@ class TestLogging:
             WriteAheadLog(0)
 
 
+def deferring_session(db: Database):
+    """A session whose commits leave their record in the log buffer, as
+    the server's connections do: the owner flushes."""
+    session = db.enable_sessions().session()
+    session.flush_on_commit = False
+    return session
+
+
 class TestGroupCommit:
-    def test_group_commit_shares_one_flush(self):
+    def test_deferred_commits_share_one_flush(self):
         db = make_db()
+        session = deferring_session(db)
         flushes_before = db.wal.flush_count
-        with db.wal.group_commit():
-            for i in range(10):
-                with db.begin():
-                    dml.insert(db, "t", (100 + i, 0))
-            assert db.wal.flush_count == flushes_before
+        for i in range(10):
+            session.insert("t", (100 + i, 0))
+        assert db.wal.flush_count == flushes_before
+        db.wal.flush()
         assert db.wal.flush_count == flushes_before + 1
         commits = [r for r in db.wal.durable_records if r.kind == "commit"]
         assert len(commits) == 10
@@ -93,61 +99,10 @@ class TestGroupCommit:
     def test_crash_inside_group_loses_the_group(self):
         db = make_db()
         before = rows(db)
-        with db.wal.group_commit():
-            with db.begin():
-                dml.insert(db, "t", (7, 70))
-            # committed, but the group has not flushed: not yet durable
-            simulate_crash(db)
+        deferring_session(db).insert("t", (7, 70))
+        # committed, but nobody flushed: not yet durable
+        simulate_crash(db)
         assert rows(db) == before
-
-
-    def test_group_scope_defers_only_the_thread_that_entered_it(self):
-        """Thread B commits while thread A sits inside ``group_commit()``:
-        B is not part of A's group, so B's commit record is durable when
-        B's ``commit`` returns (a shared depth counter made B skip its
-        flush and acknowledge an undurable commit).  A's own commit still
-        waits for the end of A's scope."""
-        wal = WriteAheadLog()
-        inside, b_done = threading.Event(), threading.Event()
-        seen: dict[str, list[int]] = {}
-
-        def durable_commits() -> list[int]:
-            return [r.txn_id for r in wal.durable_records if r.kind == "commit"]
-
-        def thread_a() -> None:
-            with wal.group_commit():
-                a = wal.begin()
-                wal.commit(a)
-                inside.set()
-                assert b_done.wait(5.0)
-                seen["inside"] = durable_commits()
-            seen["after"] = durable_commits()
-
-        def thread_b() -> None:
-            assert inside.wait(5.0)
-            b = wal.begin()
-            wal.commit(b)
-            seen["b"] = durable_commits()
-            b_done.set()
-
-        threads = [threading.Thread(target=t) for t in (thread_a, thread_b)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(10.0)
-        assert not any(thread.is_alive() for thread in threads)
-        # B's flush carried A's buffered record out with its own — the
-        # log is one stream — but B never waited for A's scope to end.
-        assert seen["b"] == [1, 2]
-        assert seen["inside"] == seen["after"] == [1, 2]
-
-    def test_group_scopes_nest_and_flush_once_at_the_outermost_exit(self):
-        wal = WriteAheadLog()
-        with wal.group_commit():
-            with wal.group_commit():
-                wal.commit(wal.begin())
-            assert wal.flush_count == 0
-        assert wal.flush_count == 1
 
 
 class TestRecovery:
@@ -209,10 +164,9 @@ class TestRecovery:
 
     def test_table_born_after_crash_point_dies(self):
         db = make_db()
-        wal = db.wal
-        with wal.group_commit():
-            db.create_table("doomed", [Column("x")])
-            wal.discard_volatile()
+        session = deferring_session(db)
+        session.execute(lambda: db.create_table("doomed", [Column("x")]))
+        db.wal.discard_volatile()
         recover(db)
         assert "doomed" not in db
 
