@@ -27,7 +27,7 @@ Usage::
     python -m repro bench                      # run, print JSON
     python -m repro bench --out BENCH_hotpath.json   # refresh baseline
     python -m repro bench --check              # compare vs baseline
-    python benchmarks/bench_hotpath.py --check --tolerance 3.0
+    python -m repro bench --check --tolerance 3.0
 """
 
 from __future__ import annotations

@@ -7,7 +7,10 @@ thread per connection::
     accept thread    fire("wire.accept") · TCP_NODELAY · spawn
     connection thread, one per client, strictly serial, burst by burst:
         FrameReader.read       one recv: every frame the client has queued
-        → role.handle() each   in order, each its own statement; ``id`` echoed
+        → run by run           in order; ``id`` echoed on every reply
+            role.run_length()  how many requests from here execute together
+            role.handle()      a run of one
+            role.handle_run()  a longer run, one outcome per request
         → role.settle()        once: what the replies reflect is durable
         → wire.send_frames     once, under a whole-burst deadline
 
@@ -17,15 +20,20 @@ makes bursts of one; a pipelining client's queued frames arrive with one
 one fsync) and one ``sendall``.  What one ``recv`` returned bounds the
 burst; frames beyond it wait in the kernel's socket buffers (TCP paces a
 client that outruns the server — there is no user-space request queue to
-grow).
+grow).  Within a burst the role decides, from the requests themselves,
+which consecutive ones execute as one run (the database role: a run of
+autocommit row inserts on one table is one vectorized statement); the
+core holds the single-flight gates of all of a run's stamps while it
+executes and answers each request of it in order.
 
 :class:`~repro.server.server.ReproServer` and
 :class:`~repro.sharding.coordinator.ShardCoordinator` are *roles* of this
 class.  A role supplies per-connection state (:meth:`open_connection` /
-:meth:`close_connection`), its op dispatch (:meth:`handle`), its error
-cases (:meth:`error_reply`) and what must happen before a reply may
-leave (:meth:`settle`); the failure semantics of the protocol live
-here, once:
+:meth:`close_connection`), its op dispatch (:meth:`handle`), which
+requests execute together (:meth:`run_length` / :meth:`handle_run`;
+by default none), its error cases (:meth:`error_reply`) and what must
+happen before a reply may leave (:meth:`settle`); the failure semantics
+of the protocol live here, once:
 
 * a torn or undecodable frame, or an injected ``wire.recv`` fault, ends
   that connection after the requests before it were answered in order;
@@ -39,8 +47,8 @@ here, once:
   misreport — after the requests before it were answered;
 * two copies of one stamped request (a redelivery racing the original)
   never execute concurrently;
-* :meth:`stop_serving` drains under one shared deadline: in-flight
-  requests finish and are answered, nothing queued behind them runs.
+* :meth:`stop_serving` drains under one shared deadline: the request or
+  run in flight finishes and is answered, nothing queued behind it runs.
 """
 
 from __future__ import annotations
@@ -173,6 +181,22 @@ class WireServer:
         exception becomes :meth:`error_reply`'s response."""
         raise NotImplementedError
 
+    def run_length(
+        self, state: Any, requests: list[dict[str, Any]], start: int
+    ) -> int:
+        """How many requests from ``requests[start]`` on execute together
+        through :meth:`handle_run`.  At least 1; a run of one goes
+        through :meth:`handle`, which every role but one keeps to."""
+        return 1
+
+    def handle_run(
+        self, state: Any, run: list[dict[str, Any]]
+    ) -> list[dict[str, Any] | Exception]:
+        """Execute a run of two or more requests (:meth:`run_length`).
+        One outcome per request, in order: its response, or the
+        exception that becomes its :meth:`error_reply`."""
+        raise NotImplementedError
+
     def error_reply(self, state: Any, exc: Exception) -> dict[str, Any]:
         return error_response(exc)
 
@@ -285,8 +309,9 @@ class WireServer:
             thread.start()
 
     @contextmanager
-    def _single_flight(self, stamp: tuple[str, int] | None) -> Iterator[None]:
-        """Serialise copies of the same stamped request.
+    def _single_flight(self, run: list[dict[str, Any]]) -> Iterator[None]:
+        """Serialise copies of the same stamped request — here, of every
+        stamped request in *run*.
 
         A redelivery (client reconnected, same stamp) can arrive while
         the first copy is still executing — in a lock wait, an fsync, a
@@ -296,24 +321,35 @@ class WireServer:
         the other goes on to commit, inviting a fresh-stamp retry no
         ledger can dedupe).  Once the copy ahead finishes, the waiter's
         replay lookup sees its outcome.  Distinct stamps never share a
-        lock, so this serialises nothing but duplicates."""
-        if stamp is None:
+        lock, so this serialises nothing but duplicates.
+
+        A run holds the gates of all its stamps, taken in sorted order:
+        two runs that share stamps (the same pipeline redelivered on a
+        second connection) then wait for each other, never in a cycle."""
+        keys = sorted(set(filter(None, map(stamp_of, run))))
+        if not keys:
             yield
             return
         with self._stamp_gate_mu:
-            entry = self._stamp_gate.get(stamp)
-            if entry is None:
-                entry = self._stamp_gate[stamp] = [threading.Lock(), 0]
-            entry[1] += 1
-        entry[0].acquire()
+            entries = []
+            for key in keys:
+                entry = self._stamp_gate.get(key)
+                if entry is None:
+                    entry = self._stamp_gate[key] = [threading.Lock(), 0]
+                entry[1] += 1
+                entries.append(entry)
+        for entry in entries:
+            entry[0].acquire()
         try:
             yield
         finally:
-            entry[0].release()
+            for entry in entries:
+                entry[0].release()
             with self._stamp_gate_mu:
-                entry[1] -= 1
-                if entry[1] == 0:
-                    self._stamp_gate.pop(stamp, None)
+                for key, entry in zip(keys, entries):
+                    entry[1] -= 1
+                    if entry[1] == 0:
+                        self._stamp_gate.pop(key, None)
 
     def _serve_connection(self, conn: socket.socket, conn_id: int) -> None:
         state = None
@@ -359,37 +395,67 @@ class WireServer:
         replies: list[dict[str, Any]],
     ) -> bool:
         """Wait for a request, then execute it and every complete one the
-        same ``recv`` brought in behind it, in order, queueing their
-        replies on *replies*.  False when the connection is to end once
-        those are sent."""
+        same ``recv`` brought in behind it, in order and run by run,
+        queueing their replies on *replies*.  False when the connection
+        is to end once those are sent."""
+        requests: list[dict[str, Any]] = []
+        serving = True
         while True:
             try:
-                request = reader.read(conn, wait=not replies)
+                request = reader.read(conn, wait=not requests)
             except (ReproError, OSError):
-                # A torn frame or injected wire fault ends intake
-                # for this connection only; redelivery recovers.
+                # A torn frame or injected wire fault ends intake for
+                # this connection only, after the frames before it ran;
+                # redelivery recovers.
                 self.stats.bump("read_faults")
-                return False
+                serving = False
+                break
             if request is None:
                 # EOF while waiting ends the connection; an empty buffer
                 # only ends the burst.
-                return bool(replies)
-            # Re-checked before every frame: one queued behind the
-            # request in flight at shutdown is discarded, not run.
+                serving = bool(requests)
+                break
+            requests.append(request)
+        start, count = 0, len(requests)
+        while start < count:
+            # Re-checked before every run: one queued behind the run in
+            # flight at shutdown is discarded, not run.
             if self._stopping.is_set():
                 return False
-            self.stats.bump("requests")
+            length = 1
+            if start + 1 < count:
+                length = self.run_length(state, requests, start)
+            run = requests[start:start + length]
+            start += length
+            self.stats.bump("requests", length)
             try:
-                with self._single_flight(stamp_of(request)):
-                    response = self.handle(state, request)
+                with self._single_flight(run):
+                    outcomes = (
+                        self.handle_run(state, run) if length > 1
+                        else [self._outcome(state, run[0])]
+                    )
             except Tear:
                 return False
-            except Exception as exc:  # noqa: BLE001 - boundary
-                self.stats.bump("errors")
-                response = self.error_reply(state, exc)
-            if "id" in request:
-                # Copy before tagging: the dict may be a ledger-cached
-                # reply, and the stamp's recorded result must not grow
-                # connection-local fields.
-                response = {**response, "id": request["id"]}
-            replies.append(response)
+            for request, outcome in zip(run, outcomes):
+                if isinstance(outcome, Exception):
+                    self.stats.bump("errors")
+                    outcome = self.error_reply(state, outcome)
+                if "id" in request:
+                    # Copy before tagging: the dict may be a ledger-cached
+                    # reply, and the stamp's recorded result must not
+                    # grow connection-local fields.
+                    outcome = {**outcome, "id": request["id"]}
+                replies.append(outcome)
+        return serving
+
+    def _outcome(
+        self, state: Any, request: dict[str, Any]
+    ) -> dict[str, Any] | Exception:
+        """:meth:`handle`, with any exception but :class:`Tear` returned
+        as the request's outcome instead of raised."""
+        try:
+            return self.handle(state, request)
+        except Tear:
+            raise
+        except Exception as exc:  # noqa: BLE001 - boundary
+            return exc

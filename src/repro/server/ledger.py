@@ -14,7 +14,9 @@ memory of the commit*, not by executing again.  The protocol:
 * on commit, the entry rides *inside the WAL commit record*
   (:meth:`~repro.storage.wal.WriteAheadLog.commit`'s ``note``), so the
   result is durable exactly iff the commit is — there is no window
-  where work survived a crash but the ledger forgot it, or vice versa;
+  where work survived a crash but the ledger forgot it, or vice versa.
+  A run of pipelined inserts that executed as one statement commits
+  once, and its note is the tuple of its requests' entries;
 * checkpoints snapshot the ledger into the WAL's ``extras`` so
   compaction cannot truncate it away.
 
@@ -172,8 +174,9 @@ class ResultLedger:
         """Rebuild from a checkpoint snapshot plus commit-record notes.
 
         Commit notes are applied in log order after the snapshot; the
-        per-client monotonic request ids make the merge order-safe.
-        Returns how many entries were restored.
+        per-client monotonic request ids make the merge order-safe.  A
+        note is one entry, or a tuple of them when one commit carried a
+        run of requests.  Returns how many entries were restored.
         """
         restored = 0
         if snapshot:
@@ -185,9 +188,10 @@ class ResultLedger:
             if record.kind != "commit" or not record.payload:
                 continue
             note = record.payload[0]
-            if isinstance(note, LedgerEntry):
-                self.record(note.client_id, note.request_id, note.result)
-                restored += 1
+            for entry in note if isinstance(note, tuple) else (note,):
+                if isinstance(entry, LedgerEntry):
+                    self.record(entry.client_id, entry.request_id, entry.result)
+                    restored += 1
         return restored
 
 

@@ -26,11 +26,15 @@ are missing; idempotent).
 a request carrying an ``id`` field gets it echoed on its reply, so a
 pipelining client can additionally assert the pairing.  Ordering is per
 connection only — concurrent connections interleave at the engine's
-discretion.  The requests one ``recv`` brought in run back to back, each
-its own statement, and share one log flush and one send
-(:mod:`repro.server.core`): a commit made on a connection releases its
-locks without waiting for the disk, and no reply of any kind leaves the
-server while the log buffer holds a record older than the reply.
+discretion.  The requests one ``recv`` brought in run back to back and
+share one log flush and one send (:mod:`repro.server.core`): a commit
+made on a connection releases its locks without waiting for the disk,
+and no reply of any kind leaves the server while the log buffer holds a
+record older than the reply.  Each request is its own statement, except
+that consecutive autocommit ``insert``/``batch`` requests on one table
+execute as one vectorized statement with one commit
+(:meth:`ReproServer.handle_run`); their replies and the table state are
+those the requests would have produced one by one.
 
 Error responses carry ``retryable``: deadlock victims, lock timeouts,
 injected transient faults and admission rejections are safe to retry
@@ -71,7 +75,7 @@ from ..storage.database import Database
 from ..storage.wal import open_durable
 from ..testing.faults import fire
 from . import wire
-from .core import _RETRYABLE, Overloaded, WireServer, error_response
+from .core import _RETRYABLE, Overloaded, WireServer, error_response, stamp_of
 from .ledger import LedgerEntry, LedgerError, ResultLedger
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -199,7 +203,115 @@ class ReproServer(WireServer):
     def handle(
         self, state: "tuple[Session, SqlSession]", request: dict[str, Any]
     ) -> dict[str, Any]:
+        fire("server.request")
         return self._dispatch(*state, request)
+
+    def run_length(
+        self,
+        state: "tuple[Session, SqlSession]",
+        requests: list[dict[str, Any]],
+        start: int,
+    ) -> int:
+        """Consecutive autocommit ``insert``/``batch`` requests on one
+        table, no stamp twice: :meth:`handle_run` executes them as one
+        statement.  Anything else — another op or table, an open
+        transaction, a repeated stamp — ends the run."""
+        table = _insert_table(requests[start])
+        if table is None or state[0].in_transaction:
+            return 1
+        stamps: set[tuple[str, int]] = set()
+        end = start
+        for request in requests[start:]:
+            stamp = stamp_of(request)
+            if _insert_table(request) != table or stamp in stamps:
+                break
+            if stamp is not None:
+                stamps.add(stamp)
+            end += 1
+        return end - start
+
+    def handle_run(
+        self,
+        state: "tuple[Session, SqlSession]",
+        run: list[dict[str, Any]],
+    ) -> list[dict[str, Any] | Exception]:
+        """A run of autocommit inserts on one table (:meth:`run_length`)
+        as one :func:`~repro.core.batch.batch_insert_rows` statement in
+        one implicit transaction, whose commit record carries the ledger
+        entry of every stamp in it.
+
+        Each request first crosses the fault point and the ledger as a
+        lone one would (:meth:`handle`): one that fails there, or
+        replays, is answered in place.  The rest execute together; if
+        that raises anything — a veto, a lock wait gone wrong, a failed
+        witness re-check — the statement is rolled back whole and they
+        re-run one by one through :meth:`_dispatch`, so every reply and
+        the table state are what the requests alone would have made."""
+        session, sql_session = state
+        outcomes: list[Any] = []
+        pending: list[tuple[int, LedgerEntry | None]] = []
+        for position, request in enumerate(run):
+            try:
+                fire("server.request")
+                entry, cached = self._ledger_lookup(session, request)
+            except Exception as exc:  # noqa: BLE001 - this request's outcome
+                outcomes.append(exc)
+                continue
+            outcomes.append(cached)
+            if cached is None:
+                pending.append((position, entry))
+        if len(pending) > 1:
+            try:
+                responses = self._insert_run(session, run, pending)
+            except Exception:  # noqa: BLE001 - rolled back; re-run one by one
+                pass
+            else:
+                for (position, __), response in zip(pending, responses):
+                    outcomes[position] = response
+                pending = []
+        for position, __ in pending:
+            try:
+                outcomes[position] = self._dispatch(
+                    session, sql_session, run[position]
+                )
+            except Exception as exc:  # noqa: BLE001 - this request's outcome
+                outcomes[position] = exc
+        return outcomes
+
+    def _insert_run(
+        self,
+        session: "Session",
+        run: list[dict[str, Any]],
+        pending: list[tuple[int, LedgerEntry | None]],
+    ) -> list[dict[str, Any]]:
+        """Insert the rows of ``run[position]`` for every pending
+        position as one statement; one response per pending request,
+        each filled into its ledger entry before the commit."""
+        requests = [run[position] for position, __ in pending]
+        row_lists = [_insert_rows(request) for request in requests]
+
+        def work() -> list[dict[str, Any]]:
+            rids = self.db.batch_insert(
+                requests[0]["table"], [row for rows in row_lists for row in rows]
+            )
+            responses = []
+            end = 0
+            for request, rows, (__, entry) in zip(requests, row_lists, pending):
+                start, end = end, end + len(rows)
+                responses.append(self._fill(
+                    entry, {"ok": True, **_inserted(request, rids[start:end])}
+                ))
+            return responses
+
+        notes = tuple(entry for __, entry in pending if entry is not None)
+        session.annotate_next_commit(notes or None)
+        try:
+            responses = self._admitted(lambda: session.execute(work))
+        finally:
+            session.annotate_next_commit(None)
+        if notes:
+            self._maybe_checkpoint()
+        return responses
 
     def settle(self, state: "tuple[Session, SqlSession]") -> None:
         """Flush the log, always: whatever a queued reply reflects — this
@@ -220,7 +332,6 @@ class ReproServer(WireServer):
         sql_session: SqlSession,
         request: dict[str, Any],
     ) -> dict[str, Any]:
-        fire("server.request")
         op = request.get("op")
         handler = getattr(self, f"_op_{op}", None)
         if handler is None:
@@ -231,13 +342,10 @@ class ReproServer(WireServer):
         # the database), then executes with a LedgerEntry annotated onto
         # the session so the commit record persists its result and the
         # commit itself enters it into the ledger (_record_commit).
-        entry = self._ledger_entry_for(session, op, request)
-        if entry is not None:
-            cached = self.ledger.replay(entry.client_id, entry.request_id)
-            if cached is not None:
-                self.stats.bump("idempotent_replays")
-                return cached
-            session.annotate_next_commit(entry)
+        entry, cached = self._ledger_lookup(session, request)
+        if cached is not None:
+            return cached
+        session.annotate_next_commit(entry)
         try:
             response = handler(session, sql_session, request, entry)
         finally:
@@ -247,7 +355,8 @@ class ReproServer(WireServer):
         return response
 
     def _record_commit(self, note: Any) -> None:
-        """Enter a committed request into the ledger.
+        """Enter a committed request — or each request of a committed
+        run, whose note is a tuple of entries — into the ledger.
 
         Runs inside the commit (``Session.on_commit``), under the
         committing statement's latch.  A checkpoint takes that latch, so
@@ -256,9 +365,23 @@ class ReproServer(WireServer):
         connection could slip in between, and after a crash the
         redelivered stamp would execute a second time.
         """
-        if isinstance(note, LedgerEntry):
-            self.ledger.record(note.client_id, note.request_id, note.result)
-            self._commits_since_checkpoint += 1
+        for entry in note if isinstance(note, tuple) else (note,):
+            if isinstance(entry, LedgerEntry):
+                self.ledger.record(entry.client_id, entry.request_id, entry.result)
+                self._commits_since_checkpoint += 1
+
+    def _ledger_lookup(
+        self, session: "Session", request: dict[str, Any]
+    ) -> tuple[LedgerEntry | None, dict[str, Any] | None]:
+        """The request's ledger entry (None when it earns none) and, if
+        its stamp already committed, the acknowledged reply to replay."""
+        entry = self._ledger_entry_for(session, request.get("op"), request)
+        if entry is None:
+            return None, None
+        cached = self.ledger.replay(entry.client_id, entry.request_id)
+        if cached is not None:
+            self.stats.bump("idempotent_replays")
+        return entry, cached
 
     def _ledger_entry_for(
         self, session: "Session", op: Any, request: dict[str, Any]
@@ -597,15 +720,11 @@ def run_row_op(db: Database, op: dict[str, Any]) -> dict[str, Any]:
         raise ReproError(f"unknown row op {kind!r}")
     table = op["table"]
     if kind == "insert":
-        return {"rid": db.insert(table, wire.decode_values(op["values"]))}
+        return _inserted(op, [db.insert(table, wire.decode_values(op["values"]))])
     if kind == "batch":
         # Vectorized: one transaction, one index walk per run of
         # adjacent keys (repro.core.batch).
-        rows = op.get("rows")
-        if not isinstance(rows, list):
-            raise ReproError("batch needs a 'rows' list")
-        rids = db.batch_insert(table, [wire.decode_values(r) for r in rows])
-        return {"rids": rids, "rowcount": len(rids)}
+        return _inserted(op, db.batch_insert(table, _insert_rows(op)))
     # Raw wire equals: _predicate_from turns JSON null into IS NULL.
     predicate = _predicate_from(op.get("equals"))
     if kind == "delete":
@@ -615,6 +734,36 @@ def run_row_op(db: Database, op: dict[str, Any]) -> dict[str, Any]:
         for column, value in op["assignments"].items()
     }
     return {"rowcount": db.update_where(table, assignments, predicate)}
+
+
+def _insert_rows(op: dict[str, Any]) -> list[list[Any]]:
+    """The decoded rows an ``insert`` (one) or ``batch`` op carries."""
+    if op["op"] == "insert":
+        return [wire.decode_values(op["values"])]
+    rows = op.get("rows")
+    if not isinstance(rows, list):
+        raise ReproError("batch needs a 'rows' list")
+    return [wire.decode_values(row) for row in rows]
+
+
+def _inserted(op: dict[str, Any], rids: list[int]) -> dict[str, Any]:
+    """What an ``insert`` or ``batch`` op answers for its rows' rids."""
+    if op["op"] == "insert":
+        return {"rid": rids[0]}
+    return {"rids": rids, "rowcount": len(rids)}
+
+
+def _insert_table(request: dict[str, Any]) -> str | None:
+    """The table of a well-formed ``insert``/``batch`` request, the only
+    ops a run (:meth:`ReproServer.run_length`) is made of; else None."""
+    op, table = request.get("op"), request.get("table")
+    if op == "insert":
+        rows = request.get("values")
+    elif op == "batch":
+        rows = request.get("rows")
+    else:
+        return None
+    return table if isinstance(table, str) and isinstance(rows, list) else None
 
 
 def _predicate_from(equals: dict[str, Any] | None) -> Predicate | None:

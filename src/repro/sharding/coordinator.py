@@ -101,6 +101,32 @@ _Prepare = Callable[[int, list[dict[str, Any]]], list[dict[str, Any]]]
 DEFAULT_CASCADE_GRACE = 2.0
 
 
+def partial_orphans(
+    parents: Iterable[Sequence[Any]], keys: Sequence[Sequence[Any]]
+) -> list[int]:
+    """Positions of the child foreign keys in *keys* (None for NULL)
+    that no parent key matches under MATCH PARTIAL: a key with at least
+    one non-NULL component needs a parent agreeing on exactly those.
+
+    One set of parent projections per non-NULL column set that occurs,
+    then one lookup per child — not every child against every parent."""
+    parents = list(parents)
+    projections: dict[tuple[int, ...], set[tuple[Any, ...]]] = {}
+    orphans = []
+    for position, key in enumerate(keys):
+        columns = tuple(i for i, value in enumerate(key) if value is not None)
+        if not columns:
+            continue
+        present = projections.get(columns)
+        if present is None:
+            present = projections[columns] = {
+                tuple(parent[i] for i in columns) for parent in parents
+            }
+        if tuple(key[i] for i in columns) not in present:
+            orphans.append(position)
+    return orphans
+
+
 class DecisionLog:
     """The coordinator's durable presumed-abort decision log.
 
@@ -1095,32 +1121,24 @@ class ShardCoordinator(WireServer):
             fk = entry.fk
             if fk is None:
                 continue
-            parent_rows = self._scatter_rows(
+            parents = self._scatter_rows(
                 fk.parent_table, columns=list(fk.parent_key)
             )
-            parents = [tuple(row) for row in parent_rows]
             child_rows = self._scatter_rows(entry.name)
             index = {column: i for i, column in enumerate(entry.columns)}
             id_i = index[entry.id_column or entry.columns[0]]
-            for row in child_rows:
-                components = [
-                    (pos, row[index[ccol]])
-                    for pos, ccol in enumerate(fk.child_columns)
-                    if row[index[ccol]] is not None
-                ]
-                if not components:
-                    continue
-                if any(
-                    all(parent[pos] == value for pos, value in components)
-                    for parent in parents
-                ):
-                    continue
+            keys = [
+                [row[index[column]] for column in fk.child_columns]
+                for row in child_rows
+            ]
+            for position in partial_orphans(parents, keys):
                 orphans.append({
                     "table": entry.name,
-                    "id": row[id_i],
+                    "id": child_rows[position][id_i],
                     "fk": {
-                        fk.child_columns[pos]: value
-                        for pos, value in components
+                        column: value
+                        for column, value in zip(fk.child_columns, keys[position])
+                        if value is not None
                     },
                 })
         return orphans

@@ -6,9 +6,10 @@ Presumed-abort 2PC, participant side (DESIGN.md §5i).  The coordinator
 participant executes the batch inside an open transaction (acquiring its
 2PL locks, including the FK witness S-pins), writes a durable ``prepare``
 record through the shard's WAL, and only then votes.  A later ``decide``
-first writes a durable ``decide`` record, then commits the data
-transaction (with a :class:`TwoPhaseMarker` riding the commit record) or
-rolls it back.
+first appends a ``decide`` record, then commits the data transaction
+(with a :class:`TwoPhaseMarker` riding the commit record; the commit's
+one flush makes both durable, in that order) or rolls it back (after
+flushing the abort record on its own).
 
 In-doubt state machine, as recovery sees the durable log::
 
@@ -294,11 +295,12 @@ class TwoPhaseParticipant:
     # Phase two
 
     def decide(self, gtid: str, verdict: str) -> str:
-        """Apply the coordinator's decision.  Durable decide record
-        first, then the data commit/rollback — the ordering recovery
-        relies on.  Idempotent; unknown gtids answer ``"forgotten"``
-        (safe under presumed abort: a voted transaction is never
-        forgotten, so "forgotten" proves nothing was prepared here)."""
+        """Apply the coordinator's decision.  Decide record first, then
+        the data commit/rollback — the log order recovery relies on; a
+        commit costs one flush for both.  Idempotent; unknown gtids
+        answer ``"forgotten"`` (safe under presumed abort: a voted
+        transaction is never forgotten, so "forgotten" proves nothing
+        was prepared here)."""
         fire("shard.decide")
         if verdict not in ("commit", "abort"):
             raise TwoPhaseError(f"unknown 2PC verdict {verdict!r}")
@@ -330,7 +332,14 @@ class TwoPhaseParticipant:
             else:
                 wal = self.server.db.wal
                 if wal is not None:
-                    wal.log_two_phase("decide", (gtid, verdict))
+                    # A commit decision is appended unflushed: the data
+                    # commit's flush below carries both out, decide first
+                    # (a crash tearing them apart leaves "prepare +
+                    # decide(commit), no marker", which reinstate
+                    # finishes).  An abort has no data commit to ride.
+                    wal.log_two_phase(
+                        "decide", (gtid, verdict), sync=verdict != "commit"
+                    )
                 if verdict == "commit":
                     txn.session.annotate_next_commit(TwoPhaseMarker(gtid))
                     txn.session.commit()

@@ -308,19 +308,22 @@ class WriteAheadLog:
         self.log_mutation(txn_id, entry)
         self.commit(txn_id)
 
-    def log_two_phase(self, kind: str, payload: tuple) -> None:
-        """Durably append one 2PC coordination record *now*.
+    def log_two_phase(self, kind: str, payload: tuple, sync: bool = True) -> None:
+        """Append one 2PC coordination record in its own committed
+        mini-transaction.
 
-        The record rides its own committed mini-transaction and the
-        commit forces a flush, so by the time this returns the record
-        has reached the segment store — the participant may only vote
-        "prepared" (or apply a decision) *after* this returns.
+        With *sync* the commit forces a flush, so by the time this
+        returns the record has reached the segment store — the
+        participant may only vote "prepared" *after* this returns.
+        ``sync=False`` leaves the record for the next flush, which then
+        carries it out ahead of everything appended after it (a commit
+        decision rides the flush of the data commit it decides).
         """
         if kind not in TWO_PHASE_KINDS:
             raise WalError(f"unknown two-phase record kind {kind!r}")
         txn_id = self.begin()
         self._append(txn_id, kind, None, payload)
-        self.commit(txn_id)
+        self.commit(txn_id, sync=sync)
 
     # ------------------------------------------------------------------
     # Commit / abort / flush

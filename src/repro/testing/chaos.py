@@ -161,7 +161,7 @@ class ChaosReport:
     ops_acked: int = 0
     ops_rejected: int = 0
     ops_unknown: int = 0
-    pipelined_batches: int = 0
+    pipelined_requests: int = 0
     txns_torn: int = 0
     client_reconnects: int = 0
     lost: list[int] = field(default_factory=list)
@@ -196,7 +196,7 @@ class ChaosReport:
             f"  ops acked: {self.ops_acked}  rejected: {self.ops_rejected}  "
             f"unknown outcome: {self.ops_unknown}  "
             f"transactions torn: {self.txns_torn}  "
-            f"pipelined batches: {self.pipelined_batches}",
+            f"pipelined requests: {self.pipelined_requests}",
             f"  client reconnects: {self.client_reconnects}",
         ]
         if self.kills_by_role:
@@ -374,10 +374,12 @@ class _Worker:
             while not self.stop.is_set():
                 roll = self.rng.random()
                 try:
-                    if roll < 0.40:
+                    if roll < 0.35:
                         self._autocommit_insert(client)
+                    elif roll < 0.45:
+                        self._pipelined(client, "batch")
                     elif roll < 0.50:
-                        self._pipelined_batch(client)
+                        self._pipelined(client, "insert")
                     elif roll < 0.65:
                         self._explicit_txn(client)
                     elif roll < 0.80:
@@ -418,33 +420,45 @@ class _Worker:
         self.expected[child_id] = True
         self.acked += 1
 
-    def _pipelined_batch(self, client: ReproClient) -> None:
-        """A pipelined stream of vectorized batch inserts.
+    def _pipelined(self, client: ReproClient, op: str) -> None:
+        """A pipelined stream of vectorized ``batch`` inserts, or of
+        single ``insert``s — which the server executes in runs, several
+        requests to one statement and one commit.
 
         Every stamped request is on the wire before the first reply is
-        read, so a kill -9 or proxy tear can land mid-pipeline;
-        ``drain()`` must then redeliver the unacknowledged tail under
-        the original stamps and the ledger's replay window decides which
-        batches already committed.  Each batch is atomic: an ok reply
-        means every row is present, an error reply means none are.
+        read, so a kill -9 or proxy tear can land mid-pipeline and
+        mid-run; ``drain()`` must then redeliver the unacknowledged tail
+        under the original stamps and the ledger's replay window decides
+        which requests already committed.  Each request is atomic: an ok
+        reply means every row of it is present, an error reply means
+        none is.
         """
-        batches = [
-            [self._values(self._fresh_id())
-             for __ in range(self.rng.randrange(2, 5))]
-            for __ in range(self.rng.randrange(2, 4))
-        ]
+        if op == "batch":
+            requests = [
+                [self._values(self._fresh_id())
+                 for __ in range(self.rng.randrange(2, 5))]
+                for __ in range(self.rng.randrange(2, 4))
+            ]
+        else:
+            requests = [
+                [self._values(self._fresh_id())]
+                for __ in range(self.rng.randrange(2, 9))
+            ]
         try:
             pipe = client.pipeline()
-            for rows in batches:
-                pipe.send("batch", table="C", rows=rows)
+            for rows in requests:
+                if op == "batch":
+                    pipe.send("batch", table="C", rows=rows)
+                else:
+                    pipe.send("insert", table="C", values=rows[0])
             responses = pipe.drain()
         except (DeliveryUnknown, WireError, OSError):
             # The stream died past the client's redelivery budget; no
-            # batch in it has a knowable outcome any more.
-            for rows in batches:
+            # request in it has a knowable outcome any more.
+            for rows in requests:
                 self.unknown.update(row[0] for row in rows)
             raise
-        for rows, response in zip(batches, responses):
+        for rows, response in zip(requests, responses):
             if response.get("ok"):
                 for row in rows:
                     self.expected[row[0]] = True
@@ -626,7 +640,7 @@ def run_chaos(
         report.ops_unknown += worker.unknown_ops
         report.txns_torn += worker.torn
         report.client_reconnects += worker.reconnects
-        report.pipelined_batches += worker.pipelined
+        report.pipelined_requests += worker.pipelined
     return report
 
 
@@ -816,7 +830,7 @@ def run_sharded_chaos(
         report.ops_unknown += worker.unknown_ops
         report.txns_torn += worker.torn
         report.client_reconnects += worker.reconnects
-        report.pipelined_batches += worker.pipelined
+        report.pipelined_requests += worker.pipelined
     return report
 
 

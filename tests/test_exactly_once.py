@@ -86,17 +86,23 @@ class TestResultLedger:
     def test_restore_applies_commit_notes_after_snapshot(self):
         entry = LedgerEntry("c1", 5)
         entry.result = {"ok": True, "rid": 55}
+        run = (LedgerEntry("c1", 6), LedgerEntry("c2", 1))
+        run[0].result = {"ok": True, "rid": 66}
+        run[1].result = {"ok": True, "rid": 67}
         records = (
             WalRecord(0, 1, "insert", "t", (0, (1,))),
             WalRecord(1, 1, "commit", None, (entry,)),
             WalRecord(2, 2, "commit", None, ()),  # unstamped commit
+            WalRecord(3, 3, "commit", None, (run,)),  # one commit, a run
         )
         ledger = ResultLedger()
-        ledger.restore({"c1": {3: {"ok": True, "rid": 33}}}, records)
+        assert ledger.restore({"c1": {3: {"ok": True, "rid": 33}}}, records) == 4
         # The log-order note (req 5) supersedes the snapshot (req 3).
         assert ledger.replay("c1", 5) == {
             "ok": True, "rid": 55, "replayed": True,
         }
+        assert ledger.replay("c1", 6)["rid"] == 66
+        assert ledger.replay("c2", 1)["rid"] == 67
 
     def test_capacity_validated(self):
         with pytest.raises(LedgerError):

@@ -305,12 +305,16 @@ def _keyed_chaos_database():
 
 
 def test_shutdown_mid_burst_answers_what_ran_and_runs_nothing_behind_it(tmp_path):
+    """The two inserts are one run, one statement: it waits for the key
+    lock on 2 as a whole and finishes as a whole.  The delete behind it
+    would have removed row 1 had it run."""
     server = durable_server(tmp_path, _keyed_chaos_database).start()
     sock = _raw(server)
+    behind = {"op": "delete", "table": "C", "equals": {"id": 1}, "id": 3}
     try:
         with _key_lock_held(server, 2):
-            wire.send_frames(sock, [_insert(i, id=i) for i in (1, 2, 3)])
-            _await_requests(server, 2)  # 1 ran, 2 waits for the key lock
+            wire.send_frames(sock, [_insert(1, id=1), _insert(2, id=2), behind])
+            _await_requests(server, 2)  # the run waits for the key lock
             stopper = threading.Thread(target=server.shutdown, daemon=True)
             stopper.start()
             time.sleep(0.3)  # shutdown is now draining around the wait

@@ -649,12 +649,16 @@ def test_idle_connections_do_not_delay_shutdown(role):
 
 
 def test_inflight_request_is_answered_and_the_queued_one_is_not_run(role):
+    """The queued request is a delete (a second insert could join the
+    first one's run); had it run, row 1 would be gone."""
     front, shard = role
     sock = _raw(front)
     try:
         with _key_lock_held(shard, 1):
             wire.send_frame(sock, _insert(1, id=1))
-            wire.send_frame(sock, _insert(2, id=2))
+            wire.send_frame(
+                sock, {"op": "delete", "table": "C", "equals": {"id": 1}, "id": 2}
+            )
             _await_requests(front, 1)
             stopper = threading.Thread(target=front.shutdown, daemon=True)
             stopper.start()

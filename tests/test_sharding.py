@@ -11,6 +11,7 @@ never comes back.
 
 from __future__ import annotations
 
+import random
 import socket
 import time
 from contextlib import ExitStack, contextmanager
@@ -24,6 +25,7 @@ from repro.sharding import (
     build_chaos_catalog,
     stable_hash,
 )
+from repro.sharding.coordinator import partial_orphans
 from repro.testing.chaos import (
     N_PARENTS,
     ServerSupervisor,
@@ -658,6 +660,54 @@ def test_in_doubt_blocks_writers_then_resolves_to_commit(tmp_path):
         assert restarted.twophase.stats_snapshot()["commits"] == 1
     finally:
         restarted.shutdown()
+
+
+def test_a_commit_decision_rides_the_data_commits_flush(tmp_path):
+    """decide(commit) appends its record unflushed and the data commit's
+    flush carries both out, in log order: one fsync where it took two.
+    A log that holds the decision but not the data commit — a crash
+    tearing the two records apart — is finished by ``reinstate``."""
+    data_dir = str(tmp_path / "shard")
+    torn_ops = _prepare_ops()
+    torn_ops[1]["values"] = [778, 3, 30]
+    with ReproServer(build_chaos_shard_database(0, 1), data_dir=data_dir) as server:
+        server.twophase.prepare("once:1", _prepare_ops())
+        store = server.db.wal.store
+        syncs = store.sync_count
+        assert server.twophase.decide("once:1", "commit") == "commit"
+        assert store.sync_count == syncs + 1
+        server.twophase.prepare("torn:1", torn_ops)
+        server.db.wal.log_two_phase("decide", ("torn:1", "commit"))
+    with ReproServer(build_chaos_shard_database(0, 1), data_dir=data_dir) as restarted:
+        assert restarted.twophase.stats_snapshot()["recommitted"] == 1
+        assert sorted(row[0] for row in restarted.db.table("C").rows()) == [777, 778]
+
+
+def test_orphan_scan_matches_the_every_child_against_every_parent_reference():
+    def reference(parents, keys):
+        return [
+            position for position, key in enumerate(keys)
+            if any(value is not None for value in key) and not any(
+                all(parent[i] == value
+                    for i, value in enumerate(key) if value is not None)
+                for parent in parents
+            )
+        ]
+
+    rng = random.Random(26)
+    for __ in range(300):
+        n = rng.randint(1, 4)
+        domain = rng.randint(1, 4)
+        parents = [
+            [rng.randrange(domain) for __ in range(n)]
+            for __ in range(rng.randrange(0, 8))
+        ]
+        # Values up to domain (one past any parent's) and NULL anywhere.
+        keys = [
+            [rng.choice([None, *range(domain + 1)]) for __ in range(n)]
+            for __ in range(rng.randrange(0, 24))
+        ]
+        assert partial_orphans(parents, keys) == reference(parents, keys)
 
 
 def test_presumed_abort_when_coordinator_never_returns(tmp_path):
