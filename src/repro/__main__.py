@@ -16,14 +16,14 @@ Commands:
 * ``verify``              — build the demo database, run a workload under
                             the write-ahead log, and print the integrity
                             report (heap ↔ index ↔ statistics ↔ constraints)
-* ``bench [--check] [--out F] [--baseline F] [--tolerance X] [--quick]``
-                          — the hot-path perf-regression harness
-                            (repro.bench.hotpath): measures the
-                            enforcement hot paths, captures the logical
-                            cost counters, and with --check gates against
-                            the committed BENCH_hotpath.json baseline
-                            (counters must be bit-identical; wall time
-                            within the tolerance)
+* ``bench [--check] [--out F]``
+                          — the counter guard (repro.bench.hotpath):
+                            runs every experiment under one fixed scale
+                            plan and records the logical cost snapshot of
+                            each measured operation stream; --out writes
+                            them one per line, --check compares them with
+                            the committed BENCH_hotpath.json and exits
+                            non-zero on any drift
 * ``lint [--list] [PATH ...]``
                           — the repository-invariant static lint
                             (repro.analysis.lint): table-driven AST

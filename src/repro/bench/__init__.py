@@ -3,4 +3,5 @@ times operations and captures logical costs, ``scale`` maps the paper's
 sizes to a :class:`~repro.bench.scale.ScalePlan`, ``report`` renders
 tables and series, ``experiments`` holds the registry of paper tables
 and figures and its runner, ``concurrency`` the multi-session
-experiments, and ``hotpath`` the perf-regression guard."""
+experiments, and ``hotpath`` the counter guard, which pins the cost
+snapshots of every registry experiment."""

@@ -17,7 +17,6 @@ sees byte-identical data and operation streams.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any
@@ -26,7 +25,6 @@ from ..constraints.foreign_key import ForeignKey, MatchSemantics
 from ..core.enforcement import EnforcedForeignKey
 from ..core.strategies import IndexStructure
 from ..query import dml
-from ..server import ReproClient, ReproServer, wire
 from ..query.predicate import equalities
 from ..workloads import synthetic
 from .measure import Measurement, measure_block, measure_ops
@@ -112,54 +110,6 @@ def run_insert_cell(
         rows,
         db.tracker,
     )
-
-
-def run_bulk_load_cell(
-    cell: PreparedCell,
-    rows: Sequence[tuple[Any, ...]] | None = None,
-    count: int = 1_000,
-    vectorized: bool = True,
-) -> Measurement:
-    """§9 bulk load through the serving stack: K child rows, one client.
-
-    ``vectorized=False`` is the pre-batching protocol — one stop-and-wait
-    ``insert`` request per row, each paying a full round-trip and a
-    per-row enforcement pass, inside one client transaction so that both
-    twins commit (and re-validate their witnesses) exactly once.
-    ``vectorized=True`` ships the identical rows as ONE ``batch`` op: a
-    single request, a single exactly-once stamp, and the vectorized
-    enforcement path underneath (one index walk per run of adjacent
-    keys, bulk witness probing).  The measured
-    wall clock is the client's, so the ratio is the end-to-end ingest
-    throughput win; the logical counters come from the engine's tracker
-    and must match the looped twin bit-for-bit — the batch path shares
-    work, it never skips any.
-    """
-    if rows is None:
-        rows = synthetic.clustered_insert_stream(cell.dataset, count)
-    payload = [wire.encode_row(row) for row in rows]
-    child = cell.fk.child_table
-    db = cell.db
-    label = (
-        "bulk load (vectorized batch)"
-        if vectorized
-        else "bulk load (looped inserts)"
-    )
-    before = db.tracker.snapshot()
-    with ReproServer(db) as server:
-        with ReproClient(*server.address) as client:
-            start = time.perf_counter()
-            if vectorized:
-                client.batch_insert(child, payload)
-            else:
-                client.begin()
-                for encoded in payload:
-                    client.insert(child, encoded)
-                client.commit()
-            duration = time.perf_counter() - start
-    measurement = Measurement(label, [duration])
-    measurement.cost = db.tracker.snapshot().diff(before)
-    return measurement
 
 
 def run_delete_cell(

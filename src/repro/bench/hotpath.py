@@ -1,329 +1,134 @@
-"""Hot-path perf-regression harness: wall clock *and* logical costs.
+"""The counter guard: the cost snapshots of every paper experiment.
 
-The engine's enforcement hot paths (child-insert subsumption probes,
-parent-delete state loops, bulk index builds) are where the paper's
-experiments spend their time, and where this codebase applies its
-wall-clock optimisations: shared per-row key encoding, prepared trigger
-probes, B+ tree insert fast paths.
-Each of those must be *invisible* in the logical cost counters — the
-auditable half of the reproduction — while shrinking wall time.
+The paper's result is a cost claim — which index structure answers which
+probe, and what maintenance costs — and the reproduction counts those
+costs (:mod:`repro.indexes.cost`).  The counters are deterministic for a
+seeded workload and independent of the machine, so they are pinned
+exactly, for every reproduced table and figure.
 
-This module pins both properties:
-
-* every scenario is run ``repeats`` times from the same seed; the
-  logical counter deltas must be **bit-identical** across repeats
-  (determinism), and in ``--check`` mode bit-identical to the committed
-  baseline (``BENCH_hotpath.json``) — any drift fails the run;
-* wall time is compared as *median over repeats* against the baseline
-  with a multiplicative tolerance (``--tolerance`` /
-  ``REPRO_BENCH_TOLERANCE``; CI uses a generous one, machines differ —
-  counters are the precise guard, wall time the smoke alarm);
-* after each scenario the database's full integrity report must be
-  clean (heap ↔ index ↔ statistics ↔ constraints), so a fast path that
-  corrupts an index can never post a good number.
+``python -m repro bench`` runs every experiment of
+:data:`~repro.bench.experiments.REGISTRY`, in registry order and in one
+process, under the fixed :data:`PLAN`, and records the cost snapshot of
+every ``measure_ops`` / ``measure_block`` call: experiment id, label,
+operation count and nonzero counters.  A cached sweep's snapshots belong
+to the first experiment that measures it, so a run starts from an empty
+sweep cache and always covers the whole registry.  An experiment whose
+expectations fail (an integrity report, reader locks, shared fsyncs)
+fails the run.  Wall clock is not judged here; ``benchmarks/e2e`` does
+that.
 
 Usage::
 
-    python -m repro bench                      # run, print JSON
-    python -m repro bench --out BENCH_hotpath.json   # refresh baseline
-    python -m repro bench --check              # compare vs baseline
-    python -m repro bench --check --tolerance 3.0
+    python -m repro bench                            # print the snapshots
+    python -m repro bench --out BENCH_hotpath.json   # refresh the baseline
+    python -m repro bench --check                    # compare with it
 """
 
 from __future__ import annotations
 
 import json
-import os
-import statistics
 import sys
-from dataclasses import dataclass
+from collections.abc import Sequence
 from pathlib import Path
 from typing import Any
 
-from ..core.strategies import IndexStructure
-from ..workloads import synthetic
-from .harness import (
-    prepare_cell,
-    run_bulk_load_cell,
-    run_delete_cell,
-    run_insert_cell,
-)
-from .measure import Measurement
+from . import experiments
+from .measure import recording
+from .scale import ScalePlan
 
-#: Wall-time regression threshold (current median vs baseline median).
-DEFAULT_TOLERANCE = 1.25
+#: The plan ``REPRO_QUICK=1 REPRO_OPS=60`` gives, fixed so that the
+#: snapshots do not depend on the environment.
+PLAN = ScalePlan(scale=1_000, insert_ops=60, delete_ops=16, quick=True)
 
-#: Default baseline committed at the repository root.
-BASELINE_NAME = "BENCH_hotpath.json"
+#: The committed baseline, at the repository root.
+BASELINE = Path(__file__).resolve().parents[3] / "BENCH_hotpath.json"
 
-#: The counters that must match exactly.  Everything the tracker counts
-#: is deterministic for a fixed workload, so the whole delta is compared
-#: — but these are the ones the paper's cost model is built on, called
-#: out by name in failure messages.
-CORE_COUNTERS = (
-    "index_node_reads",
-    "index_entries_scanned",
-    "index_maintenance_ops",
-    "full_scans",
-)
+#: ``[experiment id, label, operation count, {counter: nonzero value}]``.
+Snapshot = list[Any]
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """One measured hot path: an operation stream over one cell."""
-
-    name: str
-    op: str  # "insert" | "delete" | "build"
-    structure: IndexStructure
-    simple: bool = False
-
-
-SCENARIOS: tuple[Scenario, ...] = (
-    Scenario("child_insert_bounded_partial", "insert", IndexStructure.BOUNDED),
-    Scenario("child_insert_hybrid_partial", "insert", IndexStructure.HYBRID),
-    Scenario("child_insert_full_simple", "insert", IndexStructure.FULL, simple=True),
-    Scenario("parent_delete_bounded_partial", "delete", IndexStructure.BOUNDED),
-    Scenario("index_build_bounded_partial", "build", IndexStructure.BOUNDED),
-    Scenario("bulk_load_looped", "bulk_loop", IndexStructure.BOUNDED),
-    Scenario("bulk_load_vectorized", "bulk_vector", IndexStructure.BOUNDED),
-)
-
-#: The vectorized bulk load must beat the looped twin by at least this
-#: factor on wall clock (the counters are required to be bit-identical,
-#: so the speedup is pure shared work, not skipped work).  The ratio is
-#: 2,000 served round trips plus per-row enforcement against one request
-#: plus one vectorized pass, so a cheaper round trip lowers it without
-#: anything getting slower: ~4.5x measured on the thread-per-connection
-#: core (8.6x on the event-loop server it replaced); the floor is about
-#: half the measured ratio.
-BULK_SPEEDUP_FLOOR = 2.5
-
-
-@dataclass(frozen=True)
-class HotpathConfig:
-    """Workload shape; baked into the JSON so a check against a baseline
-    produced under a different shape is rejected instead of nonsense."""
-
-    n_columns: int = 5
-    parent_rows: int = 2_000
-    null_fraction: float = 0.25
-    insert_ops: int = 300
-    delete_ops: int = 40
-    bulk_rows: int = 2_000
-    repeats: int = 3
-    seed: int = 42
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "n_columns": self.n_columns,
-            "parent_rows": self.parent_rows,
-            "null_fraction": self.null_fraction,
-            "insert_ops": self.insert_ops,
-            "delete_ops": self.delete_ops,
-            "bulk_rows": self.bulk_rows,
-            "repeats": self.repeats,
-            "seed": self.seed,
-        }
-
-    def synthetic_config(self) -> synthetic.SyntheticConfig:
-        return synthetic.SyntheticConfig(
-            n_columns=self.n_columns,
-            parent_rows=self.parent_rows,
-            null_fraction=self.null_fraction,
-            seed=self.seed,
-        )
-
-
-QUICK = HotpathConfig(
-    parent_rows=500, insert_ops=120, delete_ops=20, bulk_rows=400, repeats=2
-)
-
-
-def _run_once(scenario: Scenario, config: HotpathConfig) -> Measurement:
-    """One repeat: fresh cell from the seed, one operation stream."""
-    cell = prepare_cell(config.synthetic_config(), scenario.structure, scenario.simple)
-    if scenario.op == "insert":
-        measurement = run_insert_cell(cell, count=config.insert_ops)
-    elif scenario.op == "delete":
-        measurement = run_delete_cell(cell, count=config.delete_ops)
-    elif scenario.op == "build":
-        measurement = cell.build
-    elif scenario.op in ("bulk_loop", "bulk_vector"):
-        measurement = run_bulk_load_cell(
-            cell,
-            count=config.bulk_rows,
-            vectorized=scenario.op == "bulk_vector",
-        )
-    else:  # pragma: no cover - scenario table is static
-        raise ValueError(f"unknown op {scenario.op!r}")
-    report = cell.db.verify_integrity()
-    if not report.ok:
-        raise AssertionError(
-            f"integrity violated after scenario {scenario.name!r}:\n"
-            + report.render()
-        )
-    return measurement
-
-
-def run_scenarios(config: HotpathConfig, echo=print) -> dict[str, Any]:
-    """Run every scenario ``config.repeats`` times; return the result doc.
-
-    Raises :class:`AssertionError` if the logical counters differ between
-    repeats — the workload is seeded, so any difference means an engine
-    path has become nondeterministic.
-    """
-    scenarios: dict[str, Any] = {}
-    for scenario in SCENARIOS:
-        walls: list[float] = []
-        counters: dict[str, int] | None = None
-        for __ in range(config.repeats):
-            measurement = _run_once(scenario, config)
-            walls.append(measurement.total_s * 1_000)
-            delta = {
-                k: v for k, v in sorted(measurement.cost.as_dict().items()) if v
-            }
-            if counters is None:
-                counters = delta
-            elif counters != delta:
-                raise AssertionError(
-                    f"{scenario.name}: logical counters drifted between "
-                    f"repeats of the same seeded workload:\n"
-                    f"  first  {counters}\n  now    {delta}"
-                )
-        scenarios[scenario.name] = {
-            "wall_ms_median": round(statistics.median(walls), 3),
-            "wall_ms_all": [round(w, 3) for w in walls],
-            "counters": counters or {},
-        }
-        echo(
-            f"  {scenario.name:32s} {scenarios[scenario.name]['wall_ms_median']:9.1f}ms"
-            f"  node_reads={counters.get('index_node_reads', 0)}"
-            f" scanned={counters.get('index_entries_scanned', 0)}"
-            f" maint={counters.get('index_maintenance_ops', 0)}"
-            f" full_scans={counters.get('full_scans', 0)}"
-        )
-    _check_bulk_speedup(scenarios, echo)
-    return {
-        "version": 1,
-        "config": config.as_dict(),
-        "scenarios": scenarios,
-    }
-
-
-def _check_bulk_speedup(scenarios: dict[str, Any], echo=print) -> None:
-    """Pin the §9 contract between the two bulk-load twins.
-
-    The looped and vectorized scenarios replay the *same* clustered row
-    stream, so their logical counters must be bit-identical (the
-    vectorized path shares work, it never skips any), and the vectorized
-    wall time must beat the loop by :data:`BULK_SPEEDUP_FLOOR` — that
-    throughput win is the reason the batch path exists.
-    """
-    looped = scenarios.get("bulk_load_looped")
-    vector = scenarios.get("bulk_load_vectorized")
-    if looped is None or vector is None:
-        return
-    if looped["counters"] != vector["counters"]:
-        changed = sorted(
-            set(looped["counters"].items()) ^ set(vector["counters"].items())
-        )
-        raise AssertionError(
-            "bulk load: vectorized counters differ from the looped twin "
-            f"(differing entries: {changed}) — vectorized enforcement "
-            "must share work, not skip it"
-        )
-    speedup = (
-        looped["wall_ms_median"] / vector["wall_ms_median"]
-        if vector["wall_ms_median"]
-        else float("inf")
-    )
-    vector["speedup_vs_looped"] = round(speedup, 2)
-    echo(f"  bulk load speedup: {speedup:.1f}x (floor {BULK_SPEEDUP_FLOOR}x)")
-    if speedup < BULK_SPEEDUP_FLOOR:
-        raise AssertionError(
-            f"bulk load: vectorized path only {speedup:.2f}x faster than "
-            f"the looped twin (floor {BULK_SPEEDUP_FLOOR}x)"
-        )
-
-
-# ----------------------------------------------------------------------
-# Baseline comparison
-
-
-def compare(
-    current: dict[str, Any],
-    baseline: dict[str, Any],
-    tolerance: float,
-    echo=print,
-) -> list[str]:
-    """All the ways *current* regresses from *baseline* (empty = pass)."""
-    problems: list[str] = []
-    if current.get("config") != baseline.get("config"):
-        return [
-            "workload shape differs from the baseline's — counters are not "
-            f"comparable (current {current.get('config')}, "
-            f"baseline {baseline.get('config')})"
+def record(experiment_ids: Sequence[str] | None = None) -> list[Snapshot]:
+    """Run the experiments (every registry one, in order, by default)
+    from an empty sweep cache; return their cost snapshots in call order."""
+    experiments._SWEEP_CACHE.clear()
+    snapshots: list[Snapshot] = []
+    for experiment_id in experiment_ids or experiments.REGISTRY:
+        with recording() as taken:
+            result = experiments.REGISTRY[experiment_id](PLAN)
+        if result.failures:
+            raise AssertionError(f"{experiment_id}: {'; '.join(result.failures)}")
+        snapshots += [
+            [experiment_id, m.label, m.count,
+             {name: value for name, value in sorted(m.cost.as_dict().items()) if value}]
+            for m in taken
         ]
-    base_scenarios = baseline.get("scenarios", {})
-    for name, cur in current["scenarios"].items():
-        base = base_scenarios.get(name)
-        if base is None:
-            echo(f"  {name}: new scenario, no baseline entry (skipped)")
-            continue
-        if cur["counters"] != base["counters"]:
-            changed = sorted(
-                set(cur["counters"].items()) ^ set(base["counters"].items())
-            )
+        print(f"  {experiment_id:16s} {len(taken):4d} snapshots", flush=True)
+    return snapshots
+
+
+def render(snapshots: list[Snapshot]) -> str:
+    """The baseline file: JSON with one snapshot per line, so a counter
+    change reads as a one-line diff."""
+    lines = ",\n".join(json.dumps(snapshot) for snapshot in snapshots)
+    return f'{{"plan": {json.dumps(repr(PLAN))}, "snapshots": [\n{lines}\n]}}\n'
+
+
+def load_baseline(experiment_ids: Sequence[str] | None = None) -> dict[str, Any]:
+    """The committed baseline, cut to *experiment_ids* when given."""
+    baseline = json.loads(BASELINE.read_text())
+    if experiment_ids is not None:
+        baseline["snapshots"] = [
+            s for s in baseline["snapshots"] if s[0] in experiment_ids
+        ]
+    return baseline
+
+
+def compare(current: list[Snapshot], baseline: dict[str, Any]) -> list[str]:
+    """Every way *current* differs from *baseline* (empty = identical),
+    named by experiment, position within it, label and counter."""
+    if baseline["plan"] != repr(PLAN):
+        return [f"the baseline was recorded under {baseline['plan']}, not {PLAN!r}"]
+    now, then = _by_experiment(current), _by_experiment(baseline["snapshots"])
+    problems = []
+    for experiment_id in dict.fromkeys([*then, *now]):
+        mine, theirs = now.get(experiment_id, []), then.get(experiment_id, [])
+        if len(mine) != len(theirs):
             problems.append(
-                f"{name}: logical counters drifted from baseline "
-                f"(differing entries: {changed}) — the optimisation "
-                "contract is bit-identical counters"
+                f"{experiment_id}: {len(mine)} snapshots, baseline {len(theirs)}"
             )
-        ratio = (
-            cur["wall_ms_median"] / base["wall_ms_median"]
-            if base["wall_ms_median"]
-            else 1.0
-        )
-        verdict = "OK" if ratio <= tolerance else "REGRESSED"
-        echo(
-            f"  {name:32s} {base['wall_ms_median']:9.1f}ms -> "
-            f"{cur['wall_ms_median']:9.1f}ms  ({ratio:.2f}x, {verdict})"
-        )
-        if ratio > tolerance:
-            problems.append(
-                f"{name}: wall time {cur['wall_ms_median']:.1f}ms vs baseline "
-                f"{base['wall_ms_median']:.1f}ms ({ratio:.2f}x > "
-                f"tolerance {tolerance:.2f}x)"
-            )
-    for name in base_scenarios:
-        if name not in current["scenarios"]:
-            problems.append(f"{name}: present in baseline but not measured")
+        for position, (snapshot, base) in enumerate(zip(mine, theirs)):
+            (label, ops, counters), (base_label, base_ops, base_counters) = snapshot, base
+            where = f"{experiment_id} #{position} {label!r}"
+            if (label, ops) != (base_label, base_ops):
+                problems.append(
+                    f"{where} x{ops}: baseline has {base_label!r} x{base_ops}"
+                )
+            elif counters != base_counters:
+                problems.append(f"{where}: " + ", ".join(
+                    f"{name} {base_counters.get(name, 0)} -> {counters.get(name, 0)}"
+                    for name in sorted({*counters, *base_counters})
+                    if counters.get(name) != base_counters.get(name)
+                ))
     return problems
 
 
-def _repo_root() -> Path:
-    return Path(__file__).resolve().parents[3]
+def _by_experiment(snapshots: list[Snapshot]) -> dict[str, list[Snapshot]]:
+    grouped: dict[str, list[Snapshot]] = {}
+    for experiment_id, *rest in snapshots:
+        grouped.setdefault(experiment_id, []).append(rest)
+    return grouped
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     check = False
-    quick = False
     out: Path | None = None
-    baseline_path = _repo_root() / BASELINE_NAME
-    tolerance = float(os.environ.get("REPRO_BENCH_TOLERANCE", DEFAULT_TOLERANCE))
     it = iter(argv)
     for arg in it:
         if arg == "--check":
             check = True
-        elif arg == "--quick":
-            quick = True
         elif arg == "--out":
             out = Path(next(it))
-        elif arg == "--baseline":
-            baseline_path = Path(next(it))
-        elif arg == "--tolerance":
-            tolerance = float(next(it))
         elif arg in ("-h", "--help"):
             print(__doc__)
             return 0
@@ -331,30 +136,25 @@ def main(argv: list[str] | None = None) -> int:
             print(f"unknown bench option {arg!r}", file=sys.stderr)
             return 2
 
-    config = QUICK if quick else HotpathConfig()
-    print(f"hotpath bench: {config.as_dict()}")
-    result = run_scenarios(config)
-
+    print(f"counter guard: every registry experiment under {PLAN}")
+    snapshots = record()
+    print(f"{len(snapshots)} snapshots, "
+          f"{sum(1 for s in snapshots if s[3])} with nonzero counters")
     if out is not None:
-        out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+        out.write_text(render(snapshots))
         print(f"wrote {out}")
     if not check:
         if out is None:
-            print(json.dumps(result, indent=2, sort_keys=True))
+            print(render(snapshots), end="")
         return 0
 
-    if not baseline_path.exists():
-        print(f"no baseline at {baseline_path}", file=sys.stderr)
-        return 2
-    baseline = json.loads(baseline_path.read_text())
-    print(f"check vs {baseline_path} (tolerance {tolerance:.2f}x):")
-    problems = compare(result, baseline, tolerance)
+    problems = compare(snapshots, load_baseline())
     if problems:
-        print("FAIL:")
+        print(f"FAIL: {len(problems)} difference(s) from {BASELINE.name}:")
         for problem in problems:
             print(f"  - {problem}")
         return 1
-    print("PASS: counters bit-identical, wall time within tolerance")
+    print(f"PASS: counters bit-identical to {BASELINE.name}")
     return 0
 
 

@@ -10,11 +10,15 @@ the auditable half of the reproduction.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any
 
 from ..indexes.cost import CostSnapshot, CostTracker
+
+#: The list :func:`recording` collects into, or None outside one.
+_recorded: list["Measurement"] | None = None
 
 
 @dataclass
@@ -77,7 +81,7 @@ def measure_ops(
         measurement.durations.append(perf() - start)
     if tracker is not None and before is not None:
         measurement.cost = tracker.snapshot().diff(before)
-    return measurement
+    return _record(measurement)
 
 
 def measure_block(
@@ -93,4 +97,21 @@ def measure_block(
     measurement = Measurement(label, [duration])
     if tracker is not None and before is not None:
         measurement.cost = tracker.snapshot().diff(before)
+    return _record(measurement)
+
+
+def _record(measurement: Measurement) -> Measurement:
+    if _recorded is not None:
+        _recorded.append(measurement)
     return measurement
+
+
+@contextmanager
+def recording() -> Iterator[list[Measurement]]:
+    """Collect every measurement taken inside the block, in call order."""
+    global _recorded
+    outer, _recorded = _recorded, []
+    try:
+        yield _recorded
+    finally:
+        _recorded = outer

@@ -127,11 +127,6 @@ class ForeignKey:
         assert self._fk_positions is not None, f"{self.name!r} not validated"
         return self._fk_positions
 
-    @property
-    def key_positions(self) -> tuple[int, ...]:
-        assert self._key_positions is not None, f"{self.name!r} not validated"
-        return self._key_positions
-
     # ------------------------------------------------------------------
     # Predicates used by enforcement
 

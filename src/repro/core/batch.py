@@ -192,14 +192,17 @@ def batch_delete_parents(
     Returns the number of deleted parents.  Equivalent to deleting the
     keys one by one under the §6.1 trigger, but the state loop
     (:func:`repro.query.enforcement.handle_parent_removed`) runs once
-    over all the removed keys, after the last parent is gone.
+    over all the removed keys, after the last parent is gone.  A NATIVE
+    key has no trigger to suspend: each delete already ran its action,
+    so the shared loop runs only when the trigger was suspended.
     """
     deleted = 0
     with db.begin_nested():
-        with _suspended_parent_triggers(db, fk):
+        with _suspended_parent_triggers(db, fk) as suspended:
             for key in keys:
                 deleted += dml.delete_where(
                     db, fk.parent_table, equalities(fk.key_columns, key)
                 )
-        enforcement.handle_parent_removed(db, fk, keys)
+        if suspended:
+            enforcement.handle_parent_removed(db, fk, keys)
     return deleted

@@ -201,9 +201,6 @@ class TableIndex:
     # ------------------------------------------------------------------
     # Probes used by the executor
 
-    def supports_prefix_scan(self) -> bool:
-        return isinstance(self._structure, BPlusTree)
-
     def scan_equal(self, values: Sequence[Any]) -> Iterator[int]:
         """Yield rids of entries whose leading columns equal *values*.
 

@@ -15,7 +15,7 @@ from .predicate import (
     TruePredicate,
     equalities,
 )
-from .transaction import Savepoint, SavepointScope, Transaction
+from .transaction import Savepoint, Transaction
 
 __all__ = [
     "explain",
@@ -34,6 +34,5 @@ __all__ = [
     "TruePredicate",
     "equalities",
     "Savepoint",
-    "SavepointScope",
     "Transaction",
 ]

@@ -355,49 +355,3 @@ class Transaction:
         else:
             self.rollback()
         return False
-
-
-class SavepointScope:
-    """A savepoint dressed as a transaction-like nested scope.
-
-    Returned by :meth:`Database.begin_nested` when a transaction is
-    already active: ``commit()`` releases the savepoint (the outer
-    transaction still decides overall fate), ``rollback()`` undoes just
-    this scope.  As a context manager it mirrors :class:`Transaction`.
-    """
-
-    def __init__(self, txn: Transaction) -> None:
-        self._txn = txn
-        self._sp = txn.savepoint()
-        self._closed = False
-
-    @property
-    def is_open(self) -> bool:
-        return not self._closed and self._sp.is_active
-
-    def commit(self) -> None:
-        if self._closed:
-            raise TransactionError("nested scope is already closed")
-        self._closed = True
-        if self._sp.is_active:
-            self._sp.release()
-
-    def rollback(self) -> None:
-        if self._closed:
-            raise TransactionError("nested scope is already closed")
-        self._closed = True
-        if self._sp.is_active:
-            self._sp.rollback()
-            self._sp.release()
-
-    def __enter__(self) -> "SavepointScope":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if self._txn._db._crashed or self._closed or not self._sp.is_active:
-            return False
-        if exc_type is None:
-            self.commit()
-        else:
-            self.rollback()
-        return False

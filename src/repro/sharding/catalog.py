@@ -116,9 +116,6 @@ class ShardCatalog:
             ) from exc
         return stable_hash(values) % self.shards
 
-    def fk_of(self, table: str) -> FkRoute | None:
-        return self.route(table).fk
-
     def children_of(self, parent: str) -> list[tuple[str, FkRoute]]:
         return [
             (entry.name, entry.fk)

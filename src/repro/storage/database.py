@@ -30,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..constraints.foreign_key import ForeignKey
     from ..constraints.keys import CandidateKey
     from ..query.predicate import Predicate
-    from ..query.transaction import SavepointScope, Transaction
+    from ..query.transaction import Savepoint, Transaction
     from .verify import IntegrityReport
     from .versions import VersionStore
     from .wal import WriteAheadLog
@@ -223,18 +223,18 @@ class Database:
 
         return Transaction(self)
 
-    def begin_nested(self) -> "Transaction | SavepointScope":
-        """A transaction if none is active, else a savepoint-backed scope.
+    def begin_nested(self) -> "Transaction | Savepoint":
+        """A transaction if none is active, else a savepoint in it.
 
-        Both commit on success and roll back on error when used as a
-        context manager, so callers (the batch paths, per-row retry
+        As context managers both keep the block's work on success and
+        undo it on error, so callers (the batch paths, per-row retry
         loops) need not care whether they run inside a transaction.
         """
-        from ..query.transaction import SavepointScope, Transaction
+        from ..query.transaction import Transaction
 
         if self._active_transaction is None:
             return Transaction(self)
-        return SavepointScope(self._active_transaction)
+        return self._active_transaction.savepoint()
 
     @property
     def active_transaction(self) -> "Transaction | None":

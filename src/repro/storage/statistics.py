@@ -77,10 +77,6 @@ class TableStatistics:
     # ------------------------------------------------------------------
     # Planner estimates
 
-    def estimate_equal(self, position: int, value: Any) -> int:
-        """Exact row count for a single-column equality."""
-        return self.columns[position].frequency(value)
-
     def estimate_prefix(self, positions: Sequence[int], values: Sequence[Any]) -> float:
         """Estimated rows matching equality on several columns.
 

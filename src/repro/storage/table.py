@@ -153,9 +153,6 @@ class Table:
     def drop_index(self, name: str) -> None:
         self.indexes.drop(name)
 
-    def drop_all_indexes(self) -> None:
-        self.indexes.drop_all()
-
     # ------------------------------------------------------------------
     # Convenience projections
 

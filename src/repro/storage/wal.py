@@ -245,16 +245,6 @@ class WriteAheadLog:
     def durable_records(self) -> tuple[WalRecord, ...]:
         return tuple(self._durable)
 
-    @property
-    def has_checkpoint(self) -> bool:
-        return self._checkpoint is not None
-
-    def records_for(self, txn_id: int) -> list[WalRecord]:
-        """Every record (durable or buffered) of one transaction."""
-        with self._mu:
-            records = (*self._durable, *self._buffer)
-        return [r for r in records if r.txn_id == txn_id]
-
     # ------------------------------------------------------------------
     # Appending
 

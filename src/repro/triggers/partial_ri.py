@@ -113,14 +113,15 @@ class _suspended_triggers:
     Used by the intelligent deletion service (which replaces the parent-
     side enforcement with its interactive flow) and by the §9 batched
     parent delete (which removes every parent first and runs the state
-    loop once for the batch)."""
+    loop once for the batch).  Entering returns the triggers it disabled:
+    those that were enabled, i.e. the per-row actions now left undone."""
 
     def __init__(self, db: "Database", names: list[str]) -> None:
         self._db = db
         self._names = names
         self._disabled: list = []
 
-    def __enter__(self) -> None:
+    def __enter__(self) -> list:
         self._disabled = []
         for name in self._names:
             if name in self._db.triggers:
@@ -128,6 +129,7 @@ class _suspended_triggers:
                 if trigger.enabled:
                     trigger.enabled = False
                     self._disabled.append(trigger)
+        return self._disabled
 
     def __exit__(self, *exc_info) -> None:
         for trigger in self._disabled:

@@ -34,10 +34,6 @@ class TpchConfig:
     lineitems: int = 12_000
     seed: int = 101
 
-    @property
-    def partsupp_rows(self) -> int:
-        return self.parts * SUPPLIERS_PER_PART
-
 
 @dataclass
 class TpchDataset:

@@ -302,6 +302,34 @@ class TestBatchDelete:
 
         assert batched <= looped
 
+    @pytest.mark.parametrize("match", [MatchSemantics.SIMPLE, MatchSemantics.PARTIAL])
+    def test_native_key_counters_match_per_row_deletes(self, match):
+        """A NATIVE key runs its referential action inside every delete:
+        the batch must not run the state loop over the keys again."""
+
+        def build():
+            ds = generate_synthetic(SyntheticConfig(n_columns=3, parent_rows=400))
+            fk = ForeignKey("fk_native", "C", ds.fk.fk_columns, "P",
+                            ds.fk.key_columns, match=match,
+                            on_delete=ReferentialAction.SET_NULL)
+            if match is MatchSemantics.SIMPLE:
+                EnforcedForeignKey.create(ds.db, fk, IndexStructure.FULL)
+            else:
+                ds.db.add_foreign_key(fk)  # natively enforced, no triggers
+            ds.db.tracker.reset()
+            return ds, fk
+
+        (ds_batch, fk), (ds_loop, __) = build(), build()
+        keys = delete_stream(ds_batch, 30)
+        assert batch_delete_parents(ds_batch.db, fk, keys) == 30
+        for key in keys:
+            dml.delete_where(ds_loop.db, "P", equalities(fk.key_columns, key))
+        assert ds_batch.db.tracker.counters == ds_loop.db.tracker.counters
+        assert sorted(ds_batch.child_table.rows(), key=repr) == sorted(
+            ds_loop.child_table.rows(), key=repr
+        )
+        assert check_database(ds_batch.db) == []
+
     def test_rollback_on_error_inside_batch(self):
         ds = loaded()
         keys = delete_stream(ds, 5)

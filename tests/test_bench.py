@@ -141,6 +141,37 @@ class TestHarness:
         )
 
 
+class TestCounterGuard:
+    def test_perturbed_charge_fails_naming_experiment_label_counter(
+        self, monkeypatch
+    ):
+        from repro.bench import hotpath
+
+        baseline = hotpath.load_baseline(["fig9"])
+        snapshots = hotpath.record(["fig9"])
+        assert hotpath.compare(snapshots, baseline) == []
+
+        count = CostTracker.count
+
+        def one_extra_state_check(self, name, amount=1):
+            count(self, name, amount + (name == "state_checks"))
+
+        monkeypatch.setattr(CostTracker, "count", one_extra_state_check)
+        problems = hotpath.compare(hotpath.record(["fig9"]), baseline)
+        assert problems
+        assert problems[0] == "fig9 #2 'total': state_checks 30 -> 60"
+
+    def test_snapshot_count_drift_is_named(self):
+        from repro.bench import hotpath
+
+        snapshot = ["fig9", "total", 30, {"state_checks": 30}]
+        baseline = {"plan": repr(hotpath.PLAN), "snapshots": [snapshot]}
+        assert hotpath.compare([snapshot, snapshot], baseline) == [
+            "fig9: 2 snapshots, baseline 1"
+        ]
+        assert hotpath.compare([], baseline) == ["fig9: 0 snapshots, baseline 1"]
+
+
 class TestExperimentPlumbing:
     def test_table9_static(self):
         from repro.bench.experiments import table9_benchmark_details

@@ -65,7 +65,7 @@ def test_rpr003_wall_clock_and_random():
 
 def test_rpr003_bench_and_testing_exempt():
     source = (FIXTURES / "rpr003_wallclock.py").read_text()
-    for module in ("repro.bench.hotpath", "repro.testing.faults",
+    for module in ("repro.bench.measure", "repro.testing.faults",
                    "repro.workloads.generator"):
         assert lint.lint_source(source, module) == []
 

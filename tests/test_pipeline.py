@@ -183,8 +183,9 @@ def test_pipelining_through_the_coordinator_is_not_slower_than_waiting():
     """A depth-32 round of co-located inserts against the same 32
     stop-and-wait.  With Nagle on, the second pipelined reply sits out a
     ~40 ms delayed ACK — several whole stop-and-wait rounds — so the
-    margin below cannot hide one."""
-    depth, rounds = 32, 5
+    margin below cannot hide one.  The two kinds of round alternate, so
+    a burst of load from elsewhere on the machine falls on both."""
+    depth, rounds = 32, 9
     with serving_role("coordinator", shards=2) as (front, __):
         with ReproClient(*front.address) as client:
             ids = iter(range(1, 10_000))
@@ -207,6 +208,9 @@ def test_pipelining_through_the_coordinator_is_not_slower_than_waiting():
                 return time.perf_counter() - start
 
             waiting()  # opens the shard links
-            waited = statistics.median(waiting() for __ in range(rounds))
-            piped = statistics.median(pipelined() for __ in range(rounds))
+            waits, pipes = [], []
+            for __ in range(rounds):
+                waits.append(waiting())
+                pipes.append(pipelined())
+            waited, piped = statistics.median(waits), statistics.median(pipes)
             assert piped <= 1.5 * waited, (piped, waited)

@@ -7,7 +7,7 @@ from repro.errors import TransactionError
 from repro.indexes.definition import IndexDefinition
 from repro.query import dml
 from repro.query.predicate import Eq
-from repro.query.transaction import SavepointScope
+from repro.query.transaction import Savepoint
 from repro.storage.wal import WriteAheadLog, simulate_crash
 
 
@@ -136,9 +136,10 @@ class TestBeginNested:
         db = make_db()
         with db.begin():
             scope = db.begin_nested()
-            assert isinstance(scope, SavepointScope)
+            assert isinstance(scope, Savepoint)
             with scope:
                 dml.insert(db, "t", (10, 0))
+            assert not scope.is_active
         assert values(db) == [0, 1, 2, 10]
 
     def test_scope_error_unwinds_scope_only(self):
@@ -157,10 +158,11 @@ class TestBeginNested:
             scope = db.begin_nested()
             dml.insert(db, "t", (10, 0))
             scope.rollback()
+            scope.release()
             assert values(db) == [0, 1, 2]
-            assert not scope.is_open
-            with pytest.raises(TransactionError):
-                scope.commit()
+            assert not scope.is_active
+            with pytest.raises(TransactionError, match="no longer active"):
+                scope.release()
 
 
 class TestSavepointsAndWal:

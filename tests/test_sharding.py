@@ -570,6 +570,12 @@ def test_transaction_own_parent_witnesses_its_children(tmp_path):
         client.insert("C", [1, 100, 1000])
         client.insert("C", [2, 100, None])
         client.commit()
+        # Decides are pushed after the ack, shard by shard, and the deep
+        # verify reads snapshots: until every participant has committed
+        # it can see the child's shard committed and the parent's not.
+        _await(lambda: client.select("P", {"k1": 100}, snapshot=True)
+               and len(client.select("C", snapshot=True)) == 2,
+               what="every participant to commit")
         assert sorted(client.select("C")) == [[1, 100, 1000], [2, 100, None]]
         assert client.request("verify", deep=True)["clean"]
 
