@@ -188,8 +188,8 @@ def handle_parent_removed(
         #    prepared once per foreign key and only the values bind per
         #    removal.  The child probes of one key revisit the same few
         #    index ranges with different residuals, so they share one
-        #    read and one census of each — until an action rewrites
-        #    children.
+        #    read of each (and, without a full-key child index, one
+        #    census) — until an action rewrites children.
         scope = probes.RangeScope()
         for state, total_positions, child_probe, parent_probe in _state_probes(
             fk, child, parent

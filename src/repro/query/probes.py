@@ -30,19 +30,23 @@ of :meth:`~repro.indexes.btree.BPlusTree.runs` — finds the first match
 at C level (:func:`_first_hit`) and *computes* every scan counter from
 where the hit fell instead of counting row by row.  Probes that share a
 :class:`RangeScope` (the ``2^n - 2`` state probes of one parent delete)
-read each index range once, classify its rows once into a *census* —
-null/value pattern → first position — and answer with one dictionary
-lookup each.
+read each index range's entries once.  Where a B+ tree indexes exactly
+the tested columns, a probe finds its hit by one point lookup of the
+full pattern there and its position in the range by one bisect; where
+none does, the range's rows are classified once into a *census* —
+null/value pattern → first position — and each probe is one dictionary
+lookup.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Collection, Iterable, Sequence
 from itertools import compress, count, islice, repeat
 from operator import eq, itemgetter
 from typing import Any
 
+from ..indexes.btree import Entry
 from ..indexes.definition import IndexKind
 from ..indexes.keys import EncodedKey, encode_component, encode_key
 from ..nulls import NULL
@@ -63,25 +67,36 @@ class RangeScope(dict):
     """The index ranges one statement's probes share.
 
     Maps ``(index, encoded prefix)`` to the range as it stood when first
-    probed — ``(rows, leaf-step offsets, descent reads, censuses)``,
+    probed — ``(entries, leaf-step offsets, descent reads, censuses)``,
     everything a later probe of the same range needs to answer and to
-    charge itself exactly as if it had walked the index again.  A
-    *census* maps each row's projection onto a set of tested columns
-    (keyed by their schema positions, in schema order) to the first
-    position that shows it, so a probe is one lookup of the pattern it
-    expects.  The ``2^n - 2`` state probes of one parent delete (§6.1)
-    revisit the same few ranges with different residuals, and since
-    every state tests the same columns — the foreign key's, less the
-    range's prefix — they share one census per range.
+    charge itself exactly as if it had walked the index again.  The
+    entries are ``(key, rid)`` pairs in index order; no row is fetched
+    to read a range.
+
+    A probe whose tested columns (equalities and IS NULL columns) are
+    exactly the columns of a B+ tree on the table, and whose range's
+    columns are all among them, needs nothing more: its first match is
+    the first entry of its full pattern in that tree, and where that
+    match sits in the range is one bisect (:meth:`PreparedProbe._locate`).
+    Any other shape asks a *census*: each row's projection onto the
+    tested columns (keyed by their schema positions, in schema order)
+    mapped to the first position that shows it, built from the range's
+    rows the first time it is asked.  The ``2^n - 2`` state probes of one
+    parent delete (§6.1) revisit the same few ranges with different
+    residuals, and since every state tests the same columns — the
+    foreign key's — they share one census per range.
 
     Bound: one range per probed ``(index, prefix)`` and one census per
-    distinct tested-column set on it.  The §6.1 loop draws every prefix
-    from the one removed key, so it holds at most one range and one
-    census per prefix length ``1..n-1`` of each child index (``2n - 1``
-    under Bounded, ``n - 1`` under Hybrid).  A snapshot is only as good
-    as the table is still: the owner must :meth:`clear` the scope the
-    moment anything writes the probed table, and drops it with the loop
-    it was opened for.
+    distinct tested-column set on it that no full-key B+ tree covers.
+    The §6.1 loop draws every prefix from the one removed key, so it
+    holds at most one range per prefix length ``1..n-1`` of each child
+    index: ``2n - 1`` under Bounded, whose compound child index covers
+    every state, so a Bounded delete builds no census and bulk-fetches
+    no heap row; ``n`` under Singleton, which has no such index and
+    builds one census per range.  A snapshot is only as good as the
+    table is still: the owner must :meth:`clear` the scope the moment
+    anything writes the probed table, and drops it with the loop it was
+    opened for.
     """
 
     __slots__ = ()
@@ -113,9 +128,11 @@ class PreparedProbe:
     one expected tuple (bound values, then ``NULL`` per IS NULL column;
     ``NULL`` is a singleton without ``__eq__``, so it equals only
     itself and a NULL column never equals a bound value).  For a
-    :class:`RangeScope` census the residual test is also kept in schema
-    order (:meth:`_plan`).  Re-plans itself lazily whenever
-    ``table.indexes.version`` has moved since the last execution.
+    :class:`RangeScope` the plan also keeps the full-key B+ tree that
+    answers the probe by a point lookup, when the table has one, and
+    otherwise the census test in schema order (:meth:`_plan`).
+    Re-plans itself lazily whenever ``table.indexes.version`` has moved
+    since the last execution.
     """
 
     __slots__ = (
@@ -131,6 +148,9 @@ class PreparedProbe:
         "_residual_project",
         "_census_positions",
         "_census_pattern",
+        "_point",
+        "_point_sources",
+        "_tail_sources",
         "_dives",
     )
 
@@ -152,6 +172,9 @@ class PreparedProbe:
         self._residual_project: Callable[[Row], Any] | None = None
         self._census_positions: tuple[int, ...] = ()
         self._census_pattern: Callable[[tuple[Any, ...]], Any] | None = None
+        self._point: Any = None  # None: a scope answers through a census
+        self._point_sources: tuple[int, ...] = ()
+        self._tail_sources: tuple[int, ...] = ()
         self._dives: tuple[tuple[Any, int], ...] = ()
 
     def _projector(self, eq_columns: Sequence[str]) -> Callable[[Row], Any] | None:
@@ -190,6 +213,7 @@ class PreparedProbe:
 
         path = _plan_uncached(table, profile, True)
         self._index = index = path.index
+        self._point = None
         if index is None:
             return
         bound = index.columns[: len(path.prefix_values)]
@@ -212,6 +236,34 @@ class PreparedProbe:
         self._census_pattern = (
             itemgetter(*[source for __, source in tested]) if tested else None
         )
+        # A scope answers by a full-key lookup instead of a census when
+        # a B+ tree indexes exactly the tested columns: it holds every
+        # row's pattern as its key, NULLs included, so its first entry of
+        # the probe's pattern is the probe's first match (equal keys sort
+        # by rid).  That match's place in the range needs the range's own
+        # key for the pattern, so every column of the planned index must
+        # be tested too.  The plan and the charges stay those of the
+        # range: IS NULL is not sargable (DESIGN §2).
+        tested_columns = {*columns, *self.null_columns}
+        if index.kind is not IndexKind.BTREE or not tested_columns.issuperset(
+            index.columns
+        ):
+            return
+        null_source = len(columns)  # where NULL sits in (*values, NULL)
+        for point in table.indexes:
+            if (
+                point.kind is IndexKind.BTREE
+                and len(point.columns) == len(tested_columns)
+                and tested_columns.issuperset(point.columns)
+            ):
+                self._point = point
+                self._point_sources = tuple(
+                    slot_of.get(c, null_source) for c in point.columns
+                )
+                self._tail_sources = tuple(
+                    slot_of.get(c, null_source) for c in index.columns[len(bound):]
+                )
+                return
 
     def _bind(self, values: Sequence[Any]) -> None:
         """Per-execution planner work: epoch check, candidate charge, dives."""
@@ -264,7 +316,8 @@ class PreparedProbe:
         """The one probe kernel: full scan or index range, tip or view.
 
         Rows are tested a batch at a time — the whole heap or a leaf run
-        by :func:`_first_hit`, a scope's whole range by its census — and
+        by :func:`_first_hit`, a scope's range by a full-key point lookup
+        or its census (:meth:`_locate`) — and
         every charge follows from where the hit fell: node reads for the
         descent and for each leaf step up to the hit's leaf, index
         entries for those consumed before the hit (with the hit, under
@@ -331,8 +384,9 @@ class PreparedProbe:
         scope: RangeScope | None,
     ) -> Row | None:
         """:meth:`_search` over the planned index range: the scope's
-        snapshot and census of it when there is one, else leaf run by
-        leaf run, stopping at the run that holds the hit."""
+        snapshot of it when there is one (:meth:`_locate` finds the
+        hit), else leaf run by leaf run, stopping at the run that holds
+        the hit."""
         index = self._index
         heap = self.table.heap
         prefix = tuple(
@@ -346,26 +400,13 @@ class PreparedProbe:
             snapshot = scope.get((index, prefix))
             if snapshot is None:
                 snapshot = scope[index, prefix] = self._read_range(prefix)
-            rows, steps, reads, censuses = snapshot
-            positions = self._census_positions
-            if not positions:  # nothing to test: the first row is the hit
-                at = 0 if rows else -1
-            else:
-                census = censuses.get(positions)
-                if census is None:
-                    # first position wins: written last, in reverse
-                    census = censuses[positions] = dict(
-                        zip(
-                            map(itemgetter(*positions), reversed(rows)),
-                            range(len(rows) - 1, -1, -1),
-                        )
-                    )
-                at = census.get(self._census_pattern((*values, NULL)), -1)
+            entries, steps, reads, censuses = snapshot
+            at = self._locate(values, prefix, entries, censuses)
             if at < 0:
                 reads += len(steps)
-                scanned = fetched = len(rows)
+                scanned = fetched = len(entries)
             else:
-                hit = rows[at]
+                hit = heap.get(entries[at][1])
                 reads += bisect_right(steps, at)
                 scanned = at + hit_scanned
                 fetched = at + 1
@@ -408,23 +449,59 @@ class PreparedProbe:
         tracker.count("rows_examined", fetched)
         return hit
 
+    def _locate(
+        self,
+        values: Sequence[Any],
+        prefix: EncodedKey,
+        entries: list[Entry],
+        censuses: dict[tuple[int, ...], dict[Any, int]],
+    ) -> int:
+        """Position in a scoped range's *entries* of the first row that
+        matches, or -1: by a point lookup on the full-key B+ tree when
+        the plan found one, else from the range's census."""
+        positions = self._census_positions
+        if not positions:  # nothing to test: the first entry is the hit
+            return 0 if entries else -1
+        pattern = (*values, NULL)
+        point = self._point
+        if point is not None:
+            key = tuple([encode_component(pattern[s]) for s in self._point_sources])
+            for run, __ in point.runs(key):
+                if run:
+                    # every match has the same key in the range, so the
+                    # first match sits where (that key, its rid) sorts
+                    tail = [encode_component(pattern[s]) for s in self._tail_sources]
+                    return bisect_left(entries, ((*prefix, *tail), run[0][1]))
+            return -1
+        census = censuses.get(positions)
+        if census is None:
+            rows = self.table.heap.fetch(map(_SECOND, entries))
+            # first position wins: written last, in reverse
+            census = censuses[positions] = dict(
+                zip(
+                    map(itemgetter(*positions), reversed(rows)),
+                    range(len(rows) - 1, -1, -1),
+                )
+            )
+        return census.get(self._census_pattern(pattern), -1)
+
     def _read_range(
         self, prefix: EncodedKey
-    ) -> tuple[list[Row], list[int], int, dict[tuple[int, ...], dict[Any, int]]]:
+    ) -> tuple[list[Entry], list[int], int, dict[tuple[int, ...], dict[Any, int]]]:
         """The whole range under *prefix* for a :class:`RangeScope`:
-        its rows in index order, the offset into them at which each leaf
-        step was taken, the node reads of the descent, and its censuses
-        (none yet)."""
-        rids: list[int] = []
+        its ``(key, rid)`` entries in index order, the offset into them
+        at which each leaf step was taken, the node reads of the descent,
+        and its censuses (none yet)."""
+        entries: list[Entry] = []
         steps: list[int] = []
         descent = 0
-        for entries, reads in self._index.runs(prefix):
+        for run, reads in self._index.runs(prefix):
             if descent:
-                steps += [len(rids)] * reads
+                steps += [len(entries)] * reads
             else:
                 descent = reads
-            rids += map(_SECOND, entries)
-        return self.table.heap.fetch(rids), steps, descent, {}
+            entries += run
+        return entries, steps, descent, {}
 
 
 def prepared(

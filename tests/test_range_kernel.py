@@ -7,7 +7,9 @@ verbatim in behaviour, as the reference: for every tree shape, prefix,
 residual and hit position the result and all four scan counters —
 ``index_node_reads``, ``index_entries_scanned``, ``rows_fetched``,
 ``rows_examined`` — must be what the reference counts.  So is the
-``_first_hit`` scan a scope's census replaced (:func:`ref_scoped_find`).
+``_first_hit`` scan of a scope's range (:func:`ref_scoped_find`), which
+a scoped probe now answers by a point lookup on a full-key B+ tree, or
+by a census where the table has none.
 
 ``derandomize=True`` fixes the example generation so tier-1 stays
 reproducible.
@@ -157,14 +159,28 @@ def ref_find(probe: probes.PreparedProbe, values, view=None):
         tracker.count("rows_examined", examined)
 
 
+def ref_read_range(index, heap, prefix):
+    """A range's rows in index order, the offset at which each leaf step
+    was taken, and the descent's node reads."""
+    rids, steps, descent = [], [], 0
+    for entries, reads in index.runs(prefix):
+        if descent:
+            steps += [len(rids)] * reads
+        else:
+            descent = reads
+        rids += [rid for __, rid in entries]
+    return [heap.get(rid) for rid in rids], steps, descent
+
+
 def ref_scoped_find(probe: probes.PreparedProbe, values):
-    """The scoped branch as it was before the census: read the whole
-    range, scan it with ``_first_hit`` under the probe's own projection
-    (residual equalities, then IS NULL columns), charge from the hit."""
+    """The scoped branch as it was before the census and the point
+    lookup: read the whole range, scan it with ``_first_hit`` under the
+    probe's own projection (residual equalities, then IS NULL columns),
+    charge from the hit."""
     probe._bind(values)
     tracker = probe.table.tracker
     prefix = tuple(encode_component(values[s]) for s in probe._prefix_slots)
-    rows, steps, reads, __ = probe._read_range(prefix)
+    rows, steps, reads = ref_read_range(probe._index, probe.table.heap, prefix)
     project = probe._residual_project
     expected = (
         probe._expected([values[s] for s in probe._residual_slots])
@@ -429,8 +445,8 @@ def test_scope_reuse_after_an_early_hit():
     scope = probes.RangeScope()
     early = assert_parity(table, ("a", "c"), (1, 8), scope=scope)
     assert early[1]["rows_fetched"] == 1
-    ((rows, steps, descent, censuses),) = scope.values()
-    assert len(rows) == 8  # the whole range was read, once
+    ((entries, steps, descent, censuses),) = scope.values()
+    assert len(entries) == 8  # the whole range was read, once
     (by_c,) = censuses.values()  # ...and classified, once
     assert by_c == {c: c - 8 for c in range(8, 16)}
     # later probes answer from it, each charged as a fresh walk
@@ -438,7 +454,7 @@ def test_scope_reuse_after_an_early_hit():
         assert_parity(table, ("a", "c"), (1, c), scope=scope)
     assert list(censuses.values()) == [by_c]
     assert_parity(table, ("a",), (1,), ("b",), scope=scope)
-    assert list(scope.values()) == [(rows, steps, descent, censuses)]
+    assert list(scope.values()) == [(entries, steps, descent, censuses)]
     assert len(censuses) == 2  # another tested column, another census
     assert next(iter(censuses.values())) is by_c
 
@@ -513,9 +529,9 @@ def test_state_shapes_reading_one_range_share_one_census():
     table = census_table(rows + [(0, 0, 0)] * 30)
     scope = probes.RangeScope()
     assert assert_census_parity(table, scope, ("a", "b"), (1, 0), ("c",))
-    ((rows_read, __, __, censuses),) = scope.values()
+    ((entries_read, __, __, censuses),) = scope.values()
     (census,) = censuses.values()
-    assert len(rows_read) == 30
+    assert len(entries_read) == 30
     assert census == {
         ((NULL, 0, 1)[i % 3], (NULL, 0, 1)[i // 3 % 3]): i for i in range(9)
     }
@@ -531,15 +547,239 @@ def test_state_shapes_reading_one_range_share_one_census():
     scope.clear()
     assert assert_census_parity(table, scope, ("a", "b"), (1, 0), ("c",))
     ((again, __, __, recount),) = scope.values()
-    assert again is not rows_read and recount is not censuses
+    assert again is not entries_read and recount is not censuses
     assert recount == censuses
 
 
-def state_loop_cell(action=ReferentialAction.SET_NULL, n_columns=3):
+# ----------------------------------------------------------------------
+# The point lookup: a B+ tree over exactly the tested columns answers a
+# scoped probe with one lookup of the full pattern and one bisect.
+
+
+def triple_table(rows, index_defs, deleted=()):
+    """``t(a, b, c)`` over order-4 structures; every column may repeat
+    and ``b``, ``c`` may be NULL, so patterns have duplicates."""
+    table = Table("t", [Column("a"), Column("b"), Column("c")], index_order=4)
+    for definition in index_defs:
+        table.create_index(definition)
+    rids = [table.insert_row(row) for row in rows]
+    for position in sorted(set(deleted)):
+        table.delete_rid(rids[position])
+    return table
+
+
+BOUNDED_ABC = (
+    IndexDefinition("by_abc", ("a", "b", "c")),
+    IndexDefinition("by_a", ("a",)),
+    IndexDefinition("by_b", ("b",)),
+    IndexDefinition("by_c", ("c",)),
+)
+HYBRID_ABC = (IndexDefinition("by_abc", ("a", "b", "c")),)
+
+
+def state_shapes(key):
+    """Every null-state probe of *key* over ``(a, b, c)``, as the §6.1
+    loop asks them: ``(columns, values, IS NULL columns)``."""
+    names = ("a", "b", "c")
+    for mask in range(1, 7):  # neither all-total nor all-null
+        nulls = tuple(n for i, n in enumerate(names) if mask >> i & 1)
+        total = [(n, v) for i, (n, v) in enumerate(zip(names, key)) if not mask >> i & 1]
+        yield tuple(n for n, __ in total), tuple(v for __, v in total), nulls
+
+
+def assert_point_parity(table, scope, columns, values, null_columns=()):
+    """A scoped probe answers and charges what the ``_first_hit`` scan
+    of its range did.  None when the planner chose a full scan, else
+    whether the point lookup answered it."""
+    probe = probes.prepared(table, columns, null_columns)
+    actual = measured(table, lambda: probe.exists(values, None, scope))
+    if probe._index is None:
+        return None
+    found, cost = measured(table, lambda: ref_scoped_find(probe, values))
+    assert actual == (found is not None, cost)
+    return probe._point is not None
+
+
+def assert_states_parity(table, keys):
+    """Every state of every key through one scope per key, as the §6.1
+    loop shares it; returns how many probes the point lookup answered."""
+    answered = 0
+    for key in keys:
+        scope = probes.RangeScope()
+        for columns, values, nulls in state_shapes(key):
+            answered += bool(assert_point_parity(table, scope, columns, values, nulls))
+        # a B+ tree over (a, b, c) covers every state: nothing classified
+        assert all(not censuses for *__, censuses in scope.values())
+    return answered
+
+
+triples = st.tuples(st.integers(0, 2), small, small)
+
+
+@given(
+    rows=st.lists(triples, max_size=80),
+    data=st.data(),
+)
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_point_lookup_answers_and_charges_like_the_first_hit_scan(rows, data):
+    deleted = data.draw(
+        st.lists(st.integers(0, max(len(rows) - 1, 0)), max_size=len(rows) // 2)
+        if rows else st.just([])
+    )
+    for index_defs in (BOUNDED_ABC, HYBRID_ABC):
+        table = triple_table(rows, index_defs, deleted)
+        # every row's own key: a hit at the first position of each of
+        # its patterns, duplicates included, in every range it falls in;
+        # then misses, and the empty range (a = 3 is never present)
+        keys = set(table.rows())
+        answered = assert_states_parity(
+            table,
+            sorted(keys | {(0, 7, 7), (1, NULL, 7), (3, 0, NULL), (3, 1, 1)}, key=repr),
+        )
+        assert answered or not keys
+
+
+def test_point_lookup_at_every_position_between_leaf_boundaries():
+    """``by_a`` over 24 rows in key order: the range ``a = 1`` starts on
+    a leaf's first entry (the descent leaf is already exhausted) and
+    ends on a leaf boundary (one more step, zero entries).  The pattern
+    ``(1, NULL)`` is planted at every position of it, then nowhere."""
+    defs = (IndexDefinition("by_a", ("a",)), IndexDefinition("by_ab", ("a", "b")))
+    for position in (*range(8), None):
+        # the pattern at *position*, and a duplicate after it
+        planted = (
+            {8 + position, 8 + min(position + 3, 7)} if position is not None else set()
+        )
+        table = make_table(
+            [(c // 8, NULL if c in planted else 0) for c in range(24)],
+            index_defs=defs,
+        )
+        runs = runs_of(table, 1)
+        assert runs[0][0] == [] and runs[-1] == ([], 1)
+        scope = probes.RangeScope()
+        found, cost = assert_parity(table, ("a",), (1,), ("b",), scope=scope)
+        probe = probes.prepared(table, ("a",), ("b",))
+        assert (probe._index.name, probe._point.name) == ("by_a", "by_ab")
+        ((entries, __, __, censuses),) = scope.values()
+        assert len(entries) == 8 and not censuses
+        if position is None:
+            assert found is None and cost["index_entries_scanned"] == 8
+        else:
+            assert found == (1, NULL, 8 + position)
+            assert cost["index_entries_scanned"] == position
+            assert cost["rows_fetched"] == cost["rows_examined"] == position + 1
+
+
+def test_point_lookup_over_a_non_uniform_tree():
+    """After a one-child splice ``by_a`` has leaves at two depths: dives
+    walk instead of charging a flat height, and a range's descent is
+    whatever its path costs.  The point path charges what the scan did."""
+    rows = [(c // 16, NULL if c % 3 else 0, c % 5) for c in range(96)]
+    deleted = [i for i in range(96) if i % 16 < 12 and i // 16 in (1, 2)]
+    table = triple_table(rows, BOUNDED_ABC, deleted)
+    assert table.indexes.get("by_a")._structure._uniform is False
+    keys = set(table.rows()) | {(1, 0, 7), (2, NULL, NULL), (9, 0, 0)}
+    assert assert_states_parity(table, sorted(keys, key=repr))
+
+
+def test_hash_planned_range_answers_through_the_census():
+    """A hash bucket has no key order to bisect: a probe planned on the
+    hash index asks a census even though a full-key B+ tree exists."""
+    rows = [(i % 3, (NULL, 0, 1)[i % 4 % 3], (NULL, 0)[i % 5 % 2]) for i in range(40)]
+    table = triple_table(
+        rows,
+        (IndexDefinition("a_hash", ("a",), IndexKind.HASH), *HYBRID_ABC),
+    )
+    for key in sorted(set(table.rows()) | {(1, 7, 7), (5, 0, 0)}, key=repr):
+        scope = probes.RangeScope()
+        assert assert_point_parity(table, scope, ("a",), key[:1], ("b", "c")) is False
+        probe = probes.prepared(table, ("a",), ("b", "c"))
+        assert probe._index.kind is IndexKind.HASH and probe._point is None
+        if scope:
+            ((__, __, __, censuses),) = scope.values()
+            assert list(censuses) == [(1, 2)]
+        # a shape the B+ tree plans still takes the point path beside it
+        if key[1] is not NULL:
+            assert assert_point_parity(table, scope, ("a", "b"), key[:2], ("c",))
+
+
+def test_a_table_without_a_full_key_index_answers_through_the_census(monkeypatch):
+    """The selection is on the catalog: with no B+ tree over exactly the
+    tested columns a probe asks a census of its range; once one exists,
+    a point lookup answers, classifies nothing and fetches no range row.
+    Both charge what the scan of their planned range charged."""
+    rows = [(1, (NULL, 0, 1)[i % 3], (NULL, 0, 1)[i // 3 % 3]) for i in range(30)]
+    table = census_table(rows + [(0, 0, 0)] * 30)
+    fetched = []
+    fetch = table.heap.fetch
+    monkeypatch.setattr(
+        table.heap, "fetch", lambda rids: fetched.append(1) or fetch(rids)
+    )
+    shapes = [
+        (("a", "b"), (1, 0), ("c",)),
+        (("a", "c"), (1, 1), ("b",)),
+        (("a",), (1,), ("b", "c")),
+        (("a", "b"), (1, 7), ("c",)),
+    ]
+    answers = []
+    for by_point in (False, True):
+        if by_point:
+            table.create_index(IndexDefinition("by_abc", ("a", "b", "c")))
+        fetched.clear()
+        scope = probes.RangeScope()
+        for columns, values, nulls in shapes:
+            assert assert_census_parity(table, scope, columns, values, nulls)
+            assert (probes.prepared(table, columns, nulls)._point is not None) is by_point
+        assert any(censuses for *__, censuses in scope.values()) is not by_point
+        assert bool(fetched) is not by_point
+        answers.append(
+            [probes.exists_eq(table, c, v, n) for c, v, n in shapes]
+        )
+    assert answers[0] == answers[1] == [True, True, True, False]
+
+
+@pytest.mark.parametrize("structure", list(IndexStructure), ids=lambda s: s.value)
+def test_point_path_charges_what_the_census_charged_under_every_structure(
+    structure, monkeypatch
+):
+    """Parent deletes over a cell with many partial children, once as
+    the catalog selects and once with the point lookup forced off: the
+    same counters, the same child rows."""
+    plan = probes.PreparedProbe._plan
+
+    def census_only(self, values):
+        plan(self, values)
+        self._point = None
+
+    for n in (2, 3, 5):
+        config = synthetic.SyntheticConfig(
+            n_columns=n, parent_rows=150, null_fraction=0.4, seed=11
+        )
+        keys = None
+        results = []
+        for forced in (False, True):
+            cell = prepare_cell(config, structure)
+            keys = keys or synthetic.delete_stream(cell.dataset, 20)
+            fetched = counting_fetches(cell, monkeypatch)
+            if forced:
+                monkeypatch.setattr(probes.PreparedProbe, "_plan", census_only)
+            results.append(run_deletes(cell, keys))
+            monkeypatch.undo()
+            if not forced:
+                child = cell.db.table(cell.fk.child_table)
+                covered = any(len(i.columns) == n for i in child.indexes)
+                assert (fetched[0] == 0) is (covered or structure is IndexStructure.NO_INDEX)
+        assert results[0] == results[1]
+        assert results[0][0]["state_checks"] > 0
+
+
+def state_loop_cell(
+    action=ReferentialAction.SET_NULL, n_columns=3, structure=IndexStructure.BOUNDED
+):
     config = synthetic.SyntheticConfig(
         n_columns=n_columns, parent_rows=60, null_fraction=0.6, seed=5
     )
-    cell = prepare_cell(config, IndexStructure.BOUNDED)
+    cell = prepare_cell(config, structure)
     cell.fk.on_delete = action  # read when the AFTER DELETE trigger fires
     return cell, synthetic.delete_stream(cell.dataset, 40)
 
@@ -553,28 +793,55 @@ def run_deletes(cell, keys):
     return cost, sorted(db.table(fk.child_table).rows(), key=repr)
 
 
+def counting_fetches(cell, monkeypatch):
+    """Count the child rows the probes bulk-fetch (``HeapFile.fetch``
+    has no other caller)."""
+    heap = cell.db.table(cell.fk.child_table).heap
+    fetch = heap.fetch
+    fetched = [0]
+
+    def counting(rids):
+        rows = fetch(rids)
+        fetched[0] += len(rows)
+        return rows
+
+    monkeypatch.setattr(heap, "fetch", counting)
+    return fetched
+
+
 def assert_scope_is_cleared_by(action, monkeypatch):
     """The scoped state loop equals the un-scoped one, counter for
-    counter and row for row — and only because it clears its scope."""
-    scoped_cell, keys = state_loop_cell(action)
-    scoped = run_deletes(scoped_cell, keys)
-    # the state loops did apply actions between their probes
-    assert scoped[0]["index_maintenance_ops"] > len(keys) * 4
+    counter and row for row — and only because it clears its scope.
+    Bounded answers every scoped probe by a point lookup on its
+    compound child index, Singleton from a census of each range: the
+    same holds on both paths."""
+    for structure, point in (
+        (IndexStructure.BOUNDED, True), (IndexStructure.SINGLETON, False)
+    ):
+        scoped_cell, keys = state_loop_cell(action, structure=structure)
+        fetched = counting_fetches(scoped_cell, monkeypatch)
+        scoped = run_deletes(scoped_cell, keys)
+        monkeypatch.undo()
+        # the state loops did apply actions between their probes
+        assert scoped[0]["index_maintenance_ops"] > len(keys) * 4
+        # ...and went down the path the catalog selects
+        assert (fetched[0] == 0) is point
 
-    unscoped_cell, __ = state_loop_cell(action)
-    exists = probes.PreparedProbe.exists
-    monkeypatch.setattr(
-        probes.PreparedProbe, "exists",
-        lambda self, values, view=None, scope=None: exists(self, values, view),
-    )
-    assert run_deletes(unscoped_cell, keys) == scoped
-    monkeypatch.undo()
+        unscoped_cell, __ = state_loop_cell(action, structure=structure)
+        exists = probes.PreparedProbe.exists
+        monkeypatch.setattr(
+            probes.PreparedProbe, "exists",
+            lambda self, values, view=None, scope=None: exists(self, values, view),
+        )
+        assert run_deletes(unscoped_cell, keys) == scoped
+        monkeypatch.undo()
 
-    # ...and it is the invalidation that keeps them equal: a scope that
-    # outlives the action answers from rows that are no longer there
-    stale_cell, __ = state_loop_cell(action)
-    monkeypatch.setattr(probes.RangeScope, "clear", lambda self: None)
-    assert run_deletes(stale_cell, keys)[0] != scoped[0]
+        # ...and it is the invalidation that keeps them equal: a scope
+        # that outlives the action charges ranges that are no longer there
+        stale_cell, __ = state_loop_cell(action, structure=structure)
+        monkeypatch.setattr(probes.RangeScope, "clear", lambda self: None)
+        assert run_deletes(stale_cell, keys)[0] != scoped[0]
+        monkeypatch.undo()
 
 
 def test_scope_invalidation_when_set_null_rewrites_children_mid_loop(monkeypatch):
@@ -590,12 +857,14 @@ def test_scope_invalidation_under_cascade_and_set_default(action, monkeypatch):
 
 
 def test_scope_holds_one_range_and_one_census_per_index_prefix(monkeypatch):
-    """RangeScope's bound (ROADMAP 6c).  Every prefix a state probe of
-    one removed key binds is drawn from that key, so an index and a
-    prefix length name one range, and every probe of it tests the same
-    columns (the foreign key's, less the prefix): at most one range and
-    one census per prefix length 1..n-1 of each child index — ``2n - 1``
-    under Bounded — dropped with the key's loop."""
+    """RangeScope's bound.  Every prefix a state probe of one removed key
+    binds is drawn from that key, so an index and a prefix length name
+    one range: at most one per prefix length 1..n-1 of each child index,
+    dropped with the key's loop.  Every probe of a range tests the same
+    columns, the foreign key's.  Under Bounded the compound child index
+    is a B+ tree over exactly those, so a delete holds at most ``2n - 1``
+    ranges, builds no census and bulk-fetches no heap row; Singleton has
+    no such index and builds one census per range, ``n`` at most."""
     peak = {"ranges": 0, "censuses": 0, "scopes": 0}
 
     class WatchedScope(probes.RangeScope):
@@ -609,21 +878,31 @@ def test_scope_holds_one_range_and_one_census_per_index_prefix(monkeypatch):
             assert len(set(named)) == len(named)
             for __, __, __, censuses in self.values():
                 assert len(censuses) <= 1
-                peak["censuses"] |= len(censuses)
+                peak["censuses"] = max(peak["censuses"], len(censuses))
             return super().get(key)
 
-    monkeypatch.setattr(probes, "RangeScope", WatchedScope)
     n = 5
-    cell, keys = state_loop_cell(n_columns=n)
-    child = cell.db.table(cell.fk.child_table)
-    widths = sorted(len(index.columns) for index in child.indexes)
-    assert widths == [1] * n + [n]  # f1, ..., f5, (f1..f5)
-    run_deletes(cell, keys)
-    assert peak["scopes"] == len(keys)  # one per removed key
-    assert peak["censuses"] == 1
-    # more than one per index: the compound one is read at several depths
-    bound = sum(min(width, n - 1) for width in widths)
-    assert len(widths) < peak["ranges"] <= bound == 2 * n - 1
+    for structure, widths, bound, censuses in (
+        (IndexStructure.BOUNDED, [1] * n + [n], 2 * n - 1, 0),
+        (IndexStructure.SINGLETON, [1] * n, n, 1),
+    ):
+        peak.update(ranges=0, censuses=0, scopes=0)
+        cell, keys = state_loop_cell(n_columns=n, structure=structure)
+        child = cell.db.table(cell.fk.child_table)
+        assert sorted(len(index.columns) for index in child.indexes) == widths
+        fetched = counting_fetches(cell, monkeypatch)
+        monkeypatch.setattr(probes, "RangeScope", WatchedScope)
+        run_deletes(cell, keys)
+        monkeypatch.undo()
+        assert peak["scopes"] == len(keys)  # one per removed key
+        assert peak["censuses"] == censuses
+        assert (fetched[0] == 0) is (censuses == 0)
+        assert sum(min(width, n - 1) for width in widths) == bound
+        assert peak["ranges"] <= bound
+        if structure is IndexStructure.BOUNDED:
+            # more than one per index: the compound one is read at
+            # several depths
+            assert len(widths) < peak["ranges"]
 
 
 # ----------------------------------------------------------------------
