@@ -18,8 +18,7 @@ strict-2PL protocol.  Reader lock traffic is measured over a pure-read
 tail phase and must be exactly zero — snapshot reads never touch the
 lock manager.
 
-Run via ``python -m repro experiment concurrency`` (or ``read_mix``);
-``benchmarks/bench_concurrency.py`` times single cells.
+Run via ``python -m repro experiment concurrency`` (or ``read_mix``).
 """
 
 from __future__ import annotations

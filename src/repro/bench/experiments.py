@@ -4,15 +4,15 @@
 is called as ``fn(plan)`` with a :class:`~repro.bench.scale.ScalePlan`
 and returns an :class:`ExperimentResult` whose ``text`` is a paper-style
 rendering and whose ``rows`` carry the raw numbers (consumed by
-EXPERIMENTS.md).  :func:`run` is the one runner: ``python -m repro
-experiment ID|all`` and ``benchmarks/bench_experiments.py`` both go
-through it.  Sweep results are cached per (n, plan) inside the module so
-the figure experiments can re-render the table experiments' data without
-recomputing it.
+EXPERIMENTS.md).  :func:`run` is the one runner, behind ``python -m
+repro experiment ID|all``.  Sweep results are cached per (n, plan)
+inside the module so the figure experiments can re-render the table
+experiments' data without recomputing it.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import random
@@ -20,13 +20,17 @@ import tempfile
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any
 
 from ..constraints.foreign_key import ForeignKey, MatchSemantics
+from ..core.batch import batch_delete_parents, batch_insert_rows
 from ..core.enforcement import EnforcedForeignKey
+from ..core.engine_level import EngineLevelEnforcement
 from ..core.states import sargable_states_with_prefix_indexes, total_state_count
 from ..core.strategies import IndexStructure
+from ..indexes.definition import IndexKind
 from ..query import dml
 from ..query.predicate import equalities
 from ..storage.database import Database
@@ -34,7 +38,7 @@ from ..storage.schema import Column
 from ..storage.wal import WriteAheadLog, open_durable
 from ..workloads import geneontology, mar, synthetic, tpcc, tpch
 from . import harness, report
-from .measure import Measurement, measure_ops
+from .measure import Measurement, measure_block, measure_ops
 from .scale import ScalePlan
 
 #: Structures of the §7.2 head-to-head (Table 1/2, Figures 4/5).
@@ -176,6 +180,13 @@ def _grid_rows(
     return headers, rows
 
 
+def _at_largest(cells: list[CellMeasurements], *structures: str) -> list[CellMeasurements]:
+    """The cells of *structures*, in order, at the sweep's largest size."""
+    largest = max(c.size for c in cells)
+    at_largest = {c.structure: c for c in cells if c.size == largest}
+    return [at_largest[s] for s in structures]
+
+
 # ----------------------------------------------------------------------
 # Table 1 / Table 2: insert and delete times for the 5-column key.
 
@@ -196,9 +207,7 @@ def table1_insertions(plan: ScalePlan, n_columns: int = 5) -> ExperimentResult:
          "avg_ms": c.inserts.avg_ms, "max_ms": c.inserts.max_ms}
         for c in cells
     ]
-    largest = max(c.size for c in cells)
-    hybrid = next(c for c in cells if c.structure == "Hybrid" and c.size == largest)
-    bounded = next(c for c in cells if c.structure == "Bounded" and c.size == largest)
+    hybrid, bounded = _at_largest(cells, "Hybrid", "Bounded")
     result.notes.append(
         report.ratio_note("Bounded", bounded.inserts.avg_ms, "Hybrid", hybrid.inserts.avg_ms)
         + " for inserts at the largest size (paper: 7x)"
@@ -222,10 +231,7 @@ def table2_deletions(plan: ScalePlan, n_columns: int = 5) -> ExperimentResult:
          "avg_ms": c.deletes.avg_ms, "max_ms": c.deletes.max_ms}
         for c in cells
     ]
-    largest = max(c.size for c in cells)
-    hybrid = next(c for c in cells if c.structure == "Hybrid" and c.size == largest)
-    bounded = next(c for c in cells if c.structure == "Bounded" and c.size == largest)
-    powerset = next(c for c in cells if c.structure == "Powerset" and c.size == largest)
+    hybrid, bounded, powerset = _at_largest(cells, "Hybrid", "Bounded", "Powerset")
     result.notes.append(
         report.ratio_note("Bounded", bounded.deletes.avg_ms, "Hybrid", hybrid.deletes.avg_ms)
         + " for deletes at the largest size (paper: 123x)"
@@ -298,10 +304,7 @@ def table4_index_build(plan: ScalePlan) -> ExperimentResult:
          "load_s": c.load.total_s, "build_s": c.build.total_s}
         for c in cells
     ]
-    largest = max(c.size for c in cells)
-    hybrid = next(c for c in cells if c.structure == "Hybrid" and c.size == largest)
-    bounded = next(c for c in cells if c.structure == "Bounded" and c.size == largest)
-    powerset = next(c for c in cells if c.structure == "Powerset" and c.size == largest)
+    hybrid, bounded, powerset = _at_largest(cells, "Hybrid", "Bounded", "Powerset")
     if hybrid.build.total_s > 0:
         result.notes.append(
             f"Bounded build is {bounded.build.total_s / hybrid.build.total_s:.2f}x "
@@ -670,25 +673,14 @@ class BenchmarkTarget:
         EnforcedForeignKey.create(db, fk, structure)
         return db, fk, parent_keys
 
-    def child_rows(
-        self, parent_keys: list[tuple[Any, ...]], rng: random.Random, count: int
-    ) -> list[tuple[Any, ...]]:
-        """*count* new child rows, each referencing a parent drawn by *rng*."""
-        return [
-            self.make_child_row(parent_keys[rng.randrange(len(parent_keys))], i)
-            for i in range(count)
-        ]
 
+def _tpch_target(scale: float) -> BenchmarkTarget:
+    config = tpch.TpchConfig(
+        parts=max(50, int(500 * scale)),
+        suppliers=max(20, int(100 * scale)),
+        lineitems=max(500, int(12_000 * scale)),
+    )
 
-def victim_keys(
-    parent_keys: list[tuple[Any, ...]], rng: random.Random, count: int
-) -> list[tuple[Any, ...]]:
-    """*count* distinct parent keys: the first of ``3 * count`` draws."""
-    draws = (parent_keys[rng.randrange(len(parent_keys))] for __ in range(count * 3))
-    return list(dict.fromkeys(draws))[:count]
-
-
-def tpch_target(config: tpch.TpchConfig, label: str = "TPC-H") -> BenchmarkTarget:
     def build():
         ds = tpch.generate(config)
         return ds.db, ds.fk, ds.partsupp_keys
@@ -696,21 +688,12 @@ def tpch_target(config: tpch.TpchConfig, label: str = "TPC-H") -> BenchmarkTarge
     def make_row(key, i):
         return (900_000 + i, 1, key[0], key[1], 5)
 
-    return BenchmarkTarget(label, build, make_row)
+    return BenchmarkTarget(f"TPC-H x{scale:g}", build, make_row)
 
 
-def _scaled_tpch_target(scale: float) -> BenchmarkTarget:
-    config = tpch.TpchConfig(
-        parts=max(50, int(500 * scale)),
-        suppliers=max(20, int(100 * scale)),
-        lineitems=max(500, int(12_000 * scale)),
-    )
-    return tpch_target(config, f"TPC-H x{scale:g}")
-
-
-def tpcc_orders_target(config: tpcc.TpccConfig | None = None) -> BenchmarkTarget:
+def _tpcc_orders_target() -> BenchmarkTarget:
     def build():
-        ds = tpcc.generate(config or tpcc.TpccConfig())
+        ds = tpcc.generate(tpcc.TpccConfig())
         return ds.db, ds.fk_orders_customer, ds.customer_keys
 
     def make_row(key, i):
@@ -764,9 +747,9 @@ def table9_benchmark_details(plan: ScalePlan) -> ExperimentResult:
 def table10_benchmark_dbs(plan: ScalePlan) -> ExperimentResult:
     """Table 10: enforcing partial semantics on the benchmark databases."""
     targets = [
-        _scaled_tpch_target(0.5),   # test 1: the smaller TPC-H set
-        _scaled_tpch_target(2.0),   # test 2: the larger TPC-H set
-        tpcc_orders_target(),       # test 3
+        _tpch_target(0.5),          # test 1: the smaller TPC-H set
+        _tpch_target(2.0),          # test 2: the larger TPC-H set
+        _tpcc_orders_target(),      # test 3
         _tpcc_orderline_target(),
         _go_target(),               # test 4
     ]
@@ -787,15 +770,18 @@ def table10_benchmark_dbs(plan: ScalePlan) -> ExperimentResult:
         ):
             db, fk, parent_keys = target.enforce(structure, simple)
             rng = random.Random(31)
+            draws = [parent_keys[rng.randrange(len(parent_keys))]
+                     for __ in range(n_ops + 3 * n_dels)]
             inserts = measure_ops(
                 "insert", lambda r: dml.insert(db, fk.child_table, r),
-                target.child_rows(parent_keys, rng, n_ops), db.tracker,
+                [target.make_child_row(key, i) for i, key in enumerate(draws[:n_ops])],
+                db.tracker,
             )
             deletes = measure_ops(
                 "delete",
                 lambda k: dml.delete_where(db, fk.parent_table,
                                            equalities(fk.key_columns, k)),
-                victim_keys(parent_keys, rng, n_dels), db.tracker,
+                list(dict.fromkeys(draws[n_ops:]))[:n_dels], db.tracker,
             )
             ins_col.append(inserts.avg_ms)
             del_col.append(deletes.avg_ms)
@@ -939,6 +925,186 @@ def durability_tax(plan: ScalePlan) -> ExperimentResult:
 
 
 # ----------------------------------------------------------------------
+# Side results: the paper's §7.1 notes (hash indexes, null fractions) and
+# its §9 future work (engine-level enforcement, batching), each on a
+# fresh cell of the largest grid size.
+
+#: The null-marker fractions of §7.1: the grid's 25 %, then 50 and 80 %.
+NULL_FRACTIONS = (0.25, 0.5, 0.8)
+
+
+def _custom_cell(
+    config: synthetic.SyntheticConfig, install: Callable[[Database, ForeignKey], Any]
+) -> harness.PreparedCell:
+    """A cell whose enforcement :func:`harness.prepare_cell` does not
+    build: ``install(db, fk)`` is timed and counted as the index build."""
+    dataset = synthetic.generate(config)
+    installed: list[Any] = []
+    build = measure_block(
+        "index build", lambda: installed.append(install(dataset.db, dataset.fk)),
+        dataset.db.tracker,
+    )
+    return harness.PreparedCell(dataset, installed[0], build, Measurement("load"))
+
+
+def _side_table(
+    experiment_id: str,
+    title: str,
+    plan: ScalePlan,
+    cells: Sequence[tuple[str, Callable[[], harness.PreparedCell]]],
+) -> ExperimentResult:
+    """Build each labelled cell in turn and measure the plan's inserts,
+    then its deletes, on it."""
+    rows, raw = [], []
+    for label, build in cells:
+        cell = build()
+        inserts = harness.run_insert_cell(cell, count=plan.insert_ops)
+        deletes = harness.run_delete_cell(cell, count=plan.delete_ops)
+        work = deletes.cost_per_op("rows_fetched") + deletes.cost_per_op("rows_examined")
+        rows.append([label, cell.build.total_s, inserts.avg_ms, deletes.avg_ms, work])
+        raw.append({
+            "cell": label, "build_s": cell.build.total_s,
+            "insert_avg_ms": inserts.avg_ms, "delete_avg_ms": deletes.avg_ms,
+            "delete_rows_per_op": work,
+        })
+    text = report.format_table(
+        f"{title}, {plan.size_label(plan.sizes[-1])}, 5-column FK",
+        ["Cell", "Build (s)", "Insert avg (ms)", "Delete avg (ms)",
+         "Rows fetched+examined per delete"],
+        rows,
+    )
+    return ExperimentResult(experiment_id, title, text, raw)
+
+
+def _side_note(result: ExperimentResult, label: str, other: str, paper: str) -> None:
+    """Two of *result*'s cells compared, and the paper's word."""
+    by_cell = {r["cell"]: r for r in result.rows}
+    mine, theirs = by_cell[label], by_cell[other]
+    result.notes.append(
+        report.ratio_note(label, mine["insert_avg_ms"], other, theirs["insert_avg_ms"])
+        + " for inserts; "
+        + report.ratio_note(label, mine["delete_avg_ms"], other, theirs["delete_avg_ms"])
+        + f" for deletes, {mine['delete_rows_per_op']:.0f} vs "
+        f"{theirs['delete_rows_per_op']:.0f} rows per delete ({paper})"
+    )
+
+
+def hash_indexes(plan: ScalePlan) -> ExperimentResult:
+    """§7.1 side note: Bounded on hash indexes instead of B-trees."""
+    config = synthetic.SyntheticConfig(n_columns=5, parent_rows=plan.sizes[-1])
+    result = _side_table("hash", "Bounded by index kind (§7.1)", plan, [
+        (f"Bounded on {kind.value}", partial(_custom_cell, config, partial(
+            EnforcedForeignKey.create,
+            structure=IndexStructure.BOUNDED, index_kind=kind,
+        )))
+        for kind in (IndexKind.BTREE, IndexKind.HASH)
+    ])
+    _side_note(result, "Bounded on btree", "Bounded on hash",
+               "paper: hash 'worse with minor exceptions' — a hash index "
+               "answers no prefix probe")
+    return result
+
+
+def null_fractions(plan: ScalePlan) -> ExperimentResult:
+    """§7.1 robustness note: Hybrid vs Bounded at 25/50/80 % null markers."""
+    result = _side_table("null_fractions", "Null-marker fractions (§7.1)", plan, [
+        (f"{structure.label} {fraction:.0%}", partial(
+            harness.prepare_cell,
+            synthetic.SyntheticConfig(
+                n_columns=5, parent_rows=plan.sizes[-1], null_fraction=fraction
+            ),
+            structure,
+        ))
+        for fraction in NULL_FRACTIONS
+        for structure in (IndexStructure.HYBRID, IndexStructure.BOUNDED)
+    ])
+    for fraction in NULL_FRACTIONS:
+        _side_note(result, f"Bounded {fraction:.0%}", f"Hybrid {fraction:.0%}",
+                   "paper: 'performances were very similar in each case'")
+    return result
+
+
+def engine_level(plan: ScalePlan) -> ExperimentResult:
+    """§9 future work: engine-level structures vs the Bounded triggers."""
+    config = synthetic.SyntheticConfig(n_columns=5, parent_rows=plan.sizes[-1])
+    result = _side_table("engine_level", "Engine-level enforcement (§9)", plan, [
+        ("Engine-level", partial(_custom_cell, config, EngineLevelEnforcement)),
+        ("Bounded triggers", partial(harness.prepare_cell, config, IndexStructure.BOUNDED)),
+    ])
+    _side_note(result, "Engine-level", "Bounded triggers",
+               "paper §9: an engine-level implementation 'may reveal "
+               "potential performance gains'")
+    return result
+
+
+def batch_enforcement(plan: ScalePlan) -> ExperimentResult:
+    """§9 future work: batched enforcement vs per-row in one transaction.
+
+    Two fresh Bounded cells take the same clustered inserts, then the same
+    parent deletes: one through per-row statements in one transaction,
+    the other through ``batch_insert_rows`` / ``batch_delete_parents``."""
+    size = plan.sizes[-1]
+    config = synthetic.SyntheticConfig(n_columns=5, parent_rows=size)
+    rows = []
+    raw = []
+    for batched in (False, True):
+        cell = harness.prepare_cell(config, IndexStructure.BOUNDED)
+        db, fk = cell.db, cell.fk
+        children = synthetic.clustered_insert_stream(cell.dataset, plan.txn_inserts)
+        keys = synthetic.delete_stream(cell.dataset, plan.txn_deletes)
+        if batched:
+            label = "batched"
+            insert = partial(batch_insert_rows, db, fk.child_table, children)
+            delete = partial(batch_delete_parents, db, fk, keys)
+        else:
+            label = "per-row"
+            insert = partial(_one_transaction, db, [
+                partial(dml.insert, db, fk.child_table, row) for row in children
+            ])
+            delete = partial(_one_transaction, db, [
+                partial(dml.delete_where, db, fk.parent_table,
+                        equalities(fk.key_columns, key)) for key in keys
+            ])
+        # Each block is timed once: collect first, so that it does not pay
+        # for collecting the previous cell's garbage.
+        gc.collect()
+        inserts = measure_block(f"{label} inserts", insert, db.tracker)
+        gc.collect()
+        deletes = measure_block(f"{label} deletes", delete, db.tracker)
+        rows.append([label, inserts.total_s, deletes.total_s,
+                     inserts.cost["state_checks"], deletes.cost["state_checks"]])
+        raw.append({
+            "cell": label, "insert_s": inserts.total_s, "delete_s": deletes.total_s,
+            "insert_state_checks": inserts.cost["state_checks"],
+            "delete_state_checks": deletes.cost["state_checks"],
+        })
+    text = report.format_table(
+        f"Batched enforcement (§9) — {plan.txn_inserts} clustered inserts, then "
+        f"{plan.txn_deletes} parent deletes, one transaction each, "
+        f"{plan.size_label(size)}, Bounded",
+        ["Cell", "Inserts (s)", "Deletes (s)", "Insert state checks",
+         "Delete state checks"],
+        rows,
+    )
+    result = ExperimentResult("batch", "Batched enforcement (§9)", text, raw)
+    per_row, batched_row = raw
+    result.notes.append(
+        report.ratio_note("batched", batched_row["insert_s"], "per-row", per_row["insert_s"])
+        + " for inserts, "
+        + report.ratio_note("batched", batched_row["delete_s"], "per-row", per_row["delete_s"])
+        + " for deletes (paper §9: batching and shared execution 'could "
+        "optimize the enforcement')"
+    )
+    return result
+
+
+def _one_transaction(db: Database, statements: list[Callable[[], Any]]) -> None:
+    with db.begin():
+        for statement in statements:
+            statement()
+
+
+# ----------------------------------------------------------------------
 # The registry and its runner.
 
 # Imported here (not at the top) because bench.concurrency needs
@@ -968,6 +1134,10 @@ REGISTRY: dict[str, Callable[[ScalePlan], ExperimentResult]] = {
     "concurrency": concurrency_throughput,
     "read_mix": read_mix_scaling,
     "durability": durability_tax,
+    "hash": hash_indexes,
+    "null_fractions": null_fractions,
+    "engine_level": engine_level,
+    "batch": batch_enforcement,
 }
 
 #: Where :func:`run` writes every rendering.

@@ -18,8 +18,7 @@ threaded through the storage, query, trigger and batch layers, plus
 
 Fault points are **disabled by default** and compiled down to a single
 module-global boolean test per crossing, so production paths pay no
-measurable overhead (asserted by ``benchmarks/bench_table01_insertions``
-staying within noise).
+measurable overhead.
 
 Usage::
 

@@ -6,16 +6,20 @@ of the paper: which structures full-scan, which probe, and who pays how
 much maintenance.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.bench import harness
 from repro.core import IndexStructure
+from repro.core.enforcement import EnforcedForeignKey
 from repro.indexes.cost import CostSnapshot, CostTracker
+from repro.indexes.definition import IndexKind
 from repro.query import dml
 from repro.query.predicate import equalities
 from repro.workloads.synthetic import (
     SyntheticConfig,
     delete_stream,
+    generate,
     insert_stream,
     total_insert_stream,
 )
@@ -23,35 +27,42 @@ from repro.workloads.synthetic import (
 CFG = SyntheticConfig(n_columns=5, parent_rows=1500, seed=3)
 
 
-def costs_for(structure, operation: str) -> CostSnapshot:
-    cell = harness.prepare_cell(CFG, structure)
-    db = cell.db
+def costs_for(
+    structure, operation: str, kind=IndexKind.BTREE, null_fraction=CFG.null_fraction
+) -> CostSnapshot:
+    dataset = generate(replace(CFG, null_fraction=null_fraction))
+    db = dataset.db
+    EnforcedForeignKey.create(db, dataset.fk, structure, kind)
     if operation == "insert":
-        rows = insert_stream(cell.dataset, 40)
+        rows = insert_stream(dataset, 40)
         db.tracker.reset()
         for row in rows:
             dml.insert(db, "C", row)
     elif operation == "insert_total":
-        rows = total_insert_stream(cell.dataset, 40)
+        rows = total_insert_stream(dataset, 40)
         db.tracker.reset()
         for row in rows:
             dml.insert(db, "C", row)
     else:
-        keys = delete_stream(cell.dataset, 12)
+        keys = delete_stream(dataset, 12)
         db.tracker.reset()
         for key in keys:
-            dml.delete_where(db, "P", equalities(cell.fk.key_columns, key))
+            dml.delete_where(db, "P", equalities(dataset.fk.key_columns, key))
     return db.tracker.snapshot()
+
+
+def work(snapshot: CostSnapshot) -> int:
+    return snapshot["rows_examined"] + snapshot["rows_fetched"]
 
 
 @pytest.fixture(scope="module")
 def cost():
     cache = {}
 
-    def get(structure, operation):
-        key = (structure, operation)
+    def get(structure, operation, **variant):
+        key = (structure, operation, *sorted(variant.items()))
         if key not in cache:
-            cache[key] = costs_for(structure, operation)
+            cache[key] = costs_for(structure, operation, **variant)
         return cache[key]
 
     return get
@@ -63,7 +74,12 @@ class TestDeletionMechanisms:
         assert cost(IndexStructure.HYBRID, "delete")["full_scans"] > 0
 
     def test_bounded_never_full_scans_on_delete(self, cost):
-        assert cost(IndexStructure.BOUNDED, "delete")["full_scans"] == 0
+        """Not on hash indexes either (§7.1); they answer no prefix probe,
+        so they do at least the B-trees' work."""
+        btree = cost(IndexStructure.BOUNDED, "delete")
+        hashed = cost(IndexStructure.BOUNDED, "delete", kind=IndexKind.HASH)
+        assert btree["full_scans"] == hashed["full_scans"] == 0
+        assert work(hashed) >= work(btree)
 
     def test_hybrid_nsingle_fixes_deletions(self, cost):
         """Figure 7: the deletion boost comes from adding nSingle."""
@@ -78,12 +94,12 @@ class TestDeletionMechanisms:
         hybrid = cost(IndexStructure.HYBRID, "delete")["rows_examined"]
         assert full >= 0.5 * hybrid
 
-    def test_bounded_examines_far_fewer_rows_than_hybrid(self, cost):
-        hybrid = cost(IndexStructure.HYBRID, "delete")
-        bounded = cost(IndexStructure.BOUNDED, "delete")
-        assert bounded["rows_examined"] + bounded["rows_fetched"] < (
-            hybrid["rows_examined"] + hybrid["rows_fetched"]
-        ) / 5
+    @pytest.mark.parametrize("null_fraction", [0.25, 0.5, 0.8])
+    def test_bounded_examines_far_fewer_rows_than_hybrid(self, cost, null_fraction):
+        """At the grid's 25 % null markers and §7.1's 50 and 80 %."""
+        hybrid = cost(IndexStructure.HYBRID, "delete", null_fraction=null_fraction)
+        bounded = cost(IndexStructure.BOUNDED, "delete", null_fraction=null_fraction)
+        assert work(bounded) < work(hybrid) / 5
 
     def test_powerset_pays_more_maintenance_than_bounded(self, cost):
         powerset = cost(IndexStructure.POWERSET, "delete")

@@ -41,6 +41,13 @@ class TestDefinitions:
         assert index_count(fk, IndexStructure.HYBRID_COMPOUND) == n + 2
         assert index_count(fk, IndexStructure.HYBRID_NSINGLE) == 2 * n + 1
         assert index_count(fk, IndexStructure.PREFIX_COMPOUND) == 2 * n
+        # Bounded's indexes are Powerset's at n = 2 (Figure 6), a subset above.
+        bounded, powerset = (
+            [{d.columns for d in side} for side in index_definitions(fk, structure)]
+            for structure in (IndexStructure.BOUNDED, IndexStructure.POWERSET)
+        )
+        assert all(b <= p for b, p in zip(bounded, powerset))
+        assert (bounded == powerset) == (n == 2)
 
     def test_full_definitions(self):
         __, fk = make_fk(3)
