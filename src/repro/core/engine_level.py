@@ -24,7 +24,8 @@ trigger + B-tree approach:
 :class:`EngineLevelEnforcement` wires both into the trigger slots, so it
 drops into the same DML pipeline (and the same undo-log/transaction
 machinery) as the §6.1 triggers; only the search strategy differs.
-``benchmarks/bench_engine_level.py`` compares it against Bounded.
+The ``engine_level`` experiment (``python -m repro experiment
+engine_level``) compares it against Bounded.
 """
 
 from __future__ import annotations

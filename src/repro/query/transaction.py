@@ -145,6 +145,11 @@ class Transaction:
         #: (parent table, key columns, key values) — re-validated against
         #: the latest committed state at commit time under MVCC.
         self._witnesses: set[tuple] = set()
+        #: Whether this transaction appended a WAL record — a row
+        #: mutation, a savepoint compensation or DDL.  A commit with none
+        #: and no commit note appends nothing: a read-only transaction
+        #: costs the log no record and no flush.
+        self.wal_logged = False
         wal = db.wal
         self.wal_txn_id: int | None = wal.begin() if wal is not None else None
         db._active_transaction = self
@@ -170,6 +175,7 @@ class Transaction:
         self._undo.append(entry)
         if self.wal_txn_id is not None:
             self._db.wal.log_mutation(self.wal_txn_id, entry)
+            self.wal_logged = True
 
     # ------------------------------------------------------------------
     # Savepoints
@@ -201,6 +207,7 @@ class Transaction:
             self._undo_entry(entry)
             if self.wal_txn_id is not None:
                 self._db.wal.log_mutation(self.wal_txn_id, _inverse(entry))
+                self.wal_logged = True
 
     def release(self, sp: Savepoint) -> None:
         """Drop *sp* (and any savepoints nested inside it); no data change."""
@@ -257,7 +264,7 @@ class Transaction:
             if self.session is not None
             else None
         )
-        if self.wal_txn_id is not None:
+        if self.wal_txn_id is not None and (self.wal_logged or note is not None):
             # A session whose owner flushes before it acknowledges (the
             # server's connections) leaves the record in the log buffer:
             # locks and the MVCC stamp below are released ahead of the

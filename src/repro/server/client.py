@@ -283,14 +283,17 @@ class ReproClient:
                 raise
             last: Exception = exc
         # The exchange tore mid-flight: reconnect (patiently — the
-        # server may be restarting) and re-send the SAME message.  The
-        # idempotency stamp makes this safe: if the first attempt
-        # committed, the ledger replays its acknowledged result.  The
+        # server may be restarting) and re-send the SAME message, marked
+        # ``redelivered``.  The idempotency stamp makes this safe: if the
+        # first attempt committed, the ledger replays its acknowledged
+        # result; the mark tells a router that the stamp may have
+        # committed before, whatever it has seen of this client.  The
         # backoff between redeliveries matters when a proxy or load
         # balancer accepts connections a dead upstream can't serve —
         # reconnecting then succeeds instantly but the exchange still
         # tears, so the reconnect loop's own patience never engages.
         delay = self.reconnect_delay
+        message = {**message, "redelivered": True}
         for attempt in range(self.redeliveries):
             if attempt:
                 time.sleep(min(delay, 1.0))
@@ -602,6 +605,6 @@ class Pipeline:
 
     def _redeliver(self, message: dict[str, Any]) -> dict[str, Any]:
         try:
-            return self._client._deliver(message)
+            return self._client._deliver({**message, "redelivered": True})
         except ServerError as exc:
             return {**error_reply_from(exc), "id": message["id"]}

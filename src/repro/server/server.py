@@ -144,6 +144,10 @@ class ReproServer(WireServer):
             checkpoint_every = DEFAULT_CHECKPOINT_EVERY
         self.checkpoint_every = checkpoint_every
         self._commits_since_checkpoint = 0
+        #: The transaction a coordinator's ``txn`` op left open on a
+        #: session, with that op's reply: the stamped ``commit`` that
+        #: ends it ledgers and answers those results (:meth:`_op_txn`).
+        self._opened: dict["Session", tuple[Any, dict[str, Any]]] = {}
         # 2PC participant (lazy import: sharding imports this module).
         from ..sharding.twophase import TwoPhaseParticipant
 
@@ -198,6 +202,7 @@ class ReproServer(WireServer):
         session = state[0]
         if session.in_transaction and self._stopping.is_set():
             self.stats.bump("rolled_back_on_shutdown")
+        self._opened.pop(session, None)
         session.close()  # rolls an open transaction back
 
     def handle(
@@ -459,6 +464,7 @@ class ReproServer(WireServer):
         session = state[0]
         rolled_back = isinstance(exc, _RETRYABLE) and session.in_transaction
         if rolled_back:
+            self._opened.pop(session, None)
             session.rollback()
         return error_response(exc, rolled_back)
 
@@ -573,11 +579,17 @@ class ReproServer(WireServer):
 
     def _op_commit(self, session, sql_session, request, entry) -> dict[str, Any]:
         # Fill before committing: the commit record carries the entry.
-        response = self._fill(entry, {"ok": True})
+        # Ending a transaction a ``txn`` op left open answers — and
+        # ledgers — the results of the ops that transaction ran.
+        txn, opened = self._opened.pop(session, (None, None))
+        if txn is None or txn is not session.transaction:
+            opened = {"ok": True}
+        response = self._fill(entry, opened)
         session.commit()
         return response
 
     def _op_rollback(self, session, sql_session, request, entry) -> dict[str, Any]:
+        self._opened.pop(session, None)
         session.rollback()
         return {"ok": True}
 
@@ -611,19 +623,63 @@ class ReproServer(WireServer):
     # Sharding ops (coordinator-facing; see repro.sharding)
 
     def _op_txn(self, session, sql_session, request, entry) -> dict[str, Any]:
-        """One-phase shard batch: the coordinator's co-located ops run
-        as a single autocommit transaction under the client's stamp."""
+        """A write's whole share on its one writing shard: witness pins,
+        then row ops, in one transaction under the client's stamp.
+
+        When every pin hits, it commits on the spot — the write's one
+        phase.  When a partial pin misses, the transaction stays open,
+        holding its rows' X locks, and the reply says ``open``: the
+        coordinator pins the witness on another shard by a read-only
+        ``probe``, then ends this transaction with a ``commit`` under
+        the same stamp (which ledgers these results) or a ``rollback``.
+        """
         from ..sharding.twophase import apply_shard_op
 
         ops = request.get("ops")
         if not isinstance(ops, list) or not ops:
             raise ReproError("txn needs a non-empty 'ops' list")
+        if session.in_transaction:
+            raise TransactionStateError(
+                "txn inside an explicit transaction is not supported"
+            )
 
-        def work() -> dict[str, Any]:
-            results = [apply_shard_op(self, session, op) for op in ops]
-            return self._fill(entry, {"ok": True, "results": results})
+        def run() -> dict[str, Any]:
+            with session.use(), session.db_latch():
+                txn = self.db.begin()
+                try:
+                    results = [apply_shard_op(self, session, op) for op in ops]
+                    response = {"ok": True, "results": results}
+                    if any(
+                        item["op"] == "pin" and item["pinned"] is None
+                        for item in results
+                    ):
+                        self._opened[session] = (txn, response)
+                        return {**response, "open": True}
+                    self._fill(entry, response)
+                    txn.commit()
+                except BaseException:
+                    if txn.is_open:
+                        txn.rollback()
+                    raise
+                return response
 
-        return self._admitted(lambda: session.execute(work))
+        return self._admitted(run)
+
+    def _op_probe(self, session, sql_session, request, entry) -> dict[str, Any]:
+        """Pin the witnesses of a write homed on other shards: each of
+        ``pins`` (:func:`repro.sharding.twophase.probe`) in one
+        transaction that commits at once.  The commit releases the
+        S-locks and, writing nothing, appends no log record.  Answers
+        the pinned key, or None, per pin."""
+        from ..sharding.twophase import probe
+
+        pins = request.get("pins")
+        if not isinstance(pins, list) or not pins:
+            raise ReproError("probe needs a non-empty 'pins' list")
+        pinned = self._admitted(lambda: session.execute(
+            lambda: [probe(self, session, pin) for pin in pins]
+        ))
+        return {"ok": True, "pinned": pinned}
 
     def _op_provision(self, session, sql_session, request, entry) -> dict[str, Any]:
         """Create whichever of the named indexes this database lacks.

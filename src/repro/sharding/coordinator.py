@@ -10,16 +10,21 @@ client inserts — an autocommit ``insert`` (a transaction of one), a
 ``batch``, the buffer of a ``begin … commit`` — goes through one planner
 and one commit, all rows or none.  Tables hash-partition on their
 FK-prefix (:mod:`repro.sharding.catalog`), so a child row whose FK
-components are all non-NULL co-locates with its witness parent, and a
-plan that lands on one shard commits **one-phase**: a single ``txn`` op
-(witness pins, then the rows) ledgered under the client's own stamp.
+components are all non-NULL co-locates with its witness parent.  Writes
+first, witnesses last: only the shards that write rows take part in the
+commit, each pinning its rows' witnesses locally before its row ops.
 Only a MATCH PARTIAL child row with NULL components may find its witness
-on a foreign shard (the planner scatter-probes a snapshot witness).  A
-plan on several shards runs **presumed-abort two-phase commit**, as
-cascades do: PREPARE each shard's ops (durably logged by the participant
-before it votes), write the COMMIT decision to the coordinator's own
-:class:`DecisionLog` segment store, and only then acknowledge the client
-and push the decides.
+on a foreign shard; that witness is pinned by a read-only ``probe``
+request, after the writing shards hold their rows' X locks, which
+commits at once and never joins the commit.  A write with one writing
+shard commits **one-phase**, ledgered under the client's own stamp: a
+``txn`` op that commits on the spot, or — when a remote probe was
+needed — that op's open transaction, closed by a ``commit`` under the
+same stamp.  A write with several writing shards runs **presumed-abort
+two-phase commit**, as cascades do: PREPARE each shard's ops (durably
+logged by the participant before it votes), write the COMMIT decision to
+the coordinator's own :class:`DecisionLog` segment store, and only then
+acknowledge the client and push the decides.
 
 Presumed abort means only COMMIT decisions are logged.  ``resolve``
 answers a participant asking about an in-doubt transaction: a logged
@@ -27,19 +32,19 @@ decision is ``commit``; a transaction still being prepared is
 ``pending``; anything else — including every gtid of a previous
 coordinator incarnation (gtids carry an epoch) — is ``abort``.
 
-Exactly-once across the extra hop: plain forwards and one-phase ``txn``
-ops carry the client's original stamp and replay from the shard's result
+Exactly-once across the extra hop: plain forwards and one-phase writes
+carry the client's original stamp and replay from the shard's result
 ledger; 2PC outcomes replay from the decision log by ``(client, req)``
-base.  A write that may pin a probed witness can take another route when
-re-planned, so before planning it looks its stamp up: the decision log,
-then a scatter ``ledger_peek`` for acks that committed one-phase before
-a coordinator crash.  When the coordinator cannot rule out that a
-forwarded stamp committed (partial scatter, torn shard link), it **tears
-the client connection instead of answering** — an error reply would
-falsely promise "not committed".
+base.  A write to a table with a foreign key looks its stamp up before
+planning: the decision log, then a scatter ``ledger_peek`` for acks
+that committed one-phase before a coordinator crash.  When the
+coordinator cannot rule out that a forwarded stamp committed (partial
+scatter, torn shard link), it **tears the client connection instead of
+answering** — an error reply would falsely promise "not committed".
 
 Shard links belong to the client connection whose thread opened them and
-close with it; the decide pusher keeps one link per shard of its own.
+close with it — a one-phase write's open transaction rolls back with its
+link — and the decide pusher keeps one link per shard of its own.
 
 Index design: the catalog declares, per foreign key, the paper's index
 structure the shards enforce with.  Before the first request it routes
@@ -50,13 +55,13 @@ are index ranges there.  Start-up never waits on a shard.
 Cascaded SET NULL on a parent delete is planned coordinator-side:
 delete + full-match NULL-out on the parent's shard, then one NULL-out
 batch per orphaned single-column pattern on that pattern's home shard,
-all under one global transaction.  Concurrent cascades over overlapping
-patterns serialise on coordinator-local pattern locks; after a restart a
-short ``cascade_grace`` pause lets pre-crash in-doubt cascades resolve
-before new pattern probes can read stale survivors.  Cross-shard
-deadlocks (a cascade and a 2PC insert locking the same keys from
-opposite ends) have no global detector — the shards' lock timeout is the
-backstop, surfacing as a retryable error the client re-runs.
+all under one global transaction.  Cascades serialise on coordinator-
+local pattern locks with each other and with every write that could
+wait across shards on the same pattern — one that probes a remote
+witness for it or inserts a parent of it — so no cross-shard wait-for
+cycle forms; the shards' lock timeout stays the backstop.  After a
+restart a short ``cascade_grace`` pause lets pre-crash in-doubt cascades
+resolve before new pattern probes can read stale survivors.
 """
 
 from __future__ import annotations
@@ -125,6 +130,31 @@ def partial_orphans(
         if tuple(key[i] for i in columns) not in present:
             orphans.append(position)
     return orphans
+
+
+def _pattern_key(child: str, column: str, value: Any) -> str:
+    """The coordinator-local lock on the *child* rows whose FK component
+    referencing parent *column* equals *value* — what a cascade NULLs."""
+    return f"{child}|{column}={value!r}"
+
+
+def _missed_pins(
+    ops: list[dict[str, Any]], results: list[dict[str, Any]]
+) -> list[dict[str, Any]]:
+    """The partial witness pins among *ops* that matched no parent on
+    their shard (their results answer ``pinned: None``)."""
+    return [
+        op for op, item in zip(ops, results)
+        if item.get("op") == "pin" and item.get("pinned") is None
+    ]
+
+
+def _veto(pins: list[dict[str, Any]]) -> ReferentialIntegrityViolation:
+    pin = pins[0]
+    return ReferentialIntegrityViolation(
+        f"no row of {pin['table']!r} matches {pin['equals']!r} on any "
+        "shard; insert vetoed"
+    )
 
 
 class DecisionLog:
@@ -241,8 +271,10 @@ class ShardCoordinator(WireServer):
         self._in_flight: set[str] = set()
         self._in_flight_mu = threading.Lock()
         #: Per-client acked high-water mark: requests above it are fresh
-        #: and skip the replay lookups.  Lost on restart (then every
-        #: client's first request pays one lookup, on purpose).
+        #: and skip the replay lookups — unless marked ``redelivered``,
+        #: which drops the mark first (a pipelined tail, or work sent to
+        #: a previous incarnation, can sit above it).  Lost on restart
+        #: (then every client's first request pays one lookup).
         self._client_high: dict[str, int] = {}
         self._client_mu = threading.Lock()
         # Coordinator-local cascade pattern locks (all-or-nothing,
@@ -316,6 +348,11 @@ class ShardCoordinator(WireServer):
                 f"{op} inside an explicit sharded transaction is not "
                 "supported; run it autocommit"
             )
+        if request.get("redelivered"):
+            # The stamp may have committed on an earlier delivery that
+            # the high-water mark never saw — a pipeline's unanswered
+            # tail, a previous incarnation's work: look it up.
+            self._forget_high(stamp_of(request))
         try:
             return handler(state, request)
         except (Tear, DeliveryUnknown) as exc:
@@ -404,14 +441,19 @@ class ShardCoordinator(WireServer):
             if req > self._client_high.get(client, 0):
                 self._client_high[client] = req
 
+    def _forget_high(self, base: tuple[str, int] | None) -> None:
+        if base is not None:
+            with self._client_mu:
+                self._client_high.pop(base[0], None)
+
     def _maybe_replay(
         self, base: tuple[str, int] | None, peek: bool = True
     ) -> dict[str, Any] | None:
         """Replay a previously-acked result for this stamp, if any.
 
         Consulted by every write and cascade *before* planning — a
-        redelivery may re-plan differently (another witness, another
-        survivor set), so re-execution must be ruled out first.  Order:
+        redelivered cascade may re-plan differently (another survivor
+        set), so re-execution must be ruled out first.  Order:
         high-water fast path (unknown after a restart ⇒ look), then the
         durable decision log by base, then (for work that may have gone
         one-phase) a scatter ``ledger_peek`` over the shard ledgers.
@@ -492,6 +534,15 @@ class ShardCoordinator(WireServer):
                 f"a shard was unreachable during prepare; transaction "
                 f"{gtid} aborted"
             ) from exc
+        except ReferentialIntegrityViolation:
+            # A veto, not a failure: every participant answered, so the
+            # aborts go out before the reply — the client's next read
+            # must not see the vetoed rows.  A push that fails stays
+            # queued.
+            for shard in list(sent):
+                if self._push_decide(gtid, shard, "abort"):
+                    del sent[shard]
+            raise
         finally:
             if not commit:
                 with self._in_flight_mu:
@@ -628,25 +679,6 @@ class ShardCoordinator(WireServer):
                 return found[:limit]
         return found
 
-    def _choose_witness(
-        self, fk: FkRoute, equals: Mapping[str, Any]
-    ) -> tuple[int, dict[str, Any]] | None:
-        """Scatter-probe a snapshot witness for a partial FK match.
-
-        Returns ``(shard, full parent key)`` — the pin re-validates the
-        exact key under its S-lock, so a stale snapshot answer aborts
-        retryably rather than admitting an orphan.
-        """
-        columns = list(fk.parent_key)
-        found = self._scatter_select({
-            "table": fk.parent_table, "equals": dict(equals),
-            "columns": columns, "limit": 1, "snapshot": True,
-        })
-        if not found:
-            return None
-        shard, row = found[0]
-        return shard, dict(zip(columns, row))
-
     def _scatter_rows(
         self,
         table: str,
@@ -693,11 +725,13 @@ class ShardCoordinator(WireServer):
         """The one write path: every row a client inserts — an
         autocommit ``insert`` (a transaction of one), a ``batch``, the
         buffer of a ``begin … commit`` — is planned by :meth:`_plan_rows`
-        and committed here, all rows or none, under *base*'s
-        exactly-once stamp: on one shard as the ledgered ``txn`` op, on
-        several by 2PC.  Returns the shard's ``txn`` reply (``results``),
-        the logged 2PC result (``rids``, in row order) or either of them
-        replayed; :meth:`_write_ack` shapes the client's ack.
+        and committed by :meth:`_commit_rows`, all rows or none, under
+        *base*'s exactly-once stamp.  A write holds, throughout, the
+        pattern locks a cascade over its rows would take
+        (:meth:`_write_patterns`).  Returns the home shard's ``txn`` or
+        ``commit`` reply (``results``), the logged 2PC result (``rids``,
+        in row order) or either of them replayed; :meth:`_write_ack`
+        shapes the client's ack.
         """
         if not rows:
             self._note_client(base)
@@ -705,16 +739,39 @@ class ShardCoordinator(WireServer):
         routes = {
             table: self.catalog.route(table) for table in {t for t, __ in rows}
         }
-        # Rows of a table without a foreign key route as a pure function
-        # of the request and touch no shard but their own (they commit
-        # with others down).  A table with one may pin a probed witness,
-        # and a re-probe may pick a route the acked attempt did not take:
-        # those writes also ask the shard ledgers, before planning.
+        # Rows of a table without a foreign key touch no shard but their
+        # own (they commit with others down).  A write to a table with
+        # one also asks the shard ledgers before it plans anything: a
+        # stamp found there committed before the coordinator lost track
+        # of it (a torn client link, a restart).
         replayed = self._maybe_replay(
             base, peek=any(route.fk is not None for route in routes.values())
         )
         if replayed is not None:
             return replayed
+        patterns = self._write_patterns(rows, routes)
+        if not patterns:
+            return self._commit_rows(base, rows, routes)
+        with self._pattern_locks(patterns):
+            return self._commit_rows(base, rows, routes)
+
+    def _commit_rows(
+        self,
+        base: tuple[str, int] | None,
+        rows: list[tuple[str, list[Any]]],
+        routes: Mapping[str, TableRoute],
+    ) -> dict[str, Any]:
+        """Writes first, witnesses last: only the shards that write rows
+        take part in the commit.  Each runs its local witness pins, then
+        its row ops; a witness no local pin found is pinned afterwards —
+        while the writing shards hold their rows' X locks — by read-only
+        probes of the other shards (:meth:`_probe_remote`).
+
+        One writing shard commits in one phase: the ledgered ``txn`` op
+        commits on the spot when its pins all hit, else it stays open
+        until the probes decide between a ``commit`` under the same
+        stamp and a ``rollback``.  Several writing shards commit by 2PC.
+        """
         plan, slots = self._plan_rows(rows, routes)
         if len(plan) == 1:
             ((shard, ops),) = plan.items()
@@ -725,77 +782,190 @@ class ShardCoordinator(WireServer):
                 response = self._shard_request(shard, "txn", payload)
             except DeliveryUnknown as exc:
                 raise Tear(f"one-phase txn on shard {shard} tore") from exc
+            if response.get("open"):
+                response = self._finish_open(shard, base, ops, response)
             self.stats.bump("one_phase")
             self._note_client(base)
             return response
 
         def run(prepare: _Prepare) -> tuple[dict[str, Any], bool]:
             rids = [-1] * len(rows)
+            missed: list[tuple[int, dict[str, Any]]] = []
             for shard, ops in plan.items():
                 results = prepare(shard, ops)
+                missed += [(shard, pin) for pin in _missed_pins(ops, results)]
                 filled = slots.get(shard, [])
                 for item, indices in zip(results[len(ops) - len(filled):], filled):
                     for i, rid in zip(indices, item.get("rids") or [item["rid"]]):
                         rids[i] = rid
+            unmatched = self._probe_remote(missed)
+            if unmatched:
+                raise _veto(unmatched)
             return {"ok": True, "rids": rids}, True
 
         return self._two_phase(base, run)
+
+    def _finish_open(
+        self,
+        shard: int,
+        base: tuple[str, int] | None,
+        ops: list[dict[str, Any]],
+        response: dict[str, Any],
+    ) -> dict[str, Any]:
+        """End the transaction a ``txn`` op left open on *shard*: pin
+        the witnesses it missed on the other shards, then commit it
+        under *base* — or roll it back and veto the write.
+
+        Until the commit is sent nothing can have committed, so a
+        failure before it closes the link (the shard rolls the open
+        transaction back with it) and is answered truthfully.  A commit
+        whose outcome is unknown tears the client connection."""
+        try:
+            unmatched = self._probe_remote(
+                [(shard, pin) for pin in _missed_pins(ops, response["results"])]
+            )
+        except BaseException:
+            self._drop_link(shard)
+            raise
+        if unmatched:
+            try:
+                self._shard_request(shard, "rollback", {})
+            except (DeliveryUnknown, ServerError):
+                self._drop_link(shard)
+            raise _veto(unmatched)
+        payload: dict[str, Any] = {}
+        if base is not None:
+            payload["client"], payload["req"] = base
+        try:
+            return self._shard_request(shard, "commit", payload)
+        except (DeliveryUnknown, ServerError) as exc:
+            raise Tear(f"commit of the open txn on shard {shard} tore") from exc
+
+    def _probe_remote(
+        self, missed: list[tuple[int, dict[str, Any]]]
+    ) -> list[dict[str, Any]]:
+        """Pin each witness a writing shard missed — ``(shard, pin)`` —
+        on the other shards, in shard order, by ``probe`` requests: each
+        finds a matching parent, S-locks its key, re-checks it and
+        commits at once (:func:`repro.sharding.twophase.probe`).  Safe
+        because every writing shard already holds its rows' X locks: a
+        cascade that deletes the witness after the probe must SET NULL
+        the new row, and waits for the write to end.  Returns the pins
+        no shard matched."""
+        for shard in range(self.catalog.shards):
+            asked = [pin for home, pin in missed if home != shard]
+            if not asked:
+                continue
+            try:
+                response = self._shard_request(shard, "probe", {"pins": asked})
+            except DeliveryUnknown as exc:
+                raise TransientFault(
+                    f"shard {shard} is unreachable during a witness probe; retry"
+                ) from exc
+            pinned = iter(response["pinned"])
+            missed = [
+                (home, pin) for home, pin in missed
+                if home == shard or next(pinned) is None
+            ]
+        return [pin for __, pin in missed]
+
+    def _drop_link(self, shard: int) -> None:
+        """Close this thread's link to *shard*: the shard rolls back
+        whatever transaction the link held open."""
+        client = getattr(self._local, "clients", {}).pop((shard, True), None)
+        if client is not None:
+            with self._clients_mu:
+                self._clients.discard(client)
+            client.close()
+
+    def _write_patterns(
+        self,
+        rows: list[tuple[str, list[Any]]],
+        routes: Mapping[str, TableRoute],
+    ) -> set[str]:
+        """The cascade pattern locks (:meth:`_cascade_delete`) a write
+        holds: each non-NULL component of a partially referencing row,
+        and every pattern of a parent row it inserts.
+
+        A write then never probes a remote witness while a cascade over
+        the same pattern runs, and never inserts a parent another
+        write's probe matches while that write runs: a remote probe
+        waits on no transaction that waits on it, so the cross-shard
+        wait-for graph stays acyclic.  Fully referencing rows take none —
+        they pin their witness on their own shard, whose lock manager
+        sees both sides.
+        """
+        patterns: set[str] = set()
+        children = {table: self.catalog.children_of(table) for table in routes}
+        for table, values in rows:
+            route = routes[table]
+            row = route.row_mapping(values)
+            fk = route.fk
+            if fk is not None:
+                equals = fk.parent_equals(row)
+                if len(equals) < len(fk.parent_key):
+                    patterns.update(
+                        _pattern_key(table, column, value)
+                        for column, value in equals.items()
+                    )
+            for child, child_fk in children[table]:
+                patterns.update(
+                    _pattern_key(child, column, row[column])
+                    for column in child_fk.parent_key
+                )
+        return patterns
 
     def _plan_rows(
         self,
         rows: list[tuple[str, list[Any]]],
         routes: Mapping[str, TableRoute],
     ) -> tuple[dict[int, list[dict[str, Any]]], dict[int, list[list[int]]]]:
-        """The one planner: *rows* as ops per shard, in shard order (the
-        global lock order), plus per shard the row indices each of its
-        row ops carries.
+        """The one planner: *rows* as ops per writing shard, in shard
+        order (the global lock order), plus per shard the row indices
+        each of its row ops carries.
 
         Per shard the witness pins come first (one per distinct
         predicate; a pin queues behind a cascade's parent X-lock before
         the transaction locks anything that cascade wants), then per
         table one ``insert`` op for a single row or one vectorized
-        ``batch`` op for several.  A partially referencing row scatter-
-        probes its witness, which may live on another shard than its home.
+        ``batch`` op for several.  A row's pin runs on its home shard:
+        a fully referencing row co-locates with its only possible
+        witness (both sides hash the same value tuple); a partially
+        referencing row's pin names the parent ``key`` columns, and a
+        miss there sends the coordinator to the other shards.  No pin
+        for an all-NULL (or absent) FK, for a predicate already pinned,
+        or for a witness this write inserts (its X-lock holds that key
+        until the same commit).
         """
+        mapped = [routes[table].row_mapping(values) for table, values in rows]
+        own: dict[str, list[dict[str, Any]]] = {}
+        for (table, __), row in zip(rows, mapped):
+            own.setdefault(table, []).append(row)
         pins: dict[int, list[dict[str, Any]]] = {}
         slots: dict[int, dict[str, list[int]]] = {}
         witnessed: set[tuple[Any, ...]] = set()
-        own: dict[str, list[dict[str, Any]]] = {}
-        for i, (table, values) in enumerate(rows):
-            row = routes[table].row_mapping(values)
+        for i, ((table, __), row) in enumerate(zip(rows, mapped)):
             home = self.catalog.shard_for(table, row)
             slots.setdefault(home, {}).setdefault(table, []).append(i)
             fk = routes[table].fk
             equals = fk.parent_equals(row) if fk is not None else {}
-            predicate = (fk.parent_table, *sorted(equals.items())) if fk else ()
-            # No pin for an all-NULL (or absent) FK, for a predicate
-            # already pinned, or for a witness this transaction inserted
-            # earlier (its X-lock holds that key until the same commit).
-            if equals and predicate not in witnessed and not any(
+            if not equals:
+                continue
+            predicate = (fk.parent_table, *sorted(equals.items()))
+            if predicate in witnessed or any(
                 all(parent[column] == value for column, value in equals.items())
                 for parent in own.get(fk.parent_table, ())
             ):
-                witnessed.add(predicate)
-                pin = {"op": "pin", "table": fk.parent_table, "equals": equals}
-                wshard = home
-                # Fully referencing ⇒ co-located with the witness by
-                # construction (both sides hash the same value tuple);
-                # otherwise the witness is wherever a probe finds one.
-                if len(equals) < len(fk.parent_key):
-                    witness = self._choose_witness(fk, equals)
-                    if witness is None:
-                        raise ReferentialIntegrityViolation(
-                            f"no row of {fk.parent_table!r} matches "
-                            f"{equals!r}; insert into {table!r} vetoed"
-                        )
-                    wshard, pin["equals"] = witness
-                    pin["probed"] = True
-                pins.setdefault(wshard, []).append(pin)
-            own.setdefault(table, []).append(row)
+                continue
+            witnessed.add(predicate)
+            pin = {"op": "pin", "table": fk.parent_table, "equals": equals}
+            if len(equals) < len(fk.parent_key):
+                pin["key"] = list(fk.parent_key)
+            pins.setdefault(home, []).append(pin)
         plan: dict[int, list[dict[str, Any]]] = {}
-        for shard in sorted({*pins, *slots}):
+        for shard in sorted(slots):
             plan[shard] = ops = pins.get(shard, [])
-            for table, indices in slots.get(shard, {}).items():
+            for table, indices in slots[shard].items():
                 if len(indices) == 1:
                     ops.append({"op": "insert", "table": table,
                                 "values": rows[indices[0]][1]})
@@ -868,16 +1038,19 @@ class ShardCoordinator(WireServer):
         the same stamp independently, so a redelivered scatter replays
         per shard.  After the first shard succeeds, any failure tears
         the connection — partial scatter state must not be mistaken for
-        "did not commit"."""
+        "did not commit".  So does a transient failure on the first
+        shard of a redelivered scatter, whose first delivery may have
+        got further and committed on the shards it reached."""
         total = 0
         for shard in range(self.catalog.shards):
             try:
                 response = self._forward(shard, request, _SCATTER_ATTEMPTS)
-            except (ServerError, TransientFault):
-                if shard:
+            except (ServerError, TransientFault) as exc:
+                transient = not isinstance(exc, ServerError) or exc.retryable
+                if shard or (transient and request.get("redelivered")):
                     raise Tear(
-                        f"scatter failed on shard {shard} after "
-                        f"{shard} shard(s) committed"
+                        f"scatter failed on shard {shard}; the stamp may "
+                        "have committed on other shards"
                     ) from None
                 raise
             total += int(response.get("rowcount") or 0)
@@ -978,7 +1151,7 @@ class ShardCoordinator(WireServer):
         lock_keys = {f"{table}|" + "|".join(f"{c}={key[c]!r}" for c in route.partition)}
         for child, fk in children:
             for pcol in fk.parent_key:
-                lock_keys.add(f"{child}|{pcol}={key[pcol]!r}")
+                lock_keys.add(_pattern_key(child, pcol, key[pcol]))
         with self._pattern_locks(lock_keys):
             return self._cascade_locked(base, table, key, children)
 

@@ -78,6 +78,10 @@ _POLL_S = 0.25
 #: Decided gtids remembered for duplicate-decide idempotency.
 _RESOLVED_MEMORY = 4096
 
+#: Candidates a partial-match :func:`probe` locks before it gives up on
+#: witnesses that vanish under its lock.
+_PROBE_ATTEMPTS = 3
+
 
 class TwoPhaseError(ReproError):
     """A 2PC protocol violation (mismatched decide, pin outside txn...)."""
@@ -120,16 +124,28 @@ def apply_shard_op(
     server: "ReproServer", session: "Session", op: dict[str, Any]
 ) -> dict[str, Any]:
     """Execute one shard-level sub-operation of a distributed transaction:
-    a witness ``pin``, or one of the server's row ops
+    a witness ``pin`` (:func:`probe`), or one of the server's row ops
     (:func:`repro.server.server.run_row_op`, values wire-encoded exactly
     as the coordinator forwarded them).
+
+    A pin names the exact parent key, or only a child row's non-NULL
+    components plus the parent ``key`` columns.  An exact key is the
+    only possible witness, so its miss vetoes the write here; a partial
+    pin that misses answers ``pinned: None`` and the coordinator looks
+    on the other shards.
 
     Must run inside a statement context of *session* (the caller wraps
     the batch in :meth:`Session.execute`).
     """
     kind = op.get("op")
     if kind == "pin":
-        return _pin_witness(server, session, op)
+        pinned = probe(server, session, op)
+        if pinned is None and "key" not in op:
+            raise ReferentialIntegrityViolation(
+                f"no row of {op['table']!r} matches {op['equals']!r}; "
+                "insert vetoed"
+            )
+        return {"op": "pin", "pinned": pinned}
     return {"op": kind, **run_row_op(server.db, op)}
 
 
@@ -140,18 +156,29 @@ def _decoded_equals(op: dict[str, Any]) -> dict[str, Any] | None:
     return {column: wire.decode_value(value) for column, value in equals.items()}
 
 
-def _pin_witness(
+def probe(
     server: "ReproServer", session: "Session", op: dict[str, Any]
-) -> dict[str, Any]:
-    """S-lock the exact witness key the coordinator chose and verify it.
+) -> list[Any] | None:
+    """Pin a witness parent on this shard: the (wire-encoded) full key
+    of a parent matching ``op["equals"]``, S-locked by *session*'s open
+    transaction and re-checked under that lock; None when none matches.
 
     The remote twin of the witness pin in
     :func:`repro.concurrency.hooks.verify_parent_exists`: once the S
     grant is held, a parent-delete of this key (which needs X on the same
-    key resource) blocks until our transaction decides, and any delete
-    that *committed* before our grant is caught by the existence re-check
-    — that raises a retryable :class:`SerializationError`, and the
-    coordinator aborts the distributed transaction.
+    key resource) blocks until our transaction ends, and a delete that
+    committed before our grant is caught by the re-check.  An exact key
+    (no ``key`` field) is locked first and then checked.  A partial
+    match (``key`` names the parent's key columns) finds a candidate on
+    the tip first; the candidate may be an uncommitted parent that rolls
+    back while a committed one still matches, so a vanished candidate
+    means "find again", and only witnesses that keep vanishing raise the
+    retryable :class:`SerializationError`.
+
+    Runs as a local pin inside a ``txn`` or ``prepare`` batch (held to
+    that transaction's end), and as the coordinator's read-only
+    ``probe`` request on a shard the write does not touch, whose
+    transaction commits — and releases the lock — at once.
     """
     equals = _decoded_equals(op) or {}
     if not equals:
@@ -159,29 +186,30 @@ def _pin_witness(
     txn = session.transaction
     if txn is None or not txn.is_open:
         raise TwoPhaseError("witness pin outside an open transaction")
-    columns = tuple(equals)
-    values = tuple(equals[column] for column in columns)
-    locks = server.sessions.locks
-    resource = key_resource(op["table"], columns, values)
-    locks.acquire(txn.txn_id, resource, LockMode.S)
-    if locks.sanitizer is not None:
-        locks.sanitizer.on_witness_pinned(txn.txn_id, resource)
     parent = server.db.table(op["table"])
-    if not probes.exists_eq(parent, list(columns), list(values)):
-        if op.get("probed"):
-            # A snapshot probe saw this witness moments ago: it was
-            # deleted in between.  Retryable — a fresh probe may find
-            # another witness for the same partial match.
-            raise SerializationError(
-                f"witness {op['table']}{values!r} vanished before the "
-                "remote pin was granted; retry with a fresh witness"
-            )
-        # No probe preceded (fully-referencing fast path): the key is
-        # the only possible witness, and it does not exist.
-        raise ReferentialIntegrityViolation(
-            f"no row of {op['table']!r} matches {values!r}; insert vetoed"
-        )
-    return {"op": "pin", "pinned": list(values)}
+    columns, values = list(equals), list(equals.values())
+    key = tuple(op.get("key") or columns)
+    locks = server.sessions.locks
+    for __ in range(_PROBE_ATTEMPTS):
+        if "key" in op:
+            witness = probes.find_eq(parent, columns, values)
+            if witness is None:
+                return None
+            pinned = [witness[i] for i in parent.schema.positions(key)]
+        else:
+            pinned = values
+        resource = key_resource(op["table"], key, pinned)
+        locks.acquire(txn.txn_id, resource, LockMode.S)
+        if locks.sanitizer is not None:
+            locks.sanitizer.on_witness_pinned(txn.txn_id, resource)
+        if probes.exists_eq(parent, list(key), pinned):
+            return wire.encode_row(pinned)
+        if "key" not in op:
+            return None
+    raise SerializationError(
+        f"witnesses of {op['table']}{equals!r} vanished {_PROBE_ATTEMPTS} "
+        "times under the pin; retry"
+    )
 
 
 class TwoPhaseParticipant:

@@ -287,6 +287,7 @@ class WriteAheadLog:
         txn = db.active_transaction
         if txn is not None and txn.wal_txn_id is not None:
             self._append(txn.wal_txn_id, kind, table, payload)
+            txn.wal_logged = True
         else:
             txn_id = self.begin()
             self._append(txn_id, kind, table, payload)

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import random
 import socket
+import threading
 import time
 from contextlib import ExitStack, contextmanager
 
 import pytest
 
-from repro.server import Overloaded, ReproClient, ReproServer, ServerError
+from repro.server import Overloaded, ReproClient, ReproServer, ServerError, wire
 from repro.sharding import (
     CatalogError,
     ShardCoordinator,
@@ -527,6 +528,64 @@ def test_cross_shard_batch_is_one_transaction_and_replays_as_a_unit(tmp_path):
             restarted.shutdown()
 
 
+def test_a_redelivered_pipeline_tail_replays_after_a_coordinator_restart(
+    tmp_path,
+):
+    """A restarted coordinator learns a client's high-water mark from the
+    first stamp it replays.  A redelivered stamp above it — the rest of
+    a pipeline's unanswered tail — may have committed too, so it is
+    looked up as well, not re-executed."""
+    with _cluster(tmp_path) as (client, coordinator, servers):
+        batches = [_cross_shard_rows(coordinator.catalog, first)
+                   for first in (100, 200)]
+        acked = [
+            client.request("batch", table="C", rows=rows, client="pipe", req=req)
+            for req, rows in enumerate(batches, start=1)
+        ]
+        coordinator.shutdown()
+        restarted = ShardCoordinator(
+            coordinator.catalog, [server.address for server in servers],
+            data_dir=str(tmp_path / "coord"),
+        ).start()
+        try:
+            with ReproClient("127.0.0.1", restarted.port) as late:
+                again = [
+                    late.request("batch", table="C", rows=rows, client="pipe",
+                                 req=req, redelivered=True)
+                    for req, rows in enumerate(batches, start=1)
+                ]
+            assert [a["rids"] for a in again] == [a["rids"] for a in acked]
+            assert all(a["replayed"] for a in again)
+            assert restarted.stats.snapshot()["commits_2pc"] == 0
+        finally:
+            restarted.shutdown()
+
+
+def test_a_redelivered_scatter_failing_on_its_first_shard_tears(tmp_path):
+    """A stamped scatter delete committed on every shard; its redelivery
+    finds the first shard down.  An error reply would promise "not
+    committed", so the coordinator tears the connection instead — while
+    a first delivery failing the same way gets the truthful retryable
+    error."""
+    with _cluster(tmp_path) as (client, coordinator, servers):
+        client.insert("C", [5, 3, 30])
+        stamped = dict(table="C", equals={"id": 5}, client="d", req=1)
+        assert client.request("delete", **stamped)["rowcount"] == 1
+        servers[0].shutdown()
+        with ReproClient(
+            "127.0.0.1", coordinator.port, auto_reconnect=False
+        ) as fresh:
+            with pytest.raises(ServerError) as excinfo:
+                fresh.request("delete", table="C", equals={"id": 6},
+                              client="d", req=2)
+            assert excinfo.value.retryable
+        with ReproClient(
+            "127.0.0.1", coordinator.port, auto_reconnect=False
+        ) as again:
+            with pytest.raises((wire.WireError, OSError)):
+                again.request("delete", **stamped, redelivered=True)
+
+
 def test_colocated_writes_reach_their_shard_as_one_txn(tmp_path):
     """A single insert is ``[pin, insert]``; a multi-row batch homing on
     one shard is its de-duplicated pins and ONE vectorized ``batch`` op
@@ -585,7 +644,7 @@ def test_shard_links_close_with_the_client_connection(tmp_path):
     and go leave no session on any shard and no link in the coordinator
     (the decide pusher's own link and the open client's stay)."""
     with _cluster(tmp_path) as (client, coordinator, servers):
-        client.insert("C", [1, 5, None])  # 2PC: the pusher's link opens
+        client.insert("C", [1, 5, None])  # may probe a remote witness
         _await(lambda: not coordinator.pending_decides()
                and not any(s.twophase.in_doubt() for s in servers),
                what="decide push")
@@ -602,14 +661,172 @@ def test_shard_links_close_with_the_client_connection(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# Remote witnesses: writes first, witnesses last
+
+
+def _remote_witnesses(catalog) -> list[int]:
+    """The ``k1`` of every seeded parent ``P(k1, 10·k1)`` whose partial
+    child ``C(·, k1, NULL)`` homes on another shard — its only witness
+    is remote."""
+    return [
+        k1 for k1 in range(N_PARENTS)
+        if catalog.shard_for("C", {"k1": k1, "k2": None})
+        != catalog.shard_for("P", {"k1": k1, "k2": k1 * 10})
+    ]
+
+
+def test_remote_witness_insert_commits_in_one_phase_and_replays(tmp_path):
+    """The witness shard answers a read-only probe and takes no part in
+    the commit: no prepare anywhere, no decision record, nothing in
+    doubt.  The stamp replays the same rid on another connection and
+    through a restarted coordinator."""
+    with _cluster(tmp_path) as (client, coordinator, servers):
+        client.insert("C", [1, 3, 30])  # provisions, learns the client
+        k1 = _remote_witnesses(coordinator.catalog)[0]
+        before = coordinator.stats.snapshot()
+        decisions = len(coordinator.decisions)
+        stamped = dict(table="C", values=[2, k1, None], client="dup", req=5)
+        first = client.request("insert", **stamped)
+        after = coordinator.stats.snapshot()
+        assert after["one_phase"] == before["one_phase"] + 1
+        assert after["commits_2pc"] == before["commits_2pc"]
+        assert len(coordinator.decisions) == decisions
+        for server in servers:
+            assert server.twophase.stats_snapshot()["prepares"] == 0
+            assert server.twophase.in_doubt() == []
+        with ReproClient("127.0.0.1", coordinator.port) as other:
+            again = other.request("insert", **stamped)
+        assert again["rid"] == first["rid"] and again["replayed"] is True
+        coordinator.shutdown()
+        restarted = ShardCoordinator(
+            coordinator.catalog, [server.address for server in servers],
+            data_dir=str(tmp_path / "coord"),
+        ).start()
+        try:
+            with ReproClient("127.0.0.1", restarted.port) as late:
+                replay = late.request("insert", **stamped)
+                assert replay["rid"] == first["rid"] and replay["replayed"]
+                assert late.select("C", {"id": 2}) == [[2, k1, None]]
+        finally:
+            restarted.shutdown()
+
+
+def test_a_link_cut_before_the_commit_leaves_no_row_and_no_lock(
+    tmp_path, monkeypatch
+):
+    """The home shard's transaction is open and the witness probed when
+    the coordinator's link to the home shard dies.  The shard rolls the
+    transaction back with the link: no row and no lock remain, so a
+    parent delete of the witness goes through.  The client's connection
+    is torn rather than answered."""
+    with _cluster(tmp_path) as (client, coordinator, servers):
+        catalog = coordinator.catalog
+        k1 = _remote_witnesses(catalog)[0]
+        home = catalog.shard_for("C", {"k1": k1, "k2": None})
+        probe_remote = coordinator._probe_remote
+
+        def then_cut(missed):
+            unmatched = probe_remote(missed)
+            link = coordinator._local.clients[(home, True)]
+            link._sock.shutdown(socket.SHUT_RDWR)
+            return unmatched
+
+        monkeypatch.setattr(coordinator, "_probe_remote", then_cut)
+        with ReproClient(
+            "127.0.0.1", coordinator.port, auto_reconnect=False
+        ) as once:
+            with pytest.raises((wire.WireError, OSError)):
+                once.insert("C", [2, k1, None])
+        monkeypatch.undo()
+        assert coordinator.stats.snapshot()["teardowns"] == 1
+        _await(lambda: client.select("C", {"id": 2}) == [],
+               what="the open transaction to roll back")
+        assert client.delete("P", {"k1": k1, "k2": k1 * 10}) == 1
+        assert client.request("verify", deep=True)["clean"]
+        for server in servers:
+            assert server.sessions.stats()["timeouts"] == 0
+
+
+def test_a_cascade_racing_a_remote_witness_insert_never_orphans(tmp_path):
+    """One connection inserts ``C(·, k1, NULL)``, whose only witness
+    lives on another shard, while a second deletes that witness: the
+    child ends up NULLed by the cascade or vetoed, never orphaned, and
+    no lock times out."""
+    with _cluster(tmp_path) as (client, coordinator, servers):
+        for row_id, k1 in enumerate(_remote_witnesses(coordinator.catalog)[:6]):
+            barrier = threading.Barrier(2)
+            outcome: dict[str, object] = {}
+
+            def run(name, call):
+                with ReproClient("127.0.0.1", coordinator.port) as own:
+                    barrier.wait()
+                    try:
+                        outcome[name] = call(own)
+                    except ServerError as exc:
+                        outcome[name] = exc
+
+            threads = [
+                threading.Thread(target=run, args=(
+                    "insert", lambda c: c.insert("C", [row_id, k1, None]))),
+                threading.Thread(target=run, args=(
+                    "delete", lambda c: c.delete("P", {"k1": k1, "k2": k1 * 10}))),
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert outcome["delete"] == 1, outcome
+            if isinstance(outcome["insert"], ServerError):
+                assert outcome["insert"].error_type == (
+                    "ReferentialIntegrityViolation"), outcome
+                expected = []
+            else:
+                expected = [[row_id, None, None]]
+            _await(lambda: client.select(
+                "C", {"id": row_id}, snapshot=True) == expected,
+                what=f"child {row_id} to settle as {expected}")
+        assert client.request("verify", deep=True)["clean"]
+        for server in servers:
+            assert server.sessions.stats()["timeouts"] == 0
+
+
+def test_two_writing_shards_prepare_and_the_witness_shard_only_probes(tmp_path):
+    """A batch whose rows home on two shards commits by 2PC, and its
+    partial row's witness, on a third shard, is no participant:
+    ``prepares`` equals the number of writing shards."""
+    with _cluster(tmp_path, shards=3) as (client, coordinator, servers):
+        catalog = coordinator.catalog
+
+        def owner(k1: int) -> int:
+            return catalog.shard_for("P", {"k1": k1, "k2": k1 * 10})
+
+        partial, full = next(
+            ([1, b, None], [2, a, a * 10])
+            for b in range(N_PARENTS) for a in range(N_PARENTS)
+            if len({catalog.shard_for("C", {"k1": b, "k2": None}),
+                    owner(b), owner(a)}) == 3
+        )
+        prepares = [s.twophase.stats_snapshot()["prepares"] for s in servers]
+        client.batch_insert("C", [partial, full])
+        grown = [
+            s.twophase.stats_snapshot()["prepares"] - before
+            for s, before in zip(servers, prepares)
+        ]
+        assert sum(grown) == 2 and grown[owner(partial[1])] == 0
+        assert coordinator.stats.snapshot()["commits_2pc"] == 1
+        _await(lambda: len(client.select("C", snapshot=True)) == 2,
+               what="every participant to commit")
+        assert client.request("verify", deep=True)["clean"]
+
+
+# ----------------------------------------------------------------------
 # The in-doubt window
 
 
 def _prepare_ops():
     """A witness pin + child insert, the real 2PC participant batch."""
     return [
-        {"op": "pin", "table": "P", "equals": {"k1": 3, "k2": 30},
-         "probed": True},
+        {"op": "pin", "table": "P", "equals": {"k1": 3, "k2": 30}},
         {"op": "insert", "table": "C", "values": [777, 3, 30]},
     ]
 

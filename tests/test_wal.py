@@ -7,7 +7,7 @@ from repro.errors import WalError
 from repro.indexes.definition import IndexDefinition
 from repro.query import dml
 from repro.query.predicate import Eq
-from repro.storage.wal import WriteAheadLog, recover, simulate_crash
+from repro.storage.wal import WriteAheadLog, open_durable, recover, simulate_crash
 
 
 def make_db(capacity: int = 256) -> Database:
@@ -103,6 +103,47 @@ class TestGroupCommit:
         # committed, but nobody flushed: not yet durable
         simulate_crash(db)
         assert rows(db) == before
+
+
+class TestReadOnlyCommits:
+    """A transaction that appended no record and carries no commit note
+    appends no commit record: it costs the log no flush and no fsync."""
+
+    def test_read_only_transactions_leave_flushes_and_syncs_alone(self, tmp_path):
+        db = Database("ro")
+        db.create_table("t", [Column("a"), Column("b")])
+        wal, __ = open_durable(db, tmp_path)
+        dml.insert(db, "t", (1, 10))
+        session = db.enable_sessions().session()
+        before = (wal.flush_count, wal.store.sync_count, wal.lsn)
+        assert session.select("t") == [(1, 10)]  # autocommit read
+        session.begin()
+        session.select("t", Eq("a", 1))
+        session.commit()
+        with db.begin() as txn:
+            txn.savepoint().rollback()  # compensates nothing
+        session.begin()
+        session.rollback()
+        assert (wal.flush_count, wal.store.sync_count, wal.lsn) == before
+        wal.close()
+
+    def test_transaction_holding_only_ddl_recovers(self):
+        db = make_db()
+        with db.begin():
+            db.create_index("t", IndexDefinition("by_b", ("b",)))
+        simulate_crash(db)
+        assert "by_b" in db.table("t").indexes.names()
+
+    def test_transaction_carrying_only_a_commit_note_recovers(self):
+        db = make_db()
+        session = db.enable_sessions().session()
+        session.begin()
+        session.annotate_next_commit("note")
+        session.commit()
+        note = db.wal.durable_records[-1]
+        assert (note.kind, note.payload) == ("commit", ("note",))
+        report = simulate_crash(db)
+        assert note.txn_id in report.committed_txns
 
 
 class TestRecovery:
