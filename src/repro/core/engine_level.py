@@ -35,11 +35,11 @@ from collections.abc import Sequence
 from itertools import combinations
 from typing import TYPE_CHECKING, Any
 
+from ..constraints.actions import ReferentialAction
 from ..constraints.foreign_key import EnforcementMode, ForeignKey, MatchSemantics
 from ..errors import ReferentialIntegrityViolation, SchemaError
 from ..nulls import NULL
 from ..query import dml
-from ..query.enforcement import _apply_action
 from ..triggers.framework import Trigger, TriggerEvent
 from .states import State, iter_null_states, state_of
 
@@ -150,6 +150,7 @@ class EngineLevelEnforcement:
     but with all searches answered by the two O(1) structures.  The
     referential action still runs through the normal DML layer so
     transactions, undo and chained constraints behave identically.
+    RESTRICT / NO ACTION keys are refused: there is no veto hook here.
     """
 
     def __init__(self, db: "Database", fk: ForeignKey) -> None:
@@ -157,6 +158,10 @@ class EngineLevelEnforcement:
             raise SchemaError(
                 f"engine-level enforcement targets MATCH PARTIAL keys, "
                 f"{fk.name!r} is MATCH {fk.match.value.upper()}"
+            )
+        if fk.on_delete.rejects or fk.on_update.rejects:
+            raise SchemaError(
+                f"engine-level enforcement cannot veto parent writes ({fk.name!r})"
             )
         if fk not in db.foreign_keys:
             db.add_foreign_key(fk)
@@ -303,21 +308,21 @@ class EngineLevelEnforcement:
 
     def _on_parent_delete(self, db, event, table, old, new) -> None:
         self.parent_index.delete(old)
-        self._handle_parent_removed(old)
+        self._handle_parent_removed(old, self.fk.on_delete)
 
     def _on_parent_update(self, db, event, table, old, new) -> None:
         if self.fk.parent_values(old) == self.fk.parent_values(new):
             return
         self.parent_index.update(old, new)
-        self._handle_parent_removed(old)
+        self._handle_parent_removed(old, self.fk.on_update)
 
-    def _handle_parent_removed(self, parent_row) -> None:
+    def _handle_parent_removed(self, parent_row, action: ReferentialAction) -> None:
         fk = self.fk
         parent_key = fk.parent_values(parent_row)
         n = fk.n_columns
         # total children of the removed key
         if self.child_index.probe((), parent_key):
-            self._apply_action_to(self.child_index.rids((), parent_key))
+            self._apply_action_to(self.child_index.rids((), parent_key), action)
         for state in iter_null_states(n, include_total=False,
                                       include_all_null=False):
             self.db.tracker.count("state_checks")
@@ -328,10 +333,11 @@ class EngineLevelEnforcement:
                 continue
             if self.parent_index.probe(positions, totals):
                 continue  # an alternative parent subsumes the state
-            self._apply_action_to(self.child_index.rids(state, totals))
+            self._apply_action_to(self.child_index.rids(state, totals), action)
 
-    def _apply_action_to(self, rids: set[int]) -> None:
-        """Apply the ON DELETE action to exactly the identified children.
+    def _apply_action_to(self, rids: set[int], action: ReferentialAction) -> None:
+        """Apply *action* — the write's ON DELETE or ON UPDATE action — to
+        exactly the identified children.
 
         The custom structure hands us the rid set directly — no search —
         so the action runs through the rid-level DML entry points (which
@@ -339,9 +345,6 @@ class EngineLevelEnforcement:
         """
         fk = self.fk
         child = self.db.table(fk.child_table)
-        action = fk.on_delete
-        from ..constraints.actions import ReferentialAction
-
         for rid in sorted(rids):
             if action is ReferentialAction.CASCADE:
                 dml.delete_rid(self.db, fk.child_table, rid)
@@ -349,9 +352,9 @@ class EngineLevelEnforcement:
             row = child.get_row(rid)
             new_row = list(row)
             for position in fk.fk_positions:
-                if action is ReferentialAction.SET_DEFAULT:
-                    column = child.schema.columns[position]
-                    new_row[position] = column.default
-                else:  # SET NULL (the paper's uniform choice)
-                    new_row[position] = NULL
+                new_row[position] = (
+                    child.schema.columns[position].default
+                    if action is ReferentialAction.SET_DEFAULT
+                    else NULL  # SET NULL: __init__ refuses the vetoing actions
+                )
             dml.update_rid(self.db, fk.child_table, rid, new_row, row)

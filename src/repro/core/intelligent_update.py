@@ -26,11 +26,10 @@ from typing import TYPE_CHECKING, Any
 
 from ..constraints.foreign_key import ForeignKey
 from ..nulls import NULL, impute, is_total
-from ..query import dml, executor
-from ..query.enforcement import _apply_action
+from ..query import dml, enforcement, executor
 from ..query.predicate import equalities
 from ..triggers.partial_ri import _suspended_parent_triggers
-from .states import State, iter_null_states, state_of, substates
+from .states import State, substates
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..storage.database import Database
@@ -124,19 +123,6 @@ def intelligent_insert(
 
 
 @dataclass
-class StateGroup:
-    """The children of the deleted parent sharing one null-state."""
-
-    state: State
-    child_rids: list[int] = field(default_factory=list)
-    alternatives: list[tuple[Any, ...]] = field(default_factory=list)
-
-    @property
-    def child_count(self) -> int:
-        return len(self.child_rids)
-
-
-@dataclass
 class DeletionOutcome:
     """What the intelligent deletion did, for logging/inspection (§4.3)."""
 
@@ -168,23 +154,51 @@ def choose_none(state: State, alternatives: list[tuple[Any, ...]]):
     return None
 
 
-def _collect_state_group(
+def _children(
     db: "Database", fk: ForeignKey, parent_key: Sequence[Any], state: State
 ) -> list[int]:
-    predicate = fk.child_state_predicate(parent_key, state)
-    return executor.select_rids(db, fk.child_table, predicate)
+    """Full read: the rids of the deleted key's children in *state*."""
+    return executor.select_rids(
+        db, fk.child_table, fk.child_state_predicate(parent_key, state)
+    )
 
 
-def _alternative_parents(
-    db: "Database", fk: ForeignKey, parent_key: Sequence[Any], state: State
+def _alternatives(
+    db: "Database", fk: ForeignKey, state: State, values: Sequence[Any]
 ) -> list[tuple[Any, ...]]:
+    """Full read: every parent key with *values* on *state*'s total columns."""
     columns = [fk.key_columns[i] for i in range(fk.n_columns) if i not in state]
-    values = [parent_key[i] for i in range(fk.n_columns) if i not in state]
-    predicate = equalities(columns, values)
     return [
         fk.parent_values(row)
-        for __, row in executor.iter_matching(db.table(fk.parent_table), predicate)
+        for __, row in executor.iter_matching(
+            db.table(fk.parent_table), equalities(columns, values)
+        )
     ]
+
+
+def _settle(
+    db: "Database",
+    fk: ForeignKey,
+    parent_key: Sequence[Any],
+    state: State,
+    alternatives: list[tuple[Any, ...]],
+    chooser: ParentChooser,
+    outcome: DeletionOutcome,
+    log: "ImputationLog | None",
+) -> None:
+    """Settle one populated state: the chosen alternative subsumes its
+    children; with none, or when the chooser declines, they receive the
+    ON DELETE action (under RESTRICT / NO ACTION: a veto)."""
+    chosen = chooser(state, alternatives) if alternatives else None
+    outcome.choices.append((state, chosen))
+    if chosen is None:
+        outcome.actioned_children += enforcement.apply_action(
+            db, fk, fk.child_state_predicate(parent_key, state), fk.on_delete
+        )
+    else:
+        outcome.imputed_children += _subsume_children(
+            db, fk, parent_key, state, chosen, outcome, log
+        )
 
 
 def _subsume_children(
@@ -247,48 +261,33 @@ def intelligent_delete_method1(
 
     Algorithm 1: the referential action is applied to exact-match
     children; then alternative-parent sets Q[S] and affected-children
-    counts are computed for *every* state; states are visited by
-    descending affected count, the user (chooser) picks an alternative
-    parent per state, and chosen parents subsume the state's children.
-    States without alternatives receive the referential action.
+    counts are computed for *every* populated state; states are visited
+    by descending affected count, the user (chooser) picks an
+    alternative parent per state, and chosen parents subsume the state's
+    children.  States without alternatives receive the referential
+    action.  The whole deletion is one nested scope: a veto (RESTRICT /
+    NO ACTION) or any failure brings the parent and its children back.
     """
     outcome = DeletionOutcome(parent_key=tuple(parent_key))
-    _delete_parent_row(db, fk, parent_key)
-    outcome.exact_children_actioned = _apply_action(
-        db, fk, fk.exact_child_predicate(parent_key), fk.on_delete
-    )
+    with db.begin_nested():
+        outcome.exact_children_actioned = _remove_parent(db, fk, parent_key)
+        groups: list[tuple[int, State, list[tuple[Any, ...]]]] = []
+        for state, values, alternative in enforcement.iter_populated_states(
+            db, fk, parent_key
+        ):
+            alternatives = _alternatives(db, fk, state, values) if alternative else []
+            count = len(_children(db, fk, parent_key, state))
+            if alternatives:
+                groups.append((-count, state, alternatives))
+            else:
+                _settle(db, fk, parent_key, state, [], chooser, outcome, log)
 
-    groups: list[StateGroup] = []
-    for state in iter_null_states(fk.n_columns, include_total=False, include_all_null=False):
-        db.tracker.count("state_checks")
-        group = StateGroup(state)
-        group.alternatives = _alternative_parents(db, fk, parent_key, state)
-        group.child_rids = _collect_state_group(db, fk, parent_key, state)
-        if not group.child_rids:
-            continue
-        if not group.alternatives:
-            predicate = fk.child_state_predicate(parent_key, state)
-            outcome.actioned_children += _apply_action(db, fk, predicate, fk.on_delete)
-            outcome.choices.append((state, None))
-            continue
-        groups.append(group)
-
-    # Rank by number of affected children, most first (the L / Max(l) loop).
-    groups.sort(key=lambda g: (-g.child_count, g.state))
-    for group in groups:
-        # Re-collect: subsumption of a superstate may have absorbed rows.
-        group.child_rids = _collect_state_group(db, fk, parent_key, group.state)
-        if not group.child_rids:
-            continue
-        chosen = chooser(group.state, group.alternatives)
-        outcome.choices.append((group.state, chosen))
-        if chosen is None:
-            predicate = fk.child_state_predicate(parent_key, group.state)
-            outcome.actioned_children += _apply_action(db, fk, predicate, fk.on_delete)
-        else:
-            outcome.imputed_children += _subsume_children(
-                db, fk, parent_key, group.state, chosen, outcome, log
-            )
+        # Rank by number of affected children, most first (the L / Max(l) loop).
+        groups.sort(key=lambda group: group[:2])
+        for __, state, alternatives in groups:
+            # Re-collect: subsumption of a superstate may have absorbed rows.
+            if _children(db, fk, parent_key, state):
+                _settle(db, fk, parent_key, state, alternatives, chooser, outcome, log)
     return outcome
 
 
@@ -308,54 +307,40 @@ def intelligent_delete_method2(
     Algorithm 2: first count the deleted parent's children per state;
     repeatedly take the most-populated state, look up its alternative
     parents *then*, and either impute (user choice) or apply the
-    referential action when no alternative exists.
+    referential action when no alternative exists.  One nested scope,
+    as in Method 1.
     """
     outcome = DeletionOutcome(parent_key=tuple(parent_key))
-    _delete_parent_row(db, fk, parent_key)
-    outcome.exact_children_actioned = _apply_action(
-        db, fk, fk.exact_child_predicate(parent_key), fk.on_delete
-    )
-
-    counts: dict[State, int] = {}
-    for state in iter_null_states(fk.n_columns, include_total=False, include_all_null=False):
-        db.tracker.count("state_checks")
-        rids = _collect_state_group(db, fk, parent_key, state)
-        if rids:
-            counts[state] = len(rids)
-
-    while counts:
-        state = max(counts, key=lambda s: (counts[s], tuple(-i for i in s)))
-        del counts[state]
-        rids = _collect_state_group(db, fk, parent_key, state)
-        if not rids:
-            continue  # absorbed by an earlier subsumption
-        alternatives = _alternative_parents(db, fk, parent_key, state)
-        if not alternatives:
-            predicate = fk.child_state_predicate(parent_key, state)
-            outcome.actioned_children += _apply_action(db, fk, predicate, fk.on_delete)
-            outcome.choices.append((state, None))
-            continue
-        chosen = chooser(state, alternatives)
-        outcome.choices.append((state, chosen))
-        if chosen is None:
-            predicate = fk.child_state_predicate(parent_key, state)
-            outcome.actioned_children += _apply_action(db, fk, predicate, fk.on_delete)
-        else:
-            outcome.imputed_children += _subsume_children(
-                db, fk, parent_key, state, chosen, outcome, log
+    with db.begin_nested():
+        outcome.exact_children_actioned = _remove_parent(db, fk, parent_key)
+        found = {
+            state: (len(_children(db, fk, parent_key, state)), values, alternative)
+            for state, values, alternative in enforcement.iter_populated_states(
+                db, fk, parent_key
             )
+        }
+        while found:
+            state = max(found, key=lambda s: (found[s][0], tuple(-i for i in s)))
+            __, values, alternative = found.pop(state)
+            if not _children(db, fk, parent_key, state):
+                continue  # absorbed by an earlier subsumption
+            alternatives = _alternatives(db, fk, state, values) if alternative else []
+            _settle(db, fk, parent_key, state, alternatives, chooser, outcome, log)
     return outcome
 
 
-def _delete_parent_row(db: "Database", fk: ForeignKey, parent_key: Sequence[Any]) -> None:
+def _remove_parent(db: "Database", fk: ForeignKey, parent_key: Sequence[Any]) -> int:
     """Physically remove the parent row, bypassing the AFTER DELETE
-    enforcement trigger — the intelligent service replaces it."""
-    parent = db.table(fk.parent_table)
+    enforcement trigger — the intelligent service replaces it — and
+    apply the action to its exact-match children; returns how many."""
     predicate = equalities(fk.key_columns, parent_key)
     rids = executor.select_rids(db, fk.parent_table, predicate, limit=1)
     if not rids:
         raise LookupError(f"no parent with key {parent_key!r}")
     with _suspended_parent_triggers(db, fk):
         dml.delete_rid(db, fk.parent_table, rids[0])
+    return enforcement.apply_action(
+        db, fk, fk.exact_child_predicate(parent_key), fk.on_delete
+    )
 
 

@@ -118,7 +118,7 @@ def delete_rid(
         if fk.enforcement is EnforcementMode.NATIVE
     ]
     for fk in native_fks:
-        enforcement.restrict_parent_remove(db, fk, row)
+        enforcement.restrict_parent_remove(db, fk, row, None, rid, fk.on_delete)
 
     fire("dml.delete.pre")
     table.delete_rid(rid)
@@ -191,8 +191,7 @@ def update_rid(
         and fk.parent_values(new_row) != fk.parent_values(old_row)
     ]
     for fk in native_parent_fks:
-        if fk.on_update.rejects:
-            enforcement.restrict_parent_remove(db, fk, old_row)
+        enforcement.restrict_parent_remove(db, fk, old_row, new_row, rid, fk.on_update)
 
     fire("dml.update.pre")
     table.update_rid(rid, new_row, pre_validated=True)

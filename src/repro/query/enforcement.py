@@ -11,14 +11,14 @@ point of the paper.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from typing import TYPE_CHECKING, Any
 
 from ..concurrency import hooks
 from ..constraints.actions import ReferentialAction
 from ..constraints.foreign_key import ForeignKey, MatchSemantics
-from ..core.states import iter_null_states
-from ..errors import IntegrityError, ReferentialIntegrityViolation, RestrictViolation
+from ..core.states import State, iter_null_states
+from ..errors import ReferentialIntegrityViolation, RestrictViolation
 from ..nulls import NULL
 from ..testing.faults import fire
 from . import executor, probes
@@ -109,33 +109,46 @@ def check_child_write(db: "Database", fk: ForeignKey, row: Sequence[Any]) -> Non
 # Parent-side: deleting / updating a referenced tuple
 
 
-def restrict_parent_remove(db: "Database", fk: ForeignKey, parent_row: Sequence[Any]) -> None:
-    """RESTRICT / NO ACTION check, run *before* the parent row vanishes.
+class _ParentAfter:
+    """A one-row read view: the parent table as the write at *rid* will
+    leave it, that row read as *row* (None: deleted).  The probe kernel
+    skips the divergent rid on the tip and re-tests :meth:`row`."""
 
-    Rejects the removal when any child still references the parent and
-    would lose its last parent (for partial semantics, total children
-    always do; partial children only when no alternative parent exists).
+    def __init__(self, rid: int, row: Sequence[Any] | None) -> None:
+        self._rids = (rid,)
+        self._row = row
+
+    def divergent_rids(self, table_name: str) -> tuple[int, ...]:
+        return self._rids
+
+    def row(self, table_name: str, rid: int) -> Sequence[Any] | None:
+        return self._row
+
+
+def restrict_parent_remove(
+    db: "Database",
+    fk: ForeignKey,
+    old_row: Sequence[Any],
+    new_row: Sequence[Any] | None,
+    rid: int,
+    action: ReferentialAction,
+) -> None:
+    """The RESTRICT / NO ACTION veto of *action* (the write's ON DELETE
+    or ON UPDATE action), run *before* the parent row at *rid* changes
+    from *old_row* to *new_row* (None for a delete).
+
+    Rejects the write when a child would lose its last parent — exactly
+    when :func:`handle_parent_removed` under SET NULL would rewrite one.
     """
-    if not fk.on_delete.rejects:
+    if not action.rejects:
         return
-    parent_key = fk.parent_values(parent_row)
+    parent_key = fk.parent_values(old_row)
+    apply_action(db, fk, fk.exact_child_predicate(parent_key), action)
     if fk.match is not MatchSemantics.PARTIAL:
-        if executor.exists(db, fk.child_table, fk.exact_child_predicate(parent_key)):
-            raise RestrictViolation(
-                f"{fk.name}: children still reference {parent_key!r}"
-            )
         return
-    for state in iter_null_states(fk.n_columns, include_total=True, include_all_null=False):
-        db.tracker.count("state_checks")
-        child_pred = fk.child_state_predicate(parent_key, state)
-        if not executor.exists(db, fk.child_table, child_pred):
-            continue
-        if not state:
-            # total children: the deleted parent is their only parent
-            raise RestrictViolation(
-                f"{fk.name}: total children still reference {parent_key!r}"
-            )
-        if not _alternative_parent_exists(db, fk, parent_key, state, parent_row):
+    after = _ParentAfter(rid, new_row)
+    for state, __, alternative in iter_populated_states(db, fk, parent_key, view=after):
+        if not alternative:
             raise RestrictViolation(
                 f"{fk.name}: children in state {state!r} would lose their "
                 f"last parent {parent_key!r}"
@@ -152,10 +165,10 @@ def handle_parent_removed(
 
     This is the paper's AFTER DELETE trigger on PS (§6.1), for each of
     the removed referenced-key values *parent_keys*: first the total
-    children of the removed key receive the action, then each of the
-    ``2^n - 2`` partial states is probed — children exist in the state
-    AND no alternative parent subsumes them — and orphaned states
-    receive the action.  Returns the number of affected child rows.
+    children of the removed key receive the action, then each partial
+    state that :func:`iter_populated_states` finds orphaned — children
+    exist in the state AND no alternative parent subsumes them —
+    receives it.  Returns the number of affected child rows.
 
     The DML path passes the one key of the row it just removed.  The
     batch path (:func:`repro.core.batch.batch_delete_parents`) removes
@@ -169,10 +182,8 @@ def handle_parent_removed(
     if action.rejects:
         # Already vetoed in restrict_parent_remove before the removal.
         return 0
-    child = db.table(fk.child_table)
-    parent = db.table(fk.parent_table)
     affected = 0
-    probed: set[tuple[tuple[int, ...], tuple[Any, ...]]] = set()
+    probed: set[tuple[State, tuple[Any, ...]]] = set()
     for parent_key in dict.fromkeys(map(tuple, parent_keys)):
         # 1. Children whose foreign key totally equals the removed key:
         #    the referenced key is unique, so there is never an
@@ -183,28 +194,16 @@ def handle_parent_removed(
         if fk.match is not MatchSemantics.PARTIAL:
             continue
 
-        # 2. Each partial state: u = 1 .. n-1 null markers.  The
-        #    per-state probes are value-independent, so they are
-        #    prepared once per foreign key and only the values bind per
-        #    removal.  The child probes of one key revisit the same few
-        #    index ranges with different residuals, so they share one
-        #    read of each (and, without a full-key child index, one
-        #    census) — until an action rewrites children.
+        # 2. Each partial state.  The child probes of one key revisit
+        #    the same few index ranges with different residuals, so they
+        #    share one read of each (and, without a full-key child
+        #    index, one census) — until an action rewrites children.
         scope = probes.RangeScope()
-        for state, total_positions, child_probe, parent_probe in _state_probes(
-            fk, child, parent
+        for state, __, alternative in iter_populated_states(
+            db, fk, parent_key, scope, probed=probed
         ):
-            values = tuple([parent_key[i] for i in total_positions])
-            if (state, values) in probed:
-                continue
-            probed.add((state, values))
-            fire("enforce.state_probe")
-            db.tracker.count("state_checks")
-            if not child_probe.exists(values, None, scope):
-                continue
-            if parent_probe.exists(values):
-                # An alternative parent subsumes this state's children:
-                # the removed rows are already gone (AFTER DELETE), so
+            if alternative:
+                # The removed rows are already gone (AFTER DELETE), so
                 # any hit is a genuine alternative.
                 continue
             affected += _apply_action_scoped(
@@ -212,6 +211,39 @@ def handle_parent_removed(
             )
             scope.clear()
     return affected
+
+
+def iter_populated_states(
+    db: "Database",
+    fk: ForeignKey,
+    parent_key: Sequence[Any],
+    scope: probes.RangeScope | None = None,
+    view: Any = None,
+    probed: set[tuple[State, tuple[Any, ...]]] | None = None,
+) -> Iterator[tuple[State, tuple[Any, ...], bool]]:
+    """The §6.1 state loop for one removed key *parent_key*.
+
+    Yields ``(state, values, alternative)`` for each partial null-state
+    with children referencing the key: *values* are the key's values on
+    the state's total columns, *alternative* whether a parent (seen
+    through *view*, if given) matches them.  Lazy: a caller may act on
+    a state before the next is probed, and must then clear *scope*.
+    Pairs already in *probed* are skipped; probed pairs are added.
+    """
+    child = db.table(fk.child_table)
+    parent = db.table(fk.parent_table)
+    for state, total_positions, child_probe, parent_probe in _state_probes(
+        fk, child, parent
+    ):
+        values = tuple([parent_key[i] for i in total_positions])
+        if probed is not None:
+            if (state, values) in probed:
+                continue
+            probed.add((state, values))
+        fire("enforce.state_probe")
+        db.tracker.count("state_checks")
+        if child_probe.exists(values, None, scope):
+            yield state, values, parent_probe.exists(values, view)
 
 
 def _state_probes(
@@ -252,35 +284,6 @@ def _state_probes(
     return cached[1]
 
 
-def _alternative_parent_exists(
-    db: "Database",
-    fk: ForeignKey,
-    parent_key: Sequence[Any],
-    state: Sequence[int],
-    removed_row: Sequence[Any],
-) -> bool:
-    """Is there a parent, other than the removed one, matching the state's
-    total components?  The probe constrains exactly the key columns the
-    children in this state are total on."""
-    columns = [
-        fk.key_columns[i] for i in range(fk.n_columns) if i not in state
-    ]
-    values = [parent_key[i] for i in range(fk.n_columns) if i not in state]
-    from .predicate import equalities
-
-    predicate = equalities(columns, values)
-    # The caller removes the parent row before this probe runs (AFTER
-    # DELETE), so any hit is a genuine alternative.  When called before
-    # the removal (RESTRICT path) the removed row itself may match; it
-    # must be discounted.
-    table = db.table(fk.parent_table)
-    removed_key = tuple(removed_row)
-    for __, row in executor.iter_matching(table, predicate):
-        if tuple(row) != removed_key:
-            return True
-    return False
-
-
 def _apply_action_scoped(
     db: "Database", fk: ForeignKey, child_pred: Predicate, action: ReferentialAction
 ) -> int:
@@ -295,15 +298,16 @@ def _apply_action_scoped(
     fire("enforce.apply_action")
     txn = db.active_transaction
     if txn is None or not txn.is_open:
-        return _apply_action(db, fk, child_pred, action)
+        return apply_action(db, fk, child_pred, action)
     with txn.savepoint():
-        return _apply_action(db, fk, child_pred, action)
+        return apply_action(db, fk, child_pred, action)
 
 
-def _apply_action(
+def apply_action(
     db: "Database", fk: ForeignKey, child_pred: Predicate, action: ReferentialAction
 ) -> int:
-    """Run one referential action over the children matching *child_pred*."""
+    """Run one referential action over the children matching *child_pred*
+    (under RESTRICT / NO ACTION: veto if there is one)."""
     from . import dml
 
     if action is ReferentialAction.CASCADE:
@@ -325,4 +329,10 @@ def _apply_action(
                 probe_row[child.schema.position(column)] = value
             check_child_write(db, fk, probe_row)
         return count
-    raise IntegrityError(f"unsupported referential action {action!r}")
+    # RESTRICT / NO ACTION
+    if executor.exists(db, fk.child_table, child_pred):
+        raise RestrictViolation(
+            f"{fk.name}: {action.sql()} vetoes the removal, children "
+            f"still match {child_pred.sql()}"
+        )
+    return 0

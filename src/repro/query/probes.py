@@ -8,7 +8,10 @@ of times during an experiment:
 * *state probe* — does some child exist in null-state S referencing the
   removed parent key? (parent delete, one per state);
 * *alternative-parent probe* — does a parent other than the removed one
-  match the state's total columns?
+  match the state's total columns?  The AFTER DELETE action asks it
+  once the row is gone; the RESTRICT veto and intelligent deletion ask
+  it too, the veto before the row changes, through a one-row read view
+  that shows the table as the write will leave it.
 
 A real engine runs these as prepared statements; building full predicate
 trees per probe would make Python object construction — not the index

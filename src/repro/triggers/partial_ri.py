@@ -64,7 +64,9 @@ def install(db: "Database", fk: ForeignKey) -> list[Trigger]:
         fire("trigger.child_check")
         enforcement.check_child_write(db_, fk, new)
 
-    def parent_restrict(db_: Any, event: TriggerEvent, table: str, old: Any, new: Any) -> None:
+    def parent_restrict(
+        db_: Any, event: TriggerEvent, table: str, old: Any, new: Any, rid: Any = None
+    ) -> None:
         action = fk.on_update if event is TriggerEvent.BEFORE_UPDATE else fk.on_delete
         if not action.rejects:
             return
@@ -72,7 +74,7 @@ def install(db: "Database", fk: ForeignKey) -> list[Trigger]:
             if fk.parent_values(new) == fk.parent_values(old):
                 return
         fire("trigger.parent_restrict")
-        enforcement.restrict_parent_remove(db_, fk, old)
+        enforcement.restrict_parent_remove(db_, fk, old, new, rid, action)
 
     def parent_removed(db_: Any, event: TriggerEvent, table: str, old: Any, new: Any) -> None:
         action = fk.on_update if event is TriggerEvent.AFTER_UPDATE else fk.on_delete

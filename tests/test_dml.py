@@ -18,12 +18,14 @@ from repro.errors import KeyViolation, QueryError
 from repro.nulls import NULL
 from repro.query import dml
 from repro.query.predicate import Eq, IsNull, equalities
+from repro.triggers import partial_ri
 from repro.triggers.framework import Trigger, TriggerEvent
 
 
 def make_db(
     match=MatchSemantics.SIMPLE,
     on_delete=ReferentialAction.SET_NULL,
+    on_update=ReferentialAction.SET_NULL,
 ) -> tuple[Database, ForeignKey]:
     db = Database()
     db.create_table("p", [
@@ -34,7 +36,7 @@ def make_db(
     ])
     db.add_candidate_key(PrimaryKey("p", ("k1", "k2")))
     fk = ForeignKey("fk", "c", ("f1", "f2"), "p", ("k1", "k2"),
-                    match=match, on_delete=on_delete)
+                    match=match, on_delete=on_delete, on_update=on_update)
     db.add_foreign_key(fk)
     for k1 in range(3):
         for k2 in range(3):
@@ -195,6 +197,22 @@ class TestUpdate:
         with pytest.raises(KeyViolation):
             dml.update_where(db, "p", {"k1": 1, "k2": 1},
                              equalities(("k1", "k2"), (0, 0)))
+
+    @pytest.mark.parametrize("match, triggers", [
+        (MatchSemantics.PARTIAL, False),
+        (MatchSemantics.SIMPLE, False),
+        (MatchSemantics.PARTIAL, True),
+    ], ids=["native-partial", "native-simple", "trigger-partial"])
+    def test_update_parent_key_on_update_restrict_vetoes(self, match, triggers):
+        """ON UPDATE RESTRICT vetoes even where ON DELETE would not."""
+        db, fk = make_db(match=match, on_update=ReferentialAction.RESTRICT)
+        if triggers:
+            partial_ri.install(db, fk)
+        dml.insert(db, "c", (1, 2, "x"))
+        with pytest.raises(RestrictViolation):
+            dml.update_where(db, "p", {"k2": 3}, equalities(("k1", "k2"), (1, 2)))
+        assert db.exists("p", equalities(("k1", "k2"), (1, 2)))
+        assert db.select("c") == [(1, 2, "x")]
 
     def test_update_pk_self_match_allowed(self):
         db, __ = make_db()

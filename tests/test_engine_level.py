@@ -9,6 +9,7 @@ from repro import (
     ForeignKey,
     IndexStructure,
     MatchSemantics,
+    ReferentialAction,
     ReferentialIntegrityViolation,
     check_database,
 )
@@ -26,13 +27,14 @@ from repro.workloads.synthetic import generate as generate_synthetic
 from repro.workloads.synthetic import insert_stream
 
 
-def make_db(n=3):
+def make_db(n=3, **actions):
     db = Database()
     keys = tuple(f"k{i}" for i in range(n))
     fks = tuple(f"f{i}" for i in range(n))
     db.create_table("p", [Column(k, nullable=False) for k in keys])
     db.create_table("c", [Column(f) for f in fks])
-    fk = ForeignKey("fk", "c", fks, "p", keys, match=MatchSemantics.PARTIAL)
+    fk = ForeignKey("fk", "c", fks, "p", keys, match=MatchSemantics.PARTIAL,
+                    **actions)
     db.add_foreign_key(fk)
     return db, fk
 
@@ -101,6 +103,15 @@ class TestEngineLevelEnforcement:
         with pytest.raises(SchemaError):
             EngineLevelEnforcement(db, fk)
 
+    @pytest.mark.parametrize("event", ["on_delete", "on_update"])
+    @pytest.mark.parametrize("action", [ReferentialAction.RESTRICT,
+                                        ReferentialAction.NO_ACTION])
+    def test_rejects_vetoing_actions(self, event, action):
+        db, fk = make_db(2, **{event: action})
+        with pytest.raises(SchemaError):
+            EngineLevelEnforcement(db, fk)
+        assert len(db.triggers) == 0
+
     def test_insert_veto_and_accept(self):
         db, __, __e = self.setup_engine()
         dml.insert(db, "c", (1, NULL, 1))
@@ -137,6 +148,29 @@ class TestEngineLevelEnforcement:
         dml.insert(db, "c", (1, 1, 1))
         dml.update_where(db, "p", {"k1": 9}, equalities(fk.key_columns, (1, 1, 1)))
         assert db.select("c") == [(NULL, NULL, NULL)]
+
+    def test_parent_key_update_applies_on_update_action(self):
+        db, fk = make_db(3, on_delete=ReferentialAction.SET_NULL,
+                         on_update=ReferentialAction.CASCADE)
+        EngineLevelEnforcement(db, fk)
+        dml.insert(db, "p", (1, 1, 1))
+        dml.insert(db, "p", (2, 2, 2))
+        dml.insert(db, "c", (1, 1, 1))
+        dml.insert(db, "c", (2, NULL, 2))
+        dml.update_where(db, "p", {"k1": 9}, equalities(fk.key_columns, (1, 1, 1)))
+        assert db.select("c") == [(2, NULL, 2)]  # CASCADE, as the triggers do
+        dml.delete_where(db, "p", equalities(fk.key_columns, (2, 2, 2)))
+        assert db.select("c") == [(NULL, NULL, NULL)]  # ON DELETE SET NULL
+        assert check_database(db) == []
+
+    def test_delete_applies_cascade(self):
+        db, fk = make_db(3, on_delete=ReferentialAction.CASCADE)
+        EngineLevelEnforcement(db, fk)
+        dml.insert(db, "p", (1, 1, 1))
+        dml.insert(db, "c", (1, 1, 1))
+        dml.insert(db, "c", (1, NULL, 1))
+        dml.delete_where(db, "p", equalities(fk.key_columns, (1, 1, 1)))
+        assert db.select("c") == []
 
     def test_uninstall(self):
         db, fk, engine = self.setup_engine()

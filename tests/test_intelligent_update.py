@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro import EnforcedForeignKey, IndexStructure, check_database
+from repro import (
+    EnforcedForeignKey,
+    IndexStructure,
+    ReferentialAction,
+    RestrictViolation,
+    check_database,
+)
 from repro.core.intelligent_update import (
     choose_first,
     choose_none,
@@ -17,8 +23,9 @@ from repro.query.predicate import Eq
 from .conftest import make_tourism_db
 
 
-def enforced():
+def enforced(on_delete=ReferentialAction.SET_NULL):
     db, fk = make_tourism_db()
+    fk.on_delete = on_delete
     efk = EnforcedForeignKey.create(db, fk, IndexStructure.BOUNDED)
     return db, fk, efk
 
@@ -108,6 +115,20 @@ class TestIntelligentDeletion:
         assert outcome.imputed_children == 0
         # the child keeps its value: an alternative parent still exists,
         # so partial semantics holds and the action is not forced
+        assert check_database(db) == []
+
+    @pytest.mark.parametrize("method", [intelligent_delete_method1,
+                                        intelligent_delete_method2])
+    def test_declined_state_under_restrict_vetoes(self, method):
+        """Declining the alternative falls back to the action; under
+        RESTRICT that vetoes, and the parent comes back."""
+        db, fk, __ = enforced(on_delete=ReferentialAction.RESTRICT)
+        db.insert("booking", (1011, "RF", NULL, "Oct 5"))
+        parents, children = db.select("tour"), db.select("booking")
+        with pytest.raises(RestrictViolation):
+            method(db, fk, ("RF", "OR"), chooser=choose_none)
+        assert db.select("tour") == parents
+        assert db.select("booking") == children
         assert check_database(db) == []
 
     @pytest.mark.parametrize("method", [intelligent_delete_method1,

@@ -5,6 +5,8 @@ The oracle is :func:`repro.constraints.checker.satisfies_partial_semantics`
 Whatever random update sequence runs through the enforced engine, under
 any index structure, the database must satisfy partial semantics at every
 point, and the engine must accept/veto exactly what the definition says.
+RESTRICT is checked against SET NULL on the same database: it vetoes
+exactly the parent writes that SET NULL would answer by rewriting a child.
 """
 
 from hypothesis import given, settings
@@ -17,12 +19,16 @@ from repro import (
     ForeignKey,
     IndexStructure,
     MatchSemantics,
+    ReferentialAction,
     ReferentialIntegrityViolation,
+    RestrictViolation,
 )
 from repro.constraints import check_database, satisfies_partial_semantics
+from repro.constraints.foreign_key import EnforcementMode
 from repro.nulls import NULL, is_subsumed_by
 from repro.query import dml
 from repro.query.predicate import equalities
+from repro.triggers import partial_ri
 
 N = 3
 VALUES = st.one_of(st.integers(0, 3), st.just(NULL))
@@ -38,14 +44,21 @@ STRUCTURES = st.sampled_from([
 ])
 
 
-def build(structure, parent_keys):
+def build(structure, parent_keys, action=ReferentialAction.SET_NULL,
+          native=False):
+    """A MATCH PARTIAL key with *action* on delete and on update,
+    enforced by the §6.1 triggers, or by the DML path when *native*."""
     db = Database()
     db.create_table("p", [Column(f"k{i}", nullable=False) for i in range(N)])
     db.create_table("c", [Column(f"f{i}") for i in range(N)])
     fk = ForeignKey("fk", "c", tuple(f"f{i}" for i in range(N)),
                     "p", tuple(f"k{i}" for i in range(N)),
-                    match=MatchSemantics.PARTIAL)
+                    match=MatchSemantics.PARTIAL,
+                    on_delete=action, on_update=action)
     EnforcedForeignKey.create(db, fk, structure)
+    if native:
+        partial_ri.uninstall(db, fk)
+        fk.enforcement = EnforcementMode.NATIVE
     for key in parent_keys:
         dml.insert(db, "p", key)
     return db, fk
@@ -134,3 +147,75 @@ def test_structures_agree_on_final_state(parent_keys, data):
         outcomes.append((sorted(db.table("p").rows()),
                          sorted(db.table("c").rows(), key=repr)))
     assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+def contents(db):
+    return (sorted(db.table("p").rows()),
+            sorted(db.table("c").rows(), key=repr))
+
+
+@given(
+    structure=STRUCTURES,
+    native=st.booleans(),
+    parent_keys=st.lists(PARENT_KEY, min_size=2, max_size=8, unique=True),
+    data=st.data(),
+)
+@settings(max_examples=50, deadline=None)
+def test_restrict_vetoes_iff_set_null_would_act(
+    structure, native, parent_keys, data
+):
+    """RESTRICT rejects a parent delete or key update exactly when SET
+    NULL would change a child, and a rejected write changes nothing."""
+    restrict, fk = build(structure, parent_keys, ReferentialAction.RESTRICT,
+                         native)
+    set_null, set_null_fk = build(structure, parent_keys,
+                                  ReferentialAction.SET_NULL, native)
+    for __ in range(data.draw(st.integers(0, 8))):
+        parent = data.draw(st.sampled_from(parent_keys))
+        mask = data.draw(st.tuples(*[st.booleans()] * N))
+        child = tuple(NULL if m else v for m, v in zip(mask, parent))
+        dml.insert(restrict, "c", child)
+        dml.insert(set_null, "c", child)
+
+    live = list(parent_keys)
+    for __ in range(data.draw(st.integers(1, 4))):
+        if not live:
+            break
+        key = data.draw(st.sampled_from(live))
+        where = equalities(fk.key_columns, key)
+        new_key = None
+        if data.draw(st.booleans()):
+            new_key = data.draw(PARENT_KEY.filter(lambda k: k not in live))
+
+        def write(db):
+            if new_key is None:
+                dml.delete_where(db, "p", where)
+            else:
+                dml.update_where(db, "p", dict(zip(fk.key_columns, new_key)),
+                                 where)
+
+        before = contents(set_null)
+        # SET NULL runs in a transaction, kept only when it did not act,
+        # so that both databases stay equal.
+        txn = set_null.begin()
+        write(set_null)
+        acted = contents(set_null)[1] != before[1]
+        if acted:
+            txn.rollback()
+        else:
+            txn.commit()
+        try:
+            write(restrict)
+            vetoed = False
+        except RestrictViolation:
+            vetoed = True
+        assert vetoed == acted, (key, new_key, before)
+        assert contents(restrict) == contents(set_null)
+        if vetoed:
+            assert contents(restrict) == before
+        else:
+            live.remove(key)
+            if new_key is not None:
+                live.append(new_key)
+    assert satisfies_partial_semantics(restrict, fk)
+    assert satisfies_partial_semantics(set_null, set_null_fk)

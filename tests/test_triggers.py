@@ -215,6 +215,24 @@ class TestPartialRiBehaviour:
         n = dml.delete_where(db, "p", equalities(("k0", "k1", "k2"), (1, 1, 1)))
         assert n == 1
 
+    def test_delete_restrict_vetoes_last_parent_of_partial_child(self):
+        db, __ = self.setup_db(on_delete=ReferentialAction.RESTRICT)
+        dml.insert(db, "c", (NULL, 1, NULL))  # only (1, 1, 1) subsumes it
+        with pytest.raises(RestrictViolation):
+            dml.delete_where(db, "p", equalities(("k0", "k1", "k2"), (1, 1, 1)))
+        assert db.table("p").row_count == 2
+
+    def test_update_restrict_counts_the_updated_rows_new_key(self):
+        """A parent-key update acts as a delete plus an insert: the row's
+        new key is an alternative parent, as it is for SET NULL."""
+        db, __ = self.setup_db(on_delete=ReferentialAction.RESTRICT)
+        dml.insert(db, "c", (NULL, 1, NULL))  # only (1, 1, 1) subsumes it
+        key = equalities(("k0", "k1", "k2"), (1, 1, 1))
+        with pytest.raises(RestrictViolation):
+            dml.update_where(db, "p", {"k1": 9}, key)
+        assert dml.update_where(db, "p", {"k0": 5}, key) == 1
+        assert db.select("c") == [(NULL, 1, NULL)]
+
     def test_update_parent_key_behaves_like_delete(self):
         db, __ = self.setup_db()
         dml.insert(db, "c", (1, 1, 1))
