@@ -52,10 +52,12 @@ code comments otherwise only promise:
 * **strict 2PL** — no acquisition after the transaction's release
   (``release_all`` is the only release, so any later acquire under the
   same transaction id is a phase violation);
-* **witness pinning** — :func:`repro.concurrency.hooks.verify_parent_exists`
-  reports the witness key it adopted, and the observer checks the
-  S-lock on exactly that resource is held by the transaction at the end
-  of the probe window (and, by strict 2PL, until commit);
+* **witness pinning** — :func:`repro.concurrency.hooks.verify_parent_exists`,
+  the one witness pin of the child check, the parent-side state loop
+  and the shard probe, reports each witness key it locks, and the
+  observer checks the S-lock on exactly that resource is held by the
+  transaction when the lock is granted (and, by strict 2PL, until
+  commit);
 * **snapshot reads are lock-free** — MVCC snapshot transactions
   legitimately hold *no* read locks at all: the snapshot read path
   (:meth:`repro.concurrency.session.Session._snapshot_read`) wraps

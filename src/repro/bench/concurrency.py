@@ -210,7 +210,7 @@ def run_read_mix_cell(
     probability ``read_pct``% a lock-free :meth:`Session.snapshot_select`
     of a random parent key, otherwise a write (child insert, or
     occasionally a parent delete + re-insert, so the SET NULL cascade
-    and commit-time witness re-validation stay exercised).  After the
+    and the witness pins stay exercised).  After the
     mixed phase, all threads run a pure-read tail while the lock-manager
     counters are snapshotted around it — snapshot reads acquire zero
     logical locks, so the reader deltas are expected to be exactly 0.

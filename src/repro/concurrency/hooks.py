@@ -8,30 +8,28 @@ immediately when there is none.  Only statements issued through a
 
 What gets locked where (the concurrency protocol, see DESIGN.md §5d):
 
-* **insert into T** — IX on T, then X on each of T's candidate-key
-  values carried by the new row (serializes duplicate-key races so a
-  key check cannot pass against a row another transaction may yet roll
-  back ... or insert);
-* **delete from T** — IX on T, X on the victim row's candidate-key
-  values (an insert of the same key must wait for our fate), and X on
-  each *referenced-key* value for every foreign key in which T is the
-  parent — the other half of the phantom-parent handshake;
-* **update of T** — the union of the delete locks on the old row and
-  the insert locks on the new row (referenced-key X only when key
-  columns actually change, mirroring the paper's delete+insert model);
-* **child FK check** — S on the referenced-key value of the *witness*
-  parent the probe found (:func:`verify_parent_exists`).  Strict 2PL
-  holds that S until commit, so the imputed/validated reference cannot
-  point at a parent that a concurrent delete removes mid-enforcement.
+* **insert into / delete from T** — IX on T, then X on each of the
+  row's candidate-key values (a duplicate-key check cannot pass against
+  a row another transaction may yet roll back) and on each
+  *referenced-key* value for every foreign key in which T is the parent:
+  a writer that creates or destroys a parent key holds it exclusively
+  until its fate is known;
+* **update of T** — the same on the old and the new row (referenced-key
+  X only when key columns actually change, mirroring the paper's
+  delete+insert model);
+* **witness pin** — S on the full referenced-key value of the parent
+  that answers a foreign-key probe (:func:`verify_parent_exists`), from
+  either side of the key: the child check asks whether a parent subsumes
+  the new value, the parent-side state loop whether an alternative
+  parent survives a removed key, and a shard ``probe`` whether a remote
+  parent exists.  Strict 2PL holds the S until commit, so the answer
+  cannot be undone by a concurrent delete, nor rest on an insert that
+  rolls back.
 
-The witness lock is acquired *after* the probe (we cannot know which
-parent subsumes the value before looking), so the witness may be gone by
-the time the lock is granted — the statement latch is dropped during
-lock waits.  That probe→grant window is closed by *commit-time witness
-re-validation*: the adopted witness is recorded on the transaction and
-:func:`revalidate_witnesses` re-checks every one against the latest
-committed state at commit, aborting with a retryable
-:class:`~repro.errors.SerializationError` if a parent vanished in it.
+The witness is found before it is locked (we cannot know which parent
+matches before looking), and the statement latch is dropped during lock
+waits, so the pin re-checks the witness under its lock
+(:func:`revalidate_witnesses`) and finds again when it vanished.
 
 Snapshot reads take **no** logical locks at all — they never reach this
 module.  The lock protocol above is the write path only.
@@ -49,6 +47,10 @@ from .locks import LockManager, LockMode, key_resource, table_resource
 if TYPE_CHECKING:  # pragma: no cover
     from ..constraints.foreign_key import ForeignKey
     from ..storage.database import Database
+
+#: Witnesses a partial-match pin locks before it gives up on ones that
+#: vanish under its lock.
+_PROBE_ATTEMPTS = 3
 
 
 def _locker(db: "Database") -> tuple[LockManager, int] | None:
@@ -96,18 +98,12 @@ def lock_for_insert(db: "Database", table_name: str, row: Sequence[Any]) -> None
     locks.acquire(txn_id, table_resource(table_name), LockMode.IX)
     for resource in _candidate_key_resources(db, table_name, row):
         locks.acquire(txn_id, resource, LockMode.X)
-
-
-def lock_for_delete(db: "Database", table_name: str, row: Sequence[Any]) -> None:
-    locked = _locker(db)
-    if locked is None:
-        return
-    locks, txn_id = locked
-    locks.acquire(txn_id, table_resource(table_name), LockMode.IX)
-    for resource in _candidate_key_resources(db, table_name, row):
-        locks.acquire(txn_id, resource, LockMode.X)
     for resource in _referenced_key_resources(db, table_name, row):
         locks.acquire(txn_id, resource, LockMode.X)
+
+
+#: A delete destroys the key values an insert creates: the same locks.
+lock_for_delete = lock_for_insert
 
 
 def lock_for_update(
@@ -126,12 +122,14 @@ def lock_for_update(
             locks.acquire(txn_id, resource, LockMode.X)
     for fk in db.foreign_keys_on_parent(table_name):
         old_key = fk.parent_values(old_row)
-        if old_key != fk.parent_values(new_row):
-            locks.acquire(
-                txn_id,
-                key_resource(fk.parent_table, fk.key_columns, old_key),
-                LockMode.X,
-            )
+        new_key = fk.parent_values(new_row)
+        if old_key != new_key:
+            for key in (old_key, new_key):
+                locks.acquire(
+                    txn_id,
+                    key_resource(fk.parent_table, fk.key_columns, key),
+                    LockMode.X,
+                )
 
 
 def lock_for_read(db: "Database", table_name: str) -> None:
@@ -145,38 +143,55 @@ def lock_for_read(db: "Database", table_name: str) -> None:
 
 def verify_parent_exists(
     db: "Database",
-    fk: "ForeignKey",
+    table: str,
+    key_columns: Sequence[str],
     columns: Sequence[str],
     values: Sequence[Any],
-) -> bool:
-    """The concurrency-safe subsumption probe of the child-side check.
+    view: Any = None,
+) -> Sequence[Any] | None:
+    """The witness pin: does a row of *table* match ``columns = values``
+    (read through *view*, if given)?  Answers the matching row's value
+    on *key_columns*, S-locked by the statement's transaction, or None.
 
-    Outside a managed session: one existence probe.  On a session: find
-    a witness parent, take a shared lock on its full referenced-key
-    value — strict 2PL pins it until our transaction ends, a
-    parent-delete of that key blocks on its X lock until then — and
-    record it for :func:`revalidate_witnesses`, which catches a delete
-    that committed between the probe and the grant.
+    Outside a managed session nothing is locked: one existence probe,
+    which answers *values* on a hit.  On a session, an exact key
+    (*columns* are *key_columns*) is locked first and then checked.  A
+    partial match is found first and its full key locked; the lock wait
+    may outlive the witness — an uncommitted parent rolls back, a delete
+    commits — so the key is re-checked under the lock through the same
+    *view*, and a vanished witness means "find again".  Only witnesses
+    that vanish :data:`_PROBE_ATTEMPTS` times raise the retryable
+    :class:`~repro.errors.SerializationError`.
     """
     from ..query import probes
 
-    parent = db.table(fk.parent_table)
+    parent = db.table(table)
     locked = _locker(db)
     if locked is None:
-        return probes.exists_eq(parent, columns, values)
+        hit = probes.exists_eq(parent, columns, values, view=view)
+        return values if hit else None
     locks, txn_id = locked
-    witness = probes.find_eq(parent, columns, values)
-    if witness is None:
-        return False
-    full_key = tuple(fk.parent_values(witness))
-    resource = key_resource(fk.parent_table, fk.key_columns, full_key)
-    locks.acquire(txn_id, resource, LockMode.S)
-    if locks.sanitizer is not None:
-        locks.sanitizer.on_witness_pinned(txn_id, resource)
-    txn = db.active_transaction
-    if txn is not None:
-        txn.record_witness((fk.parent_table, tuple(fk.key_columns), full_key))
-    return True
+    exact = tuple(columns) == tuple(key_columns)
+    for __ in range(_PROBE_ATTEMPTS):
+        if exact:
+            key = values
+        else:
+            witness = probes.find_eq(parent, columns, values, view=view)
+            if witness is None:
+                return None
+            key = [witness[i] for i in parent.schema.positions(key_columns)]
+        resource = key_resource(table, key_columns, key)
+        locks.acquire(txn_id, resource, LockMode.S)
+        if locks.sanitizer is not None:
+            locks.sanitizer.on_witness_pinned(txn_id, resource)
+        if revalidate_witnesses(db, table, key_columns, key, view):
+            return key
+        if exact:
+            return None
+    raise SerializationError(
+        f"witnesses of {table}{dict(zip(columns, values))!r} vanished "
+        f"{_PROBE_ATTEMPTS} times under the pin; retry"
+    )
 
 
 def verify_parent_exists_many(
@@ -185,43 +200,39 @@ def verify_parent_exists_many(
     columns: Sequence[str],
     values_list: Sequence[Sequence[Any]],
 ) -> list[bool]:
-    """Vectorized :func:`verify_parent_exists` for one probe shape:
-    each **distinct** value tuple is verified once, in encoded-key order
-    — so a batch pins its witness S-locks in a deterministic global
-    order — and the duplicates' charges are replayed
-    (:func:`repro.query.probes.check_distinct`).  The witness S-lock and
-    recorded-witness side effects are idempotent (re-grants and set
-    inserts), so skipping them for duplicates loses nothing.
+    """Vectorized child-side :func:`verify_parent_exists` for one probe
+    shape of *fk*: each **distinct** value tuple is verified once, in
+    encoded-key order — so a batch pins its witness S-locks in a
+    deterministic global order — and the duplicates' charges are
+    replayed (:func:`repro.query.probes.check_distinct`).  Re-pinning a
+    duplicate would only re-grant a held lock, so skipping it loses
+    nothing.
     """
     from ..query import probes
 
     return probes.check_distinct(
         probes.prepared(db.table(fk.parent_table), columns),
         values_list,
-        lambda key: verify_parent_exists(db, fk, columns, key),
+        lambda key: verify_parent_exists(
+            db, fk.parent_table, fk.key_columns, columns, key
+        ) is not None,
     )
 
 
-def revalidate_witnesses(db: "Database", txn: Any) -> None:
-    """Commit-time witness re-check.
+def revalidate_witnesses(
+    db: "Database",
+    table: str,
+    key_columns: Sequence[str],
+    key: Sequence[Any],
+    view: Any = None,
+) -> bool:
+    """The pin's re-check under its S-lock: does the row of *table*
+    whose *key_columns* equal *key* still exist, read through *view*?
 
-    Every FK witness the transaction adopted must still exist in the
-    latest *committed* state.  The probe runs through the transaction's
-    committed view, so other transactions' uncommitted deletes are
-    ignored (they would have blocked on our S-lock anyway) while a
-    committed delete that won the probe→grant race is detected.  Raises
-    :class:`~repro.errors.SerializationError`; the caller rolls back.
+    The same *view* as the probe that found it: a RESTRICT veto reads
+    the parent "as the write will leave it", and a witness there may be
+    the updated row's own new key, which the tip does not hold yet.
     """
     from ..query import probes
 
-    view = txn.session.manager.versions.committed_view(txn.txn_id)
-    for parent_table, key_columns, key_values in txn._witnesses:
-        parent = db.tables.get(parent_table)
-        if parent is None or not probes.exists_eq(
-            parent, list(key_columns), list(key_values), view=view
-        ):
-            raise SerializationError(
-                f"{txn.name}: foreign-key witness {key_values!r} in table "
-                f"{parent_table!r} vanished before commit (serialization "
-                f"failure; retry the transaction)"
-            )
+    return probes.exists_eq(db.table(table), key_columns, key, view=view)

@@ -313,9 +313,8 @@ class Session:
 class SessionManager:
     """Hands out sessions and owns the shared lock manager and latch.
 
-    Sessions always run over the MVCC version store: snapshot reads and
-    the commit-time witness re-check are part of the one protocol, so
-    attaching a manager attaches the store.
+    Sessions always run over the MVCC version store: snapshot reads are
+    part of the one protocol, so attaching a manager attaches the store.
     """
 
     def __init__(

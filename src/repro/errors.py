@@ -72,12 +72,13 @@ class SessionError(ConcurrencyError):
 
 
 class SerializationError(ConcurrencyError):
-    """Commit-time validation failed under snapshot isolation.
+    """A foreign-key witness kept vanishing under its pin.
 
-    Raised when a recorded FK witness no longer exists in the latest
-    committed state at commit time (the parent vanished between the
-    insert-time probe and the commit).  The transaction is rolled back
-    before this propagates; retryable, like PostgreSQL error 40001.
+    Raised by the witness pin
+    (:func:`repro.concurrency.hooks.verify_parent_exists`) when every
+    parent it found was gone once its S-lock was granted, as many times
+    as it may look again.  Retryable, like PostgreSQL error 40001; the
+    server rolls the transaction back before it answers.
     """
 
 

@@ -36,6 +36,7 @@ from .predicate import Predicate
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..storage.database import Database
+    from ..storage.table import Table
 
 
 def _log_undo(db: "Database", entry: tuple) -> None:
@@ -93,24 +94,35 @@ def delete_where(
     """Delete all matching rows; returns how many were removed."""
     table = db.table(table_name)
     victims = list(executor.iter_matching(table, predicate))
+    removed = 0
     for rid, row in victims:
-        delete_rid(db, table_name, rid, row)
-    return len(victims)
+        removed += delete_rid(db, table_name, rid, row) is not None
+    return removed
+
+
+def _changed_while_locking(table: "Table", rid: int, row: Row) -> bool:
+    """Whether the row a statement read at *rid* is gone or different
+    once its locks are granted: the read saw the tip, so it may have
+    been another transaction's uncommitted write, rolled back since."""
+    return rid not in table.heap or table.get_row(rid) != row
 
 
 def delete_rid(
     db: "Database", table_name: str, rid: int, row: Row | None = None
-) -> Row:
-    """Delete one row by rid, with triggers and referential actions."""
+) -> Row | None:
+    """Delete one row by rid, with triggers and referential actions.
+    None when the row changed while the delete waited for its locks."""
     table = db.table(table_name)
     if row is None:
         row = table.get_row(rid)
 
     # Multi-session: X on the victim's candidate keys and, when this
     # table is a referenced parent, on its referenced-key values — the
-    # delete side of the phantom-parent handshake (child checks hold S
-    # on the witness key they adopted).
+    # delete side of the phantom-parent handshake (witness pins hold S
+    # on the key they adopted).
     hooks.lock_for_delete(db, table_name, row)
+    if _changed_while_locking(table, rid, row):
+        return None
     db.triggers.fire(db, table_name, TriggerEvent.BEFORE_DELETE, row, None, rid)
     native_fks = [
         fk
@@ -154,8 +166,7 @@ def update_where(
         )
         if new_row == old_row:
             continue
-        update_rid(db, table_name, rid, new_row, old_row)
-        changed += 1
+        changed += update_rid(db, table_name, rid, new_row, old_row) is not None
     return changed
 
 
@@ -165,14 +176,17 @@ def update_rid(
     rid: int,
     new_values: Sequence[Any],
     old_row: Row | None = None,
-) -> tuple[Row, Row]:
-    """Update one row by rid, with triggers and referential actions."""
+) -> tuple[Row, Row] | None:
+    """Update one row by rid, with triggers and referential actions.
+    None when the row changed while the update waited for its locks."""
     table = db.table(table_name)
     if old_row is None:
         old_row = table.get_row(rid)
     new_row = table.schema.validate_row(new_values)
 
     hooks.lock_for_update(db, table_name, old_row, new_row)
+    if _changed_while_locking(table, rid, old_row):
+        return None
     db.triggers.fire(db, table_name, TriggerEvent.BEFORE_UPDATE, old_row, new_row, rid)
 
     for key in db.candidate_keys.get(table_name, ()):

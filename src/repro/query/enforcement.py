@@ -96,12 +96,15 @@ def check_child_write(db: "Database", fk: ForeignKey, row: Sequence[Any]) -> Non
 
     One existence probe on the parent table, restricted to the total
     components of the new foreign-key value.  Outside a managed session
-    that is all; on one the probe also takes a shared lock on the
-    witness parent's key, so the adopted reference cannot be deleted
-    before this transaction ends (the partial-RI phantom-parent race).
+    that is all; on one the probe pins its witness
+    (:func:`~repro.concurrency.hooks.verify_parent_exists`), so the
+    adopted reference cannot be deleted before this transaction ends
+    (the partial-RI phantom-parent race).
     """
     probe = subsumption_probe(db, fk, row)
-    if probe is not None and not hooks.verify_parent_exists(db, fk, *probe):
+    if probe is not None and hooks.verify_parent_exists(
+        db, fk.parent_table, fk.key_columns, *probe
+    ) is None:
         raise no_reference(fk, row)
 
 
@@ -226,14 +229,16 @@ def iter_populated_states(
     Yields ``(state, values, alternative)`` for each partial null-state
     with children referencing the key: *values* are the key's values on
     the state's total columns, *alternative* whether a parent (seen
-    through *view*, if given) matches them.  Lazy: a caller may act on
+    through *view*, if given) matches them.  On a session that parent
+    is pinned as a child's witness is
+    (:func:`~repro.concurrency.hooks.verify_parent_exists`), so an
+    alternative the caller relies on cannot roll back or be deleted
+    before its transaction ends.  Lazy: a caller may act on
     a state before the next is probed, and must then clear *scope*.
     Pairs already in *probed* are skipped; probed pairs are added.
     """
-    child = db.table(fk.child_table)
-    parent = db.table(fk.parent_table)
-    for state, total_positions, child_probe, parent_probe in _state_probes(
-        fk, child, parent
+    for state, total_positions, child_probe, parent_columns in _state_probes(
+        fk, db.table(fk.child_table)
     ):
         values = tuple([parent_key[i] for i in total_positions])
         if probed is not None:
@@ -243,23 +248,26 @@ def iter_populated_states(
         fire("enforce.state_probe")
         db.tracker.count("state_checks")
         if child_probe.exists(values, None, scope):
-            yield state, values, parent_probe.exists(values, view)
+            witness = hooks.verify_parent_exists(
+                db, fk.parent_table, fk.key_columns, parent_columns, values, view
+            )
+            yield state, values, witness is not None
 
 
 def _state_probes(
-    fk: ForeignKey, child: Table, parent: Table
+    fk: ForeignKey, child: Table
 ) -> tuple[
-    tuple[tuple[int, ...], tuple[int, ...], probes.PreparedProbe, probes.PreparedProbe],
+    tuple[tuple[int, ...], tuple[int, ...], probes.PreparedProbe, tuple[str, ...]],
     ...,
 ]:
-    """Per-state prepared probes of the §6.1 state loop.
+    """Per-state probes of the §6.1 state loop.
 
     One entry per partial null-state: (state, total positions, the
-    child-state probe, the alternative-parent probe).  Resolved once per
-    foreign key and catalog epoch of the two tables, and memoized on
-    *fk*: the loop binds values and nothing else.
+    prepared child-state probe, the alternative-parent probe's columns).
+    Resolved once per foreign key and catalog epoch of the child table,
+    and memoized on *fk*: the loop binds values and nothing else.
     """
-    epoch = (child, child.indexes.version, parent, parent.indexes.version)
+    epoch = (child, child.indexes.version)
     cached = fk.__dict__.get("_partial_state_probes")
     if cached is None or cached[0] != epoch:
         n = fk.n_columns
@@ -275,9 +283,7 @@ def _state_probes(
                         [fk.fk_columns[i] for i in total_positions],
                         [fk.fk_columns[i] for i in state],
                     ),
-                    probes.prepared(
-                        parent, [fk.key_columns[i] for i in total_positions]
-                    ),
+                    tuple([fk.key_columns[i] for i in total_positions]),
                 )
             )
         cached = fk._partial_state_probes = (epoch, tuple(built))

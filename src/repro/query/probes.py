@@ -302,8 +302,8 @@ class PreparedProbe:
 
         With a *view* (an MVCC :class:`~repro.storage.versions.ReadView`)
         the probe answers as of the view's read LSN instead of the
-        committed tip; the lock-free snapshot read path and the
-        commit-time witness re-check both go through this.  With a
+        committed tip; the lock-free snapshot read path goes through
+        this.  With a
         *scope* the index range is read once for every probe that
         shares the scope (see :class:`RangeScope`).
         """

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..errors import SerializationError, TransactionError, TransactionStateError
+from ..errors import TransactionError, TransactionStateError
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..storage.database import Database
@@ -141,10 +141,6 @@ class Transaction:
         self._state = _OPEN
         self._savepoints: list[Savepoint] = []
         self._sp_counter = 0
-        #: FK witnesses adopted by this transaction's child-side checks
-        #: (parent table, key columns, key values) — re-validated against
-        #: the latest committed state at commit time under MVCC.
-        self._witnesses: set[tuple] = set()
         #: Whether this transaction appended a WAL record — a row
         #: mutation, a savepoint compensation or DDL.  A commit with none
         #: and no commit note appends nothing: a read-only transaction
@@ -233,29 +229,12 @@ class Transaction:
 
     # ------------------------------------------------------------------
 
-    def record_witness(self, witness: tuple) -> None:
-        """Remember an adopted FK witness for commit-time re-validation."""
-        self._witnesses.add(witness)
-
     def commit(self) -> None:
         """Make the batch permanent and close the transaction."""
         if self._db._crashed:
             return  # a crashed process commits nothing
         if self._state != _OPEN:
             raise TransactionError(f"cannot commit: transaction {self._state}")
-        versions = self._db.versions
-        if versions is not None and self._witnesses:
-            # Commit-time witness re-check: every parent this transaction
-            # adopted must still exist in the latest committed state.  On
-            # failure the transaction rolls itself back (releasing locks)
-            # and raises a retryable serialization error.
-            from ..concurrency import hooks
-
-            try:
-                hooks.revalidate_witnesses(self._db, self)
-            except SerializationError:
-                self.rollback()
-                raise
         # A pending session annotation (exactly-once ledger entry) rides
         # inside the commit record; consume it even without a WAL so a
         # stale note can never attach to a later commit.
@@ -274,6 +253,7 @@ class Transaction:
                 self.wal_txn_id, note,
                 sync=self.session is None or self.session.flush_on_commit,
             )
+        versions = self._db.versions
         if versions is not None:
             versions.on_commit(self.txn_id)
         self._undo.clear()

@@ -48,13 +48,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from ..concurrency.locks import LockMode, key_resource
-from ..errors import (
-    ReferentialIntegrityViolation,
-    ReproError,
-    SerializationError,
-)
-from ..query import probes
+from ..concurrency import hooks
+from ..errors import ReferentialIntegrityViolation, ReproError
 from ..server import wire
 from ..server.core import Counters
 from ..server.server import run_row_op
@@ -77,10 +72,6 @@ _POLL_S = 0.25
 
 #: Decided gtids remembered for duplicate-decide idempotency.
 _RESOLVED_MEMORY = 4096
-
-#: Candidates a partial-match :func:`probe` locks before it gives up on
-#: witnesses that vanish under its lock.
-_PROBE_ATTEMPTS = 3
 
 
 class TwoPhaseError(ReproError):
@@ -161,19 +152,13 @@ def probe(
 ) -> list[Any] | None:
     """Pin a witness parent on this shard: the (wire-encoded) full key
     of a parent matching ``op["equals"]``, S-locked by *session*'s open
-    transaction and re-checked under that lock; None when none matches.
+    transaction; None when none matches.
 
-    The remote twin of the witness pin in
-    :func:`repro.concurrency.hooks.verify_parent_exists`: once the S
-    grant is held, a parent-delete of this key (which needs X on the same
-    key resource) blocks until our transaction ends, and a delete that
-    committed before our grant is caught by the re-check.  An exact key
-    (no ``key`` field) is locked first and then checked.  A partial
-    match (``key`` names the parent's key columns) finds a candidate on
-    the tip first; the candidate may be an uncommitted parent that rolls
-    back while a committed one still matches, so a vanished candidate
-    means "find again", and only witnesses that keep vanishing raise the
-    retryable :class:`SerializationError`.
+    The shard side of a remote witness is the engine's one witness pin,
+    :func:`repro.concurrency.hooks.verify_parent_exists`, on the parent
+    ``table``: an exact key (no ``key`` field) is locked and then
+    checked, a partial match (``key`` names the parent's key columns) is
+    found, locked and re-checked, and found again when it vanished.
 
     Runs as a local pin inside a ``txn`` or ``prepare`` batch (held to
     that transaction's end), and as the coordinator's read-only
@@ -186,30 +171,12 @@ def probe(
     txn = session.transaction
     if txn is None or not txn.is_open:
         raise TwoPhaseError("witness pin outside an open transaction")
-    parent = server.db.table(op["table"])
-    columns, values = list(equals), list(equals.values())
-    key = tuple(op.get("key") or columns)
-    locks = server.sessions.locks
-    for __ in range(_PROBE_ATTEMPTS):
-        if "key" in op:
-            witness = probes.find_eq(parent, columns, values)
-            if witness is None:
-                return None
-            pinned = [witness[i] for i in parent.schema.positions(key)]
-        else:
-            pinned = values
-        resource = key_resource(op["table"], key, pinned)
-        locks.acquire(txn.txn_id, resource, LockMode.S)
-        if locks.sanitizer is not None:
-            locks.sanitizer.on_witness_pinned(txn.txn_id, resource)
-        if probes.exists_eq(parent, list(key), pinned):
-            return wire.encode_row(pinned)
-        if "key" not in op:
-            return None
-    raise SerializationError(
-        f"witnesses of {op['table']}{equals!r} vanished {_PROBE_ATTEMPTS} "
-        "times under the pin; retry"
+    columns = list(equals)
+    pinned = hooks.verify_parent_exists(
+        server.db, op["table"], op.get("key") or columns, columns,
+        list(equals.values()),
     )
+    return None if pinned is None else wire.encode_row(pinned)
 
 
 class TwoPhaseParticipant:

@@ -286,8 +286,7 @@ class Database:
         isolated :class:`~repro.concurrency.session.Session` objects
         whose statements acquire locks through the shared lock manager.
         It also attaches the MVCC version store (:meth:`enable_mvcc`):
-        sessions read snapshots and re-validate their foreign-key
-        witnesses at commit through it.  Whoever runs the sessions
+        sessions read snapshots through it.  Whoever runs the sessions
         prunes the store — a WAL checkpoint does, the server does on its
         commit cadence, an embedder calls ``db.versions.prune()``.
         """

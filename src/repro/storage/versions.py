@@ -303,8 +303,7 @@ class VersionStore:
 
     def committed_view(self, own_txn_id: int | None = None) -> ReadView:
         """A view of the latest *committed* state (plus the caller's own
-        uncommitted changes): the commit-time witness re-check reads
-        through this, never through other transactions' dirty tips."""
+        uncommitted changes), never other transactions' dirty tips."""
         return ReadView(self, self._lsn, own_txn_id)
 
     def oldest_active_lsn(self) -> int:

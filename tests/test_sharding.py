@@ -386,6 +386,12 @@ def test_cascade_set_null_reaches_other_shards(tmp_path):
         # partial match is nulled too.
         assert rows[1][1:] == [None, None]
         assert rows[2][1:] == [None, None]
+        # The cascade commits by 2PC, whose decides are pushed after the
+        # ack; the deep verify reads snapshots, so until every decide has
+        # landed it can see the parent gone and a child not yet nulled.
+        _await(lambda: not coordinator.pending_decides()
+               and not any(s.twophase.in_doubt() for s in servers),
+               what="decide push")
         verdict = client.request("verify", deep=True)
         assert verdict["clean"], verdict
 

@@ -4,11 +4,12 @@ The acceptance properties of the MVCC tentpole:
 
 * snapshot reads observe a stable committed point and acquire **zero**
   lock-manager locks — writers are never waited on;
-* the commit-time witness re-check closes the probe→grant window of the
-  FK child-side check: a parent delete that commits between the witness
-  probe and the S-lock grant aborts the child's transaction with a
-  retryable :class:`~repro.errors.SerializationError` (the
-  writer-vs-deleter phantom-parent regression);
+* the witness pin re-checks under its S-lock, at statement time, so a
+  parent delete that commits while the FK child-side check waits for
+  the lock cannot leave a phantom-parented child (the writer-vs-deleter
+  regression): an exact key is vetoed, a partial one finds its other
+  witness, and witnesses that keep vanishing raise a retryable
+  :class:`~repro.errors.SerializationError`;
 * the server exposes both: ``snapshot: true`` selects and retryable
   serialization failures over the wire.
 """
@@ -26,10 +27,11 @@ from repro import (
     ForeignKey,
     IndexStructure,
     MatchSemantics,
+    NULL,
     PrimaryKey,
 )
 from repro.concurrency.locks import LockManager, LockMode
-from repro.errors import SerializationError, SessionError
+from repro.errors import ReferentialIntegrityViolation, SessionError
 from repro.server import ReproClient, ReproServer, ServerError
 
 
@@ -113,16 +115,17 @@ def test_snapshot_reader_never_waits_on_an_open_writer():
 
 def test_snapshot_needs_mvcc_and_rejects_nesting(monkeypatch):
     # enable_sessions() alone brings the version store: snapshot reads
-    # and the commit-time witness re-check need no enable_mvcc() first.
+    # need no enable_mvcc() first.
     db = _fk_db()
     assert db.versions is None
     manager, sa, sb = _two_sessions(db)
     try:
         assert db.versions is manager.versions
-        _insert_child_whose_witness_vanishes(monkeypatch, sa, sb)
+        sa.begin()
+        sa.insert("C", (5, 2, NULL))
         assert sb.snapshot_select("C") == []  # sa's child is uncommitted
-        with pytest.raises(SerializationError):
-            sa.commit()
+        sa.commit()
+        assert sb.snapshot_select("C") == [(5, 2, NULL)]
     finally:
         sa.close()
         sb.close()
@@ -166,6 +169,7 @@ def _fk_db() -> Database:
     ])
     for i in range(4):
         db.table("P").insert_row((i, i * 10))
+    db.table("P").insert_row((2, 21))  # a second witness for (2, NULL)
     fk = ForeignKey("fk_c_p", "C", ("k1", "k2"), "P", ("k1", "k2"),
                     match=MatchSemantics.PARTIAL)
     fk.validate_against(db)
@@ -173,47 +177,62 @@ def _fk_db() -> Database:
     return db  # no enable_mvcc(): the version store comes with sessions
 
 
-def _insert_child_whose_witness_vanishes(monkeypatch, sa, sb):
-    """``sa`` inserts C(1, 2, 20) in an open transaction while ``sb``'s
-    delete of its witness P(2, 20) commits inside the probe→grant
-    window."""
+def _witness_vanishes_in_the_pin(monkeypatch, sb) -> dict:
+    """Make ``sb``'s delete of P(2, 20) commit inside the first witness
+    S request: the probe has chosen the witness, the lock is not yet
+    granted.  The caller asserts that the window was exercised."""
     original = LockManager.acquire
     state = {"armed": True}
 
     def racing_acquire(self, txn_id, resource, mode, timeout=None):
-        # The first witness S request is exactly the window: the probe
-        # has chosen P(2, 20), the lock is not yet granted.
         if state["armed"] and mode is LockMode.S and resource[0] == "key":
             state["armed"] = False
             sb.delete_where("P", Eq("k1", 2) & Eq("k2", 20))
         return original(self, txn_id, resource, mode, timeout)
 
     monkeypatch.setattr(LockManager, "acquire", racing_acquire)
-    sa.begin()
-    sa.insert("C", (1, 2, 20))  # witness P(2,20) vanishes mid-grant
-    assert not state["armed"], "the race window was never exercised"
+    return state
 
 
-def test_commit_time_recheck_closes_the_phantom_parent_race(monkeypatch):
-    """The regression the re-verify loop used to cover: session B's
-    parent delete commits inside A's probe→grant window.  A's child
-    insert succeeds against the stale witness, so A's *commit* must fail
-    with a retryable serialization error and roll back."""
+def test_witness_pin_vetoes_an_exact_key_that_vanished_under_it(monkeypatch):
+    """Session B's parent delete commits while A's exact-key pin waits
+    for its S-lock.  The pin checks the key under the lock, so A's
+    *insert* is vetoed: no phantom-parented child is ever written."""
     db = _fk_db()
     manager, sa, sb = _two_sessions(db)
     try:
-        _insert_child_whose_witness_vanishes(monkeypatch, sa, sb)
-        with pytest.raises(SerializationError) as info:
-            sa.commit()
+        state = _witness_vanishes_in_the_pin(monkeypatch, sb)
+        sa.begin()
+        with pytest.raises(ReferentialIntegrityViolation) as info:
+            sa.insert("C", (1, 2, 20))
+        assert not state["armed"], "the race window was never exercised"
         assert "(2, 20)" in str(info.value)
-        # Rolled back: no phantom-parented child survives, and integrity
-        # holds — the exact anomaly the re-check exists to prevent.
         assert sa.select("C") == []
-        assert db.verify_integrity().ok
-        # The session stays usable: the standard retry succeeds now that
-        # the probe picks a live parent.
+        # The transaction stays usable: a child of a live parent commits.
         sa.insert("C", (1, 3, 30))
+        sa.commit()
         assert sa.select("C", Eq("id", 1)) == [(1, 3, 30)]
+        assert db.verify_integrity().ok
+    finally:
+        sa.close()
+        sb.close()
+
+
+def test_witness_pin_refinds_a_partial_witness_that_vanished(monkeypatch):
+    """The same race for a partial child (x, 2, NULL): its first witness
+    P(2, 20) is deleted under the pin, the re-check misses, and the pin
+    finds P(2, 21) instead — the insert and its commit succeed."""
+    db = _fk_db()
+    manager, sa, sb = _two_sessions(db)
+    try:
+        state = _witness_vanishes_in_the_pin(monkeypatch, sb)
+        sa.begin()
+        sa.insert("C", (4, 2, NULL))
+        assert not state["armed"], "the race window was never exercised"
+        sa.commit()
+        assert sa.select("C") == [(4, 2, NULL)]
+        assert db.select("P", Eq("k1", 2)) == [(2, 21)]
+        assert db.verify_integrity().ok
     finally:
         sa.close()
         sb.close()
@@ -224,8 +243,8 @@ def test_witness_recheck_passes_when_the_parent_survives():
     manager, sa, sb = _two_sessions(db)
     try:
         sa.begin()
-        sa.insert("C", (7, 1, 10))
-        sa.commit()  # revalidation runs and finds P(1, 10) alive
+        sa.insert("C", (7, 1, 10))  # the pin re-checks P(1, 10) alive
+        sa.commit()
         assert sa.select("C", Eq("id", 7)) == [(7, 1, 10)]
     finally:
         sa.close()
@@ -278,35 +297,29 @@ def test_serialization_failure_is_retryable_over_the_wire(monkeypatch):
     from repro.concurrency import hooks
 
     real = hooks.revalidate_witnesses
-    state = {"fired": False}
+    state = {"vanishing": True}
 
-    def first_commit_races(db, txn):
-        if not state["fired"]:
-            state["fired"] = True
-            raise SerializationError(
-                "txn: foreign-key witness vanished before commit "
-                "(serialization failure; retry the transaction)"
-            )
-        real(db, txn)
+    def witness_always_vanished(*args):
+        return False if state["vanishing"] else real(*args)
 
-    monkeypatch.setattr(hooks, "revalidate_witnesses", first_commit_races)
+    monkeypatch.setattr(hooks, "revalidate_witnesses", witness_always_vanished)
     with _fk_server() as server:
         with ReproClient(*server.address) as c1, \
                 ReproClient(*server.address) as c2:
             c1.begin()
-            c1.insert("booking", [1001, "BRT", "OR", "d1"])
             with pytest.raises(ServerError) as info:
-                c1.commit()
+                c1.insert("booking", [1001, "BRT", None, "d1"])
             assert info.value.error_type == "SerializationError"
             assert info.value.retryable
             # The server rolled the transaction back and the session
             # stays usable — the documented client policy is "retry".
             assert c1.select("booking") == []
+            state["vanishing"] = False
             c1.begin()
-            c1.insert("booking", [1001, "BRT", "OR", "d1"])
+            c1.insert("booking", [1001, "BRT", None, "d1"])
             c1.commit()
             assert c2.select("booking", snapshot=True) == [
-                [1001, "BRT", "OR", "d1"]
+                [1001, "BRT", None, "d1"]
             ]
 
 
