@@ -42,6 +42,7 @@ from typing import TYPE_CHECKING, Any
 
 from ..errors import SerializationError
 from ..nulls import NULL
+from ..query import probes
 from .locks import LockManager, LockMode, key_resource, table_resource
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -163,8 +164,6 @@ def verify_parent_exists(
     that vanish :data:`_PROBE_ATTEMPTS` times raise the retryable
     :class:`~repro.errors.SerializationError`.
     """
-    from ..query import probes
-
     parent = db.table(table)
     locked = _locker(db)
     if locked is None:
@@ -208,8 +207,6 @@ def verify_parent_exists_many(
     duplicate would only re-grant a held lock, so skipping it loses
     nothing.
     """
-    from ..query import probes
-
     return probes.check_distinct(
         probes.prepared(db.table(fk.parent_table), columns),
         values_list,
@@ -233,6 +230,4 @@ def revalidate_witnesses(
     the parent "as the write will leave it", and a witness there may be
     the updated row's own new key, which the tip does not hold yet.
     """
-    from ..query import probes
-
     return probes.exists_eq(db.table(table), key_columns, key, view=view)

@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING, Any
 
 from ..errors import KeyViolation, SchemaError
 from ..nulls import NULL
+from ..query import executor, probes
 from ..query.predicate import Predicate, equalities
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -73,8 +74,6 @@ class CandidateKey:
                     f"{self.name}: NULL in primary key columns {self.columns}"
                 )
             return
-        from ..query import executor, probes
-
         table = db.table(self.table)
         if ignore_rid is None:
             duplicate = probes.exists_eq(table, self.columns, values)

@@ -50,26 +50,22 @@ _PREFIX_END = (AFTER_ALL,)
 class _Leaf:
     __slots__ = ("entries", "next")
 
+    is_leaf = True
+
     def __init__(self) -> None:
         self.entries: list[Entry] = []
         self.next: _Leaf | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return True
 
 
 class _Internal:
     __slots__ = ("separators", "children")
 
+    is_leaf = False
+
     def __init__(self) -> None:
         # children[i] holds entries < separators[i] <= children[i+1]
         self.separators: list[Entry] = []
         self.children: list[Any] = []
-
-    @property
-    def is_leaf(self) -> bool:
-        return False
 
 
 class BPlusTree:
@@ -156,6 +152,8 @@ class BPlusTree:
     def insert(self, key: EncodedKey, rid: int) -> None:
         """Insert one entry; duplicates of (key, rid) are rejected."""
         entry: Entry = (key, rid)
+        order = self._order
+        tracker = self._tracker
         # Fast paths: monotone (key, rid) streams append to the rightmost
         # leaf, and runs of equal/adjacent keys reuse the previous
         # insert's leaf.  Both charge ``index_node_reads`` as if they had
@@ -166,8 +164,9 @@ class BPlusTree:
         if self._uniform:
             last = self._last_leaf
             entries = last.entries
-            if entries and len(entries) < self._order and entry > entries[-1]:
-                self._count("index_node_reads", self._height)
+            if entries and len(entries) < order and entry > entries[-1]:
+                if tracker is not None:
+                    tracker.count("index_node_reads", self._height)
                 entries.append(entry)
                 self._size += 1
                 self._hint_leaf = last
@@ -178,39 +177,52 @@ class BPlusTree:
                 hentries = hint.entries
                 if (
                     hentries
-                    and len(hentries) < self._order
+                    and len(hentries) < order
                     and entry >= hentries[0]
                     and self._hint_upper is not None
                     and entry < self._hint_upper
                 ):
-                    self._count("index_node_reads", self._height)
+                    if tracker is not None:
+                        tracker.count("index_node_reads", self._height)
                     pos = bisect_left(hentries, entry)
                     if pos < len(hentries) and hentries[pos] == entry:
                         raise IndexError_(f"duplicate index entry {entry!r}")
                     hentries.insert(pos, entry)
                     self._size += 1
                     return
-        leaf, path = self._descend(entry)
-        pos = bisect_left(leaf.entries, entry)
-        if pos < len(leaf.entries) and leaf.entries[pos] == entry:
+        # The descent of :meth:`_descend`, inline: it also keeps the
+        # deepest right-hand separator on the way, the leaf's upper bound
+        # for the next insert's hint.
+        path: list[tuple[_Internal, int]] = []
+        upper: Entry | None = None
+        node: Any = self._root
+        while not node.is_leaf:
+            separators = node.separators
+            idx = bisect_right(separators, entry)
+            if idx < len(separators):
+                upper = separators[idx]
+            path.append((node, idx))
+            node = node.children[idx]
+        if tracker is not None:
+            tracker.count("index_node_reads", len(path) + 1)
+        entries = node.entries
+        size = len(entries)
+        pos = bisect_left(entries, entry)
+        if pos < size and entries[pos] == entry:
             raise IndexError_(f"duplicate index entry {entry!r}")
-        if len(leaf.entries) >= self._order:
+        if size >= order:
             # The fault point fires before the leaf mutates so an injected
             # exception leaves this index untouched (a crash here still
             # tears heap against index: the heap row is already written).
             fire("btree.split")
-        leaf.entries.insert(pos, entry)
+        entries.insert(pos, entry)
         self._size += 1
-        if len(leaf.entries) > self._order:
-            self._split_leaf(leaf, path)
+        if size >= order:
+            self._split_leaf(node, path)
             self._hint_leaf = None
             self._hint_upper = None
         else:
-            self._hint_leaf = leaf
-            upper = None
-            for node, idx in path:
-                if idx < len(node.separators):
-                    upper = node.separators[idx]
+            self._hint_leaf = node
             self._hint_upper = upper
 
     def insert_run(self, entries: list[Entry]) -> None:
@@ -524,6 +536,34 @@ class BPlusTree:
         """Yield entries whose key starts with *prefix*, in order."""
         return self._scan((prefix, -1), (prefix + _PREFIX_END, -1))
 
+    def first_entry(self, prefix: EncodedKey) -> tuple[Entry | None, int]:
+        """The first entry whose key starts with *prefix* (None: there is
+        none) and the node reads it took, uncharged: exactly what a
+        consumer of :meth:`runs` sees and pays when it stops at the first
+        non-empty slice, found by one descent and no generator.
+
+        The descent leaf may already be exhausted (the range starts in
+        the next leaf, one step more); otherwise its entry at the low
+        bound decides — in the range, or past it and the range is empty.
+        """
+        low: Entry = (prefix, -1)
+        node: Any = self._root
+        reads = 1
+        while not node.is_leaf:
+            node = node.children[bisect_right(node.separators, low)]
+            reads += 1
+        entries = node.entries
+        pos = bisect_left(entries, low)
+        while pos == len(entries):
+            node = node.next
+            if node is None:
+                return None, reads
+            entries = node.entries
+            pos = 0
+            reads += 1
+        entry = entries[pos]
+        return (entry if entry < (prefix + _PREFIX_END, -1) else None), reads
+
     def first_with_prefix(self, prefix: EncodedKey) -> Entry | None:
         """Return the first entry matching *prefix*, or None.
 
@@ -532,11 +572,9 @@ class BPlusTree:
         the descent's node reads plus one per leaf step, and no entries
         scanned.
         """
-        for entries, reads in self.runs(prefix):
-            self._count("index_node_reads", reads)
-            if entries:
-                return entries[0]
-        return None
+        entry, reads = self.first_entry(prefix)
+        self._count("index_node_reads", reads)
+        return entry
 
     def scan_all(self) -> Iterator[Entry]:
         """Yield every entry in key order."""

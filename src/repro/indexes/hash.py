@@ -76,6 +76,16 @@ class HashIndex:
         kernel serves both structures."""
         yield [(key, rid) for rid in self._buckets.get(key, ())], 1
 
+    def first_entry(
+        self, key: EncodedKey
+    ) -> tuple[tuple[EncodedKey, int] | None, int]:
+        """The first entry of :meth:`runs` and its one node read,
+        uncharged — :meth:`BPlusTree.first_entry`'s shape, without
+        building the bucket's entry list."""
+        for rid in self._buckets.get(key, ()):
+            return (key, rid), 1
+        return None, 1
+
     def lookup(self, key: EncodedKey) -> Iterator[tuple[EncodedKey, int]]:
         """Yield all entries with exactly *key* (full-key equality only)."""
         self._count("index_node_reads")

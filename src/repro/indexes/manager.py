@@ -15,11 +15,19 @@ from collections.abc import Iterable, Iterator, Sequence
 from typing import Any
 
 from ..errors import IndexError_, KeyViolation
-from .btree import BPlusTree
+from .btree import BPlusTree, Entry
 from .cost import CostTracker
 from .definition import IndexDefinition, IndexKind
 from .hash import HashIndex
-from .keys import EncodedKey, EncodedRow, encode_key, encode_row
+from .keys import NULL_COMPONENT, EncodedKey, EncodedRow, encode_key, encode_row
+
+
+#: A B+ tree or a hash index: the structures the fan-out drives.
+Structure = BPlusTree | HashIndex
+
+#: One index as the fan-out sees it: structure, column positions, and the
+#: index name when it is unique (None otherwise).
+_Slot = tuple[Structure, tuple[int, ...], str | None]
 
 
 class TableIndex:
@@ -41,7 +49,7 @@ class TableIndex:
         self.positions = tuple(positions)
         self._tracker = tracker
         if definition.kind is IndexKind.BTREE:
-            self._structure: BPlusTree | HashIndex = BPlusTree(order, tracker)
+            self._structure: Structure = BPlusTree(order, tracker)
         else:
             self._structure = HashIndex(tracker)
         #: The entries under an already-encoded prefix, a leaf run (or
@@ -52,6 +60,9 @@ class TableIndex:
         #: number *hit* (a hash lookup charges the entry it stops on, a
         #: B+ tree only those before it).
         self.runs = self._structure.runs
+        #: The first entry of :attr:`runs` and the reads it took, by one
+        #: descent (:meth:`BPlusTree.first_entry`), also uncharged.
+        self.first_entry = self._structure.first_entry
         self.hit_scanned = self._structure.HIT_SCANNED
 
     # ------------------------------------------------------------------
@@ -71,10 +82,6 @@ class TableIndex:
     def __len__(self) -> int:
         return len(self._structure)
 
-    def _count(self, name: str, amount: int = 1) -> None:
-        if self._tracker is not None:
-            self._tracker.count(name, amount)
-
     def key_for_row(self, row: Sequence[Any]) -> EncodedKey:
         """Project *row* onto the indexed columns and encode the key."""
         return encode_key([row[p] for p in self.positions])
@@ -83,120 +90,29 @@ class TableIndex:
         """Slice this index's key out of an already-encoded row."""
         return tuple([encoded[p] for p in self.positions])
 
-    # ------------------------------------------------------------------
-    # Maintenance
-
-    def insert_row(self, rid: int, row: Sequence[Any]) -> None:
-        self._insert_key(rid, self.key_for_row(row))
-
-    def insert_encoded(self, rid: int, encoded: EncodedRow) -> None:
-        self._insert_key(rid, tuple([encoded[p] for p in self.positions]))
-
-    def _insert_key(self, rid: int, key: EncodedKey) -> None:
-        if self.definition.unique and self._has_total_duplicate(key):
-            raise KeyViolation(
-                f"unique index {self.name!r} violated by key {key!r}"
-            )
-        self._structure.insert(key, rid)
-        self._count("index_maintenance_ops")
-
-    def insert_encoded_many(self, pairs: Sequence[tuple[int, EncodedRow]]) -> None:
-        """Insert a batch of encoded rows with one structure-level run.
-
-        Unique indexes keep the per-entry loop: their duplicate probe
-        must observe the batch's own earlier entries, so probe and insert
-        stay interleaved exactly as :meth:`insert_encoded` interleaves
-        them.  Non-unique B+ trees hand the whole run to
-        :meth:`~repro.indexes.btree.BPlusTree.insert_run` (one descent
-        per run of adjacent keys) and charge ``index_maintenance_ops``
-        once per entry — the same total the per-row path charges.  Any
-        failure removes the batch's already-inserted prefix.
-        """
-        entries = [
-            (tuple([encoded[p] for p in self.positions]), rid)
-            for rid, encoded in pairs
-        ]
-        if self.definition.unique:
-            done = 0
-            try:
-                for key, rid in entries:
-                    self._insert_key(rid, key)
-                    done += 1
-            except BaseException:
-                for key, rid in reversed(entries[:done]):
-                    self._structure.delete(key, rid)
-                    self._count("index_maintenance_ops")
-                raise
-            return
-        self._structure.insert_run(entries)
-        self._count("index_maintenance_ops", len(entries))
-
-    def _has_total_duplicate(self, key: EncodedKey) -> bool:
-        """SQL-style uniqueness: keys containing NULL never collide."""
-        if any(tag == 0 for tag, __ in key):
-            return False
-        if isinstance(self._structure, BPlusTree):
-            return self._structure.first_with_prefix(key) is not None
-        return self._structure.first_with_key(key) is not None
-
-    def delete_row(self, rid: int, row: Sequence[Any]) -> None:
-        self._structure.delete(self.key_for_row(row), rid)
-        self._count("index_maintenance_ops")
-
-    def delete_encoded(self, rid: int, encoded: EncodedRow) -> None:
-        self._structure.delete(
-            tuple([encoded[p] for p in self.positions]), rid
-        )
-        self._count("index_maintenance_ops")
-
-    def update_row(self, rid: int, old: Sequence[Any], new: Sequence[Any]) -> None:
-        self._update_keys(rid, self.key_for_row(old), self.key_for_row(new))
-
-    def update_encoded(
-        self, rid: int, old_encoded: EncodedRow, new_encoded: EncodedRow
-    ) -> None:
-        positions = self.positions
-        self._update_keys(
-            rid,
-            tuple([old_encoded[p] for p in positions]),
-            tuple([new_encoded[p] for p in positions]),
-        )
-
-    def _update_keys(self, rid: int, old_key: EncodedKey, new_key: EncodedKey) -> None:
-        if old_key == new_key:
-            return  # the index is unaffected by this update
-        self._structure.delete(old_key, rid)
-        if self.definition.unique and self._has_total_duplicate(new_key):
-            # restore before reporting, so the index stays consistent;
-            # three structure mutations happened: the delete, the insert
-            # attempt the unique probe rejected, and the compensating
-            # re-insert of the old key
-            self._structure.insert(old_key, rid)
-            self._count("index_maintenance_ops", 3)
-            raise KeyViolation(
-                f"unique index {self.name!r} violated by key {new_key!r}"
-            )
-        self._structure.insert(new_key, rid)
-        self._count("index_maintenance_ops", 2)
-
     def build(self, rows: Iterable[tuple[int, Sequence[Any]]]) -> None:
         """(Re)build the index over existing (rid, row) pairs."""
-        if isinstance(self._structure, BPlusTree):
+        structure = self._structure
+        unique = self.definition.unique
+        if isinstance(structure, BPlusTree):
             entries = [(self.key_for_row(row), rid) for rid, row in rows]
-            if self.definition.unique:
+            if unique:
                 seen: set[EncodedKey] = set()
                 for key, __ in entries:
-                    if any(tag == 0 for tag, _v in key):
+                    if NULL_COMPONENT in key:
                         continue
                     if key in seen:
-                        raise KeyViolation(
-                            f"unique index {self.name!r} violated by key {key!r}"
-                        )
+                        raise _unique_violation(self.name, key)
                     seen.add(key)
-            self._structure.bulk_load(entries)
-        else:
-            for rid, row in rows:
-                self.insert_row(rid, row)
+            structure.bulk_load(entries)
+            return
+        for rid, row in rows:
+            key = self.key_for_row(row)
+            if unique and _has_total_duplicate(structure, key):
+                raise _unique_violation(self.name, key)
+            structure.insert(key, rid)
+            if self._tracker is not None:
+                self._tracker.count("index_maintenance_ops")
 
     # ------------------------------------------------------------------
     # Probes used by the executor
@@ -263,12 +179,24 @@ class IndexManager:
         #: Union of every index's column positions: the only components a
         #: shared row encoding has to materialise.
         self._positions_union: tuple[int, ...] = ()
+        #: What the row fan-out needs of each index, in creation order:
+        #: its structure, its column positions, and its name when it is
+        #: unique (None otherwise).
+        self._fanout: tuple[_Slot, ...] = ()
 
-    def _refresh_positions(self) -> None:
+    def _refresh(self) -> None:
         union: set[int] = set()
         for index in self._indexes.values():
             union.update(index.positions)
         self._positions_union = tuple(sorted(union))
+        self._fanout = tuple(
+            (
+                index._structure,
+                index.positions,
+                index.name if index.definition.unique else None,
+            )
+            for index in self._indexes.values()
+        )
 
     def __len__(self) -> int:
         return len(self._indexes)
@@ -300,7 +228,7 @@ class IndexManager:
         index.build(rows)
         self._indexes[definition.name] = index
         self.version += 1
-        self._refresh_positions()
+        self._refresh()
         return index
 
     def drop(self, name: str) -> None:
@@ -308,79 +236,187 @@ class IndexManager:
             raise IndexError_(f"no index named {name!r}")
         del self._indexes[name]
         self.version += 1
-        self._refresh_positions()
+        self._refresh()
 
     def drop_all(self) -> None:
         self._indexes.clear()
         self.version += 1
-        self._refresh_positions()
+        self._refresh()
 
     # ------------------------------------------------------------------
     # Row-mutation fan-out.  Every index of the table is maintained; this
     # is where a 31-index Powerset structure pays for itself.  The row is
-    # encoded once and each index slices its key from the shared encoding
-    # — under Bounded that removes 2n + 1 redundant encodings per write.
+    # encoded once, each index slices its key from the shared encoding —
+    # under Bounded that removes 2n + 1 redundant encodings per write —
+    # and one loop drives the structures directly.  Each structure
+    # mutation is one ``index_maintenance_ops``, charged once per row.
+    # A failure undoes the indexes the row already changed before it
+    # propagates (DESIGN §5k), so a raising write leaves every index as
+    # it found it; only a simulated crash (a ``BaseException``) tears.
+
+    def _charge(self, ops: int) -> None:
+        if ops and self._tracker is not None:
+            self._tracker.count("index_maintenance_ops", ops)
 
     def insert_row(self, rid: int, row: Sequence[Any]) -> None:
-        if not self._indexes:
+        fanout = self._fanout
+        if not fanout:
             return
         encoded = encode_row(row, self._positions_union)
-        done: list[TableIndex] = []
+        done = 0
         try:
-            for index in self._indexes.values():
-                index.insert_encoded(rid, encoded)
-                done.append(index)
+            for structure, positions, unique in fanout:
+                key = tuple([encoded[p] for p in positions])
+                if unique is not None and _has_total_duplicate(structure, key):
+                    raise _unique_violation(unique, key)
+                structure.insert(key, rid)
+                done += 1
         except Exception:
-            for index in done:
-                index.delete_encoded(rid, encoded)
+            for structure, positions, __ in fanout[:done]:
+                structure.delete(tuple([encoded[p] for p in positions]), rid)
+            self._charge(done)  # the compensating deletes
             raise
+        finally:
+            self._charge(done)  # the inserts, whatever came after them
 
     def insert_rows(self, pairs: Sequence[tuple[int, Sequence[Any]]]) -> None:
         """Maintain every index for a batch of new rows, index-major.
 
-        Each row is encoded once; each index then consumes the whole
-        batch through :meth:`TableIndex.insert_encoded_many` — a single
-        run per structure instead of one fan-out per row.  Per index the
-        entries arrive in the same order the per-row path would apply
-        them, so structure evolution and charges are bit-identical; the
-        indexes merely see the batch one after another instead of
-        interleaved.  On failure, indexes already fully maintained are
-        compensated (the failing index removed its own prefix).
+        Each row is encoded once; each index then takes the whole batch
+        as one run.  Non-unique structures get it through ``insert_run``
+        (one descent per run of adjacent keys); a unique index keeps the
+        per-entry loop, because its duplicate probe must see the batch's
+        own earlier entries, so probe and insert stay interleaved as in
+        :meth:`insert_row`.  Per index the entries arrive in the order
+        the per-row path would apply them, so structure evolution and
+        charges are bit-identical; the indexes merely see the batch one
+        after another instead of interleaved.  On failure the failing
+        index has removed its own prefix and the indexes already done
+        are compensated.
         """
-        if not self._indexes or not pairs:
+        fanout = self._fanout
+        if not fanout or not pairs:
             return
-        encoded_pairs = [
-            (rid, encode_row(row, self._positions_union)) for rid, row in pairs
-        ]
-        done: list[TableIndex] = []
+        union = self._positions_union
+        encoded_pairs = [(rid, encode_row(row, union)) for rid, row in pairs]
+        done = 0
         try:
-            for index in self._indexes.values():
-                index.insert_encoded_many(encoded_pairs)
-                done.append(index)
+            for structure, positions, unique in fanout:
+                entries = [
+                    (tuple([encoded[p] for p in positions]), rid)
+                    for rid, encoded in encoded_pairs
+                ]
+                if unique is None:
+                    structure.insert_run(entries)
+                    self._charge(len(entries))
+                else:
+                    self._insert_unique_run(structure, unique, entries)
+                done += 1
         except Exception:
-            for index in done:
+            for structure, positions, __ in fanout[:done]:
                 for rid, encoded in reversed(encoded_pairs):
-                    index.delete_encoded(rid, encoded)
+                    structure.delete(tuple([encoded[p] for p in positions]), rid)
+                self._charge(len(encoded_pairs))
             raise
+
+    def _insert_unique_run(
+        self, structure: Structure, name: str, entries: list[Entry]
+    ) -> None:
+        """``insert_run`` for a unique index: on any failure, a crash
+        included, it removes its own prefix, as the structures' runs do."""
+        done = 0
+        try:
+            for key, rid in entries:
+                if _has_total_duplicate(structure, key):
+                    raise _unique_violation(name, key)
+                structure.insert(key, rid)
+                done += 1
+        except BaseException:
+            for key, rid in reversed(entries[:done]):
+                structure.delete(key, rid)
+            self._charge(done)  # the compensating deletes
+            raise
+        finally:
+            self._charge(done)  # the inserts, whatever came after them
 
     def delete_row(self, rid: int, row: Sequence[Any]) -> None:
-        if not self._indexes:
+        fanout = self._fanout
+        if not fanout:
             return
         encoded = encode_row(row, self._positions_union)
-        for index in self._indexes.values():
-            index.delete_encoded(rid, encoded)
+        done = 0
+        try:
+            for structure, positions, __ in fanout:
+                structure.delete(tuple([encoded[p] for p in positions]), rid)
+                done += 1
+        except Exception:
+            # the heap still holds the row: index it again where it went
+            for structure, positions, __ in fanout[:done]:
+                structure.insert(tuple([encoded[p] for p in positions]), rid)
+            self._charge(done)  # the compensating inserts
+            raise
+        finally:
+            self._charge(done)  # the deletes, whatever came after them
 
     def update_row(self, rid: int, old: Sequence[Any], new: Sequence[Any]) -> None:
-        if not self._indexes:
+        fanout = self._fanout
+        if not fanout:
             return
-        old_encoded = encode_row(old, self._positions_union)
-        new_encoded = encode_row(new, self._positions_union)
-        done: list[TableIndex] = []
+        union = self._positions_union
+        old_encoded = encode_row(old, union)
+        new_encoded = encode_row(new, union)
+        ops = done = 0
         try:
-            for index in self._indexes.values():
-                index.update_encoded(rid, old_encoded, new_encoded)
-                done.append(index)
+            for structure, positions, unique in fanout:
+                old_key = tuple([old_encoded[p] for p in positions])
+                new_key = tuple([new_encoded[p] for p in positions])
+                if old_key != new_key:
+                    ops += self._move(structure, unique, rid, old_key, new_key)
+                done += 1
         except Exception:
-            for index in done:
-                index.update_encoded(rid, new_encoded, old_encoded)
+            for structure, positions, unique in fanout[:done]:
+                old_key = tuple([old_encoded[p] for p in positions])
+                new_key = tuple([new_encoded[p] for p in positions])
+                if old_key != new_key:
+                    ops += self._move(structure, unique, rid, new_key, old_key)
             raise
+        finally:
+            self._charge(ops)
+
+    def _move(
+        self,
+        structure: Structure,
+        unique: str | None,
+        rid: int,
+        old_key: EncodedKey,
+        new_key: EncodedKey,
+    ) -> int:
+        """Re-key *rid* from *old_key* to *new_key* in one structure;
+        returns the two maintenance ops it took.  A rejected or failed
+        insert puts the old key back before it propagates, and charges
+        three ops on the spot: the delete, the insert attempt, the
+        re-insert."""
+        structure.delete(old_key, rid)
+        try:
+            if unique is not None and _has_total_duplicate(structure, new_key):
+                raise _unique_violation(unique, new_key)
+            structure.insert(new_key, rid)
+        except Exception:
+            structure.insert(old_key, rid)
+            self._charge(3)
+            raise
+        return 2
+
+
+def _has_total_duplicate(structure: Structure, key: EncodedKey) -> bool:
+    """The unique index's duplicate probe.  SQL-style uniqueness: keys
+    containing NULL never collide."""
+    if NULL_COMPONENT in key:
+        return False
+    if isinstance(structure, BPlusTree):
+        return structure.first_with_prefix(key) is not None
+    return structure.first_with_key(key) is not None
+
+
+def _unique_violation(name: str, key: EncodedKey) -> KeyViolation:
+    return KeyViolation(f"unique index {name!r} violated by key {key!r}")

@@ -41,14 +41,15 @@ if TYPE_CHECKING:  # pragma: no cover
 
 def _log_undo(db: "Database", entry: tuple) -> None:
     txn = db.active_transaction
+    wal = db.wal
+    versions = db.versions
+    if txn is None and wal is None and versions is None:
+        return  # the bare engine: nothing records the row
     if txn is not None:
         txn.log(entry)
-    else:
-        wal = db.wal
-        if wal is not None:
-            # Auto-commit: each statement is its own tiny transaction.
-            wal.log_autocommit(entry)
-    versions = db.versions
+    elif wal is not None:
+        # Auto-commit: each statement is its own tiny transaction.
+        wal.log_autocommit(entry)
     if versions is not None:
         versions.on_mutation(entry, txn)
 

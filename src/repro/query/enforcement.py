@@ -33,19 +33,25 @@ if TYPE_CHECKING:  # pragma: no cover
 # Child-side: inserting / updating a referencing tuple
 
 
+def _null_mask(child_fk: Sequence[Any]) -> int:
+    """Bit ``i`` set where component ``i`` of *child_fk* is total."""
+    mask = 0
+    for i, v in enumerate(child_fk):
+        if v is not NULL:
+            mask |= 1 << i
+    return mask
+
+
 def _subsumption_shape(
-    fk: ForeignKey, child_fk: Sequence[Any]
+    fk: ForeignKey, child_fk: Sequence[Any], mask: int
 ) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    """The (parent columns, child-FK slots) of *child_fk*'s total part.
+    """The (parent columns, child-FK slots) of *child_fk*'s total part,
+    whose :func:`_null_mask` is *mask*.
 
     There are at most ``2^n`` shapes per foreign key — one per null
     mask — and the triggers revisit them millions of times, so the
     column lists are built once and memoized on the key itself.
     """
-    mask = 0
-    for i, v in enumerate(child_fk):
-        if v is not NULL:
-            mask |= 1 << i
     shapes = fk.__dict__.get("_subsumption_shapes")
     if shapes is None:
         shapes = fk._subsumption_shapes = {}
@@ -72,14 +78,19 @@ def subsumption_probe(
     a probe it hands back.
     """
     child_fk = fk.child_values(row)
-    if fk.row_violates_shape(child_fk):
-        raise ReferentialIntegrityViolation(
-            f"{fk.name}: MATCH FULL forbids partially-null value {child_fk!r}"
-        )
-    if fk.row_satisfiable_without_lookup(child_fk):
-        return None
+    mask = _null_mask(child_fk)
+    if fk.match is MatchSemantics.PARTIAL:
+        if not mask:  # all NULL: satisfied without a lookup
+            return None
+    else:
+        if fk.row_violates_shape(child_fk):
+            raise ReferentialIntegrityViolation(
+                f"{fk.name}: MATCH FULL forbids partially-null value {child_fk!r}"
+            )
+        if fk.row_satisfiable_without_lookup(child_fk):
+            return None
     db.tracker.count("state_checks")
-    columns, slots = _subsumption_shape(fk, child_fk)
+    columns, slots = _subsumption_shape(fk, child_fk, mask)
     return columns, [child_fk[i] for i in slots]
 
 

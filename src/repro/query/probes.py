@@ -415,13 +415,11 @@ class PreparedProbe:
                 fetched = at + 1
         elif project is None and not divergent:
             # nothing to test: the first entry of the range is the hit
-            for entries, run_reads in index.runs(prefix):
-                reads += run_reads
-                if entries:
-                    hit = heap.get(entries[0][1])
-                    scanned = hit_scanned
-                    fetched = 1
-                    break
+            first, reads = index.first_entry(prefix)
+            if first is not None:
+                hit = heap.get(first[1])
+                scanned = hit_scanned
+                fetched = 1
         else:
             expected = (
                 self._expected([values[slot] for slot in self._residual_slots])
@@ -469,13 +467,13 @@ class PreparedProbe:
         point = self._point
         if point is not None:
             key = tuple([encode_component(pattern[s]) for s in self._point_sources])
-            for run, __ in point.runs(key):
-                if run:
-                    # every match has the same key in the range, so the
-                    # first match sits where (that key, its rid) sorts
-                    tail = [encode_component(pattern[s]) for s in self._tail_sources]
-                    return bisect_left(entries, ((*prefix, *tail), run[0][1]))
-            return -1
+            first, __ = point.first_entry(key)
+            if first is None:
+                return -1
+            # every match has the same key in the range, so the first
+            # match sits where (that key, its rid) sorts
+            tail = [encode_component(pattern[s]) for s in self._tail_sources]
+            return bisect_left(entries, ((*prefix, *tail), first[1]))
         census = censuses.get(positions)
         if census is None:
             rows = self.table.heap.fetch(map(_SECOND, entries))

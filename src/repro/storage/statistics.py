@@ -59,8 +59,12 @@ class TableStatistics:
         self.row_count = 0
 
     def add_row(self, row: Sequence[Any]) -> None:
+        # ColumnStatistics.add, inlined: this runs once per insert
         for stat, value in zip(self.columns, row):
-            stat.add(value)
+            if value is NULL:
+                stat.null_count += 1
+            else:
+                stat.counts[value] += 1
         self.row_count += 1
 
     def remove_row(self, row: Sequence[Any]) -> None:

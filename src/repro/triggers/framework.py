@@ -92,7 +92,12 @@ class TriggerRegistry:
 
     def __init__(self) -> None:
         self._by_name: dict[str, Trigger] = {}
-        self._by_slot: dict[tuple[str, TriggerEvent], list[Trigger]] = {}
+        #: Each slot's triggers in creation order.  ``add`` and ``drop``
+        #: replace a slot's tuple and never change one in place, so a
+        #: firing iterates the slot as it stood when the firing began —
+        #: a body that adds or drops a trigger on its own slot changes
+        #: the next firing, not this one — without a copy per call.
+        self._by_slot: dict[tuple[str, TriggerEvent], tuple[Trigger, ...]] = {}
 
     def __len__(self) -> int:
         return len(self._by_name)
@@ -105,7 +110,7 @@ class TriggerRegistry:
             raise CatalogError(f"trigger {trigger.name!r} already exists")
         self._by_name[trigger.name] = trigger
         slot = (trigger.table, trigger.event)
-        self._by_slot.setdefault(slot, []).append(trigger)
+        self._by_slot[slot] = (*self._by_slot.get(slot, ()), trigger)
         return trigger
 
     def drop(self, name: str) -> None:
@@ -113,8 +118,10 @@ class TriggerRegistry:
         if trigger is None:
             raise CatalogError(f"no trigger named {name!r}")
         slot = (trigger.table, trigger.event)
-        self._by_slot[slot].remove(trigger)
-        if not self._by_slot[slot]:
+        remaining = tuple(t for t in self._by_slot[slot] if t is not trigger)
+        if remaining:
+            self._by_slot[slot] = remaining
+        else:
             del self._by_slot[slot]
 
     def drop_for_table(self, table: str) -> None:
@@ -143,7 +150,7 @@ class TriggerRegistry:
         rid: int | None = None,
     ) -> None:
         """Fire every enabled trigger registered for (table, event)."""
-        for trigger in self.for_event(table, event):
+        for trigger in self._by_slot.get((table, event), ()):
             trigger.fire(db, old_row, new_row, rid)
 
     def all(self) -> Iterator[Trigger]:

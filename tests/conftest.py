@@ -83,6 +83,31 @@ def empty_db():
     return Database("test")
 
 
+class OneIndex:
+    """One index under its own :class:`~repro.indexes.manager.IndexManager`.
+
+    Row writes go through the manager's fan-out, the only maintenance
+    path; everything else (probes, ``build``, the structure, the
+    tracker) is the :class:`~repro.indexes.manager.TableIndex`'s own.
+    """
+
+    def __init__(self, definition, positions):
+        from repro.indexes.cost import CostTracker
+        from repro.indexes.manager import IndexManager
+
+        self.manager = IndexManager(CostTracker())
+        self.index = self.manager.create(definition, positions)
+        self.insert_row = self.manager.insert_row
+        self.delete_row = self.manager.delete_row
+        self.update_row = self.manager.update_row
+
+    def __getattr__(self, name):
+        return getattr(self.index, name)
+
+    def __len__(self):
+        return len(self.index)
+
+
 def run_threads(fns, timeout=30.0):
     """Run callables on daemon threads, join with a hard deadline, and
     re-raise the first exception any of them hit.

@@ -25,6 +25,8 @@ from repro.storage.database import Database
 from repro.storage.schema import Column
 from repro.storage.table import Table
 
+from .conftest import OneIndex
+
 
 def k(*values):
     return encode_key(values)
@@ -139,9 +141,7 @@ class TestBTreeFastPaths:
 
 
 def make_unique_index():
-    return TableIndex(
-        IndexDefinition("u", ("a",), unique=True), (0,), CostTracker()
-    )
+    return OneIndex(IndexDefinition("u", ("a",), unique=True), (0,))
 
 
 class TestUpdateMaintenanceCounts:
@@ -186,10 +186,9 @@ class TestUpdateMaintenanceCounts:
 
 
 def make_hash_index(unique=False):
-    return TableIndex(
+    return OneIndex(
         IndexDefinition("h", ("a", "b"), kind=IndexKind.HASH, unique=unique),
         (0, 1),
-        CostTracker(),
     )
 
 
@@ -213,9 +212,7 @@ class TestHashEdges:
         assert len(index._structure) == 2
 
     def test_null_keys_never_unique_violate_btree(self):
-        index = TableIndex(
-            IndexDefinition("u", ("a", "b"), unique=True), (0, 1), CostTracker()
-        )
+        index = OneIndex(IndexDefinition("u", ("a", "b"), unique=True), (0, 1))
         index.insert_row(1, (NULL, 2))
         index.insert_row(2, (NULL, 2))
         with pytest.raises(KeyViolation):

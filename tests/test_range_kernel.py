@@ -29,6 +29,7 @@ from repro.core.strategies import IndexStructure
 from repro.indexes.btree import BPlusTree
 from repro.indexes.cost import CostTracker
 from repro.indexes.definition import IndexDefinition, IndexKind
+from repro.indexes.hash import HashIndex
 from repro.indexes.keys import encode_component, encode_key
 from repro.nulls import NULL
 from repro.query import dml, probes
@@ -355,6 +356,89 @@ def test_hash_lookups_are_charged_the_entry_they_stop_on():
     assert_parity(table, ("a",), (1,), scope=scope)
     assert_parity(table, ("a", "c"), (1, -1), scope=scope)
     assert_parity(table, ("a",), (7,), scope=scope)
+
+
+# ----------------------------------------------------------------------
+# ``first_entry``: the LIMIT-1 probes' one-descent lookup.
+
+
+def first_of_runs(structure, prefix):
+    """The reference: what a consumer of ``runs(prefix)`` that stops at
+    its first non-empty slice sees (that slice's first entry) and pays
+    (the reads of every slice it asked for)."""
+    reads = 0
+    for entries, run_reads in structure.runs(prefix):
+        reads += run_reads
+        if entries:
+            return entries[0], reads
+    return None, reads
+
+
+def assert_first_entry_parity(structure, prefixes):
+    tracker = structure._tracker
+    for prefix in prefixes:
+        before = tracker.snapshot()
+        assert structure.first_entry(prefix) == first_of_runs(structure, prefix)
+        assert tracker.snapshot().diff(before).total_logical_cost() == 0
+
+
+def all_prefixes(components):
+    """The empty prefix, every one-component prefix and every full key
+    over *components* — present in the tree or not."""
+    ones = [encode_key((a,)) for a in components]
+    return [()] + ones + [one + encode_key((b,)) for one in ones for b in components]
+
+
+key_parts = st.one_of(st.integers(0, 3), st.just(NULL))
+
+
+@given(
+    keys=st.lists(st.tuples(key_parts, key_parts), max_size=120),
+    data=st.data(),
+)
+@settings(max_examples=80, derandomize=True, deadline=None)
+def test_first_entry_is_the_first_hit_of_runs(keys, data):
+    tree = BPlusTree(order=4, tracker=CostTracker())
+    entries = [(encode_key(key), rid) for rid, key in enumerate(keys)]
+    for key, rid in entries:
+        tree.insert(key, rid)
+    deleted = data.draw(st.sets(st.sampled_from(entries)) if entries else st.just(set()))
+    for key, rid in deleted:
+        tree.delete(key, rid)
+    tree.check_invariants()
+    assert_first_entry_parity(tree, all_prefixes([NULL, 0, 1, 2, 3, 4]))
+
+
+def test_first_entry_over_a_non_uniform_tree():
+    tree = BPlusTree(order=4, tracker=CostTracker())
+    for i in range(96):
+        tree.insert(encode_key((i // 16, i)), i)
+    for i in range(96):
+        if i % 16 < 12 and i // 16 in (1, 2):
+            tree.delete(encode_key((i // 16, i)), i)
+    assert tree._uniform is False  # a one-child node was spliced out
+    assert_first_entry_parity(
+        tree, all_prefixes([0, 1, 2, 3, 5, 6, 7]) + [encode_key((1, 13))]
+    )
+
+
+def test_first_entry_steps_past_an_exhausted_descent_leaf():
+    index = leaf_table().indexes.get("by_a")
+    prefix = encode_key((1,))
+    (first, descent), (second, step) = list(index.runs(prefix))[:2]
+    assert first == [] and second  # the range starts in the next leaf
+    assert index.first_entry(prefix) == (second[0], descent + step)
+    assert_first_entry_parity(index._structure, all_prefixes([NULL, 0, 1, 2, 3]))
+
+
+def test_first_entry_of_a_hash_bucket():
+    tracker = CostTracker()
+    index = HashIndex(tracker)
+    for rid in range(30):
+        index.insert(encode_key((rid % 3, rid % 2)), rid)
+    full_keys = [p for p in all_prefixes([NULL, 0, 1, 2, 3]) if len(p) == 2]
+    assert_first_entry_parity(index, full_keys)
+    assert index.first_entry(encode_key((9, 9))) == (None, 1)
 
 
 # ----------------------------------------------------------------------

@@ -53,6 +53,40 @@ class TestRegistry:
         assert r.for_event("tab", TriggerEvent.BEFORE_INSERT) == [t1, t2]
         assert r.for_event("tab", TriggerEvent.AFTER_INSERT) == []
 
+    def test_a_body_changing_its_own_slot_does_not_change_the_firing(self):
+        """A firing runs the triggers its slot held when it began: one a
+        body adds runs from the next firing on, one a body drops still
+        runs in this one."""
+        db = Database()
+        db.create_table("tab", [Column("a")])
+        event = TriggerEvent.BEFORE_INSERT
+        calls = []
+
+        def first(*args):
+            calls.append("first")
+            if "late" not in db.triggers:
+                db.triggers.add(Trigger("late", "tab", event, late))
+            if "doomed" in db.triggers:
+                db.triggers.drop("doomed")
+
+        def doomed(*args):
+            calls.append("doomed")
+
+        def late(*args):
+            calls.append("late")
+
+        db.triggers.add(Trigger("first", "tab", event, first))
+        db.triggers.add(Trigger("doomed", "tab", event, doomed))
+        dml.insert(db, "tab", (1,))
+        assert calls == ["first", "doomed"]
+        calls.clear()
+        dml.insert(db, "tab", (2,))
+        assert calls == ["first", "late"]
+        assert [t.name for t in db.triggers.for_event("tab", event)] == [
+            "first",
+            "late",
+        ]
+
     def test_drop_for_table(self):
         r = TriggerRegistry()
         r.add(Trigger("t1", "a", TriggerEvent.BEFORE_INSERT, self.body))
