@@ -42,7 +42,9 @@ Commands:
                             harness's FK pair.  --data-dir makes the WAL
                             file-backed: acked commits survive kill -9
                             and the server replays them on restart,
-                            checkpointing every N ledgered commits.
+                            checkpointing every N commits (a pipelined
+                            run or a batch is one commit) and collecting
+                            MVCC versions every N ledgered requests.
                             --shard-index/--shard-count (with --schema
                             chaos) serve one shard's slice of the chaos
                             schema — no local FK, enforcement belongs to

@@ -89,8 +89,10 @@ DEFAULT_ADMISSION_TIMEOUT = 2.0
 #: reader instead of pinning its connection thread forever.
 DEFAULT_SEND_TIMEOUT = 10.0
 
-#: Ledgered commits between durable checkpoints (log compaction) — or,
-#: on a server without a durable log, between MVCC version collections.
+#: Ledgered commits between durable checkpoints (log compaction) — a
+#: pipelined run or a ``batch`` is one commit, however many rows or
+#: stamps it carries.  MVCC version collection keeps its own cadence of
+#: this many ledgered requests, with or without a durable log.
 DEFAULT_CHECKPOINT_EVERY = 256
 
 #: Ops that may commit under an idempotency key.  ``begin`` is absent on
@@ -144,6 +146,7 @@ class ReproServer(WireServer):
             checkpoint_every = DEFAULT_CHECKPOINT_EVERY
         self.checkpoint_every = checkpoint_every
         self._commits_since_checkpoint = 0
+        self._requests_since_prune = 0
         #: The transaction a coordinator's ``txn`` op left open on a
         #: session, with that op's reply: the stamped ``commit`` that
         #: ends it ledgers and answers those results (:meth:`_op_txn`).
@@ -159,13 +162,13 @@ class ReproServer(WireServer):
         self.twophase = TwoPhaseParticipant(self, **twophase_opts)
         if data_dir is not None:
             wal, self.recovery_report = open_durable(self.db, data_dir)
-            self.ledger.restore(
-                wal.checkpoint_extras.get("ledger"), wal.durable_records
-            )
+            # The durable log lives on disk: read it back once for both.
+            records = wal.durable_records
+            self.ledger.restore(wal.checkpoint_extras.get("ledger"), records)
             # Reinstate in-doubt 2PC transactions before serving: their
             # re-acquired locks must be in place when the first client
             # statement arrives.
-            self.twophase.reinstate()
+            self.twophase.reinstate(records)
 
     # ------------------------------------------------------------------
     # Lifecycle and per-connection state (the core's role hooks)
@@ -361,7 +364,9 @@ class ReproServer(WireServer):
 
     def _record_commit(self, note: Any) -> None:
         """Enter a committed request — or each request of a committed
-        run, whose note is a tuple of entries — into the ledger.
+        run, whose note is a tuple of entries — into the ledger, and
+        count the commit once toward the next checkpoint and each entry
+        toward the next version collection (:meth:`_maybe_checkpoint`).
 
         Runs inside the commit (``Session.on_commit``), under the
         committing statement's latch.  A checkpoint takes that latch, so
@@ -370,10 +375,15 @@ class ReproServer(WireServer):
         connection could slip in between, and after a crash the
         redelivered stamp would execute a second time.
         """
-        for entry in note if isinstance(note, tuple) else (note,):
-            if isinstance(entry, LedgerEntry):
-                self.ledger.record(entry.client_id, entry.request_id, entry.result)
-                self._commits_since_checkpoint += 1
+        entries = [
+            entry for entry in (note if isinstance(note, tuple) else (note,))
+            if isinstance(entry, LedgerEntry)
+        ]
+        for entry in entries:
+            self.ledger.record(entry.client_id, entry.request_id, entry.result)
+        if entries:
+            self._commits_since_checkpoint += 1
+            self._requests_since_prune += len(entries)
 
     def _ledger_lookup(
         self, session: "Session", request: dict[str, Any]
@@ -414,32 +424,40 @@ class ReproServer(WireServer):
         return any(isinstance(s, sql_ast.Commit) for s in parse(sql))
 
     def _maybe_checkpoint(self) -> None:
-        """Compact the durable log once enough commits accumulated — or,
-        without a durable log, just collect the MVCC versions no snapshot
-        can reach any more (a checkpoint does that on its way; a server
-        that never checkpoints would otherwise keep every version).
+        """Collect the MVCC versions no snapshot can reach any more once
+        ``checkpoint_every`` ledgered requests accumulated, and compact
+        the durable log once ``checkpoint_every`` ledgered commits did.
 
-        Runs opportunistically on a handler thread after its own
-        statement finished.  The statement latch excludes concurrent
-        statements; any *idle* open transaction defers the checkpoint to
-        a later commit (a checkpoint must snapshot a committed state).
+        The two cadences differ only for pipelined runs, whose one
+        commit carries many requests: the log they write is small, but
+        every row still leaves a version behind.  Runs opportunistically
+        on a handler thread after its own statement finished.  The
+        statement latch excludes concurrent statements; any *idle* open
+        transaction defers the checkpoint to a later commit (a
+        checkpoint must snapshot a committed state), never the
+        collection (an open transaction's snapshot bounds what it
+        drops).
         """
-        if (
-            self.checkpoint_every <= 0
-            or self._commits_since_checkpoint < self.checkpoint_every
+        every = self.checkpoint_every
+        if every <= 0 or (
+            self._requests_since_prune < every
+            and self._commits_since_checkpoint < every
         ):
             return
         wal = self.db.wal
         with self.sessions.latch:
-            if wal is not None and wal.is_durable:
-                if any(s.in_transaction for s in self.sessions.open_sessions):
-                    return
-                wal.checkpoint(
-                    self.db, extras={"ledger": self.ledger.snapshot()}
-                )
-                self.stats.bump("checkpoints")
-            else:
+            if self._requests_since_prune >= every:
                 self.sessions.versions.prune()
+                self._requests_since_prune = 0
+            if self._commits_since_checkpoint < every:
+                return
+            if wal is None or not wal.is_durable:
+                self._commits_since_checkpoint = 0
+                return
+            if any(s.in_transaction for s in self.sessions.open_sessions):
+                return
+            wal.checkpoint(self.db, extras={"ledger": self.ledger.snapshot()})
+            self.stats.bump("checkpoints")
             self._commits_since_checkpoint = 0
 
     @staticmethod

@@ -45,6 +45,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -58,6 +59,7 @@ from ..testing.faults import fire
 if TYPE_CHECKING:  # pragma: no cover
     from ..concurrency.session import Session
     from ..server.server import ReproServer
+    from ..storage.wal import WalRecord
 
 #: Ask the coordinator about an in-doubt transaction after this long.
 DEFAULT_RESOLVE_AFTER = 1.0
@@ -356,8 +358,9 @@ class TwoPhaseParticipant:
     # ------------------------------------------------------------------
     # Restart recovery
 
-    def reinstate(self) -> int:
-        """Rebuild 2PC state from the durable log after a restart.
+    def reinstate(self, records: Iterable["WalRecord"]) -> int:
+        """Rebuild 2PC state from the durable log's *records* after a
+        restart.
 
         Redo replay already restored fully-committed work; this pass
         interprets the coordination records: finish commit-decided
@@ -366,14 +369,11 @@ class TwoPhaseParticipant:
         its locks block conflicting writers until resolution.  Must run
         before the server starts accepting connections.
         """
-        wal = self.server.db.wal
-        if wal is None:
-            return 0
         prepares: dict[str, list[tuple[int, list[dict[str, Any]], Any]]] = {}
         order: list[str] = []
         decides: dict[str, str] = {}
         done: set[str] = set()
-        for record in wal.durable_records:
+        for record in records:
             if record.kind == "prepare":
                 gtid, seq, ops, resolve_addr = record.payload
                 if gtid not in prepares:

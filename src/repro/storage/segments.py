@@ -11,9 +11,10 @@ acknowledged commit:
   rather than replayed as garbage.
 * **Fsync batching** — :meth:`SegmentStore.append` writes any number of
   records and issues exactly one ``flush + fsync``.  The logical WAL
-  calls it once per :meth:`~repro.storage.wal.WriteAheadLog.flush`, so
-  group commit amortises physical syncs exactly as it already amortises
-  logical flushes.  The current segment stays open between appends; it
+  calls it once per :meth:`~repro.storage.wal.WriteAheadLog.flush`, with
+  one payload (the flushed records pickled together, so a tear drops
+  the flush whole), and group commit amortises physical syncs exactly
+  as it already amortises logical flushes.  The current segment stays open between appends; it
   is closed on rollover, before a checkpoint deletes it, before a torn
   tail is cut off, and by :meth:`SegmentStore.close`.
 * **Torn-tail detection** — :meth:`SegmentStore.load` scans segments in

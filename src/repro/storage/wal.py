@@ -3,7 +3,8 @@
 The engine is in-memory, so "durability" is modelled, not physical: the
 :class:`WriteAheadLog` keeps a **volatile buffer** (records written but
 not yet flushed — what a real engine holds in its log buffer) and a
-**durable list** (what has reached the log file).  A simulated crash
+**durable list** (what has reached the log file; with a segment store
+the list *is* the segment files, read back on demand).  A simulated crash
 discards the buffer and every live table; recovery rebuilds the database
 from the last checkpoint snapshot plus the durable records of committed
 transactions — MySQL 5.6's InnoDB redo-log discipline, which the paper's
@@ -35,12 +36,14 @@ transactions.
 **Durability** is opt-in: constructed with a
 :class:`~repro.storage.segments.SegmentStore` (or via
 :meth:`WriteAheadLog.open` on a data directory), every logical flush
-also appends the flushed records to CRC-framed segment files with one
-fsync, and every checkpoint atomically replaces the on-disk snapshot and
-compacts the segments.  :func:`open_durable` is the process-restart
-entry point: it either resumes a database from the directory's
-checkpoint + committed records (surviving ``kill -9``, torn tails
-truncated by CRC) or attaches a fresh durable log.  Commit records may
+appends the flushed records to the segment files as one CRC frame with
+one fsync — a torn frame loses its whole flush, which no reply
+acknowledged — and keeps no copy in memory; every checkpoint atomically
+replaces the on-disk snapshot and compacts the segments.
+:func:`open_durable` is the process-restart entry point: it either
+resumes a database from the directory's checkpoint + committed records
+(surviving ``kill -9``, torn tails truncated by CRC) or attaches a
+fresh durable log.  Commit records may
 carry an opaque *note* (the server's exactly-once result ledger rides
 here) which replay surfaces without interpreting.
 """
@@ -146,19 +149,22 @@ class WriteAheadLog:
         if capacity < 1:
             raise WalError("log buffer capacity must be >= 1")
         self._capacity = capacity
-        #: Guards the buffer, the durable list and both counters.  Most
-        #: appenders run under the statement latch, but the two-phase
-        #: participant logs prepare/decide records after its statement
-        #: released it, so the log must be consistent on its own.  Never
-        #: held across pickling or a segment append.
+        #: Guards the buffer, the in-memory durable list and both
+        #: counters.  Most appenders run under the statement latch, but
+        #: the two-phase participant logs prepare/decide records after
+        #: its statement released it, so the log must be consistent on
+        #: its own.  Never held across pickling or a segment append.
         self._mu = threading.Lock()
         #: One flusher at a time: flushes reach the store in LSN order,
         #: and a flush that returns means every record appended before
         #: the call is durable — also when an earlier flush, still
         #: syncing, had already taken that record out of the buffer.
-        #: Taken before ``_mu``, never the other way round.
+        #: Taken before ``_mu``, never the other way round.  Reading a
+        #: store-backed log back holds it too: no frame is half-written.
         self._flush_mu = threading.Lock()
         self._buffer: list[WalRecord] = []
+        #: The durable records of a log without a store; a store-backed
+        #: log leaves this empty and reads its segments back instead.
         self._durable: list[WalRecord] = []
         self._next_lsn = 0
         self._next_txn = 1
@@ -168,8 +174,9 @@ class WriteAheadLog:
         #: this staying far below the number of commits.
         self.flush_count = 0
         #: Optional file-backed segment store: when present, every flush
-        #: appends the flushed records to disk (one fsync) and every
-        #: checkpoint persists the snapshot and compacts the segments.
+        #: appends the flushed records to disk (one frame, one fsync) and
+        #: every checkpoint persists the snapshot and compacts the
+        #: segments.
         self._store = store
         #: Set by :meth:`open` when the on-disk log ended in a tear.
         self.torn_tail: TornTail | None = None
@@ -181,28 +188,37 @@ class WriteAheadLog:
     def open(cls, data_dir: str | os.PathLike[str]) -> "WriteAheadLog":
         """Open (or create) the durable log under *data_dir*.
 
-        Loads the checkpoint and every intact committed-or-not record
-        from the segment files; a torn tail (crash mid-append) is
-        detected by CRC, truncated away, and reported via
-        :attr:`torn_tail`.  LSN and transaction counters resume past
-        everything replayed, so new records never collide with old ones.
+        Loads the checkpoint and scans every intact flush frame of the
+        segment files; a torn tail (crash mid-append) is detected by CRC,
+        truncated away, and reported via :attr:`torn_tail`.  LSN and
+        transaction counters resume past everything on disk, so new
+        records never collide with old ones.  The records themselves
+        stay on disk (:attr:`durable_records` reads them back).
         """
         store = SegmentStore(data_dir)
         wal = cls(store=store)
         blob = store.load_checkpoint()
         if blob is not None:
             wal._checkpoint = pickle.loads(blob)
-        payloads, wal.torn_tail = store.load()
-        records = [pickle.loads(p) for p in payloads]
-        if wal._checkpoint is not None:
-            # A crash between checkpoint replace and segment deletion
-            # leaves stale pre-checkpoint segments behind; skip them.
-            records = [r for r in records if r.lsn >= wal._checkpoint.lsn]
-        wal._durable = records
+        records, wal.torn_tail = wal._read_segments(store)
         floor = wal._checkpoint.lsn if wal._checkpoint is not None else 0
         wal._next_lsn = max([floor] + [r.lsn + 1 for r in records])
         wal._next_txn = max([1] + [r.txn_id + 1 for r in records])
         return wal
+
+    def _read_segments(
+        self, store: SegmentStore
+    ) -> tuple[list[WalRecord], TornTail | None]:
+        """Every record of every intact flush frame from the checkpoint
+        LSN on, in LSN order — the one read path of a store-backed log.
+        Callers hold ``_flush_mu`` or own the log alone (:meth:`open`)."""
+        payloads, torn = store.load()
+        records = [r for p in payloads for r in pickle.loads(p)]
+        if self._checkpoint is not None:
+            # A crash between checkpoint replace and segment deletion
+            # leaves stale pre-checkpoint segments behind; skip them.
+            records = [r for r in records if r.lsn >= self._checkpoint.lsn]
+        return records, torn
 
     @property
     def is_durable(self) -> bool:
@@ -231,7 +247,7 @@ class WriteAheadLog:
 
     def __len__(self) -> int:
         """Number of durable records (what a crash cannot destroy)."""
-        return len(self._durable)
+        return len(self.durable_records)
 
     @property
     def lsn(self) -> int:
@@ -243,7 +259,12 @@ class WriteAheadLog:
 
     @property
     def durable_records(self) -> tuple[WalRecord, ...]:
-        return tuple(self._durable)
+        """Every durable record since the checkpoint, in LSN order."""
+        if self._store is None:
+            with self._mu:
+                return tuple(self._durable)
+        with self._flush_mu:
+            return tuple(self._read_segments(self._store)[0])
 
     # ------------------------------------------------------------------
     # Appending
@@ -354,28 +375,35 @@ class WriteAheadLog:
         durable — including one that another thread's flush, still
         syncing, had already taken out of the buffer (``_flush_mu``).
 
-        With a segment store attached the flushed records also reach
-        disk here, CRC-framed, with exactly one physical fsync — so
-        deferred commits batch physical syncs for free.  The buffer
-        changes hands in one step under the log mutex (an append lands
-        in the old list or the new one, never in between); pickling and
-        the sync happen outside it, so appenders never wait for the
-        disk, only the next flusher does.
+        With a segment store attached the flushed records reach disk
+        here instead of a list: pickled together into one CRC frame,
+        written with exactly one physical fsync — so deferred commits
+        batch physical syncs for free, and a tear drops the flush whole.
+        The buffer changes hands in one step under the log mutex (an
+        append lands in the old list or the new one, never in between);
+        pickling and the sync happen outside it, so appenders never wait
+        for the disk, only the next flusher does.
         """
         if self._suspended:
             return
         with self._flush_mu:
-            with self._mu:
-                flushed = self._buffer
-                if not flushed:
-                    return
-                self._buffer = []
+            self._flush_locked()
+
+    def _flush_locked(self) -> int:
+        """:meth:`flush` under ``_flush_mu``.  Returns the LSN every
+        flushed record lies below and every record still buffered at or
+        above."""
+        with self._mu:
+            flushed, self._buffer = self._buffer, []
+            end = self._next_lsn
+            if not flushed:
+                return end
+            if self._store is None:
                 self._durable.extend(flushed)
-                self.flush_count += 1
-            if self._store is not None:
-                self._store.append(
-                    [pickle.dumps(r, pickle.HIGHEST_PROTOCOL) for r in flushed]
-                )
+            self.flush_count += 1
+        if self._store is not None:
+            self._store.append([pickle.dumps(flushed, pickle.HIGHEST_PROTOCOL)])
+        return end
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -396,27 +424,33 @@ class WriteAheadLog:
         txn = db.active_transaction
         if txn is not None and txn.is_open:
             raise WalError("cannot checkpoint with an open transaction")
-        self.flush()
-        tables: dict[str, _TableSnapshot] = {}
-        for name, table in db.tables.items():
-            tables[name] = _TableSnapshot(
-                schema=table.schema,
-                heap_image=table.heap.snapshot(),
-                index_defs=[index.definition for index in table.indexes],
+        # No flush may interleave: its frame would land in a segment the
+        # compaction deletes.  A record appended meanwhile (a two-phase
+        # appender runs without the statement latch) stays buffered at
+        # or above the checkpoint LSN and goes out with the next flush.
+        with self._flush_mu:
+            lsn = self._flush_locked()
+            tables: dict[str, _TableSnapshot] = {}
+            for name, table in db.tables.items():
+                tables[name] = _TableSnapshot(
+                    schema=table.schema,
+                    heap_image=table.heap.snapshot(),
+                    index_defs=[index.definition for index in table.indexes],
+                )
+            checkpoint = _Checkpoint(
+                lsn=lsn, tables=tables, extras=dict(extras or {})
             )
-        with self._mu:
-            self._checkpoint = _Checkpoint(
-                lsn=self._next_lsn, tables=tables, extras=dict(extras or {})
-            )
-            self._durable.clear()
-        # Version GC piggybacks on checkpoints: everything below the
-        # oldest active snapshot's read LSN is unreachable by any reader.
+            with self._mu:
+                self._checkpoint = checkpoint
+                self._durable.clear()
+            if self._store is not None:
+                self._store.write_checkpoint(
+                    pickle.dumps(checkpoint, pickle.HIGHEST_PROTOCOL)
+                )
+        # Version GC also runs here: everything below the oldest active
+        # snapshot's read LSN is unreachable by any reader.
         if db.versions is not None:
             db.versions.prune()
-        if self._store is not None:
-            self._store.write_checkpoint(
-                pickle.dumps(self._checkpoint, pickle.HIGHEST_PROTOCOL)
-            )
 
     # ------------------------------------------------------------------
     # Crash simulation
@@ -460,7 +494,7 @@ def recover(db: "Database", wal: WriteAheadLog | None = None) -> RecoveryReport:
     if checkpoint is None:
         raise WalError("no checkpoint to recover from (attach_wal takes one)")
 
-    durable = list(wal._durable)
+    durable = wal.durable_records
     committed = {r.txn_id for r in durable if r.kind == "commit"}
     skipped = sorted(
         {r.txn_id for r in durable if r.kind != "commit"} - committed

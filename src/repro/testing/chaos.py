@@ -539,13 +539,16 @@ def run_chaos(
     data_dir: str | os.PathLike[str] | None = None,
     min_uptime_s: float = 0.4,
     max_uptime_s: float = 1.0,
-    checkpoint_every: int = 64,
+    checkpoint_every: int = 32,
     wire_faults: bool = True,
     quick: bool = False,
     snapshot_reads: bool = False,
     shards: int = 0,
 ) -> ChaosReport:
-    """Run the soak; returns the report (``report.ok`` is the verdict)."""
+    """Run the soak; returns the report (``report.ok`` is the verdict).
+
+    *checkpoint_every* counts commits, and a pipelined run is one: 32
+    keeps a few-second server lifetime crossing several checkpoints."""
     import shutil
     import tempfile
 
@@ -685,7 +688,7 @@ def run_sharded_chaos(
     data_dir: str | os.PathLike[str] | None = None,
     min_uptime_s: float = 0.4,
     max_uptime_s: float = 1.0,
-    checkpoint_every: int = 64,
+    checkpoint_every: int = 32,
     wire_faults: bool = True,
     quick: bool = False,
     snapshot_reads: bool = False,

@@ -11,6 +11,7 @@ exactly what a ``kill -9`` forces on the server.
 from __future__ import annotations
 
 import pickle
+import threading
 
 import pytest
 
@@ -303,6 +304,31 @@ class TestDurableRestart:
         assert rows(db2) == [(1, 10)]
         assert report is not None and report.records_replayed == 0
 
+    def test_a_flush_racing_a_checkpoint_survives_the_compaction(self, tmp_path):
+        """A two-phase record is logged without the statement latch, so
+        it may flush while a checkpoint runs.  Its frame must not land
+        in a segment the compaction deletes: the flush waits for the
+        checkpoint and goes to a fresh segment."""
+        db = bootstrap()
+        wal, _ = open_durable(db, tmp_path)
+        db.insert("t", (1, 10))
+        assert wal.store is not None
+        racer = threading.Thread(
+            target=wal.log_two_phase, args=("decide", ("g1", "commit"))
+        )
+        compact = wal.store.write_checkpoint
+
+        def racing_compaction(blob: bytes) -> None:
+            racer.start()
+            racer.join(0.2)  # blocked on the checkpoint, or already flushed
+            compact(blob)
+
+        wal.store.write_checkpoint = racing_compaction  # type: ignore[method-assign]
+        wal.checkpoint(db)
+        racer.join(5.0)
+        kinds = [r.kind for r in WriteAheadLog.open(tmp_path).durable_records]
+        assert kinds == ["decide", "commit"]
+
     def test_checkpoint_blob_is_a_pickle_of_tables(self, tmp_path):
         db = bootstrap()
         wal, _ = open_durable(db, tmp_path)
@@ -312,3 +338,128 @@ class TestDurableRestart:
         assert blob is not None
         checkpoint = pickle.loads(blob)
         assert "t" in checkpoint.tables
+
+
+# ----------------------------------------------------------------------
+# One frame per flush, and no durable record held in memory
+
+
+def flush_records(wal: WriteAheadLog, sizes: list[int]) -> list[list]:
+    """One committed transaction of ``size`` records per flush; returns
+    the records each flush carried, in LSN order."""
+    flushes = []
+    for size in sizes:
+        txn_id = wal.begin()
+        for i in range(size - 1):
+            wal.log_mutation(txn_id, ("insert", "t", i, (i, size)))
+        wal.commit(txn_id, sync=False)
+        flushes.append(list(wal._buffer))
+        wal.flush()
+    return flushes
+
+
+def frame_ends(path) -> list[int]:
+    """The byte offset where each frame of a segment file ends."""
+    data = path.read_bytes()
+    ends, offset = [], 0
+    while offset < len(data):
+        offset += 8 + int.from_bytes(data[offset:offset + 4], "big")
+        ends.append(offset)
+    return ends
+
+
+class TestFlushFrames:
+    SIZES = [1, 3, 300, 2, 257]
+
+    def store_backed(self, tmp_path) -> WriteAheadLog:
+        # A buffer wider than the largest flush: no overflow splits one.
+        return WriteAheadLog(capacity=1000, store=SegmentStore(tmp_path))
+
+    def test_open_round_trips_flushes_of_mixed_sizes(self, tmp_path):
+        wal = self.store_backed(tmp_path)
+        flushes = flush_records(wal, self.SIZES)
+        assert wal.store is not None and wal.store.sync_count == len(self.SIZES)
+        payloads, torn = SegmentStore(tmp_path).load()
+        assert len(payloads) == len(self.SIZES) and torn is None
+        reopened = WriteAheadLog.open(tmp_path)
+        assert list(reopened.durable_records) == [r for f in flushes for r in f]
+        assert reopened.lsn == wal.lsn
+
+    @pytest.mark.parametrize("damage", ["tear", "crc"])
+    def test_damage_inside_a_frame_drops_that_flush_and_all_after(
+        self, tmp_path, damage
+    ):
+        flushes = flush_records(self.store_backed(tmp_path), [4, 300, 5])
+        path = SegmentStore(tmp_path).segment_paths()[-1]
+        first_end, second_end, __ = frame_ends(path)
+        middle = (first_end + second_end) // 2  # inside the 300-record frame
+        data = bytearray(path.read_bytes())
+        if damage == "tear":
+            path.write_bytes(bytes(data[:middle]))
+        else:
+            data[middle] ^= 0xFF
+            path.write_bytes(bytes(data))
+
+        reopened = WriteAheadLog.open(tmp_path)
+        assert reopened.torn_tail is not None
+        assert list(reopened.durable_records) == flushes[0]
+        assert path.stat().st_size == first_end
+        # The truncated tail takes new flushes and reads back cleanly.
+        later = flush_records(reopened, [2, 200])
+        again = WriteAheadLog.open(tmp_path)
+        assert again.torn_tail is None
+        assert list(again.durable_records) == flushes[0] + later[0] + later[1]
+        assert len({r.lsn for r in again.durable_records}) == len(again)
+
+
+class TestDurableLogLivesOnDisk:
+    def test_flushes_leave_no_record_in_memory(self, tmp_path):
+        wal = WriteAheadLog(capacity=1000, store=SegmentStore(tmp_path))
+        flushes = flush_records(wal, [5, 1, 40])
+        assert wal._durable == [] and wal.buffered_count == 0
+        flushed = [r for f in flushes for r in f]
+        assert list(wal.durable_records) == flushed
+        assert [r.lsn for r in flushed] == sorted(r.lsn for r in flushed)
+        assert len(wal) == len(flushed)
+
+    def test_in_memory_log_keeps_its_list(self):
+        wal = WriteAheadLog(capacity=1000)
+        flushes = flush_records(wal, [3, 2])
+        assert wal._durable == flushes[0] + flushes[1]
+        assert list(wal.durable_records) == wal._durable
+
+    def test_simulate_crash_recovers_every_committed_row_from_disk(self, tmp_path):
+        from repro.storage.wal import simulate_crash
+
+        db = bootstrap()
+        wal, _ = open_durable(db, tmp_path)
+        for i in range(50):
+            db.insert("t", (i, i * 10))
+        wal.checkpoint(db)
+        with db.begin():
+            for i in range(50, 80):
+                db.insert("t", (i, i * 10))
+        deferring_session(db).insert("t", (99, 990))  # never flushed
+        assert wal._durable == []
+        report = simulate_crash(db)
+        assert rows(db) == [(i, i * 10) for i in range(80)]
+        assert report.records_replayed == 30
+        assert db.verify_integrity().ok
+
+    def test_a_deferred_checkpoint_leaves_memory_empty(self, tmp_path):
+        """An idle open transaction defers every checkpoint; the log it
+        keeps growing lives on disk alone."""
+        from repro.server import ReproClient, ReproServer
+
+        server = ReproServer(bootstrap(), data_dir=str(tmp_path), checkpoint_every=64)
+        with server, ReproClient(*server.address) as idle, \
+                ReproClient(*server.address) as writer:
+            idle.begin()
+            idle.insert("t", [-1, -1])
+            for i in range(2000):
+                writer.insert("t", [i, i])
+            wal = server.db.wal
+            assert server.stats.snapshot()["checkpoints"] == 0
+            assert wal._durable == [] and wal.buffered_count == 0
+            commits = [r for r in wal.durable_records if r.kind == "commit"]
+            assert len(commits) == 2000

@@ -251,3 +251,37 @@ def test_a_request_fault_on_frame_k_of_a_run_fails_that_request_alone(tmp_path, 
         assert _ids(server) == [i for i in range(1, 6) if i != k + 1]
         assert store.sync_count == syncs + 1
         assert server.stats.snapshot()["errors"] == 1
+
+
+def test_the_checkpoint_cadence_counts_commits_not_stamps(tmp_path):
+    """``checkpoint_every`` counts commits: a run of 64 stamped inserts
+    is one commit and a 1,000-row ``batch`` one more, so neither comes
+    near a checkpoint at ``checkpoint_every=64``; 64 single stamped
+    inserts are 64 commits and take exactly one."""
+    server = ReproServer(
+        build_chaos_database(), data_dir=str(tmp_path), checkpoint_every=64
+    )
+    with server:
+        def checkpoints() -> int:
+            return server.stats.snapshot()["checkpoints"]
+
+        sock = _raw(server)
+        try:
+            replies = _burst(sock, [_stamped(i, id=i) for i in range(1, 65)])
+            assert all(r["ok"] for r in replies)
+            assert checkpoints() == 0
+            batch = {"op": "batch", "table": "C", "client": "burst", "req": 65,
+                     "rows": [[i, 3, 30] for i in range(1000, 2000)]}
+            assert _burst(sock, [batch])[0]["ok"]
+            assert checkpoints() == 0
+            # Two commits so far: the 62nd single insert is the 64th.
+            for req in range(66, 66 + 62):
+                assert checkpoints() == 0
+                assert _burst(sock, [_stamped(req)])[0]["ok"]
+            assert checkpoints() == 1
+            for req in range(128, 128 + 64):
+                assert _burst(sock, [_stamped(req)])[0]["ok"]
+            assert checkpoints() == 2
+        finally:
+            sock.close()
+        assert len(server.db.table("C")) == 64 + 1000 + 62 + 64

@@ -11,10 +11,15 @@ Two properties, each checked against a shadow model:
   final state equals the shadow model's, and (because partial rollbacks
   emit compensating WAL records) replaying the committed log after a
   crash reproduces that exact state.
+* **Flush frames** — a store-backed log writes each flush as one CRC
+  frame: reopened after a tear at any byte, it holds exactly the
+  flushes whose frames ended before the tear, records in LSN order.
 
 ``derandomize=True`` fixes the example generation so tier-1 stays
 deterministic run to run.
 """
+
+import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +27,7 @@ from hypothesis import strategies as st
 from repro import Column, Database
 from repro.query import dml
 from repro.query.predicate import Eq
+from repro.storage.segments import SegmentStore
 from repro.storage.wal import WriteAheadLog, simulate_crash
 
 #: One row mutation; applied deterministically against the smallest key.
@@ -133,3 +139,30 @@ def test_savepoint_interleavings_match_model(actions, data):
     simulate_crash(db)
     assert table_state(db) == model
     assert db.verify_integrity().ok
+
+
+@given(st.lists(st.integers(1, 300), min_size=1, max_size=5), st.data())
+@settings(max_examples=30, derandomize=True, deadline=None)
+def test_flush_frames_round_trip_and_tear_whole(sizes, data):
+    with tempfile.TemporaryDirectory() as directory:
+        wal = WriteAheadLog(capacity=1000, store=SegmentStore(directory))
+        flushes, ends = [], []
+        for size in sizes:
+            txn_id = wal.begin()
+            for i in range(size - 1):
+                wal.log_mutation(txn_id, ("insert", "t", i, (i, size)))
+            wal.commit(txn_id, sync=False)
+            flushes.append(list(wal._buffer))
+            wal.flush()
+            (path,) = SegmentStore(directory).segment_paths()
+            ends.append(path.stat().st_size)
+        wal.close()
+        assert list(WriteAheadLog.open(directory).durable_records) == [
+            r for f in flushes for r in f
+        ]
+        cut = data.draw(st.integers(0, ends[-1]), label="tear at byte")
+        path.write_bytes(path.read_bytes()[:cut])
+        kept = [r for f, end in zip(flushes, ends) if end <= cut for r in f]
+        reopened = WriteAheadLog.open(directory)
+        assert list(reopened.durable_records) == kept
+        assert (reopened.torn_tail is None) == (cut in [0] + ends)

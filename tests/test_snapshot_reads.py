@@ -16,6 +16,8 @@ The acceptance properties of the MVCC tentpole:
 
 from __future__ import annotations
 
+import socket
+
 import pytest
 
 from repro import (
@@ -32,7 +34,8 @@ from repro import (
 )
 from repro.concurrency.locks import LockManager, LockMode
 from repro.errors import ReferentialIntegrityViolation, SessionError
-from repro.server import ReproClient, ReproServer, ServerError
+from repro.server import ReproClient, ReproServer, ServerError, wire
+from repro.testing.chaos import build_chaos_database
 
 
 def _pv_db() -> Database:
@@ -368,3 +371,34 @@ def test_memory_server_collects_versions_without_a_wal():
             assert server.stats.snapshot()["checkpoints"] == 0
             # ten times the rows later: the same one-entry probe, nothing else
             assert select_cost(client) == early
+
+
+def test_durable_server_collects_versions_between_checkpoints(tmp_path):
+    """Version collection keeps its cadence of ``checkpoint_every``
+    ledgered requests on a durable server, whose checkpoints count
+    commits: twenty runs of 64 pipelined stamped inserts are twenty
+    commits — no checkpoint at ``checkpoint_every=64`` — yet the version
+    store never holds more than one cadence plus one run of rows."""
+    depth, cadence = 64, 64
+    server = ReproServer(
+        build_chaos_database(), data_dir=str(tmp_path), checkpoint_every=cadence
+    )
+    with server:
+        versions = server.db.versions
+        sock = socket.create_connection(server.address)
+        sock.settimeout(10.0)
+        try:
+            for run in range(20):
+                base = run * depth
+                wire.send_frames(sock, [
+                    {"op": "insert", "table": "C", "values": [base + i, 3, 30],
+                     "client": "gc", "req": base + i + 1}
+                    for i in range(depth)
+                ])
+                replies = [wire.recv_frame(sock) for __ in range(depth)]
+                assert all(reply["ok"] for reply in replies)
+                assert versions.version_count() <= cadence + depth
+        finally:
+            sock.close()
+        assert len(server.db.table("C")) == 20 * depth
+        assert server.stats.snapshot()["checkpoints"] == 0
