@@ -3,10 +3,14 @@
 This is the index substrate the paper's six index structures are built
 from.  Design notes:
 
-* **Entries, not keys.**  Secondary indexes hold ``(key, rid)`` pairs.  We
-  treat the whole pair as the B-tree ordering key, so duplicates of the
-  same column value remain totally ordered (the standard "unique-ify by
-  appending the row id" technique, used by InnoDB secondary indexes).
+* **Entries, not keys.**  Secondary indexes hold one flat tuple per
+  row, ``(c1, …, cn, rid)``: the encoded key components with the row id
+  appended.  We treat the whole entry as the B-tree ordering key, so
+  duplicates of the same column value remain totally ordered (the
+  standard "unique-ify by appending the row id" technique, used by
+  InnoDB secondary indexes).  Every key of one tree has the same length,
+  so the flat tuple sorts exactly as the ``(key, rid)`` pair would — in
+  one object instead of two, and one scan of the key per comparison.
 * **Null markers are indexed.**  Keys are encoded by
   :mod:`repro.indexes.keys`; NULL sorts first, as in MySQL.
 * **Lazy deletion.**  Deleting an entry never merges or rebalances pages;
@@ -34,17 +38,10 @@ from typing import Any
 from ..errors import IndexError_
 from ..testing.faults import fire
 from .cost import CostTracker
-from .keys import AFTER_ALL, EncodedKey
-
-#: One index entry: the encoded key plus the row id it points at.
-Entry = tuple[EncodedKey, int]
+from .keys import EncodedKey, Entry, prefix_end
 
 #: Default number of entries per leaf / children per internal node.
 DEFAULT_ORDER = 64
-
-
-#: ``prefix + _PREFIX_END`` bounds the keys starting with ``prefix``.
-_PREFIX_END = (AFTER_ALL,)
 
 
 class _Leaf:
@@ -69,7 +66,7 @@ class _Internal:
 
 
 class BPlusTree:
-    """Order-``order`` B+ tree over ``(EncodedKey, rid)`` entries."""
+    """Order-``order`` B+ tree over ``(c1, …, cn, rid)`` entries."""
 
     #: Entries are charged per leaf on the way out, counting the ones a
     #: consumer moved past: the entry it stops on is not among them.
@@ -131,6 +128,13 @@ class BPlusTree:
     # ------------------------------------------------------------------
     # Search helpers
 
+    def _end(self, prefix: EncodedKey) -> Entry:
+        """:func:`~repro.indexes.keys.prefix_end` of *prefix* at this
+        tree's key width, which any entry tells (an empty tree holds no
+        entry to compare the bound with)."""
+        sample = self._first_leaf.entries
+        return prefix_end(prefix, len(sample[0]) - 1 if sample else len(prefix) + 1)
+
     def _descend(self, entry: Entry) -> tuple[_Leaf, list[tuple[_Internal, int]]]:
         """Walk from the root to the leaf that owns *entry*.
 
@@ -150,11 +154,14 @@ class BPlusTree:
     # Mutation
 
     def insert(self, key: EncodedKey, rid: int) -> None:
-        """Insert one entry; duplicates of (key, rid) are rejected."""
-        entry: Entry = (key, rid)
+        """Insert ``(*key, rid)``; a duplicate entry is rejected."""
+        self.insert_entry((*key, rid))
+
+    def insert_entry(self, entry: Entry) -> None:
+        """Insert one entry; duplicates are rejected."""
         order = self._order
         tracker = self._tracker
-        # Fast paths: monotone (key, rid) streams append to the rightmost
+        # Fast paths: monotone entry streams append to the rightmost
         # leaf, and runs of equal/adjacent keys reuse the previous
         # insert's leaf.  Both charge ``index_node_reads`` as if they had
         # descended, leave no room for a split (the leaf must have slack,
@@ -277,7 +284,7 @@ class BPlusTree:
                             self._size += 1
                             done += 1
                             continue
-                self.insert(entry[0], entry[1])
+                self.insert_entry(entry)
                 done += 1
                 hint = self._hint_leaf
                 if hint is not None and hint.entries:
@@ -289,8 +296,8 @@ class BPlusTree:
                         lowers.insert(slot, lower)
                         cache.insert(slot, hint)
         except BaseException:
-            for key, rid in reversed(entries[:done]):
-                self.delete(key, rid)
+            for entry in reversed(entries[:done]):
+                self.delete_entry(entry)
             raise
         finally:
             if cached_reads:
@@ -337,8 +344,11 @@ class BPlusTree:
         self._insert_into_parent(path, promoted, right)
 
     def delete(self, key: EncodedKey, rid: int) -> None:
+        """Remove ``(*key, rid)``; raises if it is absent."""
+        self.delete_entry((*key, rid))
+
+    def delete_entry(self, entry: Entry) -> None:
         """Remove one entry; raises if it is absent."""
-        entry: Entry = (key, rid)
         leaf, path = self._descend(entry)
         pos = bisect_left(leaf.entries, entry)
         if pos >= len(leaf.entries) or leaf.entries[pos] != entry:
@@ -480,7 +490,7 @@ class BPlusTree:
         reads of every slice it asked for and the entries it consumed,
         so one that stops early pays for no step it did not take.
         """
-        return self._leaf_runs((prefix, -1), (prefix + _PREFIX_END, -1))
+        return self._leaf_runs(prefix, self._end(prefix))
 
     def _leaf_runs(
         self, low: Entry | None, high: Entry | None
@@ -534,7 +544,7 @@ class BPlusTree:
 
     def scan_prefix(self, prefix: EncodedKey) -> Iterator[Entry]:
         """Yield entries whose key starts with *prefix*, in order."""
-        return self._scan((prefix, -1), (prefix + _PREFIX_END, -1))
+        return self._scan(prefix, self._end(prefix))
 
     def first_entry(self, prefix: EncodedKey) -> tuple[Entry | None, int]:
         """The first entry whose key starts with *prefix* (None: there is
@@ -546,14 +556,13 @@ class BPlusTree:
         the next leaf, one step more); otherwise its entry at the low
         bound decides — in the range, or past it and the range is empty.
         """
-        low: Entry = (prefix, -1)
         node: Any = self._root
         reads = 1
         while not node.is_leaf:
-            node = node.children[bisect_right(node.separators, low)]
+            node = node.children[bisect_right(node.separators, prefix)]
             reads += 1
         entries = node.entries
-        pos = bisect_left(entries, low)
+        pos = bisect_left(entries, prefix)
         while pos == len(entries):
             node = node.next
             if node is None:
@@ -562,7 +571,8 @@ class BPlusTree:
             pos = 0
             reads += 1
         entry = entries[pos]
-        return (entry if entry < (prefix + _PREFIX_END, -1) else None), reads
+        in_range = entry < prefix_end(prefix, len(entry) - 1)
+        return (entry if in_range else None), reads
 
     def first_with_prefix(self, prefix: EncodedKey) -> Entry | None:
         """Return the first entry matching *prefix*, or None.
@@ -586,12 +596,12 @@ class BPlusTree:
         the generator machinery of a scan — this is the per-statement
         selectivity estimation MySQL 5.6 performs (eq_range index dives).
         """
-        leaf, __ = self._descend((prefix, -1))
-        return bisect_left(leaf.entries, (prefix, -1))
+        leaf, __ = self._descend(prefix)
+        return bisect_left(leaf.entries, prefix)
 
     def contains(self, key: EncodedKey, rid: int) -> bool:
-        """Exact-entry membership test."""
-        entry: Entry = (key, rid)
+        """Exact-entry membership test for ``(*key, rid)``."""
+        entry: Entry = (*key, rid)
         leaf, __ = self._descend(entry)
         pos = bisect_left(leaf.entries, entry)
         return pos < len(leaf.entries) and leaf.entries[pos] == entry

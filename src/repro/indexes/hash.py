@@ -6,6 +6,10 @@ so the comparison can be reproduced.  A hash index answers only full-key
 equality — no prefix scans — which is exactly why it cannot support the
 partial-match probes the enforcement triggers need and must fall back to
 scans more often than the B-tree structures.
+
+The buckets map each key to its set of rids; what the index hands out —
+runs, lookups, scans — are entries in the B+ tree's flat shape,
+``(c1, …, cn, rid)``, so one probe kernel reads both structures.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from collections.abc import Iterator
 
 from ..errors import IndexError_
 from .cost import CostTracker
-from .keys import EncodedKey
+from .keys import EncodedKey, Entry
 
 
 class HashIndex:
@@ -39,20 +43,28 @@ class HashIndex:
     def insert(self, key: EncodedKey, rid: int) -> None:
         bucket = self._buckets.setdefault(key, set())
         if rid in bucket:
-            raise IndexError_(f"duplicate hash entry {(key, rid)!r}")
+            raise IndexError_(f"duplicate hash entry {(*key, rid)!r}")
         bucket.add(rid)
         self._size += 1
 
     def delete(self, key: EncodedKey, rid: int) -> None:
         bucket = self._buckets.get(key)
         if bucket is None or rid not in bucket:
-            raise IndexError_(f"hash entry not found: {(key, rid)!r}")
+            raise IndexError_(f"hash entry not found: {(*key, rid)!r}")
         bucket.discard(rid)
         if not bucket:
             del self._buckets[key]
         self._size -= 1
 
-    def insert_run(self, entries: list[tuple[EncodedKey, int]]) -> None:
+    def insert_entry(self, entry: Entry) -> None:
+        """:meth:`insert` of a flat ``(*key, rid)`` entry."""
+        self.insert(entry[:-1], entry[-1])
+
+    def delete_entry(self, entry: Entry) -> None:
+        """:meth:`delete` of a flat ``(*key, rid)`` entry."""
+        self.delete(entry[:-1], entry[-1])
+
+    def insert_run(self, entries: list[Entry]) -> None:
         """Insert a batch of entries; on failure the already-inserted
         prefix is removed again.  Structural inserts charge nothing, so
         this is trivially charge-identical to a loop of :meth:`insert` —
@@ -60,40 +72,36 @@ class HashIndex:
         """
         done = 0
         try:
-            for key, rid in entries:
-                self.insert(key, rid)
+            for entry in entries:
+                self.insert_entry(entry)
                 done += 1
         except BaseException:
-            for key, rid in reversed(entries[:done]):
-                self.delete(key, rid)
+            for entry in reversed(entries[:done]):
+                self.delete_entry(entry)
             raise
 
-    def runs(
-        self, key: EncodedKey
-    ) -> Iterator[tuple[list[tuple[EncodedKey, int]], int]]:
+    def runs(self, key: EncodedKey) -> Iterator[tuple[list[Entry], int]]:
         """The bucket of *key* as one ``(entries, node_reads)`` run,
         uncharged — the shape of :meth:`BPlusTree.runs`, so one probe
         kernel serves both structures."""
-        yield [(key, rid) for rid in self._buckets.get(key, ())], 1
+        yield [(*key, rid) for rid in self._buckets.get(key, ())], 1
 
-    def first_entry(
-        self, key: EncodedKey
-    ) -> tuple[tuple[EncodedKey, int] | None, int]:
+    def first_entry(self, key: EncodedKey) -> tuple[Entry | None, int]:
         """The first entry of :meth:`runs` and its one node read,
         uncharged — :meth:`BPlusTree.first_entry`'s shape, without
         building the bucket's entry list."""
         for rid in self._buckets.get(key, ()):
-            return (key, rid), 1
+            return (*key, rid), 1
         return None, 1
 
-    def lookup(self, key: EncodedKey) -> Iterator[tuple[EncodedKey, int]]:
+    def lookup(self, key: EncodedKey) -> Iterator[Entry]:
         """Yield all entries with exactly *key* (full-key equality only)."""
         self._count("index_node_reads")
         for rid in self._buckets.get(key, ()):
             self._count("index_entries_scanned")
-            yield (key, rid)
+            yield (*key, rid)
 
-    def first_with_key(self, key: EncodedKey) -> tuple[EncodedKey, int] | None:
+    def first_with_key(self, key: EncodedKey) -> Entry | None:
         for entry in self.lookup(key):
             return entry
         return None
@@ -101,9 +109,9 @@ class HashIndex:
     def contains(self, key: EncodedKey, rid: int) -> bool:
         return rid in self._buckets.get(key, set())
 
-    def scan_all(self) -> Iterator[tuple[EncodedKey, int]]:
+    def scan_all(self) -> Iterator[Entry]:
         """Yield every entry; order is by encoded key for determinism."""
         for key in sorted(self._buckets):
             for rid in sorted(self._buckets[key]):
                 self._count("index_entries_scanned")
-                yield (key, rid)
+                yield (*key, rid)

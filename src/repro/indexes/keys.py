@@ -20,6 +20,7 @@ leftmost-prefix rule relies on.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Sequence
 from typing import Any
 
@@ -33,16 +34,28 @@ EncodedComponent = tuple[int, Any]
 
 #: Sorts after every encoded component (their tags are 0 and 1), so
 #: ``prefix + (AFTER_ALL,)`` is an exclusive upper bound of the keys
-#: starting with ``prefix`` — and, unlike :func:`prefix_successor`, of
-#: the empty prefix too.
+#: starting with ``prefix`` — the empty prefix too.
 AFTER_ALL: EncodedComponent = (2, None)
+
+#: Sorts after every row id.  An index entry is ``(*key, rid)``, so
+#: past a full key the next element is the rid, an int that cannot be
+#: compared with :data:`AFTER_ALL`: ``(*key, RID_AFTER_ALL)`` bounds the
+#: entries of that key instead (row ids are dense heap slots).
+RID_AFTER_ALL = sys.maxsize
 
 #: Type alias for a full encoded key.
 EncodedKey = tuple[EncodedComponent, ...]
 
+#: One index entry: the encoded key's components, then the row id it
+#: points at — ``(c1, …, cn, rid)``, so ``entry[-1]`` is the rid.  A
+#: prefix of components is the inclusive low bound of the entries under
+#: it, and :func:`prefix_end` their exclusive high bound.
+Entry = tuple[Any, ...]
+
 #: A row's components encoded once, indexed by column position; positions
-#: no index covers are left as None.  Every index of the table slices its
-#: key out of this instead of re-encoding per index.
+#: no index covers are left as None.  Every index of the table picks its
+#: entry out of this (the fan-out appends the rid) instead of re-encoding
+#: per index.
 EncodedRow = list
 
 # Component interning.  Returning the same tuple object for the same
@@ -97,6 +110,18 @@ def encode_row(row: Sequence[Any], positions: Sequence[int] | None = None) -> En
     return encoded
 
 
+def prefix_end(prefix: EncodedKey, width: int) -> tuple[Any, ...]:
+    """Exclusive upper bound of the index entries ``(c1, …, c_width,
+    rid)`` whose key starts with *prefix*; *prefix* itself is the
+    inclusive lower bound, since it sorts before every extension.
+
+    A proper prefix (the empty one too) ends in :data:`AFTER_ALL`, which
+    sorts after the next component whatever it is; a full key ends in
+    :data:`RID_AFTER_ALL`, which sorts after every rid.
+    """
+    return (*prefix, AFTER_ALL if len(prefix) < width else RID_AFTER_ALL)
+
+
 def decode_key(key: EncodedKey) -> tuple[Any, ...]:
     """Invert :func:`encode_key`."""
     return tuple(NULL if tag == 0 else value for tag, value in key)
@@ -105,22 +130,3 @@ def decode_key(key: EncodedKey) -> tuple[Any, ...]:
 def key_has_prefix(key: EncodedKey, prefix: EncodedKey) -> bool:
     """Return True iff *key* starts with *prefix* componentwise."""
     return key[: len(prefix)] == prefix
-
-
-def prefix_successor(prefix: EncodedKey) -> EncodedKey | None:
-    """Smallest encoded key strictly greater than every key with *prefix*.
-
-    Used to bound range scans: all keys with the given prefix lie in
-    ``[prefix-padded-low, successor)``.  Returns None when no successor
-    exists (cannot happen for the tag-based encoding because the tag of
-    the last component can always be bumped, but the guard keeps the
-    function total for arbitrary tuples).
-    """
-    if not prefix:
-        return None
-    head, (tag, value) = prefix[:-1], prefix[-1]
-    # Bumping the tag of the final component produces a tuple greater than
-    # any key extending the prefix, because tags only take values 0 and 1
-    # and ties on (tag, value) are broken by later components which are
-    # always >= the empty suffix.
-    return head + ((tag, value, None),)  # type: ignore[return-value]

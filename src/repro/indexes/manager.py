@@ -11,23 +11,32 @@ structure lose to Bounded (§7.2), so it is charged explicitly via the
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from operator import itemgetter
 from typing import Any
 
 from ..errors import IndexError_, KeyViolation
-from .btree import BPlusTree, Entry
+from .btree import BPlusTree
 from .cost import CostTracker
 from .definition import IndexDefinition, IndexKind
 from .hash import HashIndex
-from .keys import NULL_COMPONENT, EncodedKey, EncodedRow, encode_key, encode_row
+from .keys import (
+    NULL_COMPONENT,
+    EncodedKey,
+    EncodedRow,
+    Entry,
+    encode_key,
+    encode_row,
+)
 
 
 #: A B+ tree or a hash index: the structures the fan-out drives.
 Structure = BPlusTree | HashIndex
 
-#: One index as the fan-out sees it: structure, column positions, and the
-#: index name when it is unique (None otherwise).
-_Slot = tuple[Structure, tuple[int, ...], str | None]
+#: One index as the fan-out sees it: structure, the getter that picks its
+#: entry out of an encoded row with the rid appended (one C call, one
+#: tuple), and the index name when it is unique (None otherwise).
+_Slot = tuple[Structure, Callable[[EncodedRow], Entry], str | None]
 
 
 class TableIndex:
@@ -86,19 +95,16 @@ class TableIndex:
         """Project *row* onto the indexed columns and encode the key."""
         return encode_key([row[p] for p in self.positions])
 
-    def key_from_encoded(self, encoded: EncodedRow) -> EncodedKey:
-        """Slice this index's key out of an already-encoded row."""
-        return tuple([encoded[p] for p in self.positions])
-
     def build(self, rows: Iterable[tuple[int, Sequence[Any]]]) -> None:
         """(Re)build the index over existing (rid, row) pairs."""
         structure = self._structure
         unique = self.definition.unique
         if isinstance(structure, BPlusTree):
-            entries = [(self.key_for_row(row), rid) for rid, row in rows]
+            entries = [(*self.key_for_row(row), rid) for rid, row in rows]
             if unique:
                 seen: set[EncodedKey] = set()
-                for key, __ in entries:
+                for entry in entries:
+                    key = entry[:-1]
                     if NULL_COMPONENT in key:
                         continue
                     if key in seen:
@@ -125,16 +131,16 @@ class TableIndex:
         """
         prefix = encode_key(values)
         if isinstance(self._structure, BPlusTree):
-            for __, rid in self._structure.scan_prefix(prefix):
-                yield rid
+            for entry in self._structure.scan_prefix(prefix):
+                yield entry[-1]
         else:
             if len(values) != len(self.positions):
                 raise IndexError_(
                     f"hash index {self.name!r} needs all {len(self.positions)} "
                     f"columns, got {len(values)}"
                 )
-            for __, rid in self._structure.lookup(prefix):
-                yield rid
+            for entry in self._structure.lookup(prefix):
+                yield entry[-1]
 
     def dive(self, value: Any) -> None:
         """Optimizer selectivity dive on the leading column (B-tree only)."""
@@ -161,7 +167,7 @@ class TableIndex:
             )
         return self._structure.first_with_key(prefix) is not None
 
-    def scan_all(self) -> Iterator[tuple[EncodedKey, int]]:
+    def scan_all(self) -> Iterator[Entry]:
         return self._structure.scan_all()
 
 
@@ -180,7 +186,7 @@ class IndexManager:
         #: shared row encoding has to materialise.
         self._positions_union: tuple[int, ...] = ()
         #: What the row fan-out needs of each index, in creation order:
-        #: its structure, its column positions, and its name when it is
+        #: its structure, its entry getter, and its name when it is
         #: unique (None otherwise).
         self._fanout: tuple[_Slot, ...] = ()
 
@@ -192,7 +198,8 @@ class IndexManager:
         self._fanout = tuple(
             (
                 index._structure,
-                index.positions,
+                # the rid rides at the end of the encoded row
+                itemgetter(*index.positions, -1),
                 index.name if index.definition.unique else None,
             )
             for index in self._indexes.values()
@@ -246,9 +253,10 @@ class IndexManager:
     # ------------------------------------------------------------------
     # Row-mutation fan-out.  Every index of the table is maintained; this
     # is where a 31-index Powerset structure pays for itself.  The row is
-    # encoded once, each index slices its key from the shared encoding —
-    # under Bounded that removes 2n + 1 redundant encodings per write —
-    # and one loop drives the structures directly.  Each structure
+    # encoded once with its rid appended, each index picks its entry out
+    # of the shared encoding — under Bounded that removes 2n + 1
+    # redundant encodings per write — and one loop drives the structures
+    # directly.  Each structure
     # mutation is one ``index_maintenance_ops``, charged once per row.
     # A failure undoes the indexes the row already changed before it
     # propagates (DESIGN §5k), so a raising write leaves every index as
@@ -263,17 +271,18 @@ class IndexManager:
         if not fanout:
             return
         encoded = encode_row(row, self._positions_union)
+        encoded.append(rid)
         done = 0
         try:
-            for structure, positions, unique in fanout:
-                key = tuple([encoded[p] for p in positions])
-                if unique is not None and _has_total_duplicate(structure, key):
-                    raise _unique_violation(unique, key)
-                structure.insert(key, rid)
+            for structure, entry_of, unique in fanout:
+                entry = entry_of(encoded)
+                if unique is not None:
+                    _check_unique(structure, unique, entry)
+                structure.insert_entry(entry)
                 done += 1
         except Exception:
-            for structure, positions, __ in fanout[:done]:
-                structure.delete(tuple([encoded[p] for p in positions]), rid)
+            for structure, entry_of, __ in fanout[:done]:
+                structure.delete_entry(entry_of(encoded))
             self._charge(done)  # the compensating deletes
             raise
         finally:
@@ -298,14 +307,15 @@ class IndexManager:
         if not fanout or not pairs:
             return
         union = self._positions_union
-        encoded_pairs = [(rid, encode_row(row, union)) for rid, row in pairs]
+        encoded_rows = []
+        for rid, row in pairs:
+            encoded = encode_row(row, union)
+            encoded.append(rid)
+            encoded_rows.append(encoded)
         done = 0
         try:
-            for structure, positions, unique in fanout:
-                entries = [
-                    (tuple([encoded[p] for p in positions]), rid)
-                    for rid, encoded in encoded_pairs
-                ]
+            for structure, entry_of, unique in fanout:
+                entries = list(map(entry_of, encoded_rows))
                 if unique is None:
                     structure.insert_run(entries)
                     self._charge(len(entries))
@@ -313,10 +323,10 @@ class IndexManager:
                     self._insert_unique_run(structure, unique, entries)
                 done += 1
         except Exception:
-            for structure, positions, __ in fanout[:done]:
-                for rid, encoded in reversed(encoded_pairs):
-                    structure.delete(tuple([encoded[p] for p in positions]), rid)
-                self._charge(len(encoded_pairs))
+            for structure, entry_of, __ in fanout[:done]:
+                for encoded in reversed(encoded_rows):
+                    structure.delete_entry(entry_of(encoded))
+                self._charge(len(encoded_rows))
             raise
 
     def _insert_unique_run(
@@ -326,14 +336,13 @@ class IndexManager:
         included, it removes its own prefix, as the structures' runs do."""
         done = 0
         try:
-            for key, rid in entries:
-                if _has_total_duplicate(structure, key):
-                    raise _unique_violation(name, key)
-                structure.insert(key, rid)
+            for entry in entries:
+                _check_unique(structure, name, entry)
+                structure.insert_entry(entry)
                 done += 1
         except BaseException:
-            for key, rid in reversed(entries[:done]):
-                structure.delete(key, rid)
+            for entry in reversed(entries[:done]):
+                structure.delete_entry(entry)
             self._charge(done)  # the compensating deletes
             raise
         finally:
@@ -344,15 +353,16 @@ class IndexManager:
         if not fanout:
             return
         encoded = encode_row(row, self._positions_union)
+        encoded.append(rid)
         done = 0
         try:
-            for structure, positions, __ in fanout:
-                structure.delete(tuple([encoded[p] for p in positions]), rid)
+            for structure, entry_of, __ in fanout:
+                structure.delete_entry(entry_of(encoded))
                 done += 1
         except Exception:
             # the heap still holds the row: index it again where it went
-            for structure, positions, __ in fanout[:done]:
-                structure.insert(tuple([encoded[p] for p in positions]), rid)
+            for structure, entry_of, __ in fanout[:done]:
+                structure.insert_entry(entry_of(encoded))
             self._charge(done)  # the compensating inserts
             raise
         finally:
@@ -364,21 +374,23 @@ class IndexManager:
             return
         union = self._positions_union
         old_encoded = encode_row(old, union)
+        old_encoded.append(rid)
         new_encoded = encode_row(new, union)
+        new_encoded.append(rid)
         ops = done = 0
         try:
-            for structure, positions, unique in fanout:
-                old_key = tuple([old_encoded[p] for p in positions])
-                new_key = tuple([new_encoded[p] for p in positions])
-                if old_key != new_key:
-                    ops += self._move(structure, unique, rid, old_key, new_key)
+            for structure, entry_of, unique in fanout:
+                old_entry = entry_of(old_encoded)
+                new_entry = entry_of(new_encoded)
+                if old_entry != new_entry:
+                    ops += self._move(structure, unique, old_entry, new_entry)
                 done += 1
         except Exception:
-            for structure, positions, unique in fanout[:done]:
-                old_key = tuple([old_encoded[p] for p in positions])
-                new_key = tuple([new_encoded[p] for p in positions])
-                if old_key != new_key:
-                    ops += self._move(structure, unique, rid, new_key, old_key)
+            for structure, entry_of, unique in fanout[:done]:
+                old_entry = entry_of(old_encoded)
+                new_entry = entry_of(new_encoded)
+                if old_entry != new_entry:
+                    ops += self._move(structure, unique, new_entry, old_entry)
             raise
         finally:
             self._charge(ops)
@@ -387,25 +399,31 @@ class IndexManager:
         self,
         structure: Structure,
         unique: str | None,
-        rid: int,
-        old_key: EncodedKey,
-        new_key: EncodedKey,
+        old_entry: Entry,
+        new_entry: Entry,
     ) -> int:
-        """Re-key *rid* from *old_key* to *new_key* in one structure;
-        returns the two maintenance ops it took.  A rejected or failed
-        insert puts the old key back before it propagates, and charges
-        three ops on the spot: the delete, the insert attempt, the
-        re-insert."""
-        structure.delete(old_key, rid)
+        """Re-key one row from *old_entry* to *new_entry* (same rid) in
+        one structure; returns the two maintenance ops it took.  A
+        rejected or failed insert puts the old entry back before it
+        propagates, and charges three ops on the spot: the delete, the
+        insert attempt, the re-insert."""
+        structure.delete_entry(old_entry)
         try:
-            if unique is not None and _has_total_duplicate(structure, new_key):
-                raise _unique_violation(unique, new_key)
-            structure.insert(new_key, rid)
+            if unique is not None:
+                _check_unique(structure, unique, new_entry)
+            structure.insert_entry(new_entry)
         except Exception:
-            structure.insert(old_key, rid)
+            structure.insert_entry(old_entry)
             self._charge(3)
             raise
         return 2
+
+
+def _check_unique(structure: Structure, name: str, entry: Entry) -> None:
+    """Raise when *entry*'s key is already in unique index *name*."""
+    key = entry[:-1]
+    if _has_total_duplicate(structure, key):
+        raise _unique_violation(name, key)
 
 
 def _has_total_duplicate(structure: Structure, key: EncodedKey) -> bool:

@@ -49,9 +49,8 @@ from itertools import compress, count, islice, repeat
 from operator import eq, itemgetter
 from typing import Any
 
-from ..indexes.btree import Entry
 from ..indexes.definition import IndexKind
-from ..indexes.keys import EncodedKey, encode_component, encode_key
+from ..indexes.keys import EncodedKey, Entry, encode_component, encode_key
 from ..nulls import NULL
 from ..storage.heap import Row
 from ..storage.table import Table
@@ -63,7 +62,8 @@ from .predicate import ConjunctionProfile
 #: the paper's workloads — it only bounds pathological callers.
 _PROBE_CACHE_LIMIT = 256
 
-_SECOND = itemgetter(1)  # the rid of an index entry, the row of a heap item
+_RID = itemgetter(-1)  # the rid of an index entry
+_ROW = itemgetter(1)  # the row of a heap item
 
 
 class RangeScope(dict):
@@ -73,8 +73,8 @@ class RangeScope(dict):
     probed — ``(entries, leaf-step offsets, descent reads, censuses)``,
     everything a later probe of the same range needs to answer and to
     charge itself exactly as if it had walked the index again.  The
-    entries are ``(key, rid)`` pairs in index order; no row is fetched
-    to read a range.
+    entries are ``(c1, …, cn, rid)`` tuples in index order; no row is
+    fetched to read a range.
 
     A probe whose tested columns (equalities and IS NULL columns) are
     exactly the columns of a B+ tree on the table, and whose range's
@@ -372,7 +372,7 @@ class PreparedProbe:
         at = _first_hit(
             self._full_project,
             self._expected(values),
-            map(_SECOND, scan()),
+            map(_ROW, scan()),
         )
         if at >= 0:
             examined = at + 1
@@ -409,7 +409,7 @@ class PreparedProbe:
                 reads += len(steps)
                 scanned = fetched = len(entries)
             else:
-                hit = heap.get(entries[at][1])
+                hit = heap.get(entries[at][-1])
                 reads += bisect_right(steps, at)
                 scanned = at + hit_scanned
                 fetched = at + 1
@@ -417,7 +417,7 @@ class PreparedProbe:
             # nothing to test: the first entry of the range is the hit
             first, reads = index.first_entry(prefix)
             if first is not None:
-                hit = heap.get(first[1])
+                hit = heap.get(first[-1])
                 scanned = hit_scanned
                 fetched = 1
         else:
@@ -428,7 +428,7 @@ class PreparedProbe:
             )
             for entries, run_reads in index.runs(prefix):
                 reads += run_reads
-                rids = list(map(_SECOND, entries))
+                rids = list(map(_RID, entries))
                 kept = (
                     [rid for rid in rids if rid not in divergent]
                     if divergent
@@ -471,12 +471,12 @@ class PreparedProbe:
             if first is None:
                 return -1
             # every match has the same key in the range, so the first
-            # match sits where (that key, its rid) sorts
+            # match sits where that key and its rid sort
             tail = [encode_component(pattern[s]) for s in self._tail_sources]
-            return bisect_left(entries, ((*prefix, *tail), first[1]))
+            return bisect_left(entries, (*prefix, *tail, first[-1]))
         census = censuses.get(positions)
         if census is None:
-            rows = self.table.heap.fetch(map(_SECOND, entries))
+            rows = self.table.heap.fetch(map(_RID, entries))
             # first position wins: written last, in reverse
             census = censuses[positions] = dict(
                 zip(
@@ -490,7 +490,7 @@ class PreparedProbe:
         self, prefix: EncodedKey
     ) -> tuple[list[Entry], list[int], int, dict[tuple[int, ...], dict[Any, int]]]:
         """The whole range under *prefix* for a :class:`RangeScope`:
-        its ``(key, rid)`` entries in index order, the offset into them
+        its entries in index order, the offset into them
         at which each leaf step was taken, the node reads of the descent,
         and its censuses (none yet)."""
         entries: list[Entry] = []

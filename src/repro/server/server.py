@@ -162,8 +162,10 @@ class ReproServer(WireServer):
         self.twophase = TwoPhaseParticipant(self, **twophase_opts)
         if data_dir is not None:
             wal, self.recovery_report = open_durable(self.db, data_dir)
-            # The durable log lives on disk: read it back once for both.
-            records = wal.durable_records
+            # The records recovery read serve the ledger and the 2PC pass
+            # too: a restart reads the log once (none on a fresh dir).
+            report = self.recovery_report
+            records = () if report is None else report.take_records()
             self.ledger.restore(wal.checkpoint_extras.get("ledger"), records)
             # Reinstate in-doubt 2PC transactions before serving: their
             # re-acquired locks must be in place when the first client

@@ -108,6 +108,10 @@ class PreparedTxn:
     results: dict[int, list[dict[str, Any]]] = field(default_factory=dict)
     prepared_at: float = 0.0
     reinstated: bool = False
+    #: The verdict a :meth:`TwoPhaseParticipant.decide` is applying.  The
+    #: transaction stays prepared (``holds`` answers True) until that
+    #: decide has remembered the verdict; a duplicate answers with it.
+    deciding: str | None = None
     #: Serialises batch execution per transaction, so a redelivered
     #: prepare (torn reply) waits for the original instead of racing it.
     mu: threading.Lock = field(default_factory=threading.Lock)
@@ -233,6 +237,11 @@ class TwoPhaseParticipant:
             txn = self._prepared.get(gtid)
             if txn is not None and seq in txn.batches:
                 return txn.results[seq]
+            if txn is not None and txn.deciding is not None:
+                raise TwoPhaseError(
+                    f"transaction {gtid!r} is being decided "
+                    f"({txn.deciding}); it cannot be re-prepared"
+                )
             if txn is None:
                 session = self.server.sessions.session()
                 session.begin()
@@ -297,23 +306,42 @@ class TwoPhaseParticipant:
         commit costs one flush for both.  Idempotent; unknown gtids
         answer ``"forgotten"`` (safe under presumed abort: a voted
         transaction is never forgotten, so "forgotten" proves nothing
-        was prepared here)."""
+        was prepared here).  The transaction stays prepared until its
+        verdict is remembered, so a duplicate decide racing this one
+        answers ``already-<verdict>``, never "forgotten"."""
         fire("shard.decide")
         if verdict not in ("commit", "abort"):
             raise TwoPhaseError(f"unknown 2PC verdict {verdict!r}")
         with self._mu:
-            txn = self._prepared.pop(gtid, None)
+            txn = self._prepared.get(gtid)
+            prior = self._resolved.get(gtid) if txn is None else txn.deciding
+            if prior is not None:
+                if prior != verdict:
+                    raise TwoPhaseError(
+                        f"transaction {gtid!r} already resolved "
+                        f"{prior!r}; conflicting decide {verdict!r}"
+                    )
+                return f"already-{prior}"
             if txn is None:
-                prior = self._resolved.get(gtid)
-                if prior is not None:
-                    if prior != verdict:
-                        raise TwoPhaseError(
-                            f"transaction {gtid!r} already resolved "
-                            f"{prior!r}; conflicting decide {verdict!r}"
-                        )
-                    return f"already-{prior}"
                 self.stats.bump("forgotten_decides")
                 return "forgotten"
+            txn.deciding = verdict
+        decided = False
+        try:
+            self._apply_locked_decision(txn, verdict)
+            decided = True
+        finally:
+            with self._mu:
+                if self._prepared.get(gtid) is txn:
+                    del self._prepared[gtid]
+                if decided:
+                    self._remember_locked(gtid, verdict)
+        return verdict
+
+    def _apply_locked_decision(self, txn: PreparedTxn, verdict: str) -> None:
+        """:meth:`decide`'s work under ``txn.mu``: the decide record,
+        then the data commit or rollback."""
+        gtid = txn.gtid
         # txn.mu serialises against a still-executing prepare batch (the
         # coordinator can race an abort onto a torn prepare): the
         # decision waits for the batch rather than yanking its session.
@@ -345,9 +373,6 @@ class TwoPhaseParticipant:
                     txn.session.rollback()
                     self.stats.bump("aborts")
                 txn.session.close()
-        with self._mu:
-            self._remember_locked(gtid, verdict)
-        return verdict
 
     def _remember_locked(self, gtid: str, verdict: str) -> None:
         self._resolved[gtid] = verdict

@@ -128,6 +128,12 @@ class HeapFile:
         """An immutable copy of the full physical state."""
         return HeapImage(dict(self._rows), self._next_rid, list(self._free))
 
+    def live_image(self) -> "HeapImage":
+        """The full physical state *without* a copy: it aliases the live
+        heap, so it is good only until the next write.  A store-backed
+        checkpoint pickles it at once, under the statement latch."""
+        return HeapImage(self._rows, self._next_rid, self._free)
+
     def restore_snapshot(self, image: "HeapImage") -> None:
         """Replace the physical state with a previously captured image."""
         self._rows = dict(image.rows)

@@ -146,7 +146,8 @@ def _verify_index(table: "Table", index: Any) -> IndexReport:
             report.problems.append(f"row rid={rid} missing from index")
     # Backward: no entry dangles or carries a stale key.
     seen_rids: Counter = Counter()
-    for key, rid in index.scan_all():
+    for entry in index.scan_all():
+        key, rid = entry[:-1], entry[-1]
         seen_rids[rid] += 1
         row = rows.get(rid)
         if row is None:

@@ -21,7 +21,10 @@ Record flow:
   leaves, so many transactions share one flush — or when the buffer
   overflows its capacity;
 * :meth:`WriteAheadLog.checkpoint` snapshots every table and truncates
-  the durable log — the recovery starting point.
+  the durable log — the recovery starting point.  A store-backed log
+  pickles the live heaps straight to disk and keeps only the
+  checkpoint's LSN, extras and catalog in memory; recovery reads the
+  image back from the store.
 
 Recovery (:func:`recover`) is redo-only: restore the checkpoint images
 in place (table objects keep their identity, so installed triggers,
@@ -43,7 +46,10 @@ replaces the on-disk snapshot and compacts the segments.
 :func:`open_durable` is the process-restart entry point: it either
 resumes a database from the directory's checkpoint + committed records
 (surviving ``kill -9``, torn tails truncated by CRC) or attaches a
-fresh durable log.  Commit records may
+fresh durable log.  A restart reads the log once: what
+:meth:`WriteAheadLog.open` read is what recovery replays, and the
+report hands the records on to whoever interprets the protocol records
+(the server's ledger and 2PC pass).  Commit records may
 carry an opaque *note* (the server's exactly-once result ledger rides
 here) which replay surfaces without interpreting.
 """
@@ -55,7 +61,7 @@ import pickle
 import threading
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any
 
 from ..errors import WalError
@@ -105,7 +111,9 @@ class WalRecord:
 @dataclass
 class _TableSnapshot:
     schema: Any
-    heap_image: "HeapImage"
+    #: None in the checkpoint a store-backed log keeps in memory: there
+    #: the image lives on disk only.
+    heap_image: "HeapImage | None"
     index_defs: list["IndexDefinition"]
 
 
@@ -118,6 +126,16 @@ class _Checkpoint:
     #: :attr:`WriteAheadLog.checkpoint_extras` without interpreting it.
     extras: dict[str, Any] = field(default_factory=dict)
 
+    def without_images(self) -> "_Checkpoint":
+        """This checkpoint as a store-backed log keeps it in memory."""
+        return replace(
+            self,
+            tables={
+                name: replace(snap, heap_image=None)
+                for name, snap in self.tables.items()
+            },
+        )
+
 
 @dataclass
 class RecoveryReport:
@@ -128,6 +146,16 @@ class RecoveryReport:
     skipped_txns: list[int] = field(default_factory=list)
     records_replayed: int = 0
     indexes_rebuilt: int = 0
+    #: The durable records recovery read, in LSN order, for a caller
+    #: that interprets the protocol records replay skips (the server's
+    #: ledger and 2PC pass) without reading the log again.  That caller
+    #: drops them once done (:meth:`take_records`).
+    records: tuple["WalRecord", ...] = field(default=(), repr=False)
+
+    def take_records(self) -> tuple["WalRecord", ...]:
+        """:attr:`records`, handed over once: the report keeps none."""
+        records, self.records = self.records, ()
+        return records
 
     def __str__(self) -> str:
         return (
@@ -168,7 +196,13 @@ class WriteAheadLog:
         self._durable: list[WalRecord] = []
         self._next_lsn = 0
         self._next_txn = 1
+        #: The last checkpoint; a store-backed log keeps it without its
+        #: heap images (:meth:`_Checkpoint.without_images`).
         self._checkpoint: _Checkpoint | None = None
+        #: What :meth:`open` read — the whole checkpoint and the durable
+        #: records — until the first recovery replays it (or a flush or
+        #: checkpoint makes it stale).
+        self._opened: tuple[_Checkpoint, list[WalRecord]] | None = None
         self._suspended = False
         #: Number of physical flushes — deferred commits are measured by
         #: this staying far below the number of commits.
@@ -192,16 +226,22 @@ class WriteAheadLog:
         segment files; a torn tail (crash mid-append) is detected by CRC,
         truncated away, and reported via :attr:`torn_tail`.  LSN and
         transaction counters resume past everything on disk, so new
-        records never collide with old ones.  The records themselves
-        stay on disk (:attr:`durable_records` reads them back).
+        records never collide with old ones.  What was read waits for
+        the first :func:`recover`, which replays it instead of reading
+        the log again; after that the records live on disk only
+        (:attr:`durable_records` reads them back).
         """
         store = SegmentStore(data_dir)
         wal = cls(store=store)
         blob = store.load_checkpoint()
-        if blob is not None:
-            wal._checkpoint = pickle.loads(blob)
+        checkpoint = None if blob is None else pickle.loads(blob)
+        del blob
+        wal._checkpoint = checkpoint
         records, wal.torn_tail = wal._read_segments(store)
-        floor = wal._checkpoint.lsn if wal._checkpoint is not None else 0
+        if checkpoint is not None:
+            wal._checkpoint = checkpoint.without_images()
+            wal._opened = checkpoint, records
+        floor = checkpoint.lsn if checkpoint is not None else 0
         wal._next_lsn = max([floor] + [r.lsn + 1 for r in records])
         wal._next_txn = max([1] + [r.txn_id + 1 for r in records])
         return wal
@@ -265,6 +305,25 @@ class WriteAheadLog:
                 return tuple(self._durable)
         with self._flush_mu:
             return tuple(self._read_segments(self._store)[0])
+
+    def _recovery_input(self) -> tuple[_Checkpoint, list[WalRecord]]:
+        """The whole last checkpoint and the durable records after it:
+        what :meth:`open` read, the first time; then the in-memory
+        checkpoint and list, or the store's image and segments."""
+        opened, self._opened = self._opened, None
+        if opened is not None:
+            return opened
+        checkpoint = self._checkpoint
+        if checkpoint is None:
+            raise WalError("no checkpoint to recover from (attach_wal takes one)")
+        if self._store is None:
+            with self._mu:
+                return checkpoint, list(self._durable)
+        with self._flush_mu:
+            blob = self._store.load_checkpoint()
+            if blob is None:
+                raise WalError("the checkpoint file is missing from the store")
+            return pickle.loads(blob), self._read_segments(self._store)[0]
 
     # ------------------------------------------------------------------
     # Appending
@@ -400,6 +459,7 @@ class WriteAheadLog:
                 return end
             if self._store is None:
                 self._durable.extend(flushed)
+            self._opened = None  # recovery must now read what is on disk
             self.flush_count += 1
         if self._store is not None:
             self._store.append([pickle.dumps(flushed, pickle.HIGHEST_PROTOCOL)])
@@ -420,6 +480,10 @@ class WriteAheadLog:
         via :attr:`checkpoint_extras`).  With a segment store attached
         this is also the compaction point: the snapshot atomically
         replaces the on-disk checkpoint and old segments are deleted.
+        Such a log pickles the live heaps without copying them — the
+        caller holds the statement latch, so no write interleaves — and
+        keeps only the LSN, the extras and the catalog in memory; the
+        log without a store keeps a copy of every heap instead.
         """
         txn = db.active_transaction
         if txn is not None and txn.is_open:
@@ -428,25 +492,29 @@ class WriteAheadLog:
         # compaction deletes.  A record appended meanwhile (a two-phase
         # appender runs without the statement latch) stays buffered at
         # or above the checkpoint LSN and goes out with the next flush.
+        store = self._store
         with self._flush_mu:
             lsn = self._flush_locked()
             tables: dict[str, _TableSnapshot] = {}
             for name, table in db.tables.items():
+                heap = table.heap
                 tables[name] = _TableSnapshot(
                     schema=table.schema,
-                    heap_image=table.heap.snapshot(),
+                    heap_image=heap.snapshot() if store is None else heap.live_image(),
                     index_defs=[index.definition for index in table.indexes],
                 )
             checkpoint = _Checkpoint(
                 lsn=lsn, tables=tables, extras=dict(extras or {})
             )
-            with self._mu:
-                self._checkpoint = checkpoint
-                self._durable.clear()
-            if self._store is not None:
-                self._store.write_checkpoint(
+            if store is not None:
+                store.write_checkpoint(
                     pickle.dumps(checkpoint, pickle.HIGHEST_PROTOCOL)
                 )
+                checkpoint = checkpoint.without_images()
+            with self._mu:
+                self._checkpoint = checkpoint
+                self._opened = None
+                self._durable.clear()
         # Version GC also runs here: everything below the oldest active
         # snapshot's read LSN is unreachable by any reader.
         if db.versions is not None:
@@ -490,11 +558,7 @@ def recover(db: "Database", wal: WriteAheadLog | None = None) -> RecoveryReport:
         wal = db.wal
     if wal is None:
         raise WalError("no write-ahead log attached to this database")
-    checkpoint = wal._checkpoint
-    if checkpoint is None:
-        raise WalError("no checkpoint to recover from (attach_wal takes one)")
-
-    durable = wal.durable_records
+    checkpoint, durable = wal._recovery_input()
     committed = {r.txn_id for r in durable if r.kind == "commit"}
     skipped = sorted(
         {r.txn_id for r in durable if r.kind != "commit"} - committed
@@ -503,6 +567,7 @@ def recover(db: "Database", wal: WriteAheadLog | None = None) -> RecoveryReport:
         checkpoint_lsn=checkpoint.lsn,
         committed_txns=sorted(committed),
         skipped_txns=skipped,
+        records=tuple(durable),
     )
 
     with wal._suspend_logging():
@@ -513,6 +578,7 @@ def recover(db: "Database", wal: WriteAheadLog | None = None) -> RecoveryReport:
             if table is None:
                 table = Table(name, snap.schema, db.tracker, db._index_order)
                 db.tables[name] = table
+            assert snap.heap_image is not None  # a whole checkpoint
             table.heap.restore_snapshot(snap.heap_image)
             index_defs[name] = list(snap.index_defs)
         # Tables born after the checkpoint: committed create_table

@@ -29,7 +29,7 @@ class TestBasics:
         t = BPlusTree(order=4)
         for i in [5, 1, 9, 3, 7]:
             t.insert(k(i), i)
-        assert [rid for __, rid in t.scan_all()] == [1, 3, 5, 7, 9]
+        assert [rid for *__, rid in t.scan_all()] == [1, 3, 5, 7, 9]
 
     def test_duplicate_entry_rejected(self):
         t = BPlusTree()
@@ -42,7 +42,7 @@ class TestBasics:
         t.insert(k(1), 10)
         t.insert(k(1), 11)
         assert len(t) == 2
-        assert [rid for __, rid in t.scan_prefix(k(1))] == [10, 11]
+        assert [rid for *__, rid in t.scan_prefix(k(1))] == [10, 11]
 
     def test_contains(self):
         t = BPlusTree()
@@ -62,21 +62,21 @@ class TestSplits:
         t.check_invariants()
         assert len(t) == 200
         assert t.height() >= 3
-        assert [rid for __, rid in t.scan_all()] == list(range(200))
+        assert [rid for *__, rid in t.scan_all()] == list(range(200))
 
     def test_sequential_inserts(self):
         t = BPlusTree(order=4)
         for v in range(100):
             t.insert(k(v), v)
         t.check_invariants()
-        assert [rid for __, rid in t.scan_all()] == list(range(100))
+        assert [rid for *__, rid in t.scan_all()] == list(range(100))
 
     def test_reverse_sequential_inserts(self):
         t = BPlusTree(order=4)
         for v in reversed(range(100)):
             t.insert(k(v), v)
         t.check_invariants()
-        assert [rid for __, rid in t.scan_all()] == list(range(100))
+        assert [rid for *__, rid in t.scan_all()] == list(range(100))
 
 
 class TestDelete:
@@ -92,7 +92,7 @@ class TestDelete:
         for v in range(0, 50, 2):
             t.delete(k(v), v)
         t.check_invariants()
-        assert [rid for __, rid in t.scan_all()] == list(range(1, 50, 2))
+        assert [rid for *__, rid in t.scan_all()] == list(range(1, 50, 2))
 
     def test_delete_everything(self):
         t = BPlusTree(order=4)
@@ -117,7 +117,7 @@ class TestDelete:
         for v in range(60):
             t.insert(k(v), v + 100)
         t.check_invariants()
-        assert [rid for __, rid in t.scan_all()] == [v + 100 for v in range(60)]
+        assert [rid for *__, rid in t.scan_all()] == [v + 100 for v in range(60)]
 
 
 class TestPrefixScans:
@@ -134,7 +134,7 @@ class TestPrefixScans:
         t = self.make_compound()
         hits = list(t.scan_prefix(k(2)))
         assert len(hits) == 5
-        assert all(key[0] == (1, 2) for key, __ in hits)
+        assert all(entry[0] == (1, 2) for entry in hits)
 
     def test_full_key_prefix(self):
         t = self.make_compound()
@@ -150,12 +150,12 @@ class TestPrefixScans:
         t = self.make_compound()
         entry = t.first_with_prefix(k(1))
         assert entry is not None
-        assert entry[0] == k(1, 0)
+        assert entry[:-1] == k(1, 0)
 
     def test_scan_from_bound(self):
         t = self.make_compound()
-        hits = list(t.scan_from((k(4, 3), -1)))
-        assert [key for key, __ in hits] == [k(4, 3), k(4, 4)]
+        hits = list(t.scan_from((*k(4, 3), -1)))
+        assert [entry[:-1] for entry in hits] == [k(4, 3), k(4, 4)]
 
 
 class TestNullOrdering:
@@ -166,7 +166,7 @@ class TestNullOrdering:
         t.insert(k(5), 1)
         t.insert(encode_key((NULL,)), 2)
         t.insert(k(0), 3)
-        assert [rid for __, rid in t.scan_all()] == [2, 3, 1]
+        assert [rid for *__, rid in t.scan_all()] == [2, 3, 1]
 
     def test_null_prefix_scannable(self):
         from repro.nulls import NULL
@@ -176,18 +176,18 @@ class TestNullOrdering:
         t.insert(encode_key((NULL, 8)), 2)
         t.insert(encode_key((1, 7)), 3)
         hits = list(t.scan_prefix(encode_key((NULL,))))
-        assert [rid for __, rid in hits] == [1, 2]
+        assert [rid for *__, rid in hits] == [1, 2]
 
 
 class TestBulkLoad:
     def test_bulk_load_matches_incremental(self):
-        entries = [(k(v // 3, v % 3), v) for v in range(100)]
+        entries = [(*k(v // 3, v % 3), v) for v in range(100)]
         bulk = BPlusTree(order=8)
         bulk.bulk_load(entries)
         bulk.check_invariants()
         incremental = BPlusTree(order=8)
-        for key, rid in entries:
-            incremental.insert(key, rid)
+        for *key, rid in entries:
+            incremental.insert(tuple(key), rid)
         assert list(bulk.scan_all()) == list(incremental.scan_all())
 
     def test_bulk_load_empty(self):
@@ -197,24 +197,24 @@ class TestBulkLoad:
 
     def test_bulk_load_single(self):
         t = BPlusTree()
-        t.bulk_load([(k(1), 1)])
-        assert list(t.scan_all()) == [(k(1), 1)]
+        t.bulk_load([(*k(1), 1)])
+        assert list(t.scan_all()) == [(*k(1), 1)]
 
     def test_bulk_load_rejects_duplicates(self):
         t = BPlusTree()
         with pytest.raises(IndexError_):
-            t.bulk_load([(k(1), 1), (k(1), 1)])
+            t.bulk_load([(*k(1), 1), (*k(1), 1)])
 
     def test_bulk_load_then_mutate(self):
         t = BPlusTree(order=4)
-        t.bulk_load([(k(v), v) for v in range(0, 100, 2)])
+        t.bulk_load([(*k(v), v) for v in range(0, 100, 2)])
         for v in range(1, 100, 2):
             t.insert(k(v), v)
         for v in range(0, 100, 4):
             t.delete(k(v), v)
         t.check_invariants()
         expected = sorted(set(range(100)) - set(range(0, 100, 4)))
-        assert [rid for __, rid in t.scan_all()] == expected
+        assert [rid for *__, rid in t.scan_all()] == expected
 
 
 class TestCostCounting:
@@ -239,7 +239,7 @@ class TestCostCounting:
     def test_bulk_load_counts_build_entries(self):
         tracker = CostTracker()
         t = BPlusTree(order=4, tracker=tracker)
-        t.bulk_load([(k(v), v) for v in range(25)])
+        t.bulk_load([(*k(v), v) for v in range(25)])
         assert tracker["index_build_entries"] == 25
 
     def test_abandoned_scan_counts_partial(self):

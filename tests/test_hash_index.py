@@ -18,7 +18,7 @@ class TestHashIndex:
         h = HashIndex()
         h.insert(k(1, 2), 10)
         h.insert(k(1, 2), 11)
-        assert sorted(rid for __, rid in h.lookup(k(1, 2))) == [10, 11]
+        assert sorted(rid for *__, rid in h.lookup(k(1, 2))) == [10, 11]
         assert len(h) == 2
 
     def test_lookup_missing(self):
@@ -54,7 +54,7 @@ class TestHashIndex:
         h = HashIndex()
         for i, key in enumerate([k(3), k(1), k(2)]):
             h.insert(key, i)
-        assert [rid for __, rid in h.scan_all()] == [1, 2, 0]
+        assert [rid for *__, rid in h.scan_all()] == [1, 2, 0]
 
     def test_cost_counting(self):
         tracker = CostTracker()

@@ -4,12 +4,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.indexes.keys import (
+    AFTER_ALL,
     NULL_COMPONENT,
+    RID_AFTER_ALL,
     decode_key,
     encode_component,
     encode_key,
     key_has_prefix,
-    prefix_successor,
+    prefix_end,
 )
 from repro.nulls import NULL
 
@@ -50,20 +52,34 @@ class TestEncoding:
         assert (encode_key(a) < encode_key(b)) == (tuple(a) < tuple(b))
 
 
-class TestPrefixSuccessor:
-    def test_successor_bounds_prefix_block(self):
-        prefix = encode_key((3,))
-        successor = prefix_successor(prefix)
-        assert successor is not None
-        inside = encode_key((3, 99, 99))
-        outside = encode_key((4,))
-        assert inside < successor <= outside
+class TestPrefixEnd:
+    """``[prefix, prefix_end(prefix, width))`` holds exactly the index
+    entries ``(c1, …, c_width, rid)`` whose key starts with *prefix*."""
 
-    def test_successor_of_null_component(self):
+    def test_end_bounds_prefix_block(self):
+        prefix = encode_key((3,))
+        end = prefix_end(prefix, 3)
+        assert end[-1] == AFTER_ALL
+        inside = (*encode_key((3, 99, 99)), 10**6)
+        outside = (*encode_key((4, NULL, NULL)), 0)
+        assert prefix < inside < end < outside
+
+    def test_end_of_null_component(self):
         prefix = encode_key((NULL,))
-        successor = prefix_successor(prefix)
-        assert successor is not None
-        assert encode_key((NULL, 10**9)) < successor <= encode_key((0,))
+        end = prefix_end(prefix, 2)
+        inside = (*encode_key((NULL, 10**9)), 5)
+        assert prefix < inside < end < (*encode_key((0, NULL)), 0)
 
     def test_empty_prefix(self):
-        assert prefix_successor(()) is None
+        end = prefix_end((), 2)
+        assert end == (AFTER_ALL,)
+        assert () < (*encode_key((10**9, "z")), 7) < end
+
+    def test_full_key_ends_past_every_rid(self):
+        # past a full key comes the int rid, which AFTER_ALL cannot be
+        # compared with
+        key = encode_key((3, NULL))
+        end = prefix_end(key, 2)
+        assert end == (*key, RID_AFTER_ALL)
+        assert key < (*key, 0) < (*key, 10**12) < end
+        assert end < (*encode_key((3, 0)), 0)

@@ -372,7 +372,7 @@ def test_fanout_parity_when_a_later_index_rejects_a_duplicate():
     fanout, reference = twin_managers(UNIQUE_LAST, [(1, 5), (2, 6)])
     assert apply_both(fanout, reference, "insert", 2, (3, 5)) is KeyViolation
     assert apply_both(fanout, reference, "update", 1, (2, 6), (9, 5)) is KeyViolation
-    assert contents(fanout)["plain"] == [(((1, 1),), 0), (((1, 2),), 1)]
+    assert contents(fanout)["plain"] == [((1, 1), 0), ((1, 2), 1)]
 
 
 TWO_TREES = [
@@ -387,11 +387,11 @@ def test_fanout_parity_when_the_second_tree_faults_on_a_split():
     t_a, t_b = (index._structure for index in fanout)
     # insert (94, 50) and update rid 0 from (100, 0) to (90, 50): t_a's
     # leaf has room and t_b's, which the update does not delete from, is full
-    full = leaf_of(t_b, (encode_key((50,)), 6))
+    full = leaf_of(t_b, (*encode_key((50,)), 6))
     assert len(full.entries) == 4
-    assert leaf_of(t_b, (encode_key((0,)), 0)) is not full
+    assert leaf_of(t_b, (*encode_key((0,)), 0)) is not full
     for a, rid in ((94, 6), (90, 0)):
-        assert len(leaf_of(t_a, (encode_key((a,)), rid)).entries) < 4
+        assert len(leaf_of(t_a, (*encode_key((a,)), rid)).entries) < 4
     faults.install("btree.split", faults.FailInjector(times=None))
     assert apply_both(fanout, reference, "insert", 6, (94, 50)) is FaultError
     assert apply_both(fanout, reference, "update", 0, (100, 0), (90, 50)) is FaultError
@@ -405,7 +405,7 @@ def test_fanout_parity_when_the_second_tree_faults_on_an_unlink():
     for manager in (fanout, reference):
         manager.delete_row(2, rows[2])
     t_a, t_b = (index._structure for index in fanout)
-    victim = (encode_key((rows[3][0],)), 3), (encode_key((rows[3][1],)), 3)
+    victim = (*encode_key((rows[3][0],)), 3), (*encode_key((rows[3][1],)), 3)
     assert len(leaf_of(t_a, victim[0]).entries) > 1
     assert leaf_of(t_b, victim[1]).entries == [victim[1]]
     faults.install("btree.unlink", faults.FailInjector(times=None))
@@ -430,9 +430,9 @@ def test_failed_delete_leaves_the_row_in_every_index():
     t_a = table.indexes.get("t_a")._structure
     t_b = table.indexes.get("t_b")._structure
     # t_a changes first and keeps its leaf; t_b's leaf holds only the victim
-    assert len(leaf_of(t_a, (encode_key(row[:1]), victim)).entries) > 1
-    assert leaf_of(t_b, (encode_key(row[1:]), victim)).entries == [
-        (encode_key(row[1:]), victim)
+    assert len(leaf_of(t_a, (*encode_key(row[:1]), victim)).entries) > 1
+    assert leaf_of(t_b, (*encode_key(row[1:]), victim)).entries == [
+        (*encode_key(row[1:]), victim)
     ]
     faults.install("btree.unlink", faults.FailInjector())
     with pytest.raises(FaultError):

@@ -76,17 +76,17 @@ def ref_scan_from(tree: BPlusTree, tracker: CostTracker, low):
 
 
 def ref_scan_prefix(tree: BPlusTree, tracker: CostTracker, prefix):
-    for key, rid in ref_scan_from(tree, tracker, (prefix, -1)):
-        if key[: len(prefix)] != prefix:
+    for entry in ref_scan_from(tree, tracker, prefix):
+        if entry[: len(prefix)] != prefix:
             return
-        yield (key, rid)
+        yield entry
 
 
 def ref_lookup(index, tracker: CostTracker, key):
     tracker.count("index_node_reads")
     for rid in index._structure._buckets.get(key, ()):
         tracker.count("index_entries_scanned")
-        yield (key, rid)
+        yield (*key, rid)
 
 
 def ref_matches(row, eq_position_slots, null_positions, values) -> bool:
@@ -134,7 +134,7 @@ def ref_find(probe: probes.PreparedProbe, values, view=None):
             scan = ref_lookup(index, tracker, prefix)
         fetched = 0
         try:
-            for __, rid in scan:
+            for *__, rid in scan:
                 if rid in divergent:
                     continue
                 fetched += 1
@@ -169,7 +169,7 @@ def ref_read_range(index, heap, prefix):
             steps += [len(rids)] * reads
         else:
             descent = reads
-        rids += [rid for __, rid in entries]
+        rids += [rid for *__, rid in entries]
     return [heap.get(rid) for rid in rids], steps, descent
 
 
@@ -382,10 +382,14 @@ def assert_first_entry_parity(structure, prefixes):
         assert tracker.snapshot().diff(before).total_logical_cost() == 0
 
 
-def all_prefixes(components):
-    """The empty prefix, every one-component prefix and every full key
-    over *components* — present in the tree or not."""
+def all_prefixes(components, width=2):
+    """The empty prefix, every one-component prefix and, over a
+    two-column key, every full key over *components* — present in the
+    tree or not.  (A prefix is never wider than the key: past the key
+    an entry holds its rid.)"""
     ones = [encode_key((a,)) for a in components]
+    if width == 1:
+        return [()] + ones
     return [()] + ones + [one + encode_key((b,)) for one in ones for b in components]
 
 
@@ -428,7 +432,9 @@ def test_first_entry_steps_past_an_exhausted_descent_leaf():
     (first, descent), (second, step) = list(index.runs(prefix))[:2]
     assert first == [] and second  # the range starts in the next leaf
     assert index.first_entry(prefix) == (second[0], descent + step)
-    assert_first_entry_parity(index._structure, all_prefixes([NULL, 0, 1, 2, 3]))
+    assert_first_entry_parity(
+        index._structure, all_prefixes([NULL, 0, 1, 2, 3], width=1)
+    )
 
 
 def test_first_entry_of_a_hash_bucket():
@@ -1019,3 +1025,56 @@ def test_view_probes_skip_and_then_resolve_divergent_rids():
     assert_parity(table, ("c",), (12,), view=view)  # full scan
     assert probes.find_eq(table, ("a", "c"), (1, 12), view=view) == (1, NULL, 12)
     assert probes.find_eq(table, ("a", "c"), (1, 99), view=view) is None
+
+
+# ----------------------------------------------------------------------
+# Footprint: one flat tuple per index entry.
+
+
+def entry_bytes(build):
+    """Run *build* under tracemalloc; return what it returns and the
+    bytes still allocated by the code that makes index entries and
+    their keys (``indexes/manager.py`` and ``indexes/keys.py``) — the
+    tree nodes and leaf lists are not entries."""
+    import tracemalloc
+
+    import repro.indexes.keys as keys_module
+    import repro.indexes.manager as manager_module
+
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        result = build()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        if started:
+            tracemalloc.stop()
+    makers = [
+        tracemalloc.Filter(True, module.__file__)
+        for module in (manager_module, keys_module)
+    ]
+    traced = snapshot.filter_traces(makers).statistics("filename")
+    return result, sum(stat.size for stat in traced)
+
+
+def test_a_bounded_cell_allocates_one_small_tuple_per_index_entry():
+    """A 2,000-parent Bounded cell (n = 5: six indexes a table, five of
+    one column and one of five) and then inserts through the row
+    fan-out: every entry is one tuple ``(c1, …, cn, rid)`` — 56 bytes
+    for one column, 88 for five.  The nested ``((c1, …, cn), rid)``
+    pair cost 104 and 136, about 109 a entry here."""
+    config = synthetic.SyntheticConfig(n_columns=5, parent_rows=2000)
+    cell, built = entry_bytes(
+        lambda: prepare_cell(config, IndexStructure.BOUNDED)
+    )
+    tables = cell.db.tables.values()
+    entries = sum(len(index) for table in tables for index in table.indexes)
+    assert len(list(cell.db.table("C").indexes)) == 6
+    assert built / entries <= 64, f"{built / entries:.1f} bytes per entry"
+
+    rows = synthetic.insert_stream(cell.dataset, 300)
+    __, inserted = entry_bytes(
+        lambda: [dml.insert(cell.db, "C", row) for row in rows]
+    )
+    assert inserted / (300 * 6) <= 64, f"{inserted / 1800:.1f} bytes per entry"

@@ -966,3 +966,52 @@ def test_presumed_abort_when_coordinator_never_returns(tmp_path):
         assert stats["aborts"] == 1
     finally:
         server.shutdown()
+
+
+class _GatedLock:
+    """Stands in for a prepared transaction's ``txn.mu``: the test holds
+    ``inner``, and ``waiting`` is set once someone blocks on the gate."""
+
+    def __init__(self):
+        self.inner = threading.Lock()
+        self.waiting = threading.Event()
+
+    def __enter__(self):
+        self.waiting.set()
+        self.inner.acquire()
+        return self
+
+    def __exit__(self, *exc):
+        self.inner.release()
+
+
+def test_a_decide_in_flight_keeps_the_transaction_prepared(tmp_path):
+    """A decide that has claimed a transaction but not yet applied it
+    leaves the gtid held: ``holds`` stays True while the rows are still
+    uncommitted, and a duplicate decide answers ``already-commit`` —
+    never "forgotten" (the decide used to pop the gtid first)."""
+    gtid = "race0001:1"
+    with ReproServer(
+        build_chaos_shard_database(0, 1), data_dir=str(tmp_path / "shard")
+    ) as server:
+        participant = server.twophase
+        participant.prepare(gtid, _prepare_ops())
+        gate = _GatedLock()
+        participant._prepared[gtid].mu = gate
+        answers = []
+        with gate.inner:
+            first = threading.Thread(
+                target=lambda: answers.append(participant.decide(gtid, "commit"))
+            )
+            first.start()
+            assert gate.waiting.wait(10.0)
+            assert participant.holds(gtid)
+            assert participant.decide(gtid, "commit") == "already-commit"
+            with pytest.raises(Exception, match="conflicting decide"):
+                participant.decide(gtid, "abort")
+        first.join(10.0)
+        assert answers == ["commit"]
+        assert not participant.holds(gtid)
+        assert participant.decide(gtid, "commit") == "already-commit"
+        assert [row[0] for row in server.db.table("C").rows()] == [777]
+        assert participant.stats_snapshot()["forgotten_decides"] == 0
