@@ -184,16 +184,12 @@ def apply_structure(
     structure: IndexStructure,
     kind: IndexKind = IndexKind.BTREE,
 ) -> list[str]:
-    """Create the structure's indexes; returns the created index names."""
+    """Create the structure's indexes, one heap scan per table; returns
+    the created index names."""
     parent_defs, child_defs = index_definitions(fk, structure, kind)
-    created = []
-    for definition in parent_defs:
-        db.create_index(fk.parent_table, definition)
-        created.append(definition.name)
-    for definition in child_defs:
-        db.create_index(fk.child_table, definition)
-        created.append(definition.name)
-    return created
+    db.create_indexes(fk.parent_table, parent_defs)
+    db.create_indexes(fk.child_table, child_defs)
+    return [definition.name for definition in parent_defs + child_defs]
 
 
 def remove_structure(

@@ -33,6 +33,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from collections.abc import Iterator
+from itertools import compress, islice
+from operator import eq
 from typing import Any
 
 from ..errors import IndexError_
@@ -418,15 +420,19 @@ class BPlusTree:
             self._uniform = False
 
     def bulk_load(self, entries: list[Entry]) -> None:
-        """Replace the tree contents with *entries* (sorted ascending).
+        """Replace the tree contents with *entries*, in any order.
 
         Bottom-up bulk loading, used when building an index over an
-        existing table.  Charges one ``index_build_entries`` per entry.
+        existing table.  *entries* is left as it was: the leaves are
+        slices of a sorted copy.  Charges one ``index_build_entries``
+        per entry.
         """
         entries = sorted(entries)
-        for i in range(1, len(entries)):
-            if entries[i] == entries[i - 1]:
-                raise IndexError_(f"duplicate index entry {entries[i]!r}")
+        # the first entry equal to its successor, found in one C-level pass
+        successors = islice(entries, 1, None)
+        duplicate = next(compress(entries, map(eq, entries, successors)), None)
+        if duplicate is not None:
+            raise IndexError_(f"duplicate index entry {duplicate!r}")
         self._count("index_build_entries", len(entries))
         self._size = len(entries)
         self._hint_leaf = None

@@ -56,7 +56,12 @@ class TableIndex:
             )
         self.definition = definition
         self.positions = tuple(positions)
-        self._tracker = tracker
+        #: Picks this index's entry out of an encoded row with the rid
+        #: appended (:meth:`IndexManager.encode_rows`): one C call, one
+        #: tuple.
+        self.entry_of: Callable[[EncodedRow], Entry] = itemgetter(
+            *self.positions, -1
+        )
         if definition.kind is IndexKind.BTREE:
             self._structure: Structure = BPlusTree(order, tracker)
         else:
@@ -90,35 +95,6 @@ class TableIndex:
 
     def __len__(self) -> int:
         return len(self._structure)
-
-    def key_for_row(self, row: Sequence[Any]) -> EncodedKey:
-        """Project *row* onto the indexed columns and encode the key."""
-        return encode_key([row[p] for p in self.positions])
-
-    def build(self, rows: Iterable[tuple[int, Sequence[Any]]]) -> None:
-        """(Re)build the index over existing (rid, row) pairs."""
-        structure = self._structure
-        unique = self.definition.unique
-        if isinstance(structure, BPlusTree):
-            entries = [(*self.key_for_row(row), rid) for rid, row in rows]
-            if unique:
-                seen: set[EncodedKey] = set()
-                for entry in entries:
-                    key = entry[:-1]
-                    if NULL_COMPONENT in key:
-                        continue
-                    if key in seen:
-                        raise _unique_violation(self.name, key)
-                    seen.add(key)
-            structure.bulk_load(entries)
-            return
-        for rid, row in rows:
-            key = self.key_for_row(row)
-            if unique and _has_total_duplicate(structure, key):
-                raise _unique_violation(self.name, key)
-            structure.insert(key, rid)
-            if self._tracker is not None:
-                self._tracker.count("index_maintenance_ops")
 
     # ------------------------------------------------------------------
     # Probes used by the executor
@@ -198,12 +174,26 @@ class IndexManager:
         self._fanout = tuple(
             (
                 index._structure,
-                # the rid rides at the end of the encoded row
-                itemgetter(*index.positions, -1),
+                index.entry_of,
                 index.name if index.definition.unique else None,
             )
             for index in self._indexes.values()
         )
+
+    def encode_rows(
+        self,
+        pairs: Iterable[tuple[int, Sequence[Any]]],
+        positions: Sequence[int] | None = None,
+    ) -> Iterator[EncodedRow]:
+        """Each ``(rid, row)`` pair's components under *positions* (by
+        default every index's) encoded once, with the rid appended: what
+        each index's :attr:`~TableIndex.entry_of` picks its entry from."""
+        if positions is None:
+            positions = self._positions_union
+        for rid, row in pairs:
+            encoded = encode_row(row, positions)
+            encoded.append(rid)
+            yield encoded
 
     def __len__(self) -> int:
         return len(self._indexes)
@@ -225,18 +215,68 @@ class IndexManager:
 
     def create(
         self,
-        definition: IndexDefinition,
-        positions: Sequence[int],
+        specs: Sequence[tuple[IndexDefinition, Sequence[int]]],
         rows: Iterable[tuple[int, Sequence[Any]]] = (),
-    ) -> TableIndex:
-        if definition.name in self._indexes:
-            raise IndexError_(f"index {definition.name!r} already exists")
-        index = TableIndex(definition, positions, self._tracker, self._order)
-        index.build(rows)
-        self._indexes[definition.name] = index
+    ) -> list[TableIndex]:
+        """Create the indexes *specs* names — ``(definition, column
+        positions)`` pairs, kept in that order — and build them over the
+        existing ``(rid, row)`` pairs in one pass.
+
+        *rows* is read once and each row encoded once, over the union of
+        the new indexes' positions; every index takes its entries out of
+        that shared encoding in row order (:attr:`TableIndex.entry_of`)
+        and is built as it would be alone (:meth:`_build`).  All or
+        none: when an index rejects a duplicate key, none is created.
+        """
+        indexes: dict[str, TableIndex] = {}
+        for definition, positions in specs:
+            if definition.name in self._indexes or definition.name in indexes:
+                raise IndexError_(f"index {definition.name!r} already exists")
+            indexes[definition.name] = TableIndex(
+                definition, positions, self._tracker, self._order
+            )
+        if not indexes:
+            return []
+        union = sorted({p for index in indexes.values() for p in index.positions})
+        encoded_rows = list(self.encode_rows(rows, union))
+        for index in indexes.values():
+            self._build(index, list(map(index.entry_of, encoded_rows)))
+        self._indexes.update(indexes)
         self.version += 1
         self._refresh()
-        return index
+        return list(indexes.values())
+
+    def _build(self, index: TableIndex, entries: list[Entry]) -> None:
+        """Fill the new, empty *index* with *entries*, in row order.
+
+        A B+ tree is bulk loaded, charging one ``index_build_entries``
+        per entry; a unique one first checks that no total key repeats.
+        A hash index takes its entries as one run and charges one
+        ``index_maintenance_ops`` per entry it took.  A unique hash
+        index probes for each key before it takes the entry; it does not
+        go through :meth:`_insert_unique_run`, whose compensating
+        deletes would be charged too, while a failed build throws the
+        index away and charges only the entries it took.
+        """
+        structure = index._structure
+        unique = index.name if index.definition.unique else None
+        if isinstance(structure, BPlusTree):
+            if unique is not None:
+                _check_distinct_keys(unique, entries)
+            structure.bulk_load(entries)
+            return
+        if unique is None:
+            structure.insert_run(entries)
+            self._charge(len(entries))
+            return
+        done = 0
+        try:
+            for entry in entries:
+                _check_unique(structure, unique, entry)
+                structure.insert_entry(entry)
+                done += 1
+        finally:
+            self._charge(done)
 
     def drop(self, name: str) -> None:
         if name not in self._indexes:
@@ -424,6 +464,19 @@ def _check_unique(structure: Structure, name: str, entry: Entry) -> None:
     key = entry[:-1]
     if _has_total_duplicate(structure, key):
         raise _unique_violation(name, key)
+
+
+def _check_distinct_keys(name: str, entries: list[Entry]) -> None:
+    """Raise at the first total key that repeats among *entries*, in
+    their order: a unique B+ tree's check before it is bulk loaded."""
+    seen: set[EncodedKey] = set()
+    for entry in entries:
+        key = entry[:-1]
+        if NULL_COMPONENT in key:
+            continue
+        if key in seen:
+            raise _unique_violation(name, key)
+        seen.add(key)
 
 
 def _has_total_duplicate(structure: Structure, key: EncodedKey) -> bool:

@@ -43,6 +43,7 @@ lookup.
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Collection, Iterable, Sequence
 from itertools import compress, count, islice, repeat
@@ -136,10 +137,20 @@ class PreparedProbe:
     otherwise the census test in schema order (:meth:`_plan`).
     Re-plans itself lazily whenever ``table.indexes.version`` has moved
     since the last execution.
+
+    The probe keeps the parts of its table an execution reads (heap,
+    indexes, tracker, name) and only a weak reference to the table
+    itself, which planning reads: the table's probe cache holds
+    the probe, so a strong reference back would make every table a
+    reference cycle that outlives ``del`` until a full collection.
     """
 
     __slots__ = (
-        "table",
+        "_table",
+        "heap",
+        "indexes",
+        "tracker",
+        "table_name",
         "columns",
         "null_columns",
         "_null_tail",
@@ -163,7 +174,11 @@ class PreparedProbe:
         columns: tuple[str, ...],
         null_columns: tuple[str, ...],
     ) -> None:
-        self.table = table
+        self._table = weakref.ref(table)
+        self.heap = table.heap
+        self.indexes = table.indexes
+        self.tracker = table.tracker
+        self.table_name = table.name
         self.columns = columns
         self.null_columns = null_columns
         self._null_tail = (NULL,) * len(null_columns)
@@ -179,6 +194,12 @@ class PreparedProbe:
         self._point_sources: tuple[int, ...] = ()
         self._tail_sources: tuple[int, ...] = ()
         self._dives: tuple[tuple[Any, int], ...] = ()
+
+    @property
+    def table(self) -> Table:
+        table = self._table()
+        assert table is not None, "probe of a dropped table"
+        return table
 
     def _projector(self, eq_columns: Sequence[str]) -> Callable[[Row], Any] | None:
         """The row projection that tests *eq_columns* and the probe's
@@ -270,12 +291,11 @@ class PreparedProbe:
 
     def _bind(self, values: Sequence[Any]) -> None:
         """Per-execution planner work: epoch check, candidate charge, dives."""
-        table = self.table
-        indexes = table.indexes
+        indexes = self.indexes
         if indexes.version != self._version:
             self._plan(values)
             self._version = indexes.version
-        count = table.tracker.count
+        count = self.tracker.count
         count("planner_candidates", len(indexes))
         # A dive into a tree of uniform depth charges its height and
         # nothing else (TableIndex.dive): those are charged as one sum.
@@ -335,29 +355,30 @@ class PreparedProbe:
         alone cannot prove a row visible at the read LSN.
         """
         self._bind(values)
-        table = self.table
-        divergent = view.divergent_rids(table.name) if view is not None else ()
+        divergent = (
+            view.divergent_rids(self.table_name) if view is not None else ()
+        )
         if self._index is None:
             hit = self._search_heap(values, divergent)
         else:
             hit = self._search_range(values, divergent, scope)
         if hit is None and divergent:
-            versions = [view.row(table.name, rid) for rid in sorted(divergent)]
+            versions = [view.row(self.table_name, rid) for rid in sorted(divergent)]
             rows = [row for row in versions if row is not None]
             at = _first_hit(
                 self._full_project, self._expected(values), rows
             )
             if at >= 0:
                 hit = rows[at]
-            table.tracker.count("rows_examined", at + 1 if at >= 0 else len(rows))
+            self.tracker.count("rows_examined", at + 1 if at >= 0 else len(rows))
         return hit
 
     def _search_heap(
         self, values: Sequence[Any], divergent: Collection[int]
     ) -> Row | None:
         """:meth:`_search` by full scan, in insertion order."""
-        tracker = self.table.tracker
-        heap = self.table.heap
+        tracker = self.tracker
+        heap = self.heap
         tracker.count("full_scans")
         if divergent:
             kept = [
@@ -391,7 +412,7 @@ class PreparedProbe:
         hit), else leaf run by leaf run, stopping at the run that holds
         the hit."""
         index = self._index
-        heap = self.table.heap
+        heap = self.heap
         prefix = tuple(
             [encode_component(values[slot]) for slot in self._prefix_slots]
         )
@@ -443,7 +464,7 @@ class PreparedProbe:
                     break
                 scanned += len(rids)
                 fetched += len(rows)
-        tracker = self.table.tracker
+        tracker = self.tracker
         tracker.count("index_node_reads", reads)
         tracker.count("index_entries_scanned", scanned)
         tracker.count("rows_fetched", fetched)
@@ -476,7 +497,7 @@ class PreparedProbe:
             return bisect_left(entries, (*prefix, *tail, first[-1]))
         census = censuses.get(positions)
         if census is None:
-            rows = self.table.heap.fetch(map(_RID, entries))
+            rows = self.heap.fetch(map(_RID, entries))
             # first position wins: written last, in reverse
             census = censuses[positions] = dict(
                 zip(
@@ -586,13 +607,13 @@ def check_distinct(
     """
     if not values_list:
         return []
-    tracker = probe.table.tracker
+    tracker = probe.tracker
     groups: dict[tuple[Any, ...], list[int]] = {}
     for position, values in enumerate(values_list):
         groups.setdefault(tuple(values), []).append(position)
     ordered = sorted(groups, key=encode_key)
     first_key = tuple(values_list[0])
-    if probe._version != probe.table.indexes.version and ordered[0] != first_key:
+    if probe._version != probe.indexes.version and ordered[0] != first_key:
         ordered.remove(first_key)
         ordered.insert(0, first_key)
     results = [False] * len(values_list)

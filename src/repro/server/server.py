@@ -705,9 +705,10 @@ class ReproServer(WireServer):
         """Create whichever of the named indexes this database lacks.
 
         The coordinator sends its catalog's index design before the
-        first request it routes here (DESIGN.md §5i).  Each creation is
-        WAL-logged DDL under the exclusive statement latch, so restart
-        and recovery rebuild the index; a repeat creates nothing.
+        first request it routes here (DESIGN.md §5i).  A table's missing
+        indexes are built in one heap scan and each logged as WAL DDL
+        under the exclusive statement latch, so restart and recovery
+        rebuild them; a repeat creates nothing.
         """
         wanted = request.get("indexes")
         if not isinstance(wanted, dict):
@@ -722,18 +723,22 @@ class ReproServer(WireServer):
             with session.use(), session.db_latch():
                 for table_name, specs in wanted.items():
                     present = self.db.table(table_name).indexes
+                    missing: dict[str, IndexDefinition] = {}
                     for spec in specs:
                         definition = IndexDefinition(
                             spec["name"], tuple(spec["columns"])
                         )
-                        if definition.name not in present:
-                            self.db.create_index(table_name, definition)
-                            created.append(definition.name)
-                        elif present.get(definition.name).columns != definition.columns:
+                        if definition.name in present:
+                            known = present.get(definition.name).definition
+                        else:
+                            known = missing.setdefault(definition.name, definition)
+                        if known.columns != definition.columns:
                             raise ReproError(
                                 f"index {definition.name!r} exists on other "
                                 f"columns than {definition.columns}"
                             )
+                    self.db.create_indexes(table_name, list(missing.values()))
+                    created += list(missing)
             return created
 
         return {"ok": True, "created": self._admitted(run)}

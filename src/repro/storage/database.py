@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Any
 from ..errors import CatalogError
 from ..indexes.cost import CostTracker
 from ..indexes.definition import IndexDefinition
+from ..indexes.manager import TableIndex
 from ..triggers.framework import TriggerRegistry
 from .schema import Column, TableSchema
 from .table import Table
@@ -83,7 +84,7 @@ class Database:
             table.heap.recycle_rids = False
         self.tables[name] = table
         if self._wal is not None:
-            self._wal.log_ddl(self, "create_table", name, (table.schema,))
+            self._wal.log_ddl(self, "create_table", name, [(table.schema,)])
         return table
 
     def drop_table(self, name: str) -> None:
@@ -113,16 +114,28 @@ class Database:
     def __contains__(self, name: str) -> bool:
         return name in self.tables
 
-    def create_index(self, table_name: str, definition: IndexDefinition):
-        index = self.table(table_name).create_index(definition)
+    def create_indexes(
+        self, table_name: str, definitions: Sequence[IndexDefinition]
+    ) -> list[TableIndex]:
+        """Create and build indexes on one table in one heap scan, then
+        log one ``create_index`` record per definition, all in one WAL
+        transaction: all or none, in memory and in the log."""
+        indexes = self.table(table_name).create_indexes(definitions)
         if self._wal is not None:
-            self._wal.log_ddl(self, "create_index", table_name, (definition,))
-        return index
+            self._wal.log_ddl(
+                self, "create_index", table_name, [(d,) for d in definitions]
+            )
+        return indexes
+
+    def create_index(
+        self, table_name: str, definition: IndexDefinition
+    ) -> TableIndex:
+        return self.create_indexes(table_name, [definition])[0]
 
     def drop_index(self, table_name: str, index_name: str) -> None:
         self.table(table_name).drop_index(index_name)
         if self._wal is not None:
-            self._wal.log_ddl(self, "drop_index", table_name, (index_name,))
+            self._wal.log_ddl(self, "drop_index", table_name, [(index_name,)])
 
     # ------------------------------------------------------------------
     # Constraint registration (enforcement lives in query.dml)

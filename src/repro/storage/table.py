@@ -145,10 +145,19 @@ class Table:
     # ------------------------------------------------------------------
     # Index administration
 
+    def create_indexes(
+        self, definitions: Sequence[IndexDefinition]
+    ) -> list[TableIndex]:
+        """Create indexes and build them over the current rows, all in
+        one heap scan (:meth:`IndexManager.create`); all or none."""
+        positions = self.schema.positions
+        return self.indexes.create(
+            [(d, positions(d.columns)) for d in definitions], self.heap.scan()
+        )
+
     def create_index(self, definition: IndexDefinition) -> TableIndex:
-        """Create an index and build it over the current rows."""
-        positions = self.schema.positions(definition.columns)
-        return self.indexes.create(definition, positions, self.heap.scan())
+        """Create one index and build it over the current rows."""
+        return self.create_indexes([definition])[0]
 
     def drop_index(self, name: str) -> None:
         self.indexes.drop(name)

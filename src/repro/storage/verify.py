@@ -125,46 +125,63 @@ class IntegrityReport:
 # ----------------------------------------------------------------------
 
 
-def _verify_index(table: "Table", index: Any) -> IndexReport:
+def _verify_indexes(table: "Table") -> list[IndexReport]:
+    """Check every index of *table* against its heap.
+
+    Forward, row by row: each row is encoded once for all the indexes
+    (:meth:`IndexManager.encode_rows`), and each index must hold the
+    entry its :attr:`~TableIndex.entry_of` picks out of that encoding.
+    Backward, index by index: no entry may dangle, and an entry of a
+    row whose own entry is missing carries a stale key.  A row indexed
+    under its own key and another one as well is reported as indexed
+    more than once.  No encoding outlives its row, so the check holds
+    no more than the heap's rid map at a time.
+    """
     from ..indexes.btree import BPlusTree
 
-    report = IndexReport(
-        name=index.name, columns=index.columns, entries=len(index)
-    )
+    indexes = list(table.indexes)
+    if not indexes:
+        return []
     rows = dict(table.heap.scan_unordered())
-    if len(index) != len(rows):
-        report.problems.append(
-            f"entry count {len(index)} != row count {len(rows)}"
+    reports: list[IndexReport] = []
+    for index in indexes:
+        report = IndexReport(
+            name=index.name, columns=index.columns, entries=len(index)
         )
-    # Forward: every heap row indexed under its current key.  Combined
-    # with the matching counts and per-(key, rid) uniqueness of the
-    # structures, this gives "every rid indexed exactly once".
-    structure = index._structure
-    for rid, row in rows.items():
-        key = index.key_for_row(row)
-        if not structure.contains(key, rid):
-            report.problems.append(f"row rid={rid} missing from index")
-    # Backward: no entry dangles or carries a stale key.
-    seen_rids: Counter = Counter()
-    for entry in index.scan_all():
-        key, rid = entry[:-1], entry[-1]
-        seen_rids[rid] += 1
-        row = rows.get(rid)
-        if row is None:
-            report.problems.append(f"dangling entry rid={rid}")
-        elif index.key_for_row(row) != key:
+        if len(index) != len(rows):
             report.problems.append(
-                f"stale entry rid={rid}: indexed key {key!r} != row key"
+                f"entry count {len(index)} != row count {len(rows)}"
             )
-    duplicated = [rid for rid, count in seen_rids.items() if count > 1]
-    if duplicated:
-        report.problems.append(f"rids indexed more than once: {duplicated!r}")
-    if isinstance(structure, BPlusTree):
-        try:
-            structure.check_invariants()
-        except AssertionError as exc:
-            report.problems.append(f"b+tree invariant broken: {exc}")
-    return report
+        reports.append(report)
+    missing: list[set[int]] = [set() for __ in indexes]
+    for encoded_row in table.indexes.encode_rows(rows.items()):
+        rid = encoded_row[-1]
+        for index, report, lost in zip(indexes, reports, missing):
+            entry = index.entry_of(encoded_row)
+            if not index._structure.contains(entry[:-1], rid):
+                report.problems.append(f"row rid={rid} missing from index")
+                lost.add(rid)
+    for index, report, lost in zip(indexes, reports, missing):
+        seen_rids: Counter = Counter()
+        for entry in index.scan_all():
+            rid = entry[-1]
+            seen_rids[rid] += 1
+            if rid not in rows:
+                report.problems.append(f"dangling entry rid={rid}")
+            elif rid in lost:
+                report.problems.append(
+                    f"stale entry rid={rid}: indexed key {entry[:-1]!r} != row key"
+                )
+        duplicated = [rid for rid, count in seen_rids.items() if count > 1]
+        if duplicated:
+            report.problems.append(f"rids indexed more than once: {duplicated!r}")
+        structure = index._structure
+        if isinstance(structure, BPlusTree):
+            try:
+                structure.check_invariants()
+            except AssertionError as exc:
+                report.problems.append(f"b+tree invariant broken: {exc}")
+    return reports
 
 
 def _verify_statistics(table: "Table") -> list[str]:
@@ -208,8 +225,7 @@ def verify_integrity(db: "Database") -> IntegrityReport:
             table_report.problems.extend(
                 versions.check_well_formed(table.name)
             )
-        for index in table.indexes:
-            table_report.indexes.append(_verify_index(table, index))
+        table_report.indexes.extend(_verify_indexes(table))
         report.tables.append(table_report)
     # Constraint re-validation probes through the planner; the physical
     # checks above already established that heap and indexes agree, so

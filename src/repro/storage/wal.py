@@ -59,7 +59,7 @@ from __future__ import annotations
 import os
 import pickle
 import threading
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any
@@ -358,19 +358,29 @@ class WriteAheadLog:
         self._append(txn_id, kind, table, tuple(entry[2:]))
 
     def log_ddl(
-        self, db: "Database", kind: str, table: str, payload: tuple = ()
+        self,
+        db: "Database",
+        kind: str,
+        table: str,
+        payloads: Sequence[tuple] = ((),),
     ) -> None:
-        """Append a catalog change, under the active transaction if one is
-        open, else as its own committed-on-the-spot transaction."""
+        """Append catalog changes of one kind, one record per payload,
+        under the active transaction if one is open, else as one
+        committed-on-the-spot transaction: one flush, and recovery
+        replays all of them or none."""
         if kind not in DDL_KINDS:
             raise WalError(f"unknown DDL kind {kind!r}")
+        if not payloads:
+            return
         txn = db.active_transaction
         if txn is not None and txn.wal_txn_id is not None:
-            self._append(txn.wal_txn_id, kind, table, payload)
+            for payload in payloads:
+                self._append(txn.wal_txn_id, kind, table, payload)
             txn.wal_logged = True
         else:
             txn_id = self.begin()
-            self._append(txn_id, kind, table, payload)
+            for payload in payloads:
+                self._append(txn_id, kind, table, payload)
             self.commit(txn_id)
 
     def log_autocommit(self, entry: tuple) -> None:
@@ -633,9 +643,9 @@ def recover(db: "Database", wal: WriteAheadLog | None = None) -> RecoveryReport:
         #    recomputed, cached plans die.
         for name, table in db.tables.items():
             table.indexes.drop_all()
-            for definition in index_defs.get(name, ()):
-                table.create_index(definition)
-                report.indexes_rebuilt += 1
+            report.indexes_rebuilt += len(
+                table.create_indexes(index_defs.get(name, ()))
+            )
             stats = TableStatistics(len(table.schema))
             for __, row in table.heap.scan_unordered():
                 stats.add_row(row)

@@ -86,17 +86,20 @@ def empty_db():
 class OneIndex:
     """One index under its own :class:`~repro.indexes.manager.IndexManager`.
 
-    Row writes go through the manager's fan-out, the only maintenance
-    path; everything else (probes, ``build``, the structure, the
-    tracker) is the :class:`~repro.indexes.manager.TableIndex`'s own.
+    The manager builds it over *rows* (its one create path), row writes
+    go through the manager's fan-out, the only maintenance path, and
+    ``_tracker`` is the manager's; everything else (probes,
+    ``entry_of``, the structure) is the
+    :class:`~repro.indexes.manager.TableIndex`'s own.
     """
 
-    def __init__(self, definition, positions):
+    def __init__(self, definition, positions, rows=()):
         from repro.indexes.cost import CostTracker
         from repro.indexes.manager import IndexManager
 
-        self.manager = IndexManager(CostTracker())
-        self.index = self.manager.create(definition, positions)
+        self._tracker = CostTracker()
+        self.manager = IndexManager(self._tracker)
+        (self.index,) = self.manager.create([(definition, positions)], rows)
         self.insert_row = self.manager.insert_row
         self.delete_row = self.manager.delete_row
         self.update_row = self.manager.update_row

@@ -58,10 +58,10 @@ class TestEncoding:
     def test_encoding_matches_per_key_path(self):
         # the fan-out picks its entry out of the shared encoding
         manager = IndexManager(CostTracker())
-        index = manager.create(IndexDefinition("bc", ("b", "c")), (1, 2))
+        (index,) = manager.create([(IndexDefinition("bc", ("b", "c")), (1, 2))])
         row = (9, NULL, "hello")
         manager.insert_row(7, row)
-        assert list(index.scan_all()) == [(*index.key_for_row(row), 7)]
+        assert list(index.scan_all()) == [(*encode_key((NULL, "hello")), 7)]
 
 
 # ----------------------------------------------------------------------

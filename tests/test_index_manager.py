@@ -50,15 +50,22 @@ class TestIndexDefinition:
         assert "idx" in d.describe()
 
 
-def make_index(unique=False, kind=IndexKind.BTREE):
+def make_index(unique=False, kind=IndexKind.BTREE, rows=()):
     definition = IndexDefinition("idx", ("a", "b"), kind=kind, unique=unique)
-    return OneIndex(definition, (0, 1))
+    return OneIndex(definition, (0, 1), rows)
+
+
+def key_of(index, row):
+    """The per-index encoding: *row* projected onto the indexed columns,
+    then encoded — what the shared row encoding must agree with."""
+    return encode_key([row[p] for p in index.positions])
 
 
 class TestTableIndex:
     def test_key_for_row(self):
         index = make_index()
-        assert index.key_for_row((1, 2, "x")) == ((1, 1), (1, 2))
+        (encoded,) = index.manager.encode_rows([(5, (1, 2, "x"))])
+        assert index.entry_of(encoded) == ((1, 1), (1, 2), 5)
 
     def test_insert_delete_row(self):
         index = make_index()
@@ -121,22 +128,22 @@ class TestTableIndex:
         assert not index.exists_equal((9,))
 
     def test_build_bulk(self):
-        index = make_index()
-        index.build([(i, (i % 3, i, "p")) for i in range(30)])
+        index = make_index(rows=[(i, (i % 3, i, "p")) for i in range(30)])
         assert len(index) == 30
         assert len(list(index.scan_equal((1,)))) == 10
 
     def test_build_unique_violation(self):
-        index = make_index(unique=True)
         with pytest.raises(KeyViolation):
-            index.build([(1, (1, 2, "x")), (2, (1, 2, "y"))])
+            make_index(unique=True, rows=[(1, (1, 2, "x")), (2, (1, 2, "y"))])
 
 
 class TestIndexManager:
     def make_manager(self):
         manager = IndexManager(CostTracker())
-        manager.create(IndexDefinition("by_a", ("a",)), (0,))
-        manager.create(IndexDefinition("by_ab", ("a", "b")), (0, 1))
+        manager.create([
+            (IndexDefinition("by_a", ("a",)), (0,)),
+            (IndexDefinition("by_ab", ("a", "b")), (0, 1)),
+        ])
         return manager
 
     def test_create_and_names(self):
@@ -148,7 +155,7 @@ class TestIndexManager:
     def test_duplicate_name_rejected(self):
         manager = self.make_manager()
         with pytest.raises(IndexError_):
-            manager.create(IndexDefinition("by_a", ("b",)), (1,))
+            manager.create([(IndexDefinition("by_a", ("b",)), (1,))])
 
     def test_drop(self):
         manager = self.make_manager()
@@ -162,7 +169,7 @@ class TestIndexManager:
         v = manager.version
         manager.drop("by_a")
         assert manager.version == v + 1
-        manager.create(IndexDefinition("by_b", ("b",)), (1,))
+        manager.create([(IndexDefinition("by_b", ("b",)), (1,))])
         assert manager.version == v + 2
 
     def test_row_ops_maintain_all_indexes(self):
@@ -177,8 +184,10 @@ class TestIndexManager:
 
     def test_insert_rollback_on_unique_violation(self):
         manager = IndexManager(CostTracker())
-        manager.create(IndexDefinition("plain", ("a",)), (0,))
-        manager.create(IndexDefinition("uniq", ("b",), unique=True), (1,))
+        manager.create([
+            (IndexDefinition("plain", ("a",)), (0,)),
+            (IndexDefinition("uniq", ("b",), unique=True), (1,)),
+        ])
         manager.insert_row(1, (1, 5))
         with pytest.raises(KeyViolation):
             manager.insert_row(2, (2, 5))
@@ -187,8 +196,10 @@ class TestIndexManager:
 
     def test_update_rollback_on_unique_violation(self):
         manager = IndexManager(CostTracker())
-        manager.create(IndexDefinition("plain", ("a",)), (0,))
-        manager.create(IndexDefinition("uniq", ("b",), unique=True), (1,))
+        manager.create([
+            (IndexDefinition("plain", ("a",)), (0,)),
+            (IndexDefinition("uniq", ("b",), unique=True), (1,)),
+        ])
         manager.insert_row(1, (1, 5))
         manager.insert_row(2, (2, 6))
         with pytest.raises(KeyViolation):
@@ -220,7 +231,7 @@ def ref_duplicate(index, key):
 
 
 def ref_insert(index, tracker, rid, row):
-    key = index.key_for_row(row)
+    key = key_of(index, row)
     if index.definition.unique and ref_duplicate(index, key):
         raise KeyViolation(f"unique index {index.name!r} violated by key {key!r}")
     index._structure.insert(key, rid)
@@ -228,12 +239,12 @@ def ref_insert(index, tracker, rid, row):
 
 
 def ref_delete(index, tracker, rid, row):
-    index._structure.delete(index.key_for_row(row), rid)
+    index._structure.delete(key_of(index, row), rid)
     tracker.count("index_maintenance_ops")
 
 
 def ref_update(index, tracker, rid, old, new):
-    old_key, new_key = index.key_for_row(old), index.key_for_row(new)
+    old_key, new_key = key_of(index, old), key_of(index, new)
     if old_key == new_key:
         return
     structure = index._structure
@@ -268,7 +279,7 @@ def ref_fanout(manager, op, rid, *rows):
             if op == "insert":
                 ref_delete(index, tracker, rid, rows[0])
             elif op == "delete":
-                index._structure.insert(index.key_for_row(rows[0]), rid)
+                index._structure.insert(key_of(index, rows[0]), rid)
                 tracker.count("index_maintenance_ops")
             else:
                 ref_update(index, tracker, rid, rows[1], rows[0])
@@ -291,8 +302,7 @@ def twin_managers(definitions, rows=()):
     twins = []
     for __ in range(2):
         manager = IndexManager(CostTracker(), order=4)
-        for definition, positions in definitions:
-            manager.create(definition, positions)
+        manager.create(definitions)
         for rid, row in enumerate(rows):
             manager.insert_row(rid, row)
         twins.append(manager)

@@ -130,6 +130,18 @@ def test_provisioning_is_idempotent_and_refuses_a_conflicting_index():
                 client.request("provision", indexes={
                     "C": [{"name": "C_id", "columns": ["k1"]}],
                 })
+            # a name repeated within one request: created once, or, on
+            # other columns, refused with nothing of the table created
+            twice = {"P": [{"name": "P_by_k2", "columns": ["k2"]}] * 2}
+            assert client.request("provision", indexes=twice)["created"] == [
+                "P_by_k2"
+            ]
+            with pytest.raises(ServerError, match="other columns"):
+                client.request("provision", indexes={"P": [
+                    {"name": "P_x", "columns": ["k1"]},
+                    {"name": "P_x", "columns": ["k2"]},
+                ]})
+            assert "P_x" not in server.db.table("P").indexes
             client.begin()
             with pytest.raises(ServerError) as excinfo:
                 client.request("provision", indexes=design)
